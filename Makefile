@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck test race chaos chaos-smoke chaos-churn chaos-replication check bench-smoke bench-hotpath bench-guardcascade bench-service bench-service-full bench-shard bench-shard-full bench-durable bench-durable-full bench-replication bench-replication-full fuzz-smoke clean
+.PHONY: all build vet staticcheck test race chaos chaos-smoke chaos-churn chaos-replication check bench-smoke bench-hotpath bench-guardcascade bench-service bench-service-full bench-shard bench-shard-full bench-durable bench-durable-full bench-replication bench-replication-full bench-ledger-check fuzz-smoke clean
 
 all: check
 
@@ -153,6 +153,14 @@ bench-replication:
 # bench-replication-full regenerates the committed replication ladder.
 bench-replication-full:
 	$(GO) run ./cmd/bankbench -json -exp replication -workers 4 -transfers 200 -audits 200 -accounts 8 -repeat 3 > BENCH_replication.json
+
+# bench-ledger-check vets and tests the performance ledger (bench/, a
+# nested module that `go build ./... && go test ./...` at the root neither
+# builds nor runs) against the product code of this checkout: a product
+# change that breaks what the ledger compiles against, or one of its
+# oracles, fails here instead of in the next benchmark run. About 16 s.
+bench-ledger-check:
+	cd bench && $(GO) vet . && $(GO) test -count=1 .
 
 # fuzz-smoke runs the library's fuzzers for a bounded time each: the
 # conflict engine's memoised exact tier must be indistinguishable from the

@@ -245,3 +245,63 @@ func TestFacadeDistinguishedResults(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFacadeThreeLivesOnOneFileWAL reopens one file WAL twice with no
+// checkpoint in between. Every life commits five transactions, each a
+// deposit(10) plus an increment of the `total` counter. A reopened system
+// must number its transactions past every identifier the log already holds:
+// reusing t1..t5 makes replay drop the new life's intentions as "already
+// applied" (the account silently loses acknowledged deposits) and makes the
+// counter's logged results unreplayable.
+func TestFacadeThreeLivesOnOneFileWAL(t *testing.T) {
+	dir := t.TempDir()
+	types := map[weihl83.ObjectID]weihl83.ADT{"acct": weihl83.Account(), "total": weihl83.Counter()}
+	read := func(sys *weihl83.System) (balance, total int64) {
+		t.Helper()
+		if err := sys.Run(func(txn *weihl83.Txn) error {
+			b, err := txn.Invoke("acct", weihl83.OpBalance, weihl83.Nil())
+			if err != nil {
+				return err
+			}
+			c, err := txn.Invoke("total", weihl83.OpRead, weihl83.Nil())
+			if err != nil {
+				return err
+			}
+			balance, total = b.MustInt(), c.MustInt()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return balance, total
+	}
+	for life := int64(1); life <= 3; life++ {
+		wal, err := weihl83.OpenFileWAL(dir, types)
+		if err != nil {
+			t.Fatalf("life %d: open: %v", life, err)
+		}
+		sys := newDynamic(t, weihl83.Options{Property: weihl83.Dynamic, WAL: wal})
+		if err := sys.RecoverObjects(types); err != nil {
+			t.Fatalf("life %d: recover: %v", life, err)
+		}
+		if b, c := read(sys); b != 50*(life-1) || c != 5*(life-1) {
+			t.Fatalf("life %d recovered balance %d, total %d; want %d, %d", life, b, c, 50*(life-1), 5*(life-1))
+		}
+		for i := 0; i < 5; i++ {
+			if err := sys.Run(func(txn *weihl83.Txn) error {
+				if _, err := txn.Invoke("acct", weihl83.OpDeposit, weihl83.Int(10)); err != nil {
+					return err
+				}
+				_, err := txn.Invoke("total", weihl83.OpIncrement, weihl83.Nil())
+				return err
+			}); err != nil {
+				t.Fatalf("life %d: %v", life, err)
+			}
+		}
+		if b, c := read(sys); b != 50*life || c != 5*life {
+			t.Fatalf("life %d live balance %d, total %d; want %d, %d", life, b, c, 50*life, 5*life)
+		}
+		if err := wal.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -8,6 +8,8 @@ package cc
 import (
 	"errors"
 	"fmt"
+	"strconv"
+	"strings"
 
 	"weihl83/internal/histories"
 	"weihl83/internal/spec"
@@ -117,6 +119,25 @@ type TxnInfo struct {
 	// yes-vote so an in-doubt recovery knows which peers to poll during
 	// cooperative termination.
 	Participants []string
+}
+
+// TxnID is the activity identifier of the transaction with birth sequence
+// number seq.
+func TxnID(seq int64) histories.ActivityID {
+	return histories.ActivityID("t" + strconv.FormatInt(seq, 10))
+}
+
+// TxnSeq is TxnID's inverse: the birth sequence number inside id, false for
+// identifiers TxnID never produces (replica deliveries, test fixtures). A
+// runtime reopened on a durable log uses it to number its transactions past
+// every identifier the log already holds.
+func TxnSeq(id histories.ActivityID) (int64, bool) {
+	digits, ok := strings.CutPrefix(string(id), "t")
+	if !ok {
+		return 0, false
+	}
+	seq, err := strconv.ParseInt(digits, 10, 64)
+	return seq, err == nil && seq > 0
 }
 
 // Resource is an object managed by an online protocol. Invoke may block

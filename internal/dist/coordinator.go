@@ -152,11 +152,7 @@ func (c *Coordinator) Decide(txn histories.ActivityID, commit bool) error {
 		c.abortDurablyLocked(txn)
 		return fmt.Errorf("dist: coordinator %s lost %s across a crash; durably decided abort: %w", c.id, txn, cc.ErrUnavailable)
 	}
-	kind := recovery.RecordAbort
-	if commit {
-		kind = recovery.RecordCommit
-	}
-	if err := c.disk.Append(recovery.Record{Kind: kind, Txn: txn}); err != nil {
+	if err := c.disk.Append(recovery.OutcomeRecord(txn, commit)); err != nil {
 		if commit {
 			// The commit decision never became durable, so it was never
 			// made: durably abort instead and have the client broadcast it.
@@ -242,33 +238,16 @@ func (c *Coordinator) crashLocked() {
 }
 
 // Recover brings the coordinator back, rebuilding the decision map from
-// the write-ahead log alone: commit and abort records, and the Decided set
-// of any checkpoint (compaction drops the commit records a checkpoint
-// summarises; abort records a checkpoint drops simply revert to presumed
-// abort, the same answer).
+// the fold of its write-ahead log alone (compaction drops the commit records
+// a checkpoint's Decided set summarises; abort records a checkpoint drops
+// simply revert to presumed abort, the same answer).
 func (c *Coordinator) Recover() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.up {
 		return fmt.Errorf("dist: coordinator %s is already up", c.id)
 	}
-	decided := make(map[histories.ActivityID]bool)
-	for _, r := range c.disk.Records() {
-		if r.Torn {
-			continue
-		}
-		switch r.Kind {
-		case recovery.RecordCommit:
-			decided[r.Txn] = true
-		case recovery.RecordAbort:
-			decided[r.Txn] = false
-		case recovery.RecordCheckpoint:
-			for txn := range r.Decided {
-				decided[txn] = true
-			}
-		}
-	}
-	c.decided = decided
+	c.decided = recovery.FoldLog(c.disk.Records()).Decided()
 	c.inflight = make(map[histories.ActivityID]bool)
 	c.up = true
 	obsCoordRecoveries.Inc()
@@ -303,11 +282,5 @@ func (c *Coordinator) queryOutcome(txn histories.ActivityID) Outcome {
 	if c.inflight[txn] {
 		return OutcomeInDoubt
 	}
-	if commit, ok := c.decided[txn]; ok {
-		if commit {
-			return OutcomeCommitted
-		}
-		return OutcomeAborted
-	}
-	return OutcomeUnknown
+	return cachedOutcome(c.decided, txn)
 }

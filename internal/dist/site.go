@@ -4,15 +4,16 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"weihl83/internal/adts"
 	"weihl83/internal/cc"
+	"weihl83/internal/conflict"
 	"weihl83/internal/fault"
 	"weihl83/internal/histories"
-	"weihl83/internal/conflict"
 	"weihl83/internal/locking"
 	"weihl83/internal/obs"
 	"weihl83/internal/recovery"
@@ -115,15 +116,7 @@ func (d *DecisionLog) Committed(txn histories.ActivityID) bool {
 func (d *DecisionLog) Outcome(txn histories.ActivityID) Outcome {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	commit, ok := d.outcomes[txn]
-	switch {
-	case !ok:
-		return OutcomeUnknown
-	case commit:
-		return OutcomeCommitted
-	default:
-		return OutcomeAborted
-	}
+	return cachedOutcome(d.outcomes, txn)
 }
 
 // SiteConfig configures a site.
@@ -496,10 +489,7 @@ func (s *Site) Checkpoint() (int64, error) {
 		s.mu.Unlock()
 		return 0, fmt.Errorf("%w: %s", ErrSiteDown, s.id)
 	}
-	specs := make(map[histories.ObjectID]spec.SerialSpec, len(s.types))
-	for id, t := range s.types {
-		specs[id] = t.Spec
-	}
+	specs := s.specsLocked()
 	seed := make(map[histories.ObjectID]bool, len(s.seedHosted))
 	for id, h := range s.seedHosted {
 		seed[id] = h
@@ -508,94 +498,55 @@ func (s *Site) Checkpoint() (int64, error) {
 	return s.disk.CheckpointHosted(specs, seed)
 }
 
-// Recover brings the site back in three phases. First the write-ahead log
-// is scanned for in-doubt transactions: logged intentions with no commit or
-// abort record. Second, each is resolved through the cooperative
-// termination protocol — coordinator first, then peer participants, then
-// presumed abort when the coordinator durably knows nothing or every peer
-// unanimously refuses (see resolveOutcome); if any transaction stays
-// unresolved (coordinator down or partitioned, peers in doubt too) the
-// site stays down and Recover returns ErrStillInDoubt so the caller can
-// retry after the heal. Third, the resolved outcomes are appended to the
-// log and the committed states are rebuilt from it (redo of logged
-// intentions in commit order).
+// specsLocked returns the serial spec of every object in the site's catalog.
+func (s *Site) specsLocked() map[histories.ObjectID]spec.SerialSpec {
+	specs := make(map[histories.ObjectID]spec.SerialSpec, len(s.types))
+	for id, t := range s.types {
+		specs[id] = t.Spec
+	}
+	return specs
+}
+
+// Recover brings the site back in three phases, all reading one fold of the
+// write-ahead log. First the fold names the in-doubt transactions: logged
+// intentions with no outcome. Second, each is resolved through the
+// cooperative termination protocol — coordinator first, then peer
+// participants, then presumed abort when the coordinator durably knows
+// nothing or every peer unanimously refuses (see resolveOutcome); if any
+// transaction stays unresolved (coordinator down or partitioned, peers in
+// doubt too) the site stays down and Recover returns ErrStillInDoubt so the
+// caller can retry after the heal. Third, the resolved outcomes are appended
+// to the log (and added to the fold), and every volatile structure is
+// rebuilt from the fold: committed states and hosting by redo, the outcome
+// cache, migrate-in placement versions, replica watermarks. A down site's
+// handlers refuse before they log anything, so the fold read at the top,
+// plus the outcomes added to it, stays equal to the log.
 func (s *Site) Recover() error {
 	s.recoverMu.Lock()
 	defer s.recoverMu.Unlock()
 	if s.Up() {
 		return fmt.Errorf("dist: site %s is already up", s.id)
 	}
+	fold := recovery.FoldLog(s.disk.Records())
 
-	// Phase 1: find in-doubt transactions in the log, in first-seen order.
-	type doubt struct {
-		txn          histories.ActivityID
-		objects      []histories.ObjectID
-		participants []string
-		migrate      map[histories.ObjectID]bool // migration halves: no commit event
-	}
-	inDoubt := make(map[histories.ActivityID]*doubt)
-	var order []histories.ActivityID
-	for _, r := range s.disk.Records() {
-		if r.Torn {
-			continue
-		}
-		switch r.Kind {
-		case recovery.RecordIntentions:
-			if r.Migrate == recovery.ReplicaIn {
-				// Replica deliveries are not 2PC halves: an uncommitted
-				// ReplicaIn record is a crash between a delivery's two
-				// appends, and the delivery worker will simply redeliver
-				// it. Running it through cooperative termination would
-				// presume abort and durably refuse the rid — blocking the
-				// redelivery forever.
-				continue
-			}
-			d := inDoubt[r.Txn]
-			if d == nil {
-				d = &doubt{txn: r.Txn}
-				inDoubt[r.Txn] = d
-				order = append(order, r.Txn)
-			}
-			d.objects = append(d.objects, r.Object)
-			d.participants = unionStrings(d.participants, r.Participants)
-			if r.Migrate != recovery.MigrateNone {
-				if d.migrate == nil {
-					d.migrate = make(map[histories.ObjectID]bool)
-				}
-				d.migrate[r.Object] = true
-			}
-		case recovery.RecordCommit, recovery.RecordAbort:
-			delete(inDoubt, r.Txn)
-		case recovery.RecordCheckpoint:
-			for txn := range r.Decided {
-				delete(inDoubt, txn)
-			}
-		}
-	}
-
-	// Phase 2: cooperative termination, outside s.mu (it talks to the
-	// network).
+	// Cooperative termination runs outside s.mu (it talks to the network).
 	type resolution struct {
-		d      *doubt
+		t      *recovery.TxnFate
 		commit bool
 		path   string
 	}
 	var resolved []resolution
 	unresolved := 0
-	for _, txn := range order {
-		d, still := inDoubt[txn]
-		if !still {
-			continue
-		}
-		commit, path, ok := s.resolveOutcome(txn, d.participants)
+	for _, t := range fold.InDoubt() {
+		commit, path, ok := s.resolveOutcome(t.Txn, t.Participants)
 		if !ok {
 			unresolved++
 			continue
 		}
-		resolved = append(resolved, resolution{d: d, commit: commit, path: path})
+		resolved = append(resolved, resolution{t: t, commit: commit, path: path})
 	}
 
-	// Phase 3: make the resolved outcomes durable (even when others remain
+	// Make the resolved outcomes durable (even when others remain
 	// unresolved — durable progress shrinks the next attempt), then
 	// rebuild. Recovery's log writes must not fail mid-resolution, so the
 	// injector is detached for the duration (a real system retries its
@@ -605,56 +556,51 @@ func (s *Site) Recover() error {
 	s.disk.SetInjector(nil)
 	defer s.disk.SetInjector(s.inj)
 	for _, res := range resolved {
-		kind := recovery.RecordAbort
-		if res.commit {
-			kind = recovery.RecordCommit
-		}
-		if err := s.disk.Append(recovery.Record{Kind: kind, Txn: res.d.txn}); err != nil {
+		rec := recovery.OutcomeRecord(res.t.Txn, res.commit)
+		if err := s.disk.Append(rec); err != nil {
 			return fmt.Errorf("dist: recovering %s: %w", s.id, err)
 		}
+		fold.Add(rec)
 		obs.Default.Counter("dist.indoubt.resolved." + res.path).Inc()
-		debugTrace("recover-resolve %s@%s commit=%v path=%s objs=%v", res.d.txn, s.id, res.commit, res.path, res.d.objects)
-		if res.commit {
-			obsInDoubtCommits.Inc()
-			// The transaction is durably committed (coordinator or peer
-			// decision + our logged intentions) but this site crashed
-			// before installing it, so no commit event was ever emitted
-			// here. Record it now: nothing can have read the redone
-			// effects before this point, so the late commit event is a
-			// valid observation.
-			for _, obj := range res.d.objects {
-				// Migration halves carry no client calls: they produce no
-				// history events, so no commit event is owed either.
-				if res.d.migrate[obj] {
-					continue
-				}
-				s.sink.Emit(histories.Commit(obj, res.d.txn))
-			}
-		} else {
+		debugTrace("recover-resolve %s@%s commit=%v path=%s objs=%v", res.t.Txn, s.id, res.commit, res.path, res.t.Objects)
+		if !res.commit {
 			obsInDoubtAborts.Inc()
+			continue
+		}
+		obsInDoubtCommits.Inc()
+		// The transaction is durably committed (coordinator or peer
+		// decision + our logged intentions) but this site crashed before
+		// installing it, so no commit event was ever emitted here. Record
+		// it now: nothing can have read the redone effects before this
+		// point, so the late commit event is a valid observation.
+		// Migration halves carry no client calls: they produce no history
+		// events, so no commit event is owed either.
+		for _, obj := range res.t.Objects {
+			if res.t.Migrate[obj] == recovery.MigrateNone {
+				s.sink.Emit(histories.Commit(obj, res.t.Txn))
+			}
 		}
 	}
 	if unresolved > 0 {
 		return fmt.Errorf("%w: site %s: %d transaction(s) still in doubt", ErrStillInDoubt, s.id, unresolved)
 	}
-
-	specs := make(map[histories.ObjectID]spec.SerialSpec, len(s.types))
-	for id, t := range s.types {
-		specs[id] = t.Spec
-	}
-	states, hosted, err := recovery.RestartHosted(s.disk, specs, s.seedHosted)
-	if err != nil {
-		if os.Getenv("DIST_DEBUG_REBUILD") != "" {
-			fmt.Fprintf(os.Stderr, "=== rebuild failure at %s: %v\n", s.id, err)
-			for i, r := range s.disk.Records() {
-				fmt.Fprintf(os.Stderr, "  [%03d] kind=%d txn=%s obj=%s mig=%d ringv=%d torn=%v calls=%d states=%v decided=%d hosted=%v parts=%v\n",
-					i, r.Kind, r.Txn, r.Object, r.Migrate, r.RingV, r.Torn, len(r.Calls), keysOf(r.States), len(r.Decided), r.Hosted, r.Participants)
-				for _, c := range r.Calls {
-					fmt.Fprintf(os.Stderr, "        call %v\n", c)
-				}
-			}
-		}
+	if err := s.rebuildLocked(fold); err != nil {
 		return fmt.Errorf("dist: recovering %s: %w", s.id, err)
+	}
+	s.up = true
+	obsSiteRecoveries.Inc()
+	if obsSiteTrace.Enabled() {
+		obsSiteTrace.Record(obs.TraceEvent{Kind: obs.KindRecover, Site: string(s.id)})
+	}
+	return nil
+}
+
+// rebuildLocked rebuilds every volatile structure of the site from the fold
+// of its log, under s.mu.
+func (s *Site) rebuildLocked(fold *recovery.Fold) error {
+	states, hosted, err := fold.Redo(s.specsLocked(), s.seedHosted)
+	if err != nil {
+		return err
 	}
 	s.detector = locking.NewDetector()
 	s.objects = make(map[histories.ObjectID]*locking.Object, len(s.types))
@@ -662,35 +608,17 @@ func (s *Site) Recover() error {
 	s.active = make(map[histories.ActivityID]*activeTxn)
 	s.replies = make(map[uint64]cachedReply)
 	s.replyOrder = nil
-	s.decided = make(map[histories.ActivityID]bool)
-	for _, r := range s.disk.Records() {
-		if r.Torn {
-			continue
-		}
-		switch r.Kind {
-		case recovery.RecordCommit:
-			s.decided[r.Txn] = true
-		case recovery.RecordAbort:
-			s.decided[r.Txn] = false
-		case recovery.RecordCheckpoint:
-			for txn := range r.Decided {
-				s.decided[txn] = true
-			}
-		}
-	}
+	s.decided = fold.Decided()
 	s.hosted = hosted
-	s.homedAt = make(map[histories.ObjectID]uint64)
-	for _, r := range s.disk.Records() {
-		// Re-derive the placement version each hosted object migrated in
-		// at. Compaction may have dropped the migrate-in record; the
-		// version then reverts to zero, which only widens the accepted
-		// placement range — safe, because hosting itself (the check that
-		// refuses the wrong home) is checkpoint-durable.
-		if r.Torn || r.Kind != recovery.RecordIntentions || r.Migrate != recovery.MigrateIn {
-			continue
-		}
-		if s.decided[r.Txn] && hosted[r.Object] {
-			s.homedAt[r.Object] = r.RingV
+	// The placement version each hosted object migrated in at. Compaction
+	// may have dropped the migrate-in record; the version then reverts to
+	// zero, which only widens the accepted placement range — safe, because
+	// hosting itself (the check that refuses the wrong home) is
+	// checkpoint-durable.
+	s.homedAt = fold.HomedAt()
+	for id := range s.homedAt {
+		if !hosted[id] {
+			delete(s.homedAt, id)
 		}
 	}
 	s.migrating = make(map[histories.ObjectID]histories.ActivityID)
@@ -704,11 +632,11 @@ func (s *Site) Recover() error {
 		}
 		o, err := s.buildObject(id, t, s.guards[id], states[id])
 		if err != nil {
-			return fmt.Errorf("dist: recovering %s/%s: %w", s.id, id, err)
+			return fmt.Errorf("object %s: %w", id, err)
 		}
 		s.objects[id] = o
 	}
-	// Rebuild follower copies: the replay folded every committed ReplicaIn
+	// Rebuild follower copies: the redo folded every committed ReplicaIn
 	// record (seed baseline + deliveries) into states, and the watermark is
 	// the newest committed delivery timestamp, so the version log collapses
 	// to a single version at the watermark — snapshot reads below it refuse
@@ -716,16 +644,14 @@ func (s *Site) Recover() error {
 	// whose seed never committed (crash between the seed's two appends) has
 	// no replayed state; the delivery worker reseeds it.
 	s.replicas = make(map[histories.ObjectID]*replicaObj)
-	marks := recovery.ReplicaWatermarks(s.disk)
+	marks := fold.Watermarks()
 	for id := range s.follows {
-		st, ok := states[id]
-		if !ok {
-			continue
-		}
-		s.replicas[id] = &replicaObj{
-			typ:      s.types[id],
-			floor:    marks[id],
-			versions: []replicaVersion{{ts: marks[id], state: st}},
+		if st, ok := states[id]; ok {
+			s.replicas[id] = &replicaObj{
+				typ:      s.types[id],
+				floor:    marks[id],
+				versions: []replicaVersion{{ts: marks[id], state: st}},
+			}
 		}
 	}
 	if debugTraceOn {
@@ -733,29 +659,7 @@ func (s *Site) Recover() error {
 			debugTrace("rebuilt %s@%s -> %s", id, s.id, o.Base().Key())
 		}
 	}
-	s.up = true
-	obsSiteRecoveries.Inc()
-	if obsSiteTrace.Enabled() {
-		obsSiteTrace.Record(obs.TraceEvent{Kind: obs.KindRecover, Site: string(s.id)})
-	}
 	return nil
-}
-
-// unionStrings merges b into a without duplicates, preserving order.
-func unionStrings(a, b []string) []string {
-	for _, x := range b {
-		found := false
-		for _, y := range a {
-			if x == y {
-				found = true
-				break
-			}
-		}
-		if !found {
-			a = append(a, x)
-		}
-	}
-	return a
 }
 
 // object looks up a hosted object on a running site.
@@ -1116,32 +1020,12 @@ func (s *Site) handleMigrateExport(obj histories.ObjectID, txn *cc.TxnInfo) (mig
 // drain found the object quiet, so the decided set for obj is stable. A
 // failed append refuses the export (retryably — the driver backs off).
 func (s *Site) exportOutcomeCatchUp(obj histories.ObjectID) error {
-	durable := make(map[histories.ActivityID]bool)
-	var onObj []histories.ActivityID
-	seen := make(map[histories.ActivityID]bool)
-	for _, r := range s.disk.Records() {
-		if r.Torn {
-			continue
-		}
-		switch r.Kind {
-		case recovery.RecordIntentions:
-			if r.Object == obj && !seen[r.Txn] {
-				seen[r.Txn] = true
-				onObj = append(onObj, r.Txn)
-			}
-		case recovery.RecordCommit, recovery.RecordAbort:
-			durable[r.Txn] = true
-		case recovery.RecordCheckpoint:
-			for txn := range r.Decided {
-				durable[txn] = true
-			}
-		}
-	}
+	doubts := recovery.FoldLog(s.disk.Records()).InDoubt()
 	s.mu.Lock()
 	var missing []histories.ActivityID
-	for _, txn := range onObj {
-		if !durable[txn] && s.decided[txn] {
-			missing = append(missing, txn)
+	for _, t := range doubts {
+		if s.decided[t.Txn] && slices.Contains(t.Objects, obj) {
+			missing = append(missing, t.Txn)
 		}
 	}
 	s.mu.Unlock()
@@ -1509,16 +1393,6 @@ func (s *Site) CommittedStateKey(id histories.ObjectID) (string, error) {
 		return "", err
 	}
 	return o.Base().Key(), nil
-}
-
-// keysOf lists a state map's keys for debug dumps.
-func keysOf(m map[histories.ObjectID]spec.State) []histories.ObjectID {
-	var ks []histories.ObjectID
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
 }
 
 // debugTrace prints migration/commit state-transition traces to stderr when

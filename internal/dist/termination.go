@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -21,8 +22,10 @@ var (
 )
 
 // Outcome is a transaction's fate as known to one node, the unit of
-// information exchanged by the cooperative termination protocol.
-type Outcome int
+// information exchanged by the cooperative termination protocol. It is the
+// log fold's fate vocabulary: a node answers from the fold of its own log
+// (or a cache of it).
+type Outcome = recovery.Fate
 
 // Outcome values. Unknown means "no trace of the transaction" — from the
 // coordinator that is a sound presumed-abort answer (the continuity rule
@@ -32,23 +35,24 @@ type Outcome int
 // InDoubt means the node has a prepare record (or a live decision window)
 // but no outcome; the asker must keep waiting.
 const (
-	OutcomeUnknown Outcome = iota
-	OutcomeCommitted
-	OutcomeAborted
-	OutcomeInDoubt
+	OutcomeUnknown   = recovery.FateUnknown
+	OutcomeCommitted = recovery.FateCommitted
+	OutcomeAborted   = recovery.FateAborted
+	OutcomeInDoubt   = recovery.FateInDoubt
 )
 
-// String renders an outcome for diagnostics.
-func (o Outcome) String() string {
-	switch o {
-	case OutcomeCommitted:
-		return "committed"
-	case OutcomeAborted:
-		return "aborted"
-	case OutcomeInDoubt:
-		return "in-doubt"
+// cachedOutcome answers from a volatile decision cache (true committed,
+// false aborted): Unknown when the cache has no entry — or is nil, wiped by
+// a crash.
+func cachedOutcome(decided map[histories.ActivityID]bool, txn histories.ActivityID) Outcome {
+	commit, ok := decided[txn]
+	switch {
+	case !ok:
+		return OutcomeUnknown
+	case commit:
+		return OutcomeCommitted
 	default:
-		return "unknown"
+		return OutcomeAborted
 	}
 }
 
@@ -83,49 +87,21 @@ func (s *Site) queryOutcome(txn histories.ActivityID) Outcome {
 	return OutcomeUnknown
 }
 
-// outcomeOf scans this site's volatile caches and write-ahead log for
-// txn's fate: a durable commit or abort record (or a checkpoint that
-// absorbed a commit) decides it; logged intentions without an outcome are
-// in-doubt; otherwise the site never heard of it.
+// outcomeOf answers txn's fate from this site's volatile caches, then from
+// the fold of its write-ahead log: a durable commit or abort record (or a
+// checkpoint that absorbed a commit) decides it; logged intentions without
+// an outcome are in-doubt; otherwise the site never heard of it.
 func (s *Site) outcomeOf(txn histories.ActivityID) Outcome {
 	s.mu.Lock()
-	if s.decided != nil {
-		if commit, ok := s.decided[txn]; ok {
-			s.mu.Unlock()
-			if commit {
-				return OutcomeCommitted
-			}
-			return OutcomeAborted
-		}
-	}
+	out := cachedOutcome(s.decided, txn)
 	_, pending := s.prepared[txn]
 	s.mu.Unlock()
-	out := OutcomeUnknown
-	if pending {
-		out = OutcomeInDoubt
+	if out != OutcomeUnknown {
+		return out
 	}
-	for _, r := range s.disk.Records() {
-		if r.Torn {
-			continue
-		}
-		switch r.Kind {
-		case recovery.RecordIntentions:
-			if r.Txn == txn && out == OutcomeUnknown {
-				out = OutcomeInDoubt
-			}
-		case recovery.RecordCommit:
-			if r.Txn == txn {
-				out = OutcomeCommitted
-			}
-		case recovery.RecordAbort:
-			if r.Txn == txn {
-				out = OutcomeAborted
-			}
-		case recovery.RecordCheckpoint:
-			if r.Decided[txn] {
-				out = OutcomeCommitted
-			}
-		}
+	out = recovery.FoldLog(s.disk.Records()).Fate(txn)
+	if out == OutcomeUnknown && pending {
+		return OutcomeInDoubt
 	}
 	return out
 }
@@ -161,17 +137,7 @@ func (s *Site) resolveOutcome(txn histories.ActivityID, participants []string) (
 	}
 	var peers []string
 	for _, p := range participants {
-		if SiteID(p) == s.id {
-			continue
-		}
-		dup := false
-		for _, q := range peers {
-			if q == p {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if SiteID(p) != s.id && !slices.Contains(peers, p) {
 			peers = append(peers, p)
 		}
 	}
@@ -275,11 +241,7 @@ func (s *Site) applyOutcome(txn histories.ActivityID, commit bool, path string) 
 	// not tell. Force the record before touching anything; on failure the
 	// transaction stays prepared and a later resolver pass retries.
 	s.mu.Unlock()
-	kindAhead := recovery.RecordAbort
-	if commit {
-		kindAhead = recovery.RecordCommit
-	}
-	if err := s.disk.Append(recovery.Record{Kind: kindAhead, Txn: txn}); err != nil {
+	if err := s.disk.Append(recovery.OutcomeRecord(txn, commit)); err != nil {
 		return false
 	}
 	s.mu.Lock()

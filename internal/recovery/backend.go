@@ -13,8 +13,13 @@ import (
 // FileWAL, a file-backed segmented log whose torn-write detection is real
 // CRC framing rather than an injected flag.
 //
-// All methods are safe for concurrent use. The contract mirrors Disk's
-// long-standing semantics:
+// The two share one in-memory log core (the record sequence, Records, Len,
+// and the checkpoint builder, which compacts the log to what its Fold says
+// it means); they differ in how records are appended and in how a compacted
+// log is installed — a slice swap, or a fresh segment plus a manifest
+// rename — never in what it contains.
+//
+// All methods are safe for concurrent use. The contract:
 //
 //   - Append/AppendBatch: a nil error means the record group is durably
 //     logged; any error means the caller must treat it as not logged (the
@@ -24,7 +29,8 @@ import (
 //   - Records returns a deep-copied snapshot; mutating it cannot alias the
 //     live log.
 //   - Checkpoint/CheckpointHosted snapshot committed state, compact the
-//     log, and report estimated bytes reclaimed.
+//     log to the snapshot plus the intentions of still-undecided
+//     transactions, and report (estimated) bytes reclaimed.
 //   - SetInjector attaches a deterministic fault injector (nil detaches).
 //   - Close releases any OS resources; the in-memory disk has none.
 type Backend interface {

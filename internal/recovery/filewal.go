@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"weihl83/internal/fault"
@@ -142,17 +141,16 @@ type FileWALOptions struct {
 // manifest order and trims the torn tail of the final segment at the
 // first bad frame.
 //
-// It mirrors the durable records in memory so Records(), Len() and the
-// checkpoint replay are identical to the in-memory Disk's; the mirror is
-// only ever updated after the corresponding bytes are durable.
+// It mirrors the durable records in the log core it shares with the
+// in-memory Disk, so Records(), Len() and what a checkpoint compacts the
+// log to are the same code; the mirror is only ever updated after the
+// corresponding bytes are durable.
 type FileWAL struct {
-	mu      sync.Mutex
-	dir     string
-	fs      walFS
-	specs   map[histories.ObjectID]spec.SerialSpec
-	segMax  int64
-	inj     *fault.Injector
-	records []Record // mirror of the durable log
+	memLog // mirror of the durable log
+	dir    string
+	fs     walFS
+	specs  map[histories.ObjectID]spec.SerialSpec
+	segMax int64
 
 	active    walFile // current segment, opened for append
 	activeSeq uint64
@@ -198,8 +196,8 @@ func OpenFileWAL(opts FileWALOptions) (*FileWAL, error) {
 		fs:     fs,
 		specs:  opts.Specs,
 		segMax: opts.SegmentBytes,
-		inj:    opts.Injector,
 	}
+	w.inj = opts.Injector
 	if w.segMax <= 0 {
 		w.segMax = defaultSegmentBytes
 	}
@@ -335,13 +333,6 @@ func (w *FileWAL) loadSegment(seq uint64, final bool) error {
 		}
 	}
 	return nil
-}
-
-// SetInjector implements Backend.
-func (w *FileWAL) SetInjector(in *fault.Injector) {
-	w.mu.Lock()
-	w.inj = in
-	w.mu.Unlock()
 }
 
 // Dir returns the WAL directory.
@@ -511,36 +502,17 @@ func (w *FileWAL) maybeRotateLocked() {
 	w.active, w.activeSeq, w.activeLen = f, next, size
 }
 
-// Records implements Backend: a deep-copied snapshot of the durable log.
-func (w *FileWAL) Records() []Record {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]Record, len(w.records))
-	for i := range w.records {
-		out[i] = w.records[i].clone()
-	}
-	return out
-}
-
-// Len implements Backend.
-func (w *FileWAL) Len() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.records)
-}
-
 // Checkpoint implements Backend. See CheckpointHosted.
 func (w *FileWAL) Checkpoint(specs map[histories.ObjectID]spec.SerialSpec) (int64, error) {
 	return w.checkpoint(specs, nil, false)
 }
 
-// CheckpointHosted implements Backend: it replays the log into a snapshot,
-// writes checkpoint + undecided intentions to a fresh segment, atomically
-// updates the manifest (the checkpoint's durability point), and reclaims
-// every older segment. It returns the real bytes reclaimed. Under
-// fault.DiskCheckpointTorn the checkpoint segment is abandoned before its
-// manifest update — exactly the crash the recovery scan repairs — and the
-// uncompacted log stays authoritative.
+// CheckpointHosted implements Backend: the shared log core compacts the
+// log (see Fold.compact) and installSegmentLocked makes the result durable.
+// It returns the real bytes reclaimed. Under fault.DiskCheckpointTorn the
+// checkpoint segment is abandoned before its manifest update — exactly the
+// crash the recovery scan repairs — and the uncompacted log stays
+// authoritative.
 func (w *FileWAL) CheckpointHosted(specs map[histories.ObjectID]spec.SerialSpec, initialHosted map[histories.ObjectID]bool) (int64, error) {
 	return w.checkpoint(specs, initialHosted, true)
 }
@@ -551,57 +523,15 @@ func (w *FileWAL) checkpoint(specs map[histories.ObjectID]spec.SerialSpec, initi
 	if w.closed {
 		return 0, fmt.Errorf("%w: wal closed", ErrWriteFailed)
 	}
-	states, hosted, err := replayHosted(w.records, specs, initialHosted)
-	if err != nil {
-		return 0, fmt.Errorf("recovery: checkpoint replay: %w", err)
-	}
-	cp := Record{Kind: RecordCheckpoint, States: states, Decided: make(map[histories.ActivityID]bool)}
-	if withHosted {
-		cp.Hosted = hosted
-	}
-	undecided := make(map[histories.ActivityID]bool)
-	for _, r := range w.records {
-		switch r.Kind {
-		case RecordIntentions:
-			undecided[r.Txn] = true
-		case RecordCommit:
-			delete(undecided, r.Txn)
-			cp.Decided[r.Txn] = true
-		case RecordAbort:
-			delete(undecided, r.Txn)
-		case RecordCheckpoint:
-			for txn := range r.Decided {
-				cp.Decided[txn] = true
-			}
-		}
-	}
-	// Carry the replica delivery watermark forward: compaction drops the
-	// committed ReplicaIn records whose effects the snapshot folds in.
-	replicaTS := make(map[histories.ObjectID]histories.Timestamp)
-	for _, r := range w.records {
-		switch r.Kind {
-		case RecordIntentions:
-			if r.Migrate == ReplicaIn && cp.Decided[r.Txn] && r.TS > replicaTS[r.Object] {
-				replicaTS[r.Object] = r.TS
-			}
-		case RecordCheckpoint:
-			for id, ts := range r.ReplicaTS {
-				if ts > replicaTS[id] {
-					replicaTS[id] = ts
-				}
-			}
-		}
-	}
-	if len(replicaTS) > 0 {
-		cp.ReplicaTS = replicaTS
-	}
-	compacted := []Record{cp}
-	for _, r := range w.records {
-		if r.Kind == RecordIntentions && undecided[r.Txn] {
-			compacted = append(compacted, r.clone())
-		}
-	}
+	return w.checkpointLocked(specs, initialHosted, withHosted, func(compacted []Record) (int64, int64, error) {
+		return w.installSegmentLocked(compacted, specs)
+	})
+}
 
+// installSegmentLocked is the file install: the compacted log is written to
+// a fresh segment, the manifest is atomically updated to name it as base
+// (the checkpoint's durability point), and every older segment is reclaimed.
+func (w *FileWAL) installSegmentLocked(compacted []Record, specs map[histories.ObjectID]spec.SerialSpec) (reclaimed, written int64, err error) {
 	// Serialize the whole compacted log up front: an unencodable state
 	// (spec without a codec) must fail the checkpoint before any disk
 	// mutation.
@@ -609,7 +539,7 @@ func (w *FileWAL) checkpoint(specs map[histories.ObjectID]spec.SerialSpec, initi
 	for _, r := range compacted {
 		payload, err := encodeRecord(r, specs)
 		if err != nil {
-			return 0, fmt.Errorf("recovery: checkpoint: %w", err)
+			return 0, 0, fmt.Errorf("recovery: checkpoint: %w", err)
 		}
 		buf = appendFrame(buf, payload)
 	}
@@ -619,47 +549,42 @@ func (w *FileWAL) checkpoint(specs map[histories.ObjectID]spec.SerialSpec, initi
 	nextPath := filepath.Join(w.dir, segName(next))
 	f, size, err := w.fs.OpenAppend(nextPath)
 	if err != nil {
-		return 0, fmt.Errorf("%w: checkpoint segment: %v", ErrWriteFailed, err)
+		return 0, 0, fmt.Errorf("%w: checkpoint segment: %v", ErrWriteFailed, err)
+	}
+	// abandon discards the attempt: it never reached its durability point,
+	// so the repair is the recovery scan's — drop the segment and keep the
+	// full uncompacted log authoritative.
+	abandon := func(err error) (int64, int64, error) {
+		f.Close()
+		_ = w.fs.Remove(nextPath)
+		return 0, 0, err
 	}
 	if size > 0 {
 		// Leftovers of an earlier abandoned attempt at this sequence.
 		if err := f.Truncate(0); err != nil {
 			f.Close()
-			return 0, fmt.Errorf("%w: checkpoint segment truncate: %v", ErrWriteFailed, err)
+			return 0, 0, fmt.Errorf("%w: checkpoint segment truncate: %v", ErrWriteFailed, err)
 		}
 	}
 	if w.inj.Fires(fault.DiskCheckpointTorn) {
-		// The checkpoint segment tears before its manifest update — the
-		// attempt never reached its durability point, so the repair is
-		// the same as the recovery scan's: discard it and keep the full
-		// uncompacted log authoritative.
+		// The checkpoint segment tears before its manifest update.
 		_, _ = f.Write(buf[:len(buf)/2])
-		f.Close()
-		_ = w.fs.Remove(nextPath)
 		obsCheckpointTorn.Inc()
-		return 0, fmt.Errorf("%w: torn checkpoint", ErrWriteFailed)
+		return abandon(fmt.Errorf("%w: torn checkpoint", ErrWriteFailed))
 	}
 	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		_ = w.fs.Remove(nextPath)
 		obsCheckpointTorn.Inc()
-		return 0, fmt.Errorf("%w: checkpoint write: %v", ErrWriteFailed, err)
+		return abandon(fmt.Errorf("%w: checkpoint write: %v", ErrWriteFailed, err))
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()
-		_ = w.fs.Remove(nextPath)
 		obsCheckpointTorn.Inc()
-		return 0, fmt.Errorf("%w: checkpoint fsync: %v", ErrWriteFailed, err)
+		return abandon(fmt.Errorf("%w: checkpoint fsync: %v", ErrWriteFailed, err))
 	}
 	if err := w.fs.SyncDir(w.dir); err != nil {
-		f.Close()
-		_ = w.fs.Remove(nextPath)
-		return 0, fmt.Errorf("%w: checkpoint dir fsync: %v", ErrWriteFailed, err)
+		return abandon(fmt.Errorf("%w: checkpoint dir fsync: %v", ErrWriteFailed, err))
 	}
 	if err := w.writeManifestLocked(manifest{Base: next}); err != nil {
-		f.Close()
-		_ = w.fs.Remove(nextPath)
-		return 0, err
+		return abandon(err)
 	}
 
 	// The manifest rename committed the checkpoint: everything below next
@@ -672,19 +597,9 @@ func (w *FileWAL) checkpoint(specs map[histories.ObjectID]spec.SerialSpec, initi
 			}
 		}
 	}
-	w.active, w.activeSeq, w.activeLen = f, next, int64(len(buf))
-	w.records = compacted
-
-	after := int64(len(buf))
-	reclaimed := before - after
-	if reclaimed < 0 {
-		reclaimed = 0
-	}
-	obsCheckpoints.Inc()
-	obsCheckpointReclaim.Add(reclaimed)
-	obsWALAppends.Inc()
-	obsWALBytes.Add(after)
-	return reclaimed, nil
+	written = int64(len(buf))
+	w.active, w.activeSeq, w.activeLen = f, next, written
+	return before - written, written, nil
 }
 
 // segmentBytesLocked sums the on-disk size of every live segment.

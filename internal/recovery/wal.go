@@ -161,21 +161,74 @@ func (r Record) clone() Record {
 // be retried.
 var ErrWriteFailed = fmt.Errorf("recovery: stable-storage write failed: %w", cc.ErrUnavailable)
 
-// Disk is the stable-storage abstraction: everything appended survives a
-// Crash; nothing else does. It is safe for concurrent use. An attached
-// fault injector can make appends fail or tear (fault.DiskAppendFail,
-// fault.DiskAppendTorn).
-type Disk struct {
+// memLog is the in-memory log core both backends share: the durable record
+// sequence, its readers, and checkpoint compaction. What a backend adds is
+// how records get appended (Disk: injected torn and failed appends;
+// FileWAL: framing, segments, fsync) and how a compacted log is installed.
+type memLog struct {
 	mu      sync.Mutex
 	records []Record
 	inj     *fault.Injector
 }
 
 // SetInjector attaches a fault injector (nil detaches).
-func (d *Disk) SetInjector(in *fault.Injector) {
-	d.mu.Lock()
-	d.inj = in
-	d.mu.Unlock()
+func (l *memLog) SetInjector(in *fault.Injector) {
+	l.mu.Lock()
+	l.inj = in
+	l.mu.Unlock()
+}
+
+// Records returns a deep-copied snapshot of the log: mutating a returned
+// record's Calls cannot alias the live log.
+func (l *memLog) Records() []Record {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := make([]Record, len(l.records))
+	for i := range l.records {
+		out[i] = l.records[i].clone()
+	}
+	return out
+}
+
+// Len returns the number of records.
+func (l *memLog) Len() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.records)
+}
+
+// checkpointLocked compacts the log under l.mu: the fold of the live
+// records builds the compacted sequence (so the snapshot is exactly what
+// Restart would rebuild at this instant and can never tear across a
+// multi-object installation), install makes it durable and reports the bytes
+// reclaimed and written, and only then does it replace the live records. A
+// failed install leaves the uncompacted log authoritative.
+func (l *memLog) checkpointLocked(specs map[histories.ObjectID]spec.SerialSpec, initialHosted map[histories.ObjectID]bool, withHosted bool, install func(compacted []Record) (reclaimed, written int64, err error)) (int64, error) {
+	compacted, err := FoldLog(l.records).compact(specs, initialHosted, withHosted)
+	if err != nil {
+		return 0, fmt.Errorf("recovery: checkpoint replay: %w", err)
+	}
+	reclaimed, written, err := install(compacted)
+	if err != nil {
+		return 0, err
+	}
+	l.records = compacted
+	if reclaimed < 0 {
+		reclaimed = 0
+	}
+	obsCheckpoints.Inc()
+	obsCheckpointReclaim.Add(reclaimed)
+	obsWALAppends.Inc()
+	obsWALBytes.Add(written)
+	return reclaimed, nil
+}
+
+// Disk is the in-memory stable-storage model: everything appended survives
+// a Crash; nothing else does. It is safe for concurrent use. An attached
+// fault injector can make appends fail or tear (fault.DiskAppendFail,
+// fault.DiskAppendTorn) and checkpoints tear (fault.DiskCheckpointTorn).
+type Disk struct {
+	memLog
 }
 
 // Append durably appends a record. A torn append writes a checksummed-away
@@ -237,49 +290,55 @@ func (d *Disk) AppendBatch(groups [][]Record) (errs []error) {
 	return errs
 }
 
-// Records returns a deep-copied snapshot of the log: mutating a returned
-// record's Calls cannot alias the live log.
-func (d *Disk) Records() []Record {
+// Checkpoint writes a checkpoint record — the committed-state snapshot
+// obtained by replaying the current log plus the set of durably committed
+// transactions — and compacts the log down to checkpoint + the intentions
+// of still-undecided transactions (see Fold.compact). It returns the
+// estimated bytes reclaimed. Under fault.DiskCheckpointTorn the checkpoint
+// record tears: it is appended torn (so restart ignores it), nothing is
+// compacted, and the full log remains the source of truth.
+func (d *Disk) Checkpoint(specs map[histories.ObjectID]spec.SerialSpec) (int64, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]Record, len(d.records))
-	for i := range d.records {
-		out[i] = d.records[i].clone()
+	return d.checkpointLocked(specs, nil, false, d.installLocked)
+}
+
+// CheckpointHosted is Checkpoint for sites with migration support: the
+// checkpoint record additionally snapshots which objects the site hosts
+// (derived from initialHosted plus the log's committed migrations), so
+// hosting survives the compaction that drops the migration records
+// themselves. initialHosted has RestartHosted's semantics.
+func (d *Disk) CheckpointHosted(specs map[histories.ObjectID]spec.SerialSpec, initialHosted map[histories.ObjectID]bool) (int64, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.checkpointLocked(specs, initialHosted, true, d.installLocked)
+}
+
+// installLocked is the in-memory install: nothing to make durable beyond
+// the slice swap its caller performs, so it only applies the torn-checkpoint
+// fault point and estimates the bytes.
+func (d *Disk) installLocked(compacted []Record) (reclaimed, written int64, err error) {
+	if d.inj.Fires(fault.DiskCheckpointTorn) {
+		// The snapshot never made it to stable storage.
+		d.records = append(d.records, Record{Kind: RecordCheckpoint, Torn: true})
+		obsCheckpointTorn.Inc()
+		return 0, 0, fmt.Errorf("%w: torn checkpoint", ErrWriteFailed)
 	}
-	return out
+	for _, r := range d.records {
+		reclaimed += recordBytes(r)
+	}
+	for _, r := range compacted {
+		reclaimed -= recordBytes(r)
+	}
+	return reclaimed, recordBytes(compacted[0]), nil
 }
 
-// Len returns the number of records.
-func (d *Disk) Len() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.records)
-}
-
-// Restart rebuilds the committed state of every object from the log alone,
-// replaying the intentions of committed transactions in intentions order —
-// the redo pass of intentions-list recovery. Transactions with no commit
-// record (active or aborted at the crash) contribute nothing, which is
-// exactly the recoverability half of atomicity: they appear never to have
-// run. Torn records fail their checksum and are discarded. A non-torn
-// checkpoint record resets the replay to its snapshot, so a compacted log
-// replays as checkpoint + suffix; a torn checkpoint is skipped and the
-// replay falls back to the records themselves.
-//
-// Intentions order — not commit-record order — is the order that matches
-// the recorded results. A commit record can land in the log long after the
-// decision it witnesses: a site tolerates a failed commit-record append
-// (the coordinator's log holds the outcome) and the record is re-created
-// later by the cooperative termination protocol, after transactions that
-// live ran after this one. Intentions positions are immune to that drift,
-// and they respect every result dependency: under the locking protocols a
-// transaction only observes another's effects once it has committed, so a
-// dependent transaction's intentions are always logged after the
-// transaction it depends on; concurrently-prepared transactions hold
-// non-conflicting locks, whose recorded results replay validly in either
-// order.
+// Restart rebuilds the committed state of every object from the log alone:
+// the fold of the log decides which transactions committed and Redo replays
+// their intentions (see Fold.Redo).
 func Restart(d Backend, specs map[histories.ObjectID]spec.SerialSpec) (map[histories.ObjectID]spec.State, error) {
-	return replay(d.Records(), specs)
+	states, _, err := RestartHosted(d, specs, nil)
+	return states, err
 }
 
 // RestartHosted is Restart for sites that host a moving set of objects: it
@@ -290,301 +349,11 @@ func Restart(d Backend, specs map[histories.ObjectID]spec.SerialSpec) (map[histo
 // drop it, and a checkpoint's Hosted snapshot re-bases the derivation the
 // way its States snapshot re-bases state replay.
 func RestartHosted(d Backend, specs map[histories.ObjectID]spec.SerialSpec, initialHosted map[histories.ObjectID]bool) (map[histories.ObjectID]spec.State, map[histories.ObjectID]bool, error) {
-	return replayHosted(d.Records(), specs, initialHosted)
+	return FoldLog(d.Records()).Redo(specs, initialHosted)
 }
 
-// replay is Restart's core over an explicit record sequence.
-func replay(recs []Record, specs map[histories.ObjectID]spec.SerialSpec) (map[histories.ObjectID]spec.State, error) {
-	states, _, err := replayHosted(recs, specs, nil)
-	return states, err
-}
-
-// replayHosted is the replay core, also deriving hosting.
-func replayHosted(recs []Record, specs map[histories.ObjectID]spec.SerialSpec, initialHosted map[histories.ObjectID]bool) (map[histories.ObjectID]spec.State, map[histories.ObjectID]bool, error) {
-	states := make(map[histories.ObjectID]spec.State, len(specs))
-	for id, s := range specs {
-		states[id] = s.Init()
-	}
-	hosted := make(map[histories.ObjectID]bool, len(specs))
-	if initialHosted == nil {
-		for id := range specs {
-			hosted[id] = true
-		}
-	} else {
-		for id, h := range initialHosted {
-			hosted[id] = h
-		}
-	}
-	// Pass 1: every transaction's durable fate. A commit record or a
-	// checkpoint Decided entry wins over an abort record: a durable commit
-	// is irrevocable, and duplicate outcome records (handler racing the
-	// in-doubt resolver) are benign.
-	committed := make(map[histories.ActivityID]bool)
-	for _, r := range recs {
-		if r.Torn {
-			continue
-		}
-		switch r.Kind {
-		case RecordCommit:
-			committed[r.Txn] = true
-		case RecordCheckpoint:
-			for txn := range r.Decided {
-				committed[txn] = true
-			}
-		}
-	}
-	// Pass 2: redo committed intentions at their own log positions.
-	applied := make(map[histories.ActivityID]map[histories.ObjectID]bool)
-	for _, r := range recs {
-		if r.Torn {
-			continue
-		}
-		switch r.Kind {
-		case RecordIntentions:
-			if !committed[r.Txn] || applied[r.Txn][r.Object] {
-				continue
-			}
-			if applied[r.Txn] == nil {
-				applied[r.Txn] = make(map[histories.ObjectID]bool)
-			}
-			switch r.Migrate {
-			case MigrateIn:
-				// The committed migration made the copied baseline this
-				// site's committed state for the object and took hosting.
-				// Client intentions on the object at this site are always
-				// logged after the migrate-in they depend on, so position
-				// order replays them onto the adopted baseline.
-				if st, ok := r.States[r.Object]; ok {
-					states[r.Object] = st
-				}
-				hosted[r.Object] = true
-				applied[r.Txn][r.Object] = true
-				continue
-			case MigrateOut:
-				// The object left this site: its committed state lives at
-				// the new home now.
-				delete(states, r.Object)
-				hosted[r.Object] = false
-				applied[r.Txn][r.Object] = true
-				continue
-			case ReplicaIn:
-				// Replica-group record at a follower. A seed adopts the
-				// shipped baseline; a delivery falls through to ordinary
-				// call replay onto it. Hosting is untouched either way —
-				// the follower's copy is a read replica, not a home.
-				if st, ok := r.States[r.Object]; ok {
-					states[r.Object] = st
-					applied[r.Txn][r.Object] = true
-					continue
-				}
-			}
-			base, ok := states[r.Object]
-			if !ok {
-				return nil, nil, fmt.Errorf("recovery: log references unknown object %s", r.Object)
-			}
-			l := &IntentionsList{}
-			for _, c := range r.Calls {
-				l.Add(c)
-			}
-			next, err := l.Apply(base)
-			if err != nil {
-				return nil, nil, fmt.Errorf("recovery: redo of %s at %s: %w", r.Txn, r.Object, err)
-			}
-			states[r.Object] = next
-			applied[r.Txn][r.Object] = true
-		case RecordInstalled:
-			// Informational; redo is idempotent because we replay from
-			// initial states in log order.
-		case RecordCheckpoint:
-			// The snapshot summarises everything before it: adopt its
-			// states (objects created after the checkpoint keep their
-			// initial state, and an object the snapshot omits because it
-			// had migrated out is dropped). Any transaction undecided at
-			// checkpoint time had its intentions re-appended after the
-			// checkpoint record by compaction, so they still replay onto
-			// the snapshot.
-			for id, st := range r.States {
-				if _, known := states[id]; known {
-					states[id] = st
-				} else if r.Hosted[id] {
-					// A migrated-in object absent from the caller's
-					// initial set: the snapshot is its baseline.
-					states[id] = st
-				}
-			}
-			if r.Hosted != nil {
-				for id, h := range r.Hosted {
-					hosted[id] = h
-					if !h {
-						// A non-hosted object whose state the snapshot still
-						// carries is a follower copy (replica group): keep
-						// it — post-checkpoint deliveries replay onto it. A
-						// plain migrated-out object has no snapshot state
-						// and is dropped.
-						if _, keep := r.States[id]; !keep {
-							delete(states, id)
-						}
-					}
-				}
-			}
-		}
-	}
-	return states, hosted, nil
-}
-
-// Checkpoint writes a checkpoint record — the committed-state snapshot
-// obtained by replaying the current log plus the set of durably committed
-// transactions — and compacts the log down to checkpoint + the intentions
-// of still-undecided transactions. It returns the estimated bytes
-// reclaimed. Under fault.DiskCheckpointTorn the checkpoint record tears:
-// it is appended torn (so restart ignores it), nothing is compacted, and
-// the full log remains the source of truth.
-func (d *Disk) Checkpoint(specs map[histories.ObjectID]spec.SerialSpec) (int64, error) {
-	return d.checkpoint(specs, nil, false)
-}
-
-// CheckpointHosted is Checkpoint for sites with migration support: the
-// checkpoint record additionally snapshots which objects the site hosts
-// (derived from initialHosted plus the log's committed migrations), so
-// hosting survives the compaction that drops the migration records
-// themselves. initialHosted has RestartHosted's semantics.
-func (d *Disk) CheckpointHosted(specs map[histories.ObjectID]spec.SerialSpec, initialHosted map[histories.ObjectID]bool) (int64, error) {
-	return d.checkpoint(specs, initialHosted, true)
-}
-
-func (d *Disk) checkpoint(specs map[histories.ObjectID]spec.SerialSpec, initialHosted map[histories.ObjectID]bool, withHosted bool) (int64, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	// Snapshot by replaying the log under the disk mutex: the states are
-	// exactly what Restart would rebuild at this instant, so the snapshot
-	// can never tear across a multi-object installation.
-	states, hosted, err := replayHosted(d.records, specs, initialHosted)
-	if err != nil {
-		return 0, fmt.Errorf("recovery: checkpoint replay: %w", err)
-	}
-	cp := Record{Kind: RecordCheckpoint, States: states, Decided: make(map[histories.ActivityID]bool)}
-	if withHosted {
-		cp.Hosted = hosted
-	}
-	undecided := make(map[histories.ActivityID]bool)
-	for _, r := range d.records {
-		if r.Torn {
-			continue
-		}
-		switch r.Kind {
-		case RecordIntentions:
-			undecided[r.Txn] = true
-		case RecordCommit:
-			delete(undecided, r.Txn)
-			cp.Decided[r.Txn] = true
-		case RecordAbort:
-			delete(undecided, r.Txn)
-		case RecordCheckpoint:
-			for txn := range r.Decided {
-				cp.Decided[txn] = true
-			}
-		}
-	}
-	// Replica watermark: the snapshot folds in every committed ReplicaIn
-	// delivery, and compaction is about to drop those records, so the
-	// checkpoint must carry the per-object high-water timestamp forward
-	// (its own plus any prior checkpoint's).
-	replicaTS := make(map[histories.ObjectID]histories.Timestamp)
-	for _, r := range d.records {
-		if r.Torn {
-			continue
-		}
-		switch r.Kind {
-		case RecordIntentions:
-			if r.Migrate == ReplicaIn && cp.Decided[r.Txn] && r.TS > replicaTS[r.Object] {
-				replicaTS[r.Object] = r.TS
-			}
-		case RecordCheckpoint:
-			for id, ts := range r.ReplicaTS {
-				if ts > replicaTS[id] {
-					replicaTS[id] = ts
-				}
-			}
-		}
-	}
-	if len(replicaTS) > 0 {
-		cp.ReplicaTS = replicaTS
-	}
-	if d.inj.Fires(fault.DiskCheckpointTorn) {
-		torn := cp.clone()
-		torn.States = nil // the snapshot never made it to stable storage
-		torn.Decided = nil
-		torn.Hosted = nil
-		torn.ReplicaTS = nil
-		torn.Torn = true
-		d.records = append(d.records, torn)
-		obsCheckpointTorn.Inc()
-		return 0, fmt.Errorf("%w: torn checkpoint", ErrWriteFailed)
-	}
-	var before, after int64
-	for _, r := range d.records {
-		before += recordBytes(r)
-	}
-	compacted := []Record{cp}
-	for _, r := range d.records {
-		if !r.Torn && r.Kind == RecordIntentions && undecided[r.Txn] {
-			compacted = append(compacted, r)
-		}
-	}
-	d.records = compacted
-	for _, r := range d.records {
-		after += recordBytes(r)
-	}
-	reclaimed := before - after
-	if reclaimed < 0 {
-		reclaimed = 0
-	}
-	obsCheckpoints.Inc()
-	obsCheckpointReclaim.Add(reclaimed)
-	obsWALAppends.Inc()
-	obsWALBytes.Add(recordBytes(cp))
-	return reclaimed, nil
-}
-
-// ReplicaWatermarks scans the log for the per-object replica delivery
-// floor: the highest timestamp among committed ReplicaIn records, merged
-// with any checkpoint's carried-forward ReplicaTS. A follower recovering
-// from this log must refuse snapshot reads below the floor — every
-// delivery at or below it is already folded into the replayed state, so a
-// lower-timestamped read would anachronistically observe later effects.
+// ReplicaWatermarks returns the log's per-object replica delivery floor
+// (see Fold.Watermarks).
 func ReplicaWatermarks(d Backend) map[histories.ObjectID]histories.Timestamp {
-	recs := d.Records()
-	committed := make(map[histories.ActivityID]bool)
-	for _, r := range recs {
-		if r.Torn {
-			continue
-		}
-		switch r.Kind {
-		case RecordCommit:
-			committed[r.Txn] = true
-		case RecordCheckpoint:
-			for txn := range r.Decided {
-				committed[txn] = true
-			}
-		}
-	}
-	marks := make(map[histories.ObjectID]histories.Timestamp)
-	for _, r := range recs {
-		if r.Torn {
-			continue
-		}
-		switch r.Kind {
-		case RecordIntentions:
-			if r.Migrate == ReplicaIn && committed[r.Txn] && r.TS > marks[r.Object] {
-				marks[r.Object] = r.TS
-			}
-		case RecordCheckpoint:
-			for id, ts := range r.ReplicaTS {
-				if ts > marks[id] {
-					marks[id] = ts
-				}
-			}
-		}
-	}
-	return marks
+	return FoldLog(d.Records()).Watermarks()
 }

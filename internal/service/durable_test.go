@@ -136,3 +136,54 @@ func TestServiceDurableTenantValidation(t *testing.T) {
 		t.Error("static tenant was accepted in durable mode")
 	}
 }
+
+// TestServiceTenantRestartedTwice runs three server lives on one DataDir,
+// five commits each (a deposit plus an increment of the `total` counter).
+// A recovered tenant numbers its transactions past every identifier its
+// log holds, so the third life must see all ten earlier commits — reused
+// identifiers would make replay drop the second life's as already applied.
+func TestServiceTenantRestartedTwice(t *testing.T) {
+	dir := t.TempDir()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	for life := int64(1); life <= 3; life++ {
+		srv := service.New(service.Options{DataDir: dir})
+		ts := httptest.NewServer(srv.Handler())
+		c := client.New(ts.URL, client.Options{Tenant: "bank", MaxRetries: 8})
+		if life == 1 {
+			if err := c.CreateObject(ctx, "acct", "account", "escrow"); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.CreateObject(ctx, "total", "counter", ""); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check := func(when string, lives int64) {
+			t.Helper()
+			resp, err := c.RunReadOnly(ctx, []service.OpRequest{
+				{Object: "acct", Op: "balance", Arg: value.Nil()},
+				{Object: "total", Op: "read", Arg: value.Nil()},
+			})
+			if err != nil {
+				t.Fatalf("life %d %s: %v", life, when, err)
+			}
+			b, _ := resp.Results[0].AsInt()
+			n, _ := resp.Results[1].AsInt()
+			if b != 50*lives || n != 5*lives {
+				t.Fatalf("life %d %s: balance %d, total %d; want %d, %d", life, when, b, n, 50*lives, 5*lives)
+			}
+		}
+		check("recovered", life-1)
+		for i := 0; i < 5; i++ {
+			if _, err := c.Run(ctx, []service.OpRequest{
+				{Object: "acct", Op: "deposit", Arg: value.Int(10)},
+				{Object: "total", Op: "increment", Arg: value.Nil()},
+			}); err != nil {
+				t.Fatalf("life %d: %v", life, err)
+			}
+		}
+		check("live", life)
+		srv.Drain()
+		ts.Close()
+	}
+}

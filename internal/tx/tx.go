@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -358,6 +357,20 @@ type Txn struct {
 	began2pc bool
 }
 
+// ResumeAfter makes every transaction begun from now on carry a sequence
+// number above seq. A manager reopened on a durable log calls it with the
+// highest number the log mentions: identifiers are never reused across
+// lives, so replay cannot mistake a new transaction's intentions for an
+// earlier life's.
+func (m *Manager) ResumeAfter(seq int64) {
+	for {
+		cur := m.seq.Load()
+		if cur >= seq || m.seq.CompareAndSwap(cur, seq) {
+			return
+		}
+	}
+}
+
 // Begin starts an update transaction.
 func (m *Manager) Begin() *Txn { return m.begin(false) }
 
@@ -371,7 +384,7 @@ func (m *Manager) begin(readOnly bool) *Txn {
 	t := &Txn{
 		m: m,
 		info: cc.TxnInfo{
-			ID:  histories.ActivityID("t" + strconv.FormatInt(seq, 10)),
+			ID:  cc.TxnID(seq),
 			Seq: seq,
 		},
 		status:   StatusActive,

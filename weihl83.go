@@ -475,6 +475,9 @@ func OpenFileWAL(dir string, types map[ObjectID]ADT) (*FileWAL, error) {
 // with it, then RecoverObjects with the same type table (and object
 // options) the objects were originally created with. Only dynamic systems
 // support live recovery; the system must not contain the objects yet.
+//
+// Recovery also resumes the transaction numbering past every identifier
+// the log mentions, so identifiers are never reused across reopens.
 func (s *System) RecoverObjects(types map[ObjectID]ADT, opts ...ObjectOption) error {
 	return s.RecoverObjectsWith(types, func(ObjectID) []ObjectOption { return opts })
 }
@@ -497,10 +500,12 @@ func (s *System) RecoverObjectsWith(types map[ObjectID]ADT, optsFor func(ObjectI
 		}
 		specs[id] = t.Spec
 	}
-	states, err := recovery.Restart(s.opts.WAL, specs)
+	fold := recovery.FoldLog(s.opts.WAL.Records())
+	states, _, err := fold.Redo(specs, nil)
 	if err != nil {
 		return fmt.Errorf("weihl83: recover: %w", err)
 	}
+	s.manager.ResumeAfter(fold.MaxSeq())
 	for id, t := range types {
 		var objOpts []ObjectOption
 		if optsFor != nil {
