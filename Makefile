@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck test race chaos chaos-smoke chaos-churn chaos-replication check bench-smoke bench-hotpath bench-guardcascade bench-service bench-service-full bench-shard bench-shard-full bench-durable bench-durable-full bench-replication bench-replication-full bench-ledger-check fuzz-smoke clean
+.PHONY: all build vet staticcheck test race order-stress chaos chaos-smoke chaos-churn chaos-replication check bench-smoke bench-hotpath bench-guardcascade bench-service bench-service-full bench-shard bench-shard-full bench-durable bench-durable-full bench-replication bench-replication-full bench-ledger-check fuzz-smoke clean
 
 all: check
 
@@ -20,15 +20,24 @@ staticcheck:
 		echo "staticcheck: not installed, skipping"; \
 	fi
 
+# -count=1: several tests are schedule-dependent, and a cached "ok" from
+# an unrelated earlier run is how a red tier-1 once went unnoticed.
 test:
-	$(GO) test ./...
+	$(GO) test -count=1 ./...
 
 race:
 	$(GO) test -race ./...
 
-# check is the CI gate: vet, staticcheck (when present), build, and the
-# full suite under the race detector.
-check: vet staticcheck build race
+# order-stress reruns the schedule-dependent crash-consistency tests: the
+# recovered state of an object whose concurrent commits do not commute
+# state-wise equals the live one only while log order == install order
+# (DESIGN §9), and a single run can pass by luck. Well under a second.
+order-stress:
+	$(GO) test -count=20 -run 'TestCrashConsistency' ./internal/tx
+
+# check is the CI gate: vet, staticcheck (when present), build, the full
+# suite under the race detector, and the install-order stress.
+check: vet staticcheck build race order-stress
 
 # chaos runs the fault-injection harness across a batch of seeds under
 # every atomicity property.

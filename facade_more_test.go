@@ -1,6 +1,7 @@
 package weihl83_test
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -299,6 +300,78 @@ func TestFacadeThreeLivesOnOneFileWAL(t *testing.T) {
 		}
 		if b, c := read(sys); b != 50*life || c != 5*life {
 			t.Fatalf("life %d live balance %d, total %d; want %d, %d", life, b, c, 50*life, 5*life)
+		}
+		if err := wal.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestFacadeDurableQueueRecoversInInstallOrder: concurrent enqueuers on a
+// cascade-guarded queue over a file WAL. The guard grants their enqueues
+// concurrently (each returns ok whatever the order), but the queue they
+// leave depends on the order the commits installed in, so the log must hold
+// the commits in that order: the reopened system's queue equals the live
+// one, element for element.
+func TestFacadeDurableQueueRecoversInInstallOrder(t *testing.T) {
+	const enqueuers, each = 4, 5
+	types := map[weihl83.ObjectID]weihl83.ADT{"q": weihl83.Queue()}
+	contents := func(sys *weihl83.System) []int64 {
+		t.Helper()
+		txn := sys.Begin()
+		defer txn.Abort() // a peek: the dequeues never commit
+		var out []int64
+		for i := 0; i < enqueuers*each; i++ {
+			v, err := txn.Invoke("q", weihl83.OpDequeue, weihl83.Nil())
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, v.MustInt())
+		}
+		return out
+	}
+	for trial := 0; trial < 10; trial++ {
+		dir := t.TempDir()
+		wal, err := weihl83.OpenFileWAL(dir, types)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys := newDynamic(t, weihl83.Options{Property: weihl83.Dynamic, WAL: wal})
+		if err := sys.AddObject("q", weihl83.Queue(), weihl83.WithGuard(weihl83.GuardCascade)); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for w := int64(0); w < enqueuers; w++ {
+			w := w
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := 0; k < each; k++ {
+					if err := sys.Run(func(txn *weihl83.Txn) error {
+						_, err := txn.Invoke("q", weihl83.OpEnqueue, weihl83.Int(w))
+						return err
+					}); err != nil {
+						t.Errorf("enqueue: %v", err)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		live := contents(sys)
+		if err := wal.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		wal, err = weihl83.OpenFileWAL(dir, types)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reopened := newDynamic(t, weihl83.Options{Property: weihl83.Dynamic, WAL: wal})
+		if err := reopened.RecoverObjects(types, weihl83.WithGuard(weihl83.GuardCascade)); err != nil {
+			t.Fatal(err)
+		}
+		if recovered := contents(reopened); !slices.Equal(recovered, live) {
+			t.Fatalf("trial %d: recovered queue %v, live %v", trial, recovered, live)
 		}
 		if err := wal.Close(); err != nil {
 			t.Fatal(err)

@@ -411,6 +411,15 @@ func runDist(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	// acct0 exercises the full tiered cascade under faults; acct1 keeps the
 	// standalone escrow guard covered, and the queue the plain table guard.
+	// The queue rides the table guard for a second reason: it grants two
+	// enqueues concurrently only when they carry the same value, where their
+	// order cannot show. Under the cascade (or exact) guard two transactions
+	// may prepare enqueues of different values in one order and commit in
+	// the other, and a site redoes a committed transaction at the log
+	// position of its prepare, not of its commit — restart would rebuild a
+	// queue no live transaction saw (dist.TestSiteRedoOrderHole, DESIGN
+	// §13). The committed seed matrix stays clear of that hole until
+	// recovery gains a per-object commit point.
 	cascade := func(t adts.Type) locking.Guard { return conflict.ForType(t) }
 	escrow := func(adts.Type) locking.Guard { return locking.EscrowGuard{} }
 	table := func(t adts.Type) locking.Guard { return locking.TableGuard{Conflicts: t.Conflicts} }

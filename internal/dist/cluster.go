@@ -297,7 +297,7 @@ func (c *Cluster) migrateOnce(obj histories.ObjectID, dest SiteID) (done bool, e
 			return false, derr
 		}
 	}
-	if err := dstPeer.stage(txn, exp, ringv); err != nil {
+	if err := dstPeer.stage(txn, exp); err != nil {
 		srcPeer.abort(txn)
 		dstPeer.abort(txn)
 		obsMigrationAborts.Inc()

@@ -44,9 +44,9 @@ func (p *migPeer) export(txn *cc.TxnInfo) (migExport, error) {
 	return exp, err
 }
 
-func (p *migPeer) stage(txn *cc.TxnInfo, exp migExport, ringv uint64) error {
+func (p *migPeer) stage(txn *cc.TxnInfo, exp migExport) error {
 	_, _, err := call(p.net, p.origin, p.site, p.epoch, txn.ID, exp, func(s *Site, exp migExport) (struct{}, error) {
-		return struct{}{}, s.handleMigrateImport(p.obj, txn, exp, ringv)
+		return struct{}{}, s.handleMigrateImport(p.obj, txn, exp)
 	})
 	return err
 }

@@ -292,29 +292,80 @@ func (n *Network) delay() {
 	}
 }
 
-// call delivers a request from one node to a site and returns its reply
-// plus the site's current epoch, simulating the round trip with
-// at-most-once semantics: the request carries an id, the site caches its
-// reply, and on a lost request or reply the caller waits out the timeout
-// and retransmits (a duplicate delivery is answered from the cache). An
-// open partition between from and site refuses the attempt. expect is the
-// site epoch the client first observed for this transaction (zero: none
-// yet); a mismatch means the site crashed underneath the transaction, and
-// the delivery is refused with ErrOrphaned. The handler runs on the
-// callee's "server side"; a crashed site refuses. When the retransmission
-// budget runs out the call fails with ErrSiteDown (refused throughout),
-// ErrPartitioned (partitioned throughout) or ErrRPCTimeout — all
-// retryable.
-func call[Req any, Resp any](n *Network, from SiteID, site SiteID, expect uint64, txn histories.ActivityID, req Req, handle func(s *Site, req Req) (Resp, error)) (Resp, uint64, error) {
-	var zero Resp
-	s, err := n.Site(site)
-	if err != nil {
-		return zero, 0, err
-	}
+// exchange performs one unreliable round trip from from to the node named
+// to, and is the only retransmission loop in the package: every message
+// kind — stateful calls and the idempotent queries alike — rides it. One
+// attempt crosses, in this order, the partition check, the request latency
+// (plus fault.NetDelay), fault.NetRequestDrop, the callee's up-check, serve
+// (the callee's side of the exchange), the reply latency and
+// fault.NetReplyDrop; an attempt that fails at any of them waits out the
+// timeout and is retransmitted until the budget is spent. serve may
+// therefore run more than once: it must be idempotent or answer duplicates
+// from the reply cache (see call). When the budget runs out the exchange
+// fails with ErrSiteDown (refused throughout), ErrPartitioned (partitioned
+// throughout) or ErrRPCTimeout — all retryable — and serve's reply is
+// discarded.
+func exchange[R any](n *Network, from, to SiteID, node interface{ Up() bool }, serve func() R) (R, error) {
 	inj := n.injector()
 	timeout, retransmits := n.rpcParams()
-	reqID := n.reqSeq.Add(1)
 	obsRPCCalls.Inc()
+	var lastErr error
+	for attempt := 0; attempt <= retransmits; attempt++ {
+		obsRPCAttempts.Inc()
+		if attempt > 0 {
+			obsRPCRetransmits.Inc()
+		}
+		switch {
+		case !n.reachable(from, to):
+			obsPartitionBlocked.Inc()
+			lastErr = fmt.Errorf("%w: %s cannot reach %s", ErrPartitioned, from, to)
+		case n.requestLost(inj):
+			lastErr = fmt.Errorf("dist: request to %s lost", to)
+		case !node.Up():
+			lastErr = fmt.Errorf("%w: %s", ErrSiteDown, to)
+		default:
+			reply := serve()
+			n.delay() // reply latency
+			if !inj.Fires(fault.NetReplyDrop) {
+				return reply, nil
+			}
+			lastErr = fmt.Errorf("dist: reply from %s lost", to)
+		}
+		time.Sleep(timeout)
+	}
+	obsRPCTimeouts.Inc()
+	var zero R
+	if errors.Is(lastErr, ErrSiteDown) || errors.Is(lastErr, ErrPartitioned) {
+		return zero, lastErr
+	}
+	return zero, fmt.Errorf("%w (%v)", ErrRPCTimeout, lastErr)
+}
+
+// requestLost carries a request across the network — the message latency
+// plus any fault.NetDelay — and reports whether fault.NetRequestDrop lost it
+// on the way.
+func (n *Network) requestLost(inj *fault.Injector) bool {
+	n.delay()
+	if d := inj.Delay(fault.NetDelay); d > 0 {
+		time.Sleep(d)
+	}
+	return inj.Fires(fault.NetRequestDrop)
+}
+
+// call is the stateful exchange: it delivers a request to a site at most
+// once and returns the handler's reply plus the site's current epoch. The
+// request carries an id and the site caches its reply, so a retransmission
+// after a lost reply — or the duplicate fault.NetRequestDup injects — is
+// answered from the cache instead of re-executing the handler. expect is
+// the site epoch the client pinned for this transaction; a mismatch means
+// the site crashed underneath it, and the delivery is refused with
+// ErrOrphaned.
+func call[Req any, Resp any](n *Network, from SiteID, site SiteID, expect uint64, txn histories.ActivityID, req Req, handle func(s *Site, req Req) (Resp, error)) (Resp, uint64, error) {
+	s, err := n.Site(site)
+	if err != nil {
+		var zero Resp
+		return zero, 0, err
+	}
 	if expect == 0 {
 		// Regression lock for the exactly-once first-contact hole: the
 		// epoch handshake must pin an epoch before any stateful message,
@@ -322,51 +373,26 @@ func call[Req any, Resp any](n *Network, from SiteID, site SiteID, expect uint64
 		// is open. Tests assert this counter stays zero.
 		obsRPCExpect0.Inc()
 	}
-	var lastErr error
-	for attempt := 0; attempt <= retransmits; attempt++ {
-		obsRPCAttempts.Inc()
-		if attempt > 0 {
-			obsRPCRetransmits.Inc()
-		}
-		if !n.reachable(from, site) {
-			obsPartitionBlocked.Inc()
-			lastErr = fmt.Errorf("%w: %s cannot reach %s", ErrPartitioned, from, site)
-			time.Sleep(timeout)
-			continue
-		}
-		n.delay() // request latency
-		if d := inj.Delay(fault.NetDelay); d > 0 {
-			time.Sleep(d)
-		}
-		if inj.Fires(fault.NetRequestDrop) {
-			lastErr = fmt.Errorf("dist: request %d to %s lost", reqID, site)
-			time.Sleep(timeout)
-			continue
-		}
-		if !s.Up() {
-			lastErr = fmt.Errorf("%w: %s", ErrSiteDown, site)
-			time.Sleep(timeout)
-			continue
-		}
-		resp, epoch, herr := deliver(s, reqID, expect, txn, req, handle)
+	type reply struct {
+		resp  Resp
+		epoch uint64
+		err   error
+	}
+	inj := n.injector()
+	reqID := n.reqSeq.Add(1)
+	r, err := exchange(n, from, site, s, func() (r reply) {
+		r.resp, r.epoch, r.err = deliver(s, reqID, expect, txn, req, handle)
 		if inj.Fires(fault.NetRequestDup) {
 			// Deliver the duplicate; its reply is discarded. The reply
 			// cache makes this a no-op at the site.
 			_, _, _ = deliver(s, reqID, expect, txn, req, handle)
 		}
-		n.delay() // response latency
-		if inj.Fires(fault.NetReplyDrop) {
-			lastErr = fmt.Errorf("dist: reply %d from %s lost", reqID, site)
-			time.Sleep(timeout)
-			continue
-		}
-		return resp, epoch, herr
+		return r
+	})
+	if err == nil {
+		err = r.err
 	}
-	obsRPCTimeouts.Inc()
-	if errors.Is(lastErr, ErrSiteDown) || errors.Is(lastErr, ErrPartitioned) {
-		return zero, 0, lastErr
-	}
-	return zero, 0, fmt.Errorf("%w (%v)", ErrRPCTimeout, lastErr)
+	return r.resp, r.epoch, err
 }
 
 // deliver executes one delivery of a request at a site, answering
@@ -389,168 +415,50 @@ func deliver[Req any, Resp any](s *Site, reqID uint64, expect uint64, txn histor
 	return resp, s.Epoch(), err
 }
 
+// The query exchanges below are idempotent — they read state, or write it
+// idempotently — so they carry no request id and no reply cache, and never
+// draw fault.NetRequestDup; they ride the same exchange, with the same
+// faults and retransmission budget, as every stateful call.
+
 // Hello fetches a site's current epoch on behalf of from — the handshake a
 // proxy performs before a transaction's first stateful message to the site,
-// so that no request ever carries expect=0. The exchange is idempotent
-// (reads the epoch, touches no transaction state) and carries no reply
-// cache; it rides the same unreliable message layer with the same
-// retransmission budget. A retransmitted Hello that straddles a crash is
-// harmless: it pins the post-crash epoch and no operation has executed yet.
+// so that no request ever carries expect=0. A retransmitted Hello that
+// straddles a crash is harmless: it pins the post-crash epoch and no
+// operation has executed yet.
 func (n *Network) Hello(from, site SiteID) (uint64, error) {
 	s, err := n.Site(site)
 	if err != nil {
 		return 0, err
 	}
-	inj := n.injector()
-	timeout, retransmits := n.rpcParams()
-	obsRPCCalls.Inc()
-	var lastErr error
-	for attempt := 0; attempt <= retransmits; attempt++ {
-		obsRPCAttempts.Inc()
-		if attempt > 0 {
-			obsRPCRetransmits.Inc()
-		}
-		if !n.reachable(from, site) {
-			obsPartitionBlocked.Inc()
-			lastErr = fmt.Errorf("%w: %s cannot reach %s", ErrPartitioned, from, site)
-			time.Sleep(timeout)
-			continue
-		}
-		n.delay() // request latency
-		if d := inj.Delay(fault.NetDelay); d > 0 {
-			time.Sleep(d)
-		}
-		if inj.Fires(fault.NetRequestDrop) {
-			lastErr = fmt.Errorf("dist: hello to %s lost", site)
-			time.Sleep(timeout)
-			continue
-		}
-		if !s.Up() {
-			lastErr = fmt.Errorf("%w: %s", ErrSiteDown, site)
-			time.Sleep(timeout)
-			continue
-		}
-		epoch := s.Epoch()
-		n.delay() // response latency
-		if inj.Fires(fault.NetReplyDrop) {
-			lastErr = fmt.Errorf("dist: hello reply from %s lost", site)
-			time.Sleep(timeout)
-			continue
-		}
-		return epoch, nil
-	}
-	obsRPCTimeouts.Inc()
-	if errors.Is(lastErr, ErrSiteDown) || errors.Is(lastErr, ErrPartitioned) {
-		return 0, lastErr
-	}
-	return 0, fmt.Errorf("%w (%v)", ErrRPCTimeout, lastErr)
+	return exchange(n, from, site, s, s.Epoch)
 }
 
 // QueryHosting asks a site whether it currently hosts obj (and at which
 // placement version it became home) on behalf of from — the message leg of
-// placement reconciliation. Idempotent, no reply cache, same unreliable
-// message layer and retransmission budget as every other exchange.
+// placement reconciliation.
 func (n *Network) QueryHosting(from, to SiteID, obj histories.ObjectID) (bool, uint64, error) {
 	s, err := n.Site(to)
 	if err != nil {
 		return false, 0, err
 	}
-	inj := n.injector()
-	timeout, retransmits := n.rpcParams()
-	obsRPCCalls.Inc()
-	var lastErr error
-	for attempt := 0; attempt <= retransmits; attempt++ {
-		obsRPCAttempts.Inc()
-		if attempt > 0 {
-			obsRPCRetransmits.Inc()
-		}
-		if !n.reachable(from, to) {
-			obsPartitionBlocked.Inc()
-			lastErr = fmt.Errorf("%w: %s cannot reach %s", ErrPartitioned, from, to)
-			time.Sleep(timeout)
-			continue
-		}
-		n.delay() // request latency
-		if d := inj.Delay(fault.NetDelay); d > 0 {
-			time.Sleep(d)
-		}
-		if inj.Fires(fault.NetRequestDrop) {
-			lastErr = fmt.Errorf("dist: hosting query to %s lost", to)
-			time.Sleep(timeout)
-			continue
-		}
-		if !s.Up() {
-			lastErr = fmt.Errorf("%w: %s", ErrSiteDown, to)
-			time.Sleep(timeout)
-			continue
-		}
-		hosted, hv := s.hostsObject(obj)
-		n.delay() // response latency
-		if inj.Fires(fault.NetReplyDrop) {
-			lastErr = fmt.Errorf("dist: hosting reply from %s lost", to)
-			time.Sleep(timeout)
-			continue
-		}
-		return hosted, hv, nil
+	type reply struct {
+		hosted bool
+		ringv  uint64
 	}
-	obsRPCTimeouts.Inc()
-	if errors.Is(lastErr, ErrSiteDown) || errors.Is(lastErr, ErrPartitioned) {
-		return false, 0, lastErr
-	}
-	return false, 0, fmt.Errorf("%w (%v)", ErrRPCTimeout, lastErr)
+	r, err := exchange(n, from, to, s, func() (r reply) {
+		r.hosted, r.ringv = s.hostsObject(obj)
+		return r
+	})
+	return r.hosted, r.ringv, err
 }
 
 // QueryOutcome asks node to about txn's outcome on behalf of from — the
-// message leg of the cooperative termination protocol. The query is
-// idempotent and carries no reply cache; it rides the same unreliable
-// message layer (drops, delays, partitions, down nodes) with the same
-// retransmission budget. An exhausted budget reports the node unreachable.
+// message leg of the cooperative termination protocol. An exhausted budget
+// reports the node unreachable.
 func (n *Network) QueryOutcome(from, to SiteID, txn histories.ActivityID) (Outcome, error) {
 	node, err := n.node(to)
 	if err != nil {
 		return OutcomeUnknown, err
 	}
-	inj := n.injector()
-	timeout, retransmits := n.rpcParams()
-	obsRPCCalls.Inc()
-	var lastErr error
-	for attempt := 0; attempt <= retransmits; attempt++ {
-		obsRPCAttempts.Inc()
-		if attempt > 0 {
-			obsRPCRetransmits.Inc()
-		}
-		if !n.reachable(from, to) {
-			obsPartitionBlocked.Inc()
-			lastErr = fmt.Errorf("%w: %s cannot reach %s", ErrPartitioned, from, to)
-			time.Sleep(timeout)
-			continue
-		}
-		n.delay() // request latency
-		if d := inj.Delay(fault.NetDelay); d > 0 {
-			time.Sleep(d)
-		}
-		if inj.Fires(fault.NetRequestDrop) {
-			lastErr = fmt.Errorf("dist: outcome query to %s lost", to)
-			time.Sleep(timeout)
-			continue
-		}
-		if !node.Up() {
-			lastErr = fmt.Errorf("%w: %s", ErrSiteDown, to)
-			time.Sleep(timeout)
-			continue
-		}
-		out := node.queryOutcome(txn)
-		n.delay() // response latency
-		if inj.Fires(fault.NetReplyDrop) {
-			lastErr = fmt.Errorf("dist: outcome reply from %s lost", to)
-			time.Sleep(timeout)
-			continue
-		}
-		return out, nil
-	}
-	obsRPCTimeouts.Inc()
-	if errors.Is(lastErr, ErrSiteDown) || errors.Is(lastErr, ErrPartitioned) {
-		return OutcomeUnknown, lastErr
-	}
-	return OutcomeUnknown, fmt.Errorf("%w (%v)", ErrRPCTimeout, lastErr)
+	return exchange(n, from, to, node, func() Outcome { return node.queryOutcome(txn) })
 }

@@ -203,7 +203,7 @@ func (s *Site) handleReplicaSeed(req replSeedReq) (struct{}, error) {
 	}
 	s.mu.Lock()
 	if s.decided != nil {
-		s.decided[rid] = true
+		s.decidedLocked(rid, true)
 	}
 	if s.replicas != nil {
 		s.replicas[req.Obj] = &replicaObj{
@@ -295,7 +295,7 @@ func (s *Site) handleReplicaApply(req replApplyReq) (struct{}, error) {
 	}
 	s.mu.Lock()
 	if s.decided != nil {
-		s.decided[rid] = true
+		s.decidedLocked(rid, true)
 	}
 	if s.replicas != nil {
 		if ro := s.replicas[req.Obj]; ro != nil {
@@ -384,57 +384,25 @@ func (s *Site) Follows(obj histories.ObjectID) bool {
 }
 
 // QueryReplicaRead asks a follower for a snapshot read of obj at ts on
-// behalf of from. Like the other query exchanges (Hello, QueryHosting,
-// QueryOutcome) it is idempotent and carries no reply cache; it rides the
-// same unreliable message layer with the same retransmission budget.
+// behalf of from: an idempotent query exchange like Hello, QueryHosting and
+// QueryOutcome.
 func (n *Network) QueryReplicaRead(from, to SiteID, obj histories.ObjectID, inv spec.Invocation, ts histories.Timestamp) (value.Value, error) {
 	s, err := n.Site(to)
 	if err != nil {
 		return value.Nil(), err
 	}
-	inj := n.injector()
-	timeout, retransmits := n.rpcParams()
-	obsRPCCalls.Inc()
-	var lastErr error
-	for attempt := 0; attempt <= retransmits; attempt++ {
-		obsRPCAttempts.Inc()
-		if attempt > 0 {
-			obsRPCRetransmits.Inc()
-		}
-		if !n.reachable(from, to) {
-			obsPartitionBlocked.Inc()
-			lastErr = fmt.Errorf("%w: %s cannot reach %s", ErrPartitioned, from, to)
-			time.Sleep(timeout)
-			continue
-		}
-		n.delay() // request latency
-		if d := inj.Delay(fault.NetDelay); d > 0 {
-			time.Sleep(d)
-		}
-		if inj.Fires(fault.NetRequestDrop) {
-			lastErr = fmt.Errorf("dist: replica read of %s at %s lost", obj, to)
-			time.Sleep(timeout)
-			continue
-		}
-		if !s.Up() {
-			lastErr = fmt.Errorf("%w: %s", ErrSiteDown, to)
-			time.Sleep(timeout)
-			continue
-		}
-		v, herr := s.handleReplicaRead(obj, inv, ts)
-		n.delay() // response latency
-		if inj.Fires(fault.NetReplyDrop) {
-			lastErr = fmt.Errorf("dist: replica read reply from %s lost", to)
-			time.Sleep(timeout)
-			continue
-		}
-		return v, herr
+	type reply struct {
+		v   value.Value
+		err error
 	}
-	obsRPCTimeouts.Inc()
-	if errors.Is(lastErr, ErrSiteDown) || errors.Is(lastErr, ErrPartitioned) {
-		return value.Nil(), lastErr
+	r, err := exchange(n, from, to, s, func() (r reply) {
+		r.v, r.err = s.handleReplicaRead(obj, inv, ts)
+		return r
+	})
+	if err == nil {
+		err = r.err
 	}
-	return value.Nil(), fmt.Errorf("%w (%v)", ErrRPCTimeout, lastErr)
+	return r.v, err
 }
 
 // --- the cluster-owned replicator ----------------------------------------

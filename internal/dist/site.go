@@ -141,13 +141,6 @@ type SiteConfig struct {
 	// locks until the next recovery; a wait timeout turns the resulting
 	// indefinite blocking into retryable timeouts.
 	WaitTimeout time.Duration
-	// ReplyCacheCap bounds the at-most-once reply cache: once it holds
-	// more entries, replies of transactions with a durable outcome are
-	// evicted oldest-first. Entries of still-undecided transactions are
-	// pinned (evicting one would let a retransmission re-execute its
-	// handler), so the cache can transiently exceed the cap by the number
-	// of in-flight transactions. Zero selects the default of 1024.
-	ReplyCacheCap int
 	// Injector, when set, attaches fault injection to the site: crash
 	// windows inside the commit protocol (fault.SiteCrashPrepare,
 	// fault.SiteCrashCommitBeforeLog, fault.SiteCrashCommitAfterLog) and
@@ -179,9 +172,9 @@ type Site struct {
 
 	// voteMu serialises yes-votes against termination-protocol refusals:
 	// a peer-outcome query that finds no trace of a transaction durably
-	// refuses it under voteMu, and handlePrepare checks for the refusal
-	// and appends its intentions under voteMu, so a refusal and a yes-vote
-	// for the same transaction cannot interleave.
+	// refuses it under voteMu, and vote checks for the refusal and appends
+	// its intentions under voteMu, so a refusal and a yes-vote for the same
+	// transaction cannot interleave.
 	voteMu sync.Mutex
 
 	// recoverMu serialises whole recovery passes.
@@ -199,10 +192,20 @@ type Site struct {
 	prepared   map[histories.ActivityID]*preparedTxn  // volatile in-doubt set
 	active     map[histories.ActivityID]*activeTxn    // volatile unprepared-invoker set
 	decided    map[histories.ActivityID]bool          // volatile outcome cache (rebuilt from log)
-	replies    map[uint64]cachedReply                 // volatile at-most-once reply cache
-	replyOrder []uint64                               // insertion order, for eviction
-	replyCap   int
-	crashes    int64 // total crashes, for diagnostics
+	crashes    int64                                  // total crashes, for diagnostics
+
+	// The volatile at-most-once reply cache. A reply is pinned while its
+	// transaction is undecided — evicting it would let a retransmission
+	// re-execute its handler — so the cache can exceed replyCap by the
+	// replies of in-flight transactions. pinned lists each undecided
+	// transaction's request ids; its decision (decidedLocked) moves them to
+	// evictable, the FIFO cacheReply evicts from while the cache is over
+	// replyCap. A decided transaction's client can never legitimately
+	// retransmit.
+	replies   map[uint64]cachedReply
+	pinned    map[histories.ActivityID][]uint64
+	evictable []uint64
+	replyCap  int
 
 	// Migration state. hosted is the volatile hosting view (rebuilt from
 	// the log at recovery: seedHosted plus committed migrations); homedAt
@@ -229,29 +232,26 @@ type Site struct {
 type stagedImport struct {
 	state spec.State
 	typ   adts.Type
-	guard func(adts.Type) locking.Guard
-	ringv uint64
 }
 
 // preparedTxn tracks a transaction this site voted yes for and has not yet
 // learned the outcome of.
 type preparedTxn struct {
-	objects      map[histories.ObjectID]bool
+	halves       map[histories.ObjectID]half // the votes, by object
 	participants []string
 	preparedAt   time.Time
 	attempts     int       // failed termination-protocol attempts
 	nextTry      time.Time // capped-backoff gate for the next attempt
-	// migrate marks objects whose prepared intentions are migration
-	// halves rather than client calls; the resolver applies hosting
-	// changes instead of object commits for them.
-	migrate map[histories.ObjectID]stagedMigrate
 }
 
-// stagedMigrate is a prepared migration half awaiting its outcome.
-type stagedMigrate struct {
+// half is one yes-vote: the part of a transaction this site prepared at one
+// object. The zero half is a client half — the object's lock table holds
+// the intentions and its Commit or Abort installs the outcome. A migration
+// half (dir MigrateOut or MigrateIn) installs a hosting change instead.
+type half struct {
 	dir    recovery.MigrateDir
 	ringv  uint64
-	staged stagedImport // MigrateIn only
+	staged stagedImport // MigrateIn only: the baseline to adopt
 }
 
 // activeTxn tracks a transaction that has invoked operations here (and so
@@ -265,7 +265,6 @@ type activeTxn struct {
 
 // cachedReply is a memoised handler result, keyed by request id.
 type cachedReply struct {
-	txn   histories.ActivityID
 	value any
 	err   error
 }
@@ -278,10 +277,6 @@ func NewSite(cfg SiteConfig) (*Site, error) {
 	}
 	if cfg.ID == "" || cfg.Network == nil || len(coords) == 0 {
 		return nil, errors.New("dist: SiteConfig needs ID, Network and at least one coordinator")
-	}
-	cap := cfg.ReplyCacheCap
-	if cap <= 0 {
-		cap = 1024
 	}
 	if cfg.Disk == nil {
 		cfg.Disk = &recovery.Disk{}
@@ -305,7 +300,8 @@ func NewSite(cfg SiteConfig) (*Site, error) {
 		active:      make(map[histories.ActivityID]*activeTxn),
 		decided:     make(map[histories.ActivityID]bool),
 		replies:     make(map[uint64]cachedReply),
-		replyCap:    cap,
+		pinned:      make(map[histories.ActivityID][]uint64),
+		replyCap:    1024,
 		hosted:      make(map[histories.ObjectID]bool),
 		homedAt:     make(map[histories.ObjectID]uint64),
 		migrating:   make(map[histories.ObjectID]histories.ActivityID),
@@ -398,7 +394,8 @@ func (s *Site) Crash() {
 	s.active = nil
 	s.decided = nil
 	s.replies = nil
-	s.replyOrder = nil
+	s.pinned = nil
+	s.evictable = nil
 	s.hosted = nil
 	s.homedAt = nil
 	s.migrating = nil
@@ -442,42 +439,34 @@ func (s *Site) cachedReply(reqID uint64) (any, error, bool) {
 	return r.value, r.err, ok
 }
 
-// cacheReply memoises a handler's reply. A no-op after a crash.
+// cacheReply memoises a handler's reply (a no-op after a crash), then
+// evicts decided transactions' replies, oldest decision first, while the
+// cache is over its cap.
 func (s *Site) cacheReply(reqID uint64, txn histories.ActivityID, v any, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.replies == nil {
 		return
 	}
-	s.replies[reqID] = cachedReply{txn: txn, value: v, err: err}
-	s.replyOrder = append(s.replyOrder, reqID)
-	s.evictRepliesLocked()
+	s.replies[reqID] = cachedReply{value: v, err: err}
+	if _, done := s.decided[txn]; done {
+		s.evictable = append(s.evictable, reqID)
+	} else {
+		s.pinned[txn] = append(s.pinned[txn], reqID)
+	}
+	for len(s.replies) > s.replyCap && len(s.evictable) > 0 {
+		delete(s.replies, s.evictable[0])
+		s.evictable = s.evictable[1:]
+		obsCacheEvicts.Inc()
+	}
 }
 
-// evictRepliesLocked bounds the reply cache: oldest-first, evicting only
-// entries whose transaction has a durable outcome — their client can never
-// legitimately retransmit, while evicting an undecided entry would let a
-// retransmission re-execute its handler.
-func (s *Site) evictRepliesLocked() {
-	if s.replies == nil || len(s.replies) <= s.replyCap {
-		return
-	}
-	kept := make([]uint64, 0, len(s.replyOrder))
-	for _, id := range s.replyOrder {
-		r, ok := s.replies[id]
-		if !ok {
-			continue
-		}
-		if len(s.replies) > s.replyCap {
-			if _, done := s.decided[r.txn]; done {
-				delete(s.replies, id)
-				obsCacheEvicts.Inc()
-				continue
-			}
-		}
-		kept = append(kept, id)
-	}
-	s.replyOrder = kept
+// decidedLocked caches txn's outcome and unpins its replies. Every path
+// that resolves a transaction at a running site ends here, under s.mu.
+func (s *Site) decidedLocked(txn histories.ActivityID, commit bool) {
+	s.decided[txn] = commit
+	s.evictable = append(s.evictable, s.pinned[txn]...)
+	delete(s.pinned, txn)
 }
 
 // Checkpoint snapshots the site's committed states into its write-ahead
@@ -607,7 +596,7 @@ func (s *Site) rebuildLocked(fold *recovery.Fold) error {
 	s.prepared = make(map[histories.ActivityID]*preparedTxn)
 	s.active = make(map[histories.ActivityID]*activeTxn)
 	s.replies = make(map[uint64]cachedReply)
-	s.replyOrder = nil
+	s.pinned = make(map[histories.ActivityID][]uint64)
 	s.decided = fold.Decided()
 	s.hosted = hosted
 	// The placement version each hosted object migrated in at. Compaction
@@ -809,16 +798,11 @@ func (s *Site) registerTxn(txn *cc.TxnInfo, obj histories.ObjectID) {
 	}
 }
 
-// handlePrepare forces the transaction's intentions at obj to the site's
-// log — with the participant list, so an in-doubt recovery knows which
-// peers to poll — and marks it prepared (the participant's "yes" vote).
-// expect is the client's count of the transaction's completed calls here;
-// a mismatch means a crash wiped part of the transaction, so the site
-// votes no. A failed or torn log append also votes no: an unlogged
-// yes-vote would let a commit decision outrun the intentions that make it
-// redoable. A transaction this site already resolved (an abort applied, or
-// a refusal promised to a querying peer) is voted no under voteMu, so a
-// yes-vote can never interleave with the refusal that forbids it.
+// handlePrepare is a client transaction's vote at obj: the intentions the
+// object's lock table holds are forced to the site's log (see vote). expect
+// is the client's count of the transaction's completed calls here; a
+// mismatch means a crash wiped part of the transaction, so the site votes
+// no.
 func (s *Site) handlePrepare(obj histories.ObjectID, txn *cc.TxnInfo, expect int, rv uint64) error {
 	o, err := s.objectRouted(obj, rv)
 	if err != nil {
@@ -834,106 +818,183 @@ func (s *Site) handlePrepare(obj histories.ObjectID, txn *cc.TxnInfo, expect int
 	if err := o.Prepare(txn); err != nil {
 		return err
 	}
-	s.voteMu.Lock()
-	s.mu.Lock()
-	_, alreadyResolved := s.decided[txn.ID]
-	s.mu.Unlock()
-	if alreadyResolved {
-		s.voteMu.Unlock()
+	err = s.vote(txn, recovery.Record{Object: obj, Calls: calls}, fault.SiteCrashPrepare, stagedImport{})
+	if errors.Is(err, ErrRefused) {
 		o.Abort(txn)
+	}
+	return err
+}
+
+// vote is the participant's yes-vote, for a client half and a migration
+// half alike: rec — the half's intentions — is forced to the site's log
+// with the participant list, so an in-doubt recovery knows which peers to
+// poll, and the half joins the prepared table. A failed or torn append
+// votes no: an unlogged yes-vote would let a commit decision outrun the
+// intentions that make it redoable. A transaction this site already
+// resolved (an abort applied, or a refusal promised to a querying peer) is
+// voted no under voteMu, so a yes-vote can never interleave with the
+// refusal that forbids it. crash is the caller's window after the force:
+// the vote is durable but never reaches the coordinator, leaving the
+// transaction in doubt here for the cooperative termination protocol.
+func (s *Site) vote(txn *cc.TxnInfo, rec recovery.Record, crash fault.Point, staged stagedImport) error {
+	rec.Kind, rec.Txn, rec.Participants = recovery.RecordIntentions, txn.ID, txn.Participants
+	s.voteMu.Lock()
+	if s.isDecided(txn.ID) {
+		s.voteMu.Unlock()
 		return fmt.Errorf("%w: %s at %s", ErrRefused, txn.ID, s.id)
 	}
-	err = s.disk.Append(recovery.Record{
-		Kind:         recovery.RecordIntentions,
-		Txn:          txn.ID,
-		Object:       obj,
-		Calls:        calls,
-		Participants: txn.Participants,
-	})
+	err := s.disk.Append(rec)
 	s.voteMu.Unlock()
 	if err != nil {
-		return fmt.Errorf("dist: prepare %s at %s: %w", txn.ID, s.id, err)
+		return fmt.Errorf("dist: vote of %s on %s at %s: %w", txn.ID, rec.Object, s.id, err)
 	}
-	if s.inj.Fires(fault.SiteCrashPrepare) {
-		// Crash window: the yes-vote is durable but never reaches the
-		// coordinator. The transaction is now in doubt here; recovery
-		// resolves it through the cooperative termination protocol.
+	if s.inj.Fires(crash) {
 		s.Crash()
-		return fmt.Errorf("%w: %s (crashed after logging prepare)", ErrSiteDown, s.id)
+		return fmt.Errorf("%w: %s (crashed after logging its vote)", ErrSiteDown, s.id)
 	}
 	s.mu.Lock()
 	if s.prepared != nil {
 		p := s.prepared[txn.ID]
 		if p == nil {
 			p = &preparedTxn{
-				objects:      make(map[histories.ObjectID]bool),
+				halves:       make(map[histories.ObjectID]half),
 				participants: append([]string(nil), txn.Participants...),
 				preparedAt:   time.Now(),
 			}
 			s.prepared[txn.ID] = p
 		}
-		p.objects[obj] = true
+		p.halves[rec.Object] = half{dir: rec.Migrate, ringv: rec.RingV, staged: staged}
 	}
 	s.mu.Unlock()
-	debugTrace("prepare %s %s@%s", txn.ID, obj, s.id)
+	debugTrace("vote %s %s@%s", txn.ID, rec.Object, s.id)
 	return nil
 }
 
-// handleCommit applies the decision at one object. If the site crashed
-// after preparing, the volatile intentions are gone; recovery has already
-// redone them from the log, so the commit is a no-op there — idempotence
-// comes from the write-ahead log, not the in-memory object.
-//
-// A failed local commit-record append is tolerated: the coordinator's
-// write-ahead log is the transaction's durable outcome, so the next
-// recovery resolves the (locally still in-doubt) transaction through the
-// termination protocol and redoes it from the logged intentions. Two crash
-// windows are injectable: before the local commit record (recovery
-// resolves cooperatively) and after it (recovery redoes the installation).
+// handleCommit and handleAbort deliver the decision for a client half. If
+// the site crashed after preparing, the volatile intentions are gone;
+// recovery has already redone them from the log, so the commit is a no-op
+// there — idempotence comes from the write-ahead log, not the in-memory
+// object. Two crash windows are injectable around the commit record: before
+// it (recovery resolves cooperatively) and after it (recovery redoes the
+// installation).
 func (s *Site) handleCommit(obj histories.ObjectID, txn *cc.TxnInfo) error {
-	o, err := s.object(obj)
-	if err != nil {
-		return err
-	}
-	if s.inj.Fires(fault.SiteCrashCommitBeforeLog) {
-		s.Crash()
-		return fmt.Errorf("%w: %s (crashed before logging commit)", ErrSiteDown, s.id)
-	}
-	// The commit record is mandatory, not best-effort: installing the
-	// commit with the append failed would let the live state advance past
-	// the durable story, and a checkpoint taken in that window captures
-	// later transactions' effects while re-appending this one's intentions
-	// behind them — replay then redoes the operations in the wrong order.
-	// On failure the transaction stays prepared (its locks still held, so
-	// no later transaction can slip past it) and the in-doubt resolver
-	// finishes the commit against the coordinator's durable decision.
-	if err := s.disk.Append(recovery.Record{Kind: recovery.RecordCommit, Txn: txn.ID}); err != nil {
-		return fmt.Errorf("dist: commit %s at %s: %w", txn.ID, s.id, err)
-	}
-	if s.inj.Fires(fault.SiteCrashCommitAfterLog) {
-		// The commit is durable but not installed; restart will redo it.
-		// Emit the commit event now — the log append was the observable
-		// commit point at this site.
-		s.sink.Emit(histories.Commit(obj, txn.ID))
-		s.Crash()
-		return fmt.Errorf("%w: %s (crashed after logging commit)", ErrSiteDown, s.id)
-	}
-	o.Commit(txn, histories.TSNone)
-	s.outcomeApplied(txn.ID, obj, true)
-	debugTrace("commit %s %s@%s -> %s", txn.ID, obj, s.id, o.Base().Key())
-	return nil
+	return s.decide(txn.ID, obj, true, fault.SiteCrashCommitBeforeLog, fault.SiteCrashCommitAfterLog)
 }
 
 func (s *Site) handleAbort(obj histories.ObjectID, txn *cc.TxnInfo) error {
-	o, err := s.object(obj)
-	if err != nil {
-		return err
+	return s.decide(txn.ID, obj, false, "", "")
+}
+
+// decide installs txn's one agreed outcome at this site, on the half at
+// obj or — obj empty, the in-doubt resolver's verdict — on every half still
+// prepared here. It is the only place a running site forces an outcome
+// record and then acts on it, whoever learned the outcome and whatever kind
+// the half is.
+//
+// The record comes first. For a commit it is mandatory and write-ahead:
+// installing with the append failed would let the live state advance past
+// the durable story — a checkpoint taken in that window captures later
+// transactions' effects while re-appending this one's intentions behind
+// them (replay then redoes the operations in the wrong order), and for a
+// migration half, client intentions logged at the new home would hang off a
+// hosting change the log does not tell. On failure the half stays prepared
+// (its locks or freeze still held, so nothing slips past it) and the
+// resolver retries against the coordinator's durable decision. For an abort
+// the record is best-effort: recovery presumes abort. before and after are
+// the caller's crash windows around a commit record.
+//
+// Then each half installs by kind — a client half through its object's
+// Commit or Abort, a migration half as a hosting change — and is struck
+// from the prepared table. Client halves install before they are struck, so
+// a migration drain never finds the object idle with a decided commit still
+// missing from its base. Once the last half is struck (or the transaction
+// never voted here: an abort before prepare) the outcome is cached, the
+// transaction's replies become evictable and the deadlock detector forgets
+// it. Racing decides of one transaction (a handler and the resolver) are
+// benign: every install is idempotent and replay tolerates duplicate
+// outcome records.
+func (s *Site) decide(txn histories.ActivityID, obj histories.ObjectID, commit bool, before, after fault.Point) error {
+	s.mu.Lock()
+	if !s.up {
+		s.mu.Unlock()
+		return fmt.Errorf("%w: %s", ErrSiteDown, s.id)
 	}
-	// A failed abort-record append is ignored: recovery presumes abort.
-	_ = s.disk.Append(recovery.Record{Kind: recovery.RecordAbort, Txn: txn.ID})
-	o.Abort(txn)
-	s.outcomeApplied(txn.ID, obj, false)
-	debugTrace("abort %s %s@%s -> %s", txn.ID, obj, s.id, o.Base().Key())
+	type pick struct {
+		id histories.ObjectID
+		half
+	}
+	var picks []pick
+	if p := s.prepared[txn]; p != nil {
+		for id, h := range p.halves {
+			if obj == "" || id == obj {
+				picks = append(picks, pick{id, h})
+			}
+		}
+	}
+	if len(picks) == 0 && obj != "" && !commit {
+		// An abort before the vote: the zero half releases the object's
+		// locks, or the freeze or staged copy of a migration.
+		picks = append(picks, pick{id: obj})
+	}
+	sort.Slice(picks, func(i, j int) bool { return picks[i].id < picks[j].id })
+	var objects []*locking.Object
+	for _, pk := range picks {
+		if o := s.objects[pk.id]; o != nil && pk.dir == recovery.MigrateNone {
+			objects = append(objects, o)
+		}
+	}
+	s.mu.Unlock()
+
+	if commit && s.inj.Fires(before) {
+		s.Crash()
+		return fmt.Errorf("%w: %s (crashed before logging commit)", ErrSiteDown, s.id)
+	}
+	if err := s.disk.Append(recovery.OutcomeRecord(txn, commit)); err != nil && commit {
+		return fmt.Errorf("dist: commit %s at %s: %w", txn, s.id, err)
+	}
+	if commit && s.inj.Fires(after) {
+		// The commit is durable but not installed; restart will redo it.
+		// The log append was the observable commit point at this site, so
+		// the commit events the installs would have emitted are owed now.
+		for _, o := range objects {
+			s.sink.Emit(histories.Commit(o.ObjectID(), txn))
+		}
+		s.Crash()
+		return fmt.Errorf("%w: %s (crashed after logging commit)", ErrSiteDown, s.id)
+	}
+
+	info := &cc.TxnInfo{ID: txn}
+	for _, o := range objects {
+		if commit {
+			o.Commit(info, histories.TSNone)
+		} else {
+			o.Abort(info)
+		}
+	}
+	s.mu.Lock()
+	if s.prepared == nil { // crashed concurrently
+		s.mu.Unlock()
+		return fmt.Errorf("%w: %s", ErrSiteDown, s.id)
+	}
+	p := s.prepared[txn]
+	for _, pk := range picks {
+		s.installHostingLocked(txn, pk.id, pk.half, commit)
+		if p != nil {
+			delete(p.halves, pk.id)
+		}
+	}
+	var det *locking.Detector
+	if p == nil || len(p.halves) == 0 {
+		delete(s.prepared, txn)
+		delete(s.active, txn)
+		s.decidedLocked(txn, commit)
+		det = s.detector
+	}
+	s.mu.Unlock()
+	if det != nil {
+		det.Forget(txn)
+	}
+	debugTrace("decide %s@%s commit=%v halves=%d", txn, s.id, commit, len(picks))
 	return nil
 }
 
@@ -982,7 +1043,7 @@ func (s *Site) handleMigrateExport(obj histories.ObjectID, txn *cc.TxnInfo) (mig
 		}
 	}
 	for id, p := range s.prepared {
-		if id != txn.ID && p.objects[obj] {
+		if _, votedHere := p.halves[obj]; votedHere && id != txn.ID {
 			s.mu.Unlock()
 			return migExport{}, fmt.Errorf("%w: %s at %s busy (in-doubt transaction %s)", ErrMigrating, obj, s.id, id)
 		}
@@ -1008,9 +1069,8 @@ func (s *Site) handleMigrateExport(obj histories.ObjectID, txn *cc.TxnInfo) (mig
 
 // exportOutcomeCatchUp makes the object's durable story as new as the
 // state about to be exported. A tolerated outcome-append failure (see
-// handleCommit, handleMigrateCommit) leaves a transaction decided in
-// memory — its effects already in the committed state the export copies —
-// but undecided on disk. Left there, a checkpoint would re-append its
+// decide) leaves a transaction decided in memory — its effects already in
+// the committed state the export copies — but undecided on disk. Left there, a checkpoint would re-append its
 // intentions after the snapshot as if still in doubt, and once the object
 // has moved on, a later recovery would resolve the transaction and redo
 // those intentions against a baseline that already includes them: a
@@ -1042,7 +1102,7 @@ func (s *Site) exportOutcomeCatchUp(obj histories.ObjectID) error {
 // migration's prepare then votes no (ErrStaleTxn). The object's schema
 // (type + guard factory) is adopted into the site's stable catalog so a
 // post-commit recovery can rebuild the object.
-func (s *Site) handleMigrateImport(obj histories.ObjectID, txn *cc.TxnInfo, exp migExport, ringv uint64) error {
+func (s *Site) handleMigrateImport(obj histories.ObjectID, txn *cc.TxnInfo, exp migExport) error {
 	s.mu.Lock()
 	if !s.up {
 		s.mu.Unlock()
@@ -1069,226 +1129,85 @@ func (s *Site) handleMigrateImport(obj histories.ObjectID, txn *cc.TxnInfo, exp 
 		m = make(map[histories.ObjectID]stagedImport)
 		s.staged[txn.ID] = m
 	}
-	m[obj] = stagedImport{state: exp.State, typ: exp.Type, guard: s.guards[obj], ringv: ringv}
+	m[obj] = stagedImport{state: exp.State, typ: exp.Type}
 	s.mu.Unlock()
 	s.registerTxn(txn, obj)
 	return nil
 }
 
-// handleMigratePrepare is the migration's yes-vote at one half: it checks
-// the volatile half survived since export/import (a crash in between wiped
-// it — vote no), then forces a Migrate-marked intentions record under the
-// same voteMu discipline as client prepares. The MigrateIn record carries
-// the copied baseline, so a committed migration is redoable from the log
-// alone. The fault.MigrateCrashSource / fault.MigrateCrashDest windows sit
-// after the force: the vote is durable but never reaches the coordinator,
-// leaving the migration in doubt for the termination protocol.
+// handleMigratePrepare is the migration's vote at one half: it checks the
+// volatile half survived since export/import (a crash in between wiped it —
+// vote no), then votes like any client prepare (see vote) with a
+// Migrate-marked intentions record. The MigrateIn record carries the copied
+// baseline, so a committed migration is redoable from the log alone.
 func (s *Site) handleMigratePrepare(obj histories.ObjectID, txn *cc.TxnInfo, dir recovery.MigrateDir, ringv uint64) error {
 	s.mu.Lock()
-	if !s.up {
-		s.mu.Unlock()
+	up, frozen := s.up, s.migrating[obj] == txn.ID
+	st, staged := s.staged[txn.ID][obj]
+	s.mu.Unlock()
+	rec := recovery.Record{Object: obj, Migrate: dir, RingV: ringv}
+	crash := fault.MigrateCrashSource
+	switch {
+	case !up:
 		return fmt.Errorf("%w: %s", ErrSiteDown, s.id)
-	}
-	var st stagedImport
-	switch dir {
-	case recovery.MigrateOut:
-		if owner := s.migrating[obj]; owner != txn.ID {
-			s.mu.Unlock()
-			return fmt.Errorf("%w: migration %s lost its freeze on %s at %s", ErrStaleTxn, txn.ID, obj, s.id)
-		}
-	case recovery.MigrateIn:
-		var ok bool
-		st, ok = s.staged[txn.ID][obj]
-		if !ok {
-			s.mu.Unlock()
-			return fmt.Errorf("%w: migration %s lost its staged import of %s at %s", ErrStaleTxn, txn.ID, obj, s.id)
-		}
-	default:
-		s.mu.Unlock()
-		return fmt.Errorf("dist: migrate-prepare %s at %s: no direction", txn.ID, s.id)
-	}
-	s.mu.Unlock()
-	s.voteMu.Lock()
-	s.mu.Lock()
-	_, alreadyResolved := s.decided[txn.ID]
-	s.mu.Unlock()
-	if alreadyResolved {
-		s.voteMu.Unlock()
-		return fmt.Errorf("%w: %s at %s", ErrRefused, txn.ID, s.id)
-	}
-	rec := recovery.Record{
-		Kind:         recovery.RecordIntentions,
-		Txn:          txn.ID,
-		Object:       obj,
-		Participants: txn.Participants,
-		Migrate:      dir,
-		RingV:        ringv,
-	}
-	if dir == recovery.MigrateIn {
+	case dir == recovery.MigrateOut && frozen:
+	case dir == recovery.MigrateIn && staged:
 		rec.States = map[histories.ObjectID]spec.State{obj: st.state}
+		crash = fault.MigrateCrashDest
+	default:
+		return fmt.Errorf("%w: migration %s lost its half (direction %d) of %s at %s", ErrStaleTxn, txn.ID, dir, obj, s.id)
 	}
-	err := s.disk.Append(rec)
-	s.voteMu.Unlock()
-	if err != nil {
-		return fmt.Errorf("dist: migrate-prepare %s at %s: %w", txn.ID, s.id, err)
-	}
-	point := fault.MigrateCrashSource
-	if dir == recovery.MigrateIn {
-		point = fault.MigrateCrashDest
-	}
-	if s.inj.Fires(point) {
-		s.Crash()
-		return fmt.Errorf("%w: %s (crashed after logging migrate vote)", ErrSiteDown, s.id)
-	}
-	s.mu.Lock()
-	if s.prepared != nil {
-		p := s.prepared[txn.ID]
-		if p == nil {
-			p = &preparedTxn{
-				objects:      make(map[histories.ObjectID]bool),
-				participants: append([]string(nil), txn.Participants...),
-				preparedAt:   time.Now(),
-			}
-			s.prepared[txn.ID] = p
-		}
-		p.objects[obj] = true
-		if p.migrate == nil {
-			p.migrate = make(map[histories.ObjectID]stagedMigrate)
-		}
-		p.migrate[obj] = stagedMigrate{dir: dir, ringv: ringv, staged: st}
-	}
-	s.mu.Unlock()
-	return nil
+	return s.vote(txn, rec, crash, st)
 }
 
-// handleMigrateCommit installs a migration half's commit. Two crash
-// windows ride the fault.MigrateCrashCommit point: before the local commit
-// record (the migration stays in doubt here and termination resolves it
-// against the coordinator's log) and after it (restart redoes the hosting
-// change from the log alone).
+// handleMigrateCommit and handleMigrateAbort deliver the decision for a
+// migration half. Both of a commit's crash windows ride the
+// fault.MigrateCrashCommit point: before the local commit record (the
+// migration stays in doubt here and termination resolves it against the
+// coordinator's log) and after it (restart redoes the hosting change from
+// the log alone).
 func (s *Site) handleMigrateCommit(obj histories.ObjectID, txn *cc.TxnInfo) error {
-	if !s.Up() {
-		return fmt.Errorf("%w: %s", ErrSiteDown, s.id)
-	}
-	if s.inj.Fires(fault.MigrateCrashCommit) {
-		s.Crash()
-		return fmt.Errorf("%w: %s (crashed before logging migrate commit)", ErrSiteDown, s.id)
-	}
-	// The commit record is mandatory and write-ahead for a migration half:
-	// everything logged at this site for the object after an In-half commit
-	// (client intentions, checkpoint hosting snapshots) hangs its
-	// replayability off this record. Installing the hosting change with the
-	// append failed would let a checkpoint fold committed client intentions
-	// into a snapshot it must discard (the durable story still says the
-	// object never arrived), losing them. On failure the half stays in
-	// doubt; the resolver retries with the same write-ahead discipline.
-	if err := s.disk.Append(recovery.Record{Kind: recovery.RecordCommit, Txn: txn.ID}); err != nil {
-		return fmt.Errorf("dist: migrate-commit %s at %s: %w", txn.ID, s.id, err)
-	}
-	if s.inj.Fires(fault.MigrateCrashCommit) {
-		s.Crash()
-		return fmt.Errorf("%w: %s (crashed after logging migrate commit)", ErrSiteDown, s.id)
-	}
-	s.applyMigrate(txn.ID, obj, true)
-	s.outcomeApplied(txn.ID, obj, true)
-	return nil
+	return s.decide(txn.ID, obj, true, fault.MigrateCrashCommit, fault.MigrateCrashCommit)
 }
 
-// handleMigrateAbort undoes a migration half: the freeze lifts at the
-// source, the staged copy is dropped at the destination.
 func (s *Site) handleMigrateAbort(obj histories.ObjectID, txn *cc.TxnInfo) error {
-	if !s.Up() {
-		return fmt.Errorf("%w: %s", ErrSiteDown, s.id)
-	}
-	_ = s.disk.Append(recovery.Record{Kind: recovery.RecordAbort, Txn: txn.ID})
-	s.applyMigrate(txn.ID, obj, false)
-	s.outcomeApplied(txn.ID, obj, false)
-	return nil
+	return s.decide(txn.ID, obj, false, "", "")
 }
 
-// applyMigrate looks up the prepared migration half for (txn, obj) and
-// installs the outcome. A missing prepared entry with a commit outcome
-// means recovery already applied the hosting change from the log — the
-// install is a no-op, the idempotence the write-ahead log provides.
-func (s *Site) applyMigrate(txn histories.ActivityID, obj histories.ObjectID, commit bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.prepared == nil { // crashed concurrently
-		return
-	}
-	var sm stagedMigrate
-	if p := s.prepared[txn]; p != nil {
-		sm = p.migrate[obj]
-	}
-	s.applyMigrateOutcomeLocked(txn, obj, sm, commit)
-}
-
-// applyMigrateOutcomeLocked installs one migration half's outcome under
-// s.mu: commit of an Out half drops the object and its hosting, commit of
-// an In half builds the object from the staged baseline and takes hosting
-// at the migration's placement version; abort unfreezes and unstages.
-func (s *Site) applyMigrateOutcomeLocked(txn histories.ActivityID, obj histories.ObjectID, sm stagedMigrate, commit bool) {
-	if !commit {
-		if owner, ok := s.migrating[obj]; ok && owner == txn {
-			delete(s.migrating, obj)
-		}
-		if m := s.staged[txn]; m != nil {
-			delete(m, obj)
-			if len(m) == 0 {
-				delete(s.staged, txn)
+// installHostingLocked is the hosting side of one half's outcome, under
+// s.mu: a committed Out half drops the object and its hosting, a committed
+// In half builds the object from the staged baseline and takes hosting at
+// the migration's placement version; either outcome lifts the
+// transaction's freeze and drops its staged copy. For a client half (and
+// for a commit that finds no vote: recovery already redid the hosting
+// change from the log) nothing applies.
+func (s *Site) installHostingLocked(txn histories.ActivityID, obj histories.ObjectID, h half, commit bool) {
+	if commit {
+		switch h.dir {
+		case recovery.MigrateOut:
+			delete(s.objects, obj)
+			s.hosted[obj] = false
+			delete(s.homedAt, obj)
+		case recovery.MigrateIn:
+			if s.hosted[obj] {
+				break // a racing decide already adopted it
 			}
-		}
-		return
-	}
-	switch sm.dir {
-	case recovery.MigrateOut:
-		delete(s.objects, obj)
-		s.hosted[obj] = false
-		delete(s.homedAt, obj)
-		if owner, ok := s.migrating[obj]; ok && owner == txn {
-			delete(s.migrating, obj)
-		}
-	case recovery.MigrateIn:
-		if o, err := s.buildObject(obj, sm.staged.typ, s.guards[obj], sm.staged.state); err == nil {
-			s.objects[obj] = o
-		}
-		debugTrace("adopt %s %s@%s ringv=%d base=%s", txn, obj, s.id, sm.ringv, sm.staged.state.Key())
-		s.hosted[obj] = true
-		s.homedAt[obj] = sm.ringv
-		if m := s.staged[txn]; m != nil {
-			delete(m, obj)
-			if len(m) == 0 {
-				delete(s.staged, txn)
+			if o, err := s.buildObject(obj, h.staged.typ, s.guards[obj], h.staged.state); err == nil {
+				s.objects[obj] = o
 			}
+			debugTrace("adopt %s %s@%s ringv=%d base=%s", txn, obj, s.id, h.ringv, h.staged.state.Key())
+			s.hosted[obj] = true
+			s.homedAt[obj] = h.ringv
 		}
 	}
-}
-
-// outcomeApplied records that txn's outcome reached obj: the object is
-// struck from the in-doubt entry, and once the last one is struck (or the
-// transaction never prepared here) the outcome is cached, decided replies
-// become evictable, and the deadlock detector forgets the transaction.
-func (s *Site) outcomeApplied(txn histories.ActivityID, obj histories.ObjectID, commit bool) {
-	s.mu.Lock()
-	if s.decided == nil { // crashed concurrently
-		s.mu.Unlock()
-		return
+	if owner, ok := s.migrating[obj]; ok && owner == txn {
+		delete(s.migrating, obj)
 	}
-	if p := s.prepared[txn]; p != nil {
-		delete(p.objects, obj)
-		if len(p.objects) > 0 {
-			s.mu.Unlock()
-			return
+	if m := s.staged[txn]; m != nil {
+		delete(m, obj)
+		if len(m) == 0 {
+			delete(s.staged, txn)
 		}
-		delete(s.prepared, txn)
-	}
-	delete(s.active, txn)
-	s.decided[txn] = commit
-	s.evictRepliesLocked()
-	det := s.detector
-	s.mu.Unlock()
-	if det != nil {
-		det.Forget(txn)
 	}
 }
 
@@ -1343,8 +1262,7 @@ func (s *Site) AbortAbandoned(idle time.Duration) int {
 		a := s.active[txn]
 		delete(s.active, txn)
 		if out == OutcomeUnknown || out == OutcomeAborted {
-			s.decided[txn] = false
-			s.evictRepliesLocked()
+			s.decidedLocked(txn, false)
 			// A swept migration driver leaves a freeze or a staged copy
 			// behind; the abort reclaims both.
 			for obj, owner := range s.migrating {

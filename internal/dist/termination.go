@@ -5,21 +5,15 @@ import (
 	"sort"
 	"time"
 
-	"weihl83/internal/cc"
 	"weihl83/internal/histories"
-	"weihl83/internal/locking"
 	"weihl83/internal/obs"
 	"weihl83/internal/recovery"
 )
 
-// Observability for the cooperative termination protocol: how in-doubt
-// transactions were resolved, and how often resolution had to block.
-var (
-	obsResolvedCoord   = obs.Default.Counter("dist.indoubt.resolved.coordinator")
-	obsResolvedPeer    = obs.Default.Counter("dist.indoubt.resolved.peer")
-	obsResolvedPresume = obs.Default.Counter("dist.indoubt.resolved.presumed-abort")
-	obsInDoubtBlocked  = obs.Default.Counter("dist.indoubt.blocked")
-)
+// Observability for the cooperative termination protocol: how often
+// resolution had to block. How in-doubt transactions were resolved is
+// counted per path, dist.indoubt.resolved.{coordinator,peer,presumed-abort}.
+var obsInDoubtBlocked = obs.Default.Counter("dist.indoubt.blocked")
 
 // Outcome is a transaction's fate as known to one node, the unit of
 // information exchanged by the cooperative termination protocol. It is the
@@ -81,7 +75,7 @@ func (s *Site) queryOutcome(txn histories.ActivityID) Outcome {
 	}
 	s.mu.Lock()
 	if s.decided != nil {
-		s.decided[txn] = false
+		s.decidedLocked(txn, false)
 	}
 	s.mu.Unlock()
 	return OutcomeUnknown
@@ -216,87 +210,18 @@ func (s *Site) ResolveInDoubt(grace time.Duration) int {
 	return resolved
 }
 
-// applyOutcome installs a termination-protocol verdict at a running site:
-// the outcome record is forced first (write-ahead discipline — a crash
-// right after still redoes it), then the decision is applied to every
-// object the transaction prepared here. Racing the normal commit/abort
-// handlers is benign: protocol objects treat outcomes for unknown
-// transactions as no-ops and replay tolerates duplicate outcome records.
+// applyOutcome installs a termination-protocol verdict at a running site,
+// on every half the transaction still has prepared here (see decide), and
+// reports whether it did. A transaction a commit/abort handler finished
+// meanwhile has nothing left to resolve.
 func (s *Site) applyOutcome(txn histories.ActivityID, commit bool, path string) bool {
 	s.mu.Lock()
-	if !s.up || s.prepared == nil {
-		s.mu.Unlock()
-		return false
-	}
-	if s.prepared[txn] == nil {
-		s.mu.Unlock()
-		return false
-	}
-	// The outcome record is mandatory, not best-effort: installing an
-	// outcome whose record failed to append lets the live state advance
-	// past the durable story — for a client commit a checkpoint in that
-	// window captures later effects while re-appending this transaction's
-	// intentions behind them (reordering replay); for a migration half it
-	// makes client intentions durable against a hosting story the log does
-	// not tell. Force the record before touching anything; on failure the
-	// transaction stays prepared and a later resolver pass retries.
+	pending := s.prepared[txn] != nil
 	s.mu.Unlock()
-	if err := s.disk.Append(recovery.OutcomeRecord(txn, commit)); err != nil {
+	if !pending || s.decide(txn, "", commit, "", "") != nil {
 		return false
 	}
-	s.mu.Lock()
-	if !s.up || s.prepared == nil {
-		s.mu.Unlock()
-		return false
-	}
-	p := s.prepared[txn]
-	if p == nil { // a handler won the race while the record was forced
-		s.mu.Unlock()
-		return false
-	}
-	ids := make([]histories.ObjectID, 0, len(p.objects))
-	for id := range p.objects {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	delete(s.prepared, txn)
-	delete(s.active, txn)
-	s.decided[txn] = commit
-	s.evictRepliesLocked()
-	objects := make([]*locking.Object, 0, len(ids))
-	for _, id := range ids {
-		if sm, isMigration := p.migrate[id]; isMigration {
-			// A resolved migration half installs a hosting change, not an
-			// object commit: drop or adopt the object under s.mu.
-			s.applyMigrateOutcomeLocked(txn, id, sm, commit)
-			continue
-		}
-		if o := s.objects[id]; o != nil {
-			objects = append(objects, o)
-		}
-	}
-	det := s.detector
-	s.mu.Unlock()
-	info := &cc.TxnInfo{ID: txn}
-	for _, o := range objects {
-		if commit {
-			o.Commit(info, histories.TSNone)
-		} else {
-			o.Abort(info)
-		}
-	}
-	debugTrace("resolve %s@%s commit=%v path=%s objs=%v", txn, s.id, commit, path, ids)
-	if det != nil {
-		det.Forget(txn)
-	}
-	switch path {
-	case "coordinator":
-		obsResolvedCoord.Inc()
-	case "peer":
-		obsResolvedPeer.Inc()
-	case "presumed-abort":
-		obsResolvedPresume.Inc()
-	}
+	obs.Default.Counter("dist.indoubt.resolved." + path).Inc()
 	return true
 }
 

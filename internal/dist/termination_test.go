@@ -292,18 +292,19 @@ func TestPartitionBlocksRecoveryUntilHeal(t *testing.T) {
 }
 
 // TestReplyCacheBoundedByEvictions: the at-most-once reply cache stays
-// within its configured bound by evicting entries of transactions with a
-// durable outcome, and counts the evictions.
+// within its bound by evicting entries of transactions with a durable
+// outcome, and counts the evictions.
 func TestReplyCacheBoundedByEvictions(t *testing.T) {
 	net := NewNetwork(0, 0, 1)
 	coord, err := NewCoordinator(CoordinatorConfig{ID: "C", Network: net})
 	if err != nil {
 		t.Fatal(err)
 	}
-	site, err := NewSite(SiteConfig{ID: "A", Network: net, Coordinator: "C", ReplyCacheCap: 2})
+	site, err := NewSite(SiteConfig{ID: "A", Network: net, Coordinator: "C"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	site.replyCap = 2
 	if err := site.AddObject("acct0", adts.Account(), escrowGuard); err != nil {
 		t.Fatal(err)
 	}

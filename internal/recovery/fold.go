@@ -273,18 +273,25 @@ func (f *Fold) HomedAt() map[histories.ObjectID]uint64 {
 // objects the owner was seeded with (before any migration); nil means every
 // object in specs.
 //
-// Intentions order — not commit-record order — is the order that matches
-// the recorded results. A commit record can land in the log long after the
-// decision it witnesses: a site tolerates a failed commit-record append
-// (the coordinator's log holds the outcome) and the record is re-created
-// later by the cooperative termination protocol, after transactions that
-// live ran after this one. Intentions positions are immune to that drift,
-// and they respect every result dependency: under the locking protocols a
-// transaction only observes another's effects once it has committed, so a
-// dependent transaction's intentions are always logged after the
-// transaction it depends on; concurrently-prepared transactions hold
-// non-conflicting locks, whose recorded results replay validly in either
-// order.
+// Replaying at the intentions' log position is sound exactly when, per
+// object, log order equals install order: the state a live transaction
+// observed is the one the installs before it left behind, so redo must
+// apply the same calls in the same order. Recorded results do not pin that
+// order by themselves — two enqueues an exact guard grants concurrently
+// each return ok in either order, yet leave different queues — so whoever
+// writes the log must keep the invariant. The transaction runtime does: a
+// commit draws its install ticket atomically with its place in the
+// group-commit queue, so its intentions, its commit record and its install
+// all follow one order (tx.Manager). A dist.Site logs intentions at prepare
+// and installs when the decision arrives, so the invariant holds there only
+// for transactions whose order the guard fixed (one observed the other's
+// effects, hence prepared after the other installed); two it granted
+// concurrently may prepare in one order and commit in the other, and are
+// redone here in prepare order (dist.TestSiteRedoOrderHole fences that
+// hole). The cure is a commit point per object — redo at the position of
+// the first commit record — which needs care of its own: duplicate outcome
+// records, outcomes a checkpoint absorbed, and commit records the
+// termination protocol appends at recovery.
 //
 // An error names the record that would not replay.
 func (f *Fold) Redo(specs map[histories.ObjectID]spec.SerialSpec, initialHosted map[histories.ObjectID]bool) (map[histories.ObjectID]spec.State, map[histories.ObjectID]bool, error) {

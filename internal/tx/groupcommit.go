@@ -51,11 +51,17 @@ type walGroup struct {
 
 // submit logs one transaction's record group, batching it with concurrent
 // submitters. It returns nil iff every record in the group is durably
-// appended.
-func (g *walGroup) submit(recs []recovery.Record) error {
+// appended. queued, when non-nil, runs as the group takes its place in the
+// queue, under the queue lock: batches are cut from the queue in order and
+// AppendBatch keeps group order, so whatever queued draws (the install
+// ticket, the commit timestamp it patches into recs) is drawn in log order.
+func (g *walGroup) submit(recs []recovery.Record, queued func()) error {
 	req := &walReq{recs: recs, done: make(chan struct{}), lead: make(chan struct{})}
 	g.mu.Lock()
 	g.queue = append(g.queue, req)
+	if queued != nil {
+		queued()
+	}
 	if g.leading {
 		// A leader is running; it (or a successor) will either log our
 		// group or promote us.

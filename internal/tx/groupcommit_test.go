@@ -28,7 +28,7 @@ func TestWalGroupConcurrentSubmit(t *testing.T) {
 					{Kind: recovery.RecordIntentions, Txn: txn, Object: "o"},
 					{Kind: recovery.RecordCommit, Txn: txn},
 				}
-				if err := g.submit(recs); err != nil {
+				if err := g.submit(recs, nil); err != nil {
 					errc <- fmt.Errorf("%s: %w", txn, err)
 					return
 				}

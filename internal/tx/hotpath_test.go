@@ -43,9 +43,9 @@ func TestSinkStableIdentity(t *testing.T) {
 	}
 }
 
-// TestRegisterAfterWorkersStart: under the copy-on-write registry it is
-// safe to Register a new resource while worker transactions are invoking
-// concurrently; in-flight and subsequent transactions all commit and the
+// TestRegisterAfterWorkersStart: it is safe to Register a new resource
+// while worker transactions are invoking concurrently; in-flight and
+// subsequent transactions all commit and the
 // new object is immediately usable. Run with -race.
 func TestRegisterAfterWorkersStart(t *testing.T) {
 	det := locking.NewDetector()

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -213,9 +214,9 @@ type Config struct {
 
 // Manager coordinates transactions over a set of registered resources.
 //
-// Hot-path design: the resource registry is copy-on-write (Invoke is a
-// lock-free pointer load), the history recorder is sharded
-// (ccrt.Recorder), hybrid commit installation is ordered by a ticket
+// Hot-path design: the resource registry publishes an immutable snapshot
+// (Invoke's lookup is a lock-free pointer load), the history recorder is
+// sharded (ccrt.Recorder), commit installation is ordered by a ticket
 // sequencer instead of one mutex held across the whole install, and
 // write-ahead logging goes through a group-commit leader that batches
 // concurrent transactions' records into one stable-storage write.
@@ -223,20 +224,31 @@ type Manager struct {
 	cfg Config
 	seq atomic.Int64
 
-	// resources is the copy-on-write registry: readers (Invoke) load the
-	// current map without locking; Register copies under regMu and swaps.
-	resources atomic.Pointer[map[histories.ObjectID]cc.Resource]
+	// The registry. Register inserts into resources under regMu, O(1).
+	// Invoke reads published, an immutable copy of resources, without
+	// locking; a resource registered since the copy was taken is found in
+	// resources under regMu instead, and after as many such misses as there
+	// are resources the reader that draws the last one republishes — so a
+	// set-up of n Registers costs O(n), not a copy per insert, and the copy
+	// is paid for by the misses that preceded it.
+	published atomic.Pointer[map[histories.ObjectID]cc.Resource]
 	regMu     sync.Mutex
+	resources map[histories.ObjectID]cc.Resource
+	misses    int // lookups published could not answer, since it was taken
 
 	// recorder holds the sharded event history when recording is enabled;
 	// sink is the one stable cc.EventSink handed to every resource.
 	recorder *ccrt.Recorder
 	sink     cc.EventSink
 
-	// installSeq orders hybrid commit installations: tickets are drawn
-	// atomically with commit timestamps, so ticket order == timestamp order
-	// == version-log install order (§4.3.3) with no lock held across the
-	// write-ahead logging or coordinator decision in between.
+	// installSeq orders commit installations. Under Hybrid, tickets are
+	// drawn atomically with commit timestamps, so ticket order == timestamp
+	// order == version-log install order (§4.3.3). With a WAL, under every
+	// property, the ticket is drawn atomically with the commit group's
+	// group-commit queue position, so log order == ticket order == install
+	// order: replaying the log in order rebuilds the state the live
+	// transactions observed. No lock is held across the write-ahead logging
+	// or the coordinator decision in between.
 	installSeq ccrt.Sequencer
 
 	// wal batches concurrent commit-record groups into single
@@ -268,9 +280,8 @@ func NewManager(cfg Config) (*Manager, error) {
 		cfg.MaxRetries = 100
 	}
 	(&cfg.Backoff).fill()
-	m := &Manager{cfg: cfg}
-	empty := make(map[histories.ObjectID]cc.Resource)
-	m.resources.Store(&empty)
+	m := &Manager{cfg: cfg, resources: make(map[histories.ObjectID]cc.Resource)}
+	m.published.Store(&map[histories.ObjectID]cc.Resource{})
 	if cfg.Record {
 		m.recorder = ccrt.NewRecorder()
 		m.sink = m.recorder.Emit
@@ -291,23 +302,35 @@ func (m *Manager) Sink() cc.EventSink {
 }
 
 // Register adds a resource. Registering two resources with one object id is
-// a configuration error. The registry is copy-on-write, so Register is safe
-// while transactions are running — in-flight Invokes keep reading the old
-// map, and the next lookup sees the new resource.
+// a configuration error. Register is safe while transactions are running:
+// the next lookup of the object sees the new resource.
 func (m *Manager) Register(r cc.Resource) error {
 	m.regMu.Lock()
 	defer m.regMu.Unlock()
-	old := *m.resources.Load()
-	if _, dup := old[r.ObjectID()]; dup {
+	if _, dup := m.resources[r.ObjectID()]; dup {
 		return fmt.Errorf("%w: duplicate resource %s", ErrManagerConfig, r.ObjectID())
 	}
-	next := make(map[histories.ObjectID]cc.Resource, len(old)+1)
-	for id, res := range old {
-		next[id] = res
-	}
-	next[r.ObjectID()] = r
-	m.resources.Store(&next)
+	m.resources[r.ObjectID()] = r
 	return nil
+}
+
+// resource looks up a registered resource.
+func (m *Manager) resource(obj histories.ObjectID) (cc.Resource, bool) {
+	if r, ok := (*m.published.Load())[obj]; ok {
+		return r, true
+	}
+	m.regMu.Lock()
+	defer m.regMu.Unlock()
+	r, ok := m.resources[obj]
+	if !ok {
+		return nil, false
+	}
+	if m.misses++; m.misses >= len(m.resources) {
+		next := maps.Clone(m.resources)
+		m.published.Store(&next)
+		m.misses = 0
+	}
+	return r, true
 }
 
 // History returns a copy of the recorded history, merged from the
@@ -436,7 +459,7 @@ func (t *Txn) Invoke(obj histories.ObjectID, op string, arg value.Value) (value.
 	if t.status != StatusActive {
 		return value.Nil(), ErrTxnDone
 	}
-	r, ok := (*t.m.resources.Load())[obj]
+	r, ok := t.m.resource(obj)
 	if !ok {
 		return value.Nil(), fmt.Errorf("%w: %s", ErrNoResource, obj)
 	}
@@ -528,18 +551,28 @@ func (t *Txn) Commit() error {
 	if len(t.joined) > 0 {
 		obsPrepareLat.Observe(int64(time.Since(prepStart)))
 	}
-	// Hybrid update commits draw a ticket atomically with the commit
-	// timestamp: ticket order == timestamp order, and installation happens
-	// between Wait and Done, so version logs grow in timestamp order and
-	// the timestamp order stays consistent with precedes (§4.3.3) — the
-	// invariant the old global commit mutex provided by serializing the
-	// whole section. Logging and the coordinator decision run OUTSIDE the
-	// ordered region; any exit before installation must Abandon the ticket.
+	// A commit that must install in a fixed order draws a ticket and
+	// installs between Wait and Done; logging and the coordinator decision
+	// run OUTSIDE the ordered region, and any exit before installation must
+	// Abandon the ticket. Two orders are fixed this way. Hybrid update
+	// commits draw the ticket atomically with the commit timestamp: ticket
+	// order == timestamp order, so version logs grow in timestamp order and
+	// the timestamp order stays consistent with precedes (§4.3.3). Commits
+	// through a WAL, under every property, draw it atomically with their
+	// position in the group-commit queue: log order == install order, which
+	// recovery needs because it redoes the log in order and operations whose
+	// results are order-independent (two enqueues the exact guard grants
+	// concurrently) need not leave order-independent states.
 	var cts histories.Timestamp
 	var ticket ccrt.Ticket
 	hasTicket := false
-	if t.m.cfg.Property == Hybrid && !t.info.ReadOnly {
-		ticket = t.m.installSeq.ReserveWith(func() { cts = t.m.cfg.Clock.Next() })
+	hybridUpdate := t.m.cfg.Property == Hybrid && !t.info.ReadOnly
+	reserve := func() {
+		ticket = t.m.installSeq.ReserveWith(func() {
+			if hybridUpdate {
+				cts = t.m.cfg.Clock.Next()
+			}
+		})
 		hasTicket = true
 	}
 	abandon := func() {
@@ -552,12 +585,7 @@ func (t *Txn) Commit() error {
 		// A failed (or torn) log write before the commit record aborts the
 		// transaction: the commit record is the atomic commit point, and
 		// nothing before it may be considered durable. Already-appended
-		// intentions without a commit record are ignored by Restart, which
-		// replays committed transactions in intentions order — an order
-		// independent of how concurrent commit groups interleave in the
-		// log, because a dependent transaction's intentions are always
-		// logged after the transaction it observed installed, and
-		// concurrently-prepared transactions hold non-conflicting claims.
+		// intentions without a commit record are ignored by Restart.
 		recs := make([]recovery.Record, 0, len(t.joined)+1)
 		for _, r := range t.joined {
 			if cr, ok := r.(callsReporter); ok {
@@ -569,12 +597,18 @@ func (t *Txn) Commit() error {
 				})
 			}
 		}
-		recs = append(recs, recovery.Record{Kind: recovery.RecordCommit, Txn: t.info.ID, TS: cts})
-		if err := t.m.wal.submit(recs); err != nil {
+		recs = append(recs, recovery.Record{Kind: recovery.RecordCommit, Txn: t.info.ID})
+		err := t.m.wal.submit(recs, func() {
+			reserve()
+			recs[len(recs)-1].TS = cts
+		})
+		if err != nil {
 			abandon()
 			t.Abort()
 			return fmt.Errorf("tx: logging commit: %w", err)
 		}
+	} else if hybridUpdate {
+		reserve()
 	}
 	if obsTrace.Enabled() {
 		obsTrace.Record(obs.TraceEvent{Kind: obs.KindDecide, Txn: string(t.info.ID)})
