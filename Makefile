@@ -1,11 +1,16 @@
 GO ?= go
 
-.PHONY: all build vet staticcheck test race order-stress chaos chaos-smoke chaos-churn chaos-replication check bench-smoke bench-hotpath bench-guardcascade bench-service bench-service-full bench-shard bench-shard-full bench-durable bench-durable-full bench-replication bench-replication-full bench-ledger-check fuzz-smoke clean
+.PHONY: all build fmt vet staticcheck test race order-stress chaos chaos-smoke chaos-churn chaos-replication check bench-smoke bench-hotpath bench-guardcascade bench-service bench-service-full bench-shard bench-shard-full bench-replication bench-replication-full bench-ledger-check fuzz-smoke clean
 
 all: check
 
 build:
 	$(GO) build ./...
+
+# fmt fails, listing them, when any Go file in the repository (the bench/
+# module included) is not gofmt-formatted.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -35,9 +40,9 @@ race:
 order-stress:
 	$(GO) test -count=20 -run 'TestCrashConsistency' ./internal/tx
 
-# check is the CI gate: vet, staticcheck (when present), build, the full
-# suite under the race detector, and the install-order stress.
-check: vet staticcheck build race order-stress
+# check is the CI gate: formatting, vet, staticcheck (when present), build,
+# the full suite under the race detector, and the install-order stress.
+check: fmt vet staticcheck build race order-stress
 
 # chaos runs the fault-injection harness across a batch of seeds under
 # every atomicity property.
@@ -131,23 +136,6 @@ bench-shard:
 bench-shard-full:
 	$(GO) run ./cmd/bankbench -json -exp shard -workers 4 -transfers 300 -accounts 8 -repeat 3 > BENCH_shard.json
 
-# bench-durable is the CI durability gate: the same transfer workload
-# committed through the in-memory WAL model and the file-backed segmented
-# WAL (real fsync-batched group commit) across a 10/100/1k/10k object
-# ladder, gated by benchguard against the committed BENCH_durable.json.
-# The mem rows pin the no-I/O commit path; the file rows pin the
-# group-commit fsync path and cold-recovery scan — a file row collapsing
-# relative to the mem rows means batching or the segment scan regressed.
-# The threshold is wider than the other gates because fsync latency on CI
-# filesystems is intrinsically noisier than CPU-bound throughput.
-bench-durable:
-	$(GO) run ./cmd/bankbench -json -exp durable -workers 4 -transfers 300 -repeat 3 \
-		| $(GO) run ./cmd/benchguard -ref BENCH_durable.json -labels backend,objects -threshold 0.35
-
-# bench-durable-full regenerates the committed durability reference.
-bench-durable-full:
-	$(GO) run ./cmd/bankbench -json -exp durable -workers 4 -transfers 300 -repeat 3 > BENCH_durable.json
-
 # bench-replication is the CI replica-group gate: the factor ladder
 # (1/2/3/4 replicas on a fixed four-site cluster) measuring commuting
 # commit/s, read-any audit/s and the non-commuting sync-barrier cost,
@@ -175,11 +163,14 @@ bench-ledger-check:
 # conflict engine's memoised exact tier must be indistinguishable from the
 # unmemoised search, the WAL frame decoder must turn arbitrary segment
 # damage into a clean torn-tail trim or ErrCorrupt — never a panic or a
-# silent misparse — and every ADT state decoder must reject corrupt
-# checkpoint bytes cleanly or produce a state that round-trips.
+# silent misparse — the WAL record decoder must turn arbitrary payloads
+# into a record that re-encodes stably or ErrCorrupt, and every ADT state
+# decoder must reject corrupt checkpoint bytes cleanly or produce a state
+# that round-trips.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzExactMemo -fuzztime=30s ./internal/conflict
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=30s ./internal/recovery
+	$(GO) test -run='^$$' -fuzz=FuzzRecordDecode -fuzztime=30s ./internal/recovery
 	$(GO) test -run='^$$' -fuzz=FuzzStateDecode -fuzztime=30s ./internal/adts
 
 clean:

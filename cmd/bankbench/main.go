@@ -10,7 +10,6 @@
 //	bankbench -exp shard     elastic cluster: commit/s vs sites, migrations in flight
 //	bankbench -exp replication  replica groups: commuting commit/s, read-any audit/s
 //	                         and sync-barrier cost vs replication factor
-//	bankbench -exp durable   WAL backend ladder: in-memory vs file-backed fsync
 //	bankbench -exp all       everything (hotpath and guardcascade excluded;
 //	                         run them explicitly)
 //
@@ -53,7 +52,6 @@ type benchRow struct {
 	Labels            map[string]int64      `json:"labels,omitempty"`
 	WallNS            int64                 `json:"wall_ns"`
 	CommitsPerSec     float64               `json:"commits_per_sec,omitempty"`
-	RecoveryNS        int64                 `json:"recovery_ns,omitempty"`
 	TransfersPerSec   float64               `json:"transfers_per_sec"`
 	TransferRetryRate float64               `json:"transfer_retry_rate"`
 	TransferFailed    int64                 `json:"transfer_failed"`
@@ -143,7 +141,7 @@ func main() {
 }
 
 func run() int {
-	exp := flag.String("exp", "all", "experiment: e5|e6|e7|e9|hotpath|guardcascade|shard|durable|replication|all")
+	exp := flag.String("exp", "all", "experiment: e5|e6|e7|e9|hotpath|guardcascade|shard|replication|all")
 	workers := flag.Int("workers", 4, "transfer workers")
 	transfers := flag.Int("transfers", 200, "transfers per worker")
 	audits := flag.Int("audits", 50, "audits per audit worker")
@@ -193,8 +191,6 @@ func run() int {
 		ok = guardcascade(sc)
 	case "shard":
 		ok = shardExp(sc)
-	case "durable":
-		ok = durable(sc)
 	case "replication":
 		ok = replicationExp(sc)
 	case "all":

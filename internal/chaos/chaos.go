@@ -25,8 +25,8 @@ import (
 
 	"weihl83/internal/adts"
 	"weihl83/internal/cc"
-	"weihl83/internal/conflict"
 	"weihl83/internal/ccrt"
+	"weihl83/internal/conflict"
 	"weihl83/internal/core"
 	"weihl83/internal/dist"
 	"weihl83/internal/fault"

@@ -63,11 +63,11 @@ func TestTableTierNeverDenies(t *testing.T) {
 		others [][]spec.Call
 		want   Verdict
 	}{
-		{deposit(1), nil, Commutes},                             // vacuous: no others
-		{deposit(1), [][]spec.Call{{deposit(2)}}, Commutes},     // deposits commute in the table
-		{withdraw(1), [][]spec.Call{{withdraw(2)}}, Unknown},    // table conflict: escalate, never deny
-		{balance(10), [][]spec.Call{{withdraw(2)}}, Unknown},    // observer vs mutator
-		{balance(10), [][]spec.Call{{balance(10)}}, Commutes},   // observers commute
+		{deposit(1), nil, Commutes},                           // vacuous: no others
+		{deposit(1), [][]spec.Call{{deposit(2)}}, Commutes},   // deposits commute in the table
+		{withdraw(1), [][]spec.Call{{withdraw(2)}}, Unknown},  // table conflict: escalate, never deny
+		{balance(10), [][]spec.Call{{withdraw(2)}}, Unknown},  // observer vs mutator
+		{balance(10), [][]spec.Call{{balance(10)}}, Commutes}, // observers commute
 	}
 	for i, c := range cases {
 		v, err := tier.Decide(base, nil, c.cand, c.others)

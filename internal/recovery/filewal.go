@@ -136,7 +136,7 @@ type FileWALOptions struct {
 }
 
 // FileWAL is the file-backed segmented Backend: CRC32C-framed records,
-// fsync-batched group commit (one fsync per AppendBatch), segment rotation
+// group commit (one write and one fsync per AppendBatch), segment rotation
 // with an on-disk checkpoint manifest, and recovery that scans segments in
 // manifest order and trims the torn tail of the final segment at the
 // first bad frame.
@@ -152,10 +152,12 @@ type FileWAL struct {
 	specs  map[histories.ObjectID]spec.SerialSpec
 	segMax int64
 
-	active    walFile // current segment, opened for append
-	activeSeq uint64
-	activeLen int64
-	closed    bool
+	active      walFile // current segment, opened for append
+	activeSeq   uint64
+	activeLen   int64
+	sealedBytes int64  // size of the live segments before the active one
+	batch       []byte // AppendBatch's frame buffer, reused across batches
+	closed      bool
 }
 
 var _ Backend = (*FileWAL)(nil)
@@ -242,17 +244,17 @@ func (w *FileWAL) load() error {
 	// reached. The log before it is complete and authoritative; the
 	// aborted attempt is garbage. It can only be the final segment:
 	// nothing is ever appended after a checkpoint write that did not
-	// reach its manifest update.
+	// reach its manifest update. The final segment read here is the one
+	// loaded below, so every segment is read once.
+	var final segment
 	for len(seqs) > 0 {
 		last := seqs[len(seqs)-1]
-		if last == m.Base {
-			break
-		}
-		aborted, err := w.isAbortedCheckpoint(last)
+		s, err := w.readSegment(last)
 		if err != nil {
 			return err
 		}
-		if !aborted {
+		if last == m.Base || len(s.records) == 0 || s.records[0].Kind != RecordCheckpoint {
+			final = s
 			break
 		}
 		if err := w.fs.Remove(filepath.Join(w.dir, segName(last))); err != nil {
@@ -261,11 +263,28 @@ func (w *FileWAL) load() error {
 		seqs = seqs[:len(seqs)-1]
 	}
 
+	// Every segment but the final one was fsynced whole before the next
+	// was born, so damage there is ErrCorrupt. In the final segment a torn
+	// tail is trimmed — physically truncated — because the write-ahead
+	// protocol guarantees no transaction whose records sit past the tear
+	// was ever acknowledged.
 	for i, seq := range seqs {
-		final := i == len(seqs)-1
-		if err := w.loadSegment(seq, final); err != nil {
-			return err
+		s := final
+		if i < len(seqs)-1 {
+			var err error
+			if s, err = w.readSegment(seq); err != nil {
+				return err
+			}
+			if s.torn {
+				return fmt.Errorf("%w: segment %d torn at offset %d but is not the final segment", ErrCorrupt, seq, s.valid)
+			}
+			w.sealedBytes += int64(s.valid)
+		} else if s.torn {
+			if err := w.fs.Truncate(filepath.Join(w.dir, segName(seq)), int64(s.valid)); err != nil {
+				return fmt.Errorf("recovery: trim torn tail of segment %d: %w", seq, err)
+			}
 		}
+		w.records = append(w.records, s.records...)
 	}
 
 	// Open (or create) the active segment for appends.
@@ -288,51 +307,29 @@ func (w *FileWAL) load() error {
 	return nil
 }
 
-// isAbortedCheckpoint reports whether segment seq begins with a checkpoint
-// record.
-func (w *FileWAL) isAbortedCheckpoint(seq uint64) (bool, error) {
-	data, err := w.fs.ReadFile(filepath.Join(w.dir, segName(seq)))
-	if err != nil {
-		return false, fmt.Errorf("recovery: read segment %d: %w", seq, err)
-	}
-	payloads, _, _ := scanFrames(data)
-	if len(payloads) == 0 {
-		return false, nil
-	}
-	r, err := decodeRecord(payloads[0], w.specs)
-	if err != nil {
-		return false, err
-	}
-	return r.Kind == RecordCheckpoint, nil
+// segment is one segment file as the recovery scan sees it: the records of
+// its checksum-valid prefix, that prefix's length, and whether bytes that
+// do not form a valid frame follow it.
+type segment struct {
+	records []Record
+	valid   int
+	torn    bool
 }
 
-// loadSegment decodes one segment into the mirror. In the final segment a
-// torn tail is trimmed — physically truncated — because the write-ahead
-// protocol guarantees no transaction whose records sit past the tear was
-// ever acknowledged. Anywhere else, damage is ErrCorrupt.
-func (w *FileWAL) loadSegment(seq uint64, final bool) error {
-	path := filepath.Join(w.dir, segName(seq))
-	data, err := w.fs.ReadFile(path)
+// readSegment reads and decodes segment seq.
+func (w *FileWAL) readSegment(seq uint64) (segment, error) {
+	data, err := w.fs.ReadFile(filepath.Join(w.dir, segName(seq)))
 	if err != nil {
-		return fmt.Errorf("recovery: read segment %d: %w", seq, err)
+		return segment{}, fmt.Errorf("recovery: read segment %d: %w", seq, err)
 	}
 	payloads, valid, torn := scanFrames(data)
-	if torn && !final {
-		return fmt.Errorf("%w: segment %d torn at offset %d but is not the final segment", ErrCorrupt, seq, valid)
-	}
-	for _, p := range payloads {
-		r, err := decodeRecord(p, w.specs)
-		if err != nil {
-			return fmt.Errorf("segment %d: %w", seq, err)
-		}
-		w.records = append(w.records, r)
-	}
-	if torn {
-		if err := w.fs.Truncate(path, int64(valid)); err != nil {
-			return fmt.Errorf("recovery: trim torn tail of segment %d: %w", seq, err)
+	s := segment{records: make([]Record, len(payloads)), valid: valid, torn: torn}
+	for i, p := range payloads {
+		if s.records[i], err = decodeRecord(p, w.specs); err != nil {
+			return segment{}, fmt.Errorf("segment %d: %w", seq, err)
 		}
 	}
-	return nil
+	return s, nil
 }
 
 // Dir returns the WAL directory.
@@ -357,15 +354,18 @@ func (w *FileWAL) Append(r Record) error {
 }
 
 // AppendBatch implements Backend — the group-commit force. Every group's
-// frames are written to the active segment, then a single fsync makes the
-// whole batch durable. Fault isolation mirrors the in-memory disk: a torn
-// or failed write inside group i truncates the file back to before the
-// failed frame and fails group i alone (its earlier records stay, exactly
-// the unacknowledged prefix a solo committer would leave), while later
-// groups continue at the truncated offset. A failed fsync fails every
-// group and truncates back to the batch start: a commit record whose force
-// failed must not be durable, or a transaction the client saw abort could
-// resurrect at restart.
+// frames go into one buffer, one write puts the batch in the active
+// segment, and one fsync makes it durable. Fault isolation per record
+// mirrors the in-memory disk: a record that cannot be encoded, or whose
+// write the torn fault point tears, fails its group alone — the group's
+// earlier frames stay, exactly the unacknowledged prefix a solo committer
+// would leave, and later groups follow them. The torn frame itself never
+// reaches the file: on a real disk a torn tail only survives a crash, and a
+// live process that saw its write fail repairs it. A failed or short OS
+// write, or a failed fsync, fails every group and truncates the segment
+// back to the batch start: a commit record whose force failed must not be
+// durable, or a transaction the client saw abort could resurrect at
+// restart.
 func (w *FileWAL) AppendBatch(groups [][]Record) []error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -378,28 +378,21 @@ func (w *FileWAL) AppendBatch(groups [][]Record) []error {
 	}
 	obsWALBatchSize.Observe(int64(len(groups)))
 
-	batchStart := w.activeLen
+	buf := w.batch[:0]
 	var durable []Record
 	for i, group := range groups {
 		for _, r := range group {
-			if err := w.writeRecordLocked(r); err != nil {
-				// The group's earlier frames stay in the log without a
-				// commit record; restart ignores them, exactly as with
-				// the in-memory disk.
+			var err error
+			if buf, err = w.frameLocked(buf, r); err != nil {
 				errs[i] = err
 				break
 			}
 			durable = append(durable, r.clone())
 		}
 	}
-
-	if len(durable) > 0 {
-		if err := w.syncLocked(len(groups)); err != nil {
-			// Nothing in this batch may be acknowledged: rewind the
-			// segment to the batch start and fail every group.
-			if terr := w.active.Truncate(batchStart); terr == nil {
-				w.activeLen = batchStart
-			}
+	w.batch = buf[:0]
+	if len(buf) > 0 {
+		if err := w.writeBatchLocked(buf, len(groups)); err != nil {
 			for i := range errs {
 				if errs[i] == nil {
 					errs[i] = err
@@ -417,40 +410,43 @@ func (w *FileWAL) AppendBatch(groups [][]Record) []error {
 	return errs
 }
 
-// writeRecordLocked encodes and writes one frame, applying the torn-write
-// fault point. On any failure the segment is truncated back to the frame
-// start so the live log stays clean — on a real disk a torn tail only
-// survives a crash; a live process that saw the write fail repairs it.
-func (w *FileWAL) writeRecordLocked(r Record) error {
-	payload, err := encodeRecord(r, w.specs)
+// frameLocked appends r's frame to buf, applying the torn-write fault
+// point. On failure buf comes back at its old length.
+func (w *FileWAL) frameLocked(buf []byte, r Record) ([]byte, error) {
+	out, err := appendRecordFrame(buf, r, w.specs)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrWriteFailed, err)
+		return buf, fmt.Errorf("%w: %v", ErrWriteFailed, err)
 	}
-	frame := appendFrame(nil, payload)
-	start := w.activeLen
 	if w.inj.Fires(fault.DiskWriteTorn) {
-		// Model the tear faithfully: a prefix reaches the file, then the
-		// write fails and the backend repairs by truncating.
-		if _, werr := w.active.Write(frame[:len(frame)/2]); werr == nil {
-			w.activeLen += int64(len(frame) / 2)
-		}
-		if terr := w.active.Truncate(start); terr == nil {
-			w.activeLen = start
-		}
 		obsWALTorn.Inc()
-		return fmt.Errorf("%w: torn write of record for %s", ErrWriteFailed, r.Txn)
+		return out[:len(buf)], fmt.Errorf("%w: torn write of record for %s", ErrWriteFailed, r.Txn)
 	}
-	n, err := w.active.Write(frame)
+	return out, nil
+}
+
+// writeBatchLocked writes a framed batch to the active segment in one
+// write and forces it with one fsync. On any failure the segment is
+// truncated back to where the batch began.
+func (w *FileWAL) writeBatchLocked(buf []byte, groups int) error {
+	start := w.activeLen
+	n, err := w.active.Write(buf)
 	w.activeLen += int64(n)
+	if err == nil && n < len(buf) {
+		err = io.ErrShortWrite
+	}
+	if err != nil {
+		obsWALFailed.Inc()
+		err = fmt.Errorf("%w: write: %v", ErrWriteFailed, err)
+	} else {
+		obsWALBytes.Add(int64(n))
+		err = w.syncLocked(groups)
+	}
 	if err != nil {
 		if terr := w.active.Truncate(start); terr == nil {
 			w.activeLen = start
 		}
-		obsWALFailed.Inc()
-		return fmt.Errorf("%w: write for %s: %v", ErrWriteFailed, r.Txn, err)
 	}
-	obsWALBytes.Add(int64(len(frame)))
-	return nil
+	return err
 }
 
 // syncLocked forces the active segment, applying the fsync fault point and
@@ -499,6 +495,7 @@ func (w *FileWAL) maybeRotateLocked() {
 		return
 	}
 	w.active.Close()
+	w.sealedBytes += w.activeLen
 	w.active, w.activeSeq, w.activeLen = f, next, size
 }
 
@@ -537,14 +534,12 @@ func (w *FileWAL) installSegmentLocked(compacted []Record, specs map[histories.O
 	// mutation.
 	var buf []byte
 	for _, r := range compacted {
-		payload, err := encodeRecord(r, specs)
-		if err != nil {
+		if buf, err = appendRecordFrame(buf, r, specs); err != nil {
 			return 0, 0, fmt.Errorf("recovery: checkpoint: %w", err)
 		}
-		buf = appendFrame(buf, payload)
 	}
 
-	before := w.segmentBytesLocked()
+	before := w.sealedBytes + w.activeLen
 	next := w.activeSeq + 1
 	nextPath := filepath.Join(w.dir, segName(next))
 	f, size, err := w.fs.OpenAppend(nextPath)
@@ -598,26 +593,8 @@ func (w *FileWAL) installSegmentLocked(compacted []Record, specs map[histories.O
 		}
 	}
 	written = int64(len(buf))
-	w.active, w.activeSeq, w.activeLen = f, next, written
+	w.active, w.activeSeq, w.activeLen, w.sealedBytes = f, next, written, 0
 	return before - written, written, nil
-}
-
-// segmentBytesLocked sums the on-disk size of every live segment.
-func (w *FileWAL) segmentBytesLocked() int64 {
-	names, err := w.fs.ReadDir(w.dir)
-	if err != nil {
-		return w.activeLen
-	}
-	var total int64
-	for _, name := range names {
-		if _, ok := parseSegName(name); !ok {
-			continue
-		}
-		if data, err := w.fs.ReadFile(filepath.Join(w.dir, name)); err == nil {
-			total += int64(len(data))
-		}
-	}
-	return total
 }
 
 // writeManifestLocked atomically replaces the manifest: tmp write, fsync,

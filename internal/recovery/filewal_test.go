@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -491,16 +492,24 @@ func TestFileWALHostedCheckpoint(t *testing.T) {
 	}
 }
 
-// failingFile wraps a walFile, failing operations on command.
+// failingFile wraps a walFile, counting writes and failing operations on
+// command. A short write puts half of p in the file and reports it without
+// an error, as a misbehaving writer might.
 type failingFile struct {
 	walFile
-	failWrite bool
-	failSync  bool
+	writes     int
+	failWrite  bool
+	shortWrite bool
+	failSync   bool
 }
 
 func (f *failingFile) Write(p []byte) (int, error) {
+	f.writes++
 	if f.failWrite {
 		return 0, errors.New("boom: write")
+	}
+	if f.shortWrite {
+		return f.walFile.Write(p[:len(p)/2])
 	}
 	return f.walFile.Write(p)
 }
@@ -583,5 +592,222 @@ func TestFileWALOSWriteErrorIsolatesGroup(t *testing.T) {
 	}
 	if got := states["a"].(adts.AccountState).Balance(); got != 2 {
 		t.Errorf("balance %d, want 2 (t2 only)", got)
+	}
+}
+
+// pairGroup is one transaction's group of three records: deposits of amt
+// into a and b, then the commit.
+func pairGroup(txn histories.ActivityID, amt int64) []Record {
+	return []Record{depositIntent(txn, "a", amt), depositIntent(txn, "b", amt), OutcomeRecord(txn, true)}
+}
+
+func pairGroups(first, n int) [][]Record {
+	groups := make([][]Record, n)
+	for i := range groups {
+		groups[i] = pairGroup(histories.ActivityID(fmt.Sprintf("t%d", first+i)), int64(first+i))
+	}
+	return groups
+}
+
+// TestFileWALOneWritePerBatch: AppendBatch hands the file system exactly
+// one write per batch, however many groups and records the batch holds.
+func TestFileWALOneWritePerBatch(t *testing.T) {
+	dir := t.TempDir()
+	specs := checkpointSpecs()
+	fs := &failingFS{}
+	w, err := OpenFileWAL(FileWALOptions{Dir: dir, Specs: specs, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := fs.files[len(fs.files)-1]
+	next := 1
+	for _, n := range []int{1, 8, 64} {
+		before := f.writes
+		for i, err := range w.AppendBatch(pairGroups(next, n)) {
+			if err != nil {
+				t.Fatalf("%d groups: group %d: %v", n, i, err)
+			}
+		}
+		next += n
+		if got := f.writes - before; got != 1 {
+			t.Errorf("a batch of %d groups issued %d writes, want 1", n, got)
+		}
+	}
+	want := w.Len()
+	w.Close()
+	w2 := openTestWAL(t, dir, specs)
+	if w2.Len() != want || want != 3*(next-1) {
+		t.Errorf("reopen holds %d records, want %d", w2.Len(), 3*(next-1))
+	}
+}
+
+// TestFileWALFailedWriteFailsWholeBatch: with one write per batch, a failed
+// or short OS write fails every group of the batch, truncates the segment
+// back to the batch start, leaves nothing of the batch after a reopen, and
+// the next batch succeeds.
+func TestFileWALFailedWriteFailsWholeBatch(t *testing.T) {
+	for _, mode := range []string{"failed", "short"} {
+		t.Run(mode, func(t *testing.T) {
+			dir := t.TempDir()
+			specs := checkpointSpecs()
+			fs := &failingFS{}
+			w, err := OpenFileWAL(FileWALOptions{Dir: dir, Specs: specs, FS: fs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			fileDeposit(t, w, "t0", "a", 100)
+			seg := filepath.Join(dir, segName(0))
+			before, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			f := fs.files[len(fs.files)-1]
+			f.failWrite, f.shortWrite = mode == "failed", mode == "short"
+			for i, err := range w.AppendBatch(pairGroups(1, 3)) {
+				if !errors.Is(err, ErrWriteFailed) {
+					t.Fatalf("group %d after a %s write = %v, want ErrWriteFailed", i, mode, err)
+				}
+			}
+			f.failWrite, f.shortWrite = false, false
+			if after, err := os.ReadFile(seg); err != nil || !bytes.Equal(after, before) {
+				t.Fatalf("segment not truncated back to the batch start: %d bytes, want %d (%v)", len(after), len(before), err)
+			}
+			if w.Len() != 2 {
+				t.Errorf("mirror holds %d records, want 2 (t0 only)", w.Len())
+			}
+			if errs := w.AppendBatch(pairGroups(4, 1)); errs[0] != nil {
+				t.Fatalf("batch after the failed one: %v", errs[0])
+			}
+			w.Close()
+
+			w2 := openTestWAL(t, dir, specs)
+			states, err := Restart(w2, specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a, b := states["a"].(adts.AccountState).Balance(), states["b"].(adts.AccountState).Balance(); a != 104 || b != 4 {
+				t.Errorf("balances %d/%d, want 104/4 (t0 and t4; the failed batch must vanish)", a, b)
+			}
+		})
+	}
+}
+
+// TestFileWALTornFramesLeaveTheRestByteExact: the torn-write fault point
+// still decides per record and isolates per group inside the one write: the
+// segment holds exactly the frames of the records before each group's tear,
+// byte for byte what writing them one at a time and truncating each tear
+// away left, and only the torn groups fail.
+func TestFileWALTornFramesLeaveTheRestByteExact(t *testing.T) {
+	specs := checkpointSpecs()
+	groups := pairGroups(1, 6)
+	// A seed whose schedule tears some group mid-way and leaves another
+	// whole, so both isolation directions are exercised.
+	var inj *fault.Injector
+	var sched []bool
+	for seed := int64(1); ; seed++ {
+		inj = fault.New(seed)
+		inj.Enable(fault.DiskWriteTorn, fault.Rule{Prob: 0.25})
+		sched = inj.Schedule(fault.DiskWriteTorn, 3*len(groups))
+		if sched[1] && !sched[0] && !sched[3] && !sched[4] && !sched[5] {
+			break
+		}
+	}
+	var want []byte
+	var wantFailed []bool
+	hit := 0
+	for _, g := range groups {
+		failed := false
+		for _, r := range g {
+			torn := sched[hit]
+			hit++
+			if torn {
+				failed = true
+				break
+			}
+			payload, err := encodeRecord(r, specs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = appendFrame(want, payload)
+		}
+		wantFailed = append(wantFailed, failed)
+	}
+
+	dir := t.TempDir()
+	fs := &failingFS{}
+	w, err := OpenFileWAL(FileWALOptions{Dir: dir, Specs: specs, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	w.SetInjector(inj)
+	errs := w.AppendBatch(groups)
+	for i, err := range errs {
+		if failed := err != nil; failed != wantFailed[i] {
+			t.Errorf("group %d: error %v, want failed=%v", i, err, wantFailed[i])
+		}
+		if err != nil && !errors.Is(err, ErrWriteFailed) {
+			t.Errorf("group %d: %v, want ErrWriteFailed", i, err)
+		}
+	}
+	if got := fs.files[len(fs.files)-1].writes; got != 1 {
+		t.Errorf("torn batch issued %d writes, want 1", got)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, segName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("segment is %d bytes, want the %d bytes of the untorn frames", len(got), len(want))
+	}
+}
+
+// TestFileWALCheckpointReclaimsRealBytes: the bytes a checkpoint reports
+// reclaimed are the live segments' real size less the checkpoint
+// segment's, from the running total that open, appends and rotation keep.
+func TestFileWALCheckpointReclaimsRealBytes(t *testing.T) {
+	dir := t.TempDir()
+	specs := checkpointSpecs()
+	open := func() *FileWAL {
+		w, err := OpenFileWAL(FileWALOptions{Dir: dir, Specs: specs, SegmentBytes: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	w := open()
+	w.AppendBatch(pairGroups(1, 20))
+	w.Close()
+	w = open()
+	defer w.Close()
+	for i := 21; i <= 40; i++ {
+		w.AppendBatch(pairGroups(i, 1))
+	}
+	segBytes := func() int64 {
+		names, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var total int64
+		for _, e := range names {
+			if _, ok := parseSegName(e.Name()); ok {
+				info, err := e.Info()
+				if err != nil {
+					t.Fatal(err)
+				}
+				total += info.Size()
+			}
+		}
+		return total
+	}
+	before := segBytes()
+	reclaimed, err := w.Checkpoint(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := segBytes(); reclaimed != before-after {
+		t.Errorf("reclaimed %d, want %d (%d live bytes before, %d after)", reclaimed, before-after, before, after)
 	}
 }

@@ -3,7 +3,11 @@ package recovery
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
+
+	"weihl83/internal/histories"
+	"weihl83/internal/spec"
 )
 
 // Frame layout of the file-backed WAL: each record is one length-prefixed,
@@ -36,13 +40,23 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // refuses to guess.
 var ErrCorrupt = errors.New("recovery: corrupt WAL segment")
 
-// appendFrame appends payload as one frame to buf and returns the result.
-func appendFrame(buf, payload []byte) []byte {
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+// appendRecordFrame encodes r as one frame at the end of buf: the header's
+// space is reserved, the payload encoded behind it and the header filled in
+// place, so the payload is never copied. On error buf is returned as it
+// was.
+func appendRecordFrame(buf []byte, r Record, specs map[histories.ObjectID]spec.SerialSpec) ([]byte, error) {
+	start := len(buf)
+	buf, err := appendRecord(append(buf, make([]byte, frameHeaderSize)...), r, specs)
+	if err != nil {
+		return buf[:start], err
+	}
+	payload := buf[start+frameHeaderSize:]
+	if len(payload) > maxFramePayload {
+		return buf[:start], fmt.Errorf("recovery: %d-byte record exceeds the frame limit", len(payload))
+	}
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, castagnoli))
+	return buf, nil
 }
 
 // scanFrames walks data frame by frame. It returns the decoded payloads
