@@ -229,6 +229,68 @@ func BenchmarkE7Commut(b *testing.B) { benchContention(b, sim.KindCommut) }
 func BenchmarkE7Exact(b *testing.B)  { benchContention(b, sim.KindExact) }
 func BenchmarkE7Escrow(b *testing.B) { benchContention(b, sim.KindEscrow) }
 
+// --- Hotpath: commit throughput with recording enabled --------------------
+//
+// The runtime's hot path: a transfer-only workload with no think time and
+// history recording ENABLED, swept across 1/4/16 workers. Three
+// configurations bracket the runtime's serial sections: plain dynamic
+// atomicity (event recording + registry), dynamic with an in-memory
+// write-ahead log (the group-commit path), and hybrid (commit-timestamp
+// ordering). One op is one batch of hotTransfers transfers per worker on a
+// fresh system.
+//
+//	go test -run '^$' -bench Hotpath .
+
+const (
+	hotAccounts  = 16
+	hotTransfers = 200
+)
+
+func BenchmarkHotpath(b *testing.B) {
+	for _, v := range []struct {
+		name string
+		kind sim.Kind
+		wal  bool
+	}{
+		{"commut", sim.KindCommut, false},
+		{"commut+wal", sim.KindCommut, true},
+		{"hybrid", sim.KindHybrid, false},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			for _, workers := range []int{1, 4, 16} {
+				b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+					var commits int64
+					for i := 0; i < b.N; i++ {
+						b.StopTimer()
+						cfg := sim.Config{Kind: v.kind, Record: true}
+						if v.wal {
+							cfg.WAL = &recovery.Disk{}
+						}
+						sys, err := sim.NewSystem(cfg, hotAccounts, false)
+						if err != nil {
+							b.Fatal(err)
+						}
+						b.StartTimer()
+						if _, err := sim.RunBank(sys, sim.BankParams{
+							Accounts:           hotAccounts,
+							InitialBalance:     1_000_000_000,
+							TransferWorkers:    workers,
+							TransfersPerWorker: hotTransfers,
+							Amount:             1,
+							Seed:               int64(i),
+						}); err != nil {
+							b.Fatal(err)
+						}
+						n, _ := sys.Manager.Stats()
+						commits += n
+					}
+					b.ReportMetric(float64(commits)/b.Elapsed().Seconds(), "commits/s")
+				})
+			}
+		})
+	}
+}
+
 // --- E8/F1: the queue interleaving and the scheduler model ---------------
 
 func BenchmarkE8QueueExact(b *testing.B) {

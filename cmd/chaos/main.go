@@ -152,9 +152,9 @@ func main() {
 			}
 			fmt.Printf("ok   seed=%d property=%s commits=%d aborts=%d crashes=%d balances=%v%s\n",
 				rep.Seed, rep.Property, rep.Commits, rep.Aborts, rep.Crashes, rep.Balances, extra)
-			fmt.Printf("     obs: tx.commit=%d tx.retry=%d locking.waits=%d dist.rpc.retransmits=%d wal.appends=%d fault.fires=%d trace=%d events\n",
+			fmt.Printf("     obs: tx.commit=%d tx.retry=%d cc.locking.conflicts=%d dist.rpc.retransmits=%d wal.appends=%d fault.fires=%d trace=%d events\n",
 				rep.Obs.Counter("tx.commit"), rep.Obs.Counter("tx.retry"),
-				rep.Obs.Counter("locking.waits"), rep.Obs.Counter("dist.rpc.retransmits"),
+				rep.Obs.Counter("cc.locking.conflicts"), rep.Obs.Counter("dist.rpc.retransmits"),
 				rep.Obs.Counter("wal.appends"), rep.Obs.Counter("fault.fires"),
 				rep.Obs.TraceRecorded)
 		}

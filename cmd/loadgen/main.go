@@ -12,7 +12,7 @@
 // ARRIVAL, so client-side queueing (the open-loop penalty of an overloaded
 // server) is part of the number, and percentiles come from the obs
 // histogram snapshot accessors. Stdout carries the machine-readable
-// document (redirect into BENCH_service.json); tables go to stderr.
+// document; tables go to stderr.
 //
 // With no -addr, loadgen spawns the service in-process on a loopback
 // listener and drives it over real TCP.
@@ -62,9 +62,8 @@ type config struct {
 	faults    string
 }
 
-// row is one ladder rung in machine-readable form (the shape cmd/benchguard
-// gates on: kind + labels identify the rung, commits_per_sec is the gated
-// throughput).
+// row is one ladder rung in machine-readable form: kind + labels identify
+// the rung, commits_per_sec is its throughput.
 type row struct {
 	Exp           string                `json:"exp"`
 	Kind          string                `json:"kind"`

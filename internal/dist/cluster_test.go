@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -11,88 +12,127 @@ import (
 	"weihl83/internal/core"
 	"weihl83/internal/fault"
 	"weihl83/internal/histories"
+	"weihl83/internal/recovery"
 	"weihl83/internal/spec"
 	"weihl83/internal/tx"
 	"weihl83/internal/value"
 )
 
-// elastic is the test harness for the elastic cluster: three sites, a
-// two-member coordinator pool, a placement ring, and a transaction manager
-// whose resources route through the cluster's placement map.
+// elastic is the test harness for the elastic cluster: sites on one
+// network, a two-member coordinator pool, a placement ring, and a
+// transaction manager whose resources route through the cluster's
+// placement map.
 type elastic struct {
 	net      *Network
 	pool     *Pool
 	coords   []*Coordinator
 	sites    map[SiteID]*Site
+	objects  []histories.ObjectID
 	cluster  *Cluster
 	manager  *tx.Manager
 	recorder *recorder
 }
 
-// newElastic builds the harness: sites A, B, C on one network (acct0 and
-// acct1 seeded at A), coordinators C0 and C1 pooled, every site wired to
-// the pool, and cluster-routed proxies for both objects registered with
-// the manager.
-func newElastic(t *testing.T, maxDelay time.Duration, inj *fault.Injector) *elastic {
+// elasticConfig shapes the harness.
+type elasticConfig struct {
+	maxDelay    time.Duration
+	inj         *fault.Injector
+	sites       []SiteID                    // started and joined to the ring, in order
+	homes       []SiteID                    // homes[i] hosts escrow account acct<i> at start
+	waitTimeout time.Duration               // every site's SiteConfig.WaitTimeout
+	record      bool                        // give every site the recorder's sink
+	disks       map[SiteID]recovery.Backend // a site's stable storage; default in-memory
+}
+
+// newElastic builds the harness the tests share: sites A, B, C (acct0 and
+// acct1 seeded at A), every site recording into e.recorder.
+func newElastic(t testing.TB, maxDelay time.Duration, inj *fault.Injector) *elastic {
 	t.Helper()
+	return newElasticWith(t, elasticConfig{
+		maxDelay: maxDelay,
+		inj:      inj,
+		sites:    []SiteID{"A", "B", "C"},
+		homes:    []SiteID{"A", "A"},
+		record:   true,
+	})
+}
+
+// newElasticWith builds the harness: the sites on one network,
+// coordinators C0 and C1 pooled, every site wired to the pool, and
+// cluster-routed proxies for every account registered with the manager.
+func newElasticWith(tb testing.TB, cfg elasticConfig) *elastic {
+	tb.Helper()
 	e := &elastic{
-		net:      NewNetwork(0, maxDelay, 7),
+		net:      NewNetwork(0, cfg.maxDelay, 7),
 		sites:    make(map[SiteID]*Site),
 		recorder: &recorder{},
 	}
-	e.net.SetInjector(inj)
+	e.net.SetInjector(cfg.inj)
 	for _, id := range []SiteID{"C0", "C1"} {
 		c, err := NewCoordinator(CoordinatorConfig{ID: id, Network: e.net})
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		e.coords = append(e.coords, c)
 	}
 	pool, err := NewPool(e.coords...)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	e.pool = pool
-	for _, id := range []SiteID{"A", "B", "C"} {
-		s, err := NewSite(SiteConfig{
+	for _, id := range cfg.sites {
+		sc := SiteConfig{
 			ID:           id,
 			Network:      e.net,
 			Coordinators: pool.IDs(),
-			Sink:         e.recorder.sink(),
-			Injector:     inj,
-		})
+			WaitTimeout:  cfg.waitTimeout,
+			Injector:     cfg.inj,
+			Disk:         cfg.disks[id],
+		}
+		if cfg.record {
+			sc.Sink = e.recorder.sink()
+		}
+		s, err := NewSite(sc)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		e.sites[id] = s
 	}
-	for _, obj := range []histories.ObjectID{"acct0", "acct1"} {
-		if err := e.sites["A"].AddObject(obj, adts.Account(), escrowGuard); err != nil {
-			t.Fatal(err)
+	for i, home := range cfg.homes {
+		obj := histories.ObjectID(fmt.Sprintf("acct%d", i))
+		if err := e.sites[home].AddObject(obj, adts.Account(), escrowGuard); err != nil {
+			tb.Fatal(err)
 		}
+		e.objects = append(e.objects, obj)
 	}
-	e.cluster = NewCluster(e.net, pool, 0, inj)
-	for _, id := range []SiteID{"A", "B", "C"} {
+	e.cluster = NewCluster(e.net, pool, 0, cfg.inj)
+	for _, id := range cfg.sites {
 		if err := e.cluster.Join(id); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	e.manager, err = tx.NewManager(tx.Config{
-		Property:    tx.Dynamic,
-		Coordinator: pool,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, obj := range []histories.ObjectID{"acct0", "acct1"} {
-		if err := e.manager.Register(e.cluster.Resource(obj, "")); err != nil {
-			t.Fatal(err)
-		}
-	}
+	e.manager = e.newManager(tb, tx.Config{Property: tx.Dynamic})
 	return e
 }
 
-func (e *elastic) deposit(t *testing.T, obj histories.ObjectID, amount int64) {
+// newManager builds a transaction manager over the pool with every
+// account's cluster-routed proxy registered.
+func (e *elastic) newManager(tb testing.TB, cfg tx.Config) *tx.Manager {
+	tb.Helper()
+	cfg.Coordinator = e.pool
+	m, err := tx.NewManager(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, obj := range e.objects {
+		if err := m.Register(e.cluster.Resource(obj, "")); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return m
+}
+
+func (e *elastic) deposit(t testing.TB, obj histories.ObjectID, amount int64) {
 	t.Helper()
 	if err := e.manager.Run(func(txn *tx.Txn) error {
 		_, err := txn.Invoke(obj, adts.OpDeposit, value.Int(amount))
@@ -221,6 +261,47 @@ func TestClusterMigrateMovesObject(t *testing.T) {
 	ck.Register("acct1", adts.AccountSpec{})
 	if err := ck.DynamicAtomic(e.recorder.history()); err != nil {
 		t.Errorf("history not dynamic atomic across migration: %v", err)
+	}
+}
+
+// TestSiteOnFileWALTakesMigratedObject is the fence around a known hole,
+// not a passing test: a site on a recovery.FileWAL cannot take in an object
+// it did not host when its log was opened. The destination's migrate-in
+// vote forces an intentions record carrying the object's committed state,
+// and FileWAL encodes a state only for objects named in
+// FileWALOptions.Specs at open, so the vote fails and the move with it. A
+// follower's replica seed record hits the same wall. The cure is a state
+// codec the log can resolve per record (by type, not by object name).
+func TestSiteOnFileWALTakesMigratedObject(t *testing.T) {
+	t.Skip("known hole: FileWAL encodes states only for objects named in FileWALOptions.Specs at open, so a migrate-in (or replica seed) record for a newly arriving object cannot be logged")
+	disks := map[SiteID]recovery.Backend{}
+	for id, obj := range map[SiteID]histories.ObjectID{"A": "acct0", "B": "acct1"} {
+		w, err := recovery.OpenFileWAL(recovery.FileWALOptions{
+			Dir:   t.TempDir(),
+			Specs: map[histories.ObjectID]spec.SerialSpec{obj: adts.AccountSpec{}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { w.Close() })
+		disks[id] = w
+	}
+	e := newElasticWith(t, elasticConfig{
+		sites: []SiteID{"A", "B"},
+		homes: []SiteID{"A", "B"},
+		disks: disks,
+	})
+	e.deposit(t, "acct0", 70)
+	if err := e.cluster.Migrate(context.Background(), "acct0", "B"); err != nil {
+		t.Fatalf("migrate onto a FileWAL site: %v", err)
+	}
+	e.sites["B"].Crash()
+	e.recoverAll(t)
+	if home, _ := e.cluster.HomeOf("acct0"); home != "B" {
+		t.Errorf("home of acct0 after restart = %s, want B", home)
+	}
+	if got := e.balance(t, "acct0"); got != 70 {
+		t.Errorf("balance after migration and restart = %d, want 70", got)
 	}
 }
 

@@ -16,18 +16,25 @@ import (
 )
 
 // newReplicated builds the elastic harness and turns on replica groups at
-// the given factor, waiting for every follower's baseline seed to land.
-func newReplicated(t *testing.T, factor int, inj *fault.Injector) *elastic {
+// the given factor.
+func newReplicated(t testing.TB, factor int, inj *fault.Injector) *elastic {
 	t.Helper()
 	e := newElastic(t, 0, inj)
-	if err := e.cluster.EnableReplication(factor); err != nil {
-		t.Fatalf("enable replication: %v", err)
-	}
-	t.Cleanup(e.cluster.Close)
-	if err := e.cluster.ReplicationIdle(5 * time.Second); err != nil {
-		t.Fatalf("seed drain: %v", err)
-	}
+	e.replicate(t, factor)
 	return e
+}
+
+// replicate turns on replica groups at the given factor and waits for
+// every follower's baseline seed to land.
+func (e *elastic) replicate(tb testing.TB, factor int) {
+	tb.Helper()
+	if err := e.cluster.EnableReplication(factor); err != nil {
+		tb.Fatalf("enable replication: %v", err)
+	}
+	tb.Cleanup(e.cluster.Close)
+	if err := e.cluster.ReplicationIdle(5 * time.Second); err != nil {
+		tb.Fatalf("seed drain: %v", err)
+	}
 }
 
 // assertConverged fails unless every follower's newest replica state equals
@@ -59,13 +66,7 @@ func (e *elastic) assertConverged(t *testing.T, obj histories.ObjectID) {
 func TestReplicationSeedsFollowers(t *testing.T) {
 	e := newElastic(t, 0, nil)
 	e.deposit(t, "acct0", 70)
-	if err := e.cluster.EnableReplication(3); err != nil {
-		t.Fatalf("enable replication: %v", err)
-	}
-	t.Cleanup(e.cluster.Close)
-	if err := e.cluster.ReplicationIdle(5 * time.Second); err != nil {
-		t.Fatalf("seed drain: %v", err)
-	}
+	e.replicate(t, 3)
 	if got := e.cluster.ReplicationFactor(); got != 3 {
 		t.Errorf("replication factor = %d, want 3", got)
 	}
@@ -379,19 +380,7 @@ func TestReadOnlyRunRoutesToReplicas(t *testing.T) {
 	if err := e.cluster.ReplicationIdle(5 * time.Second); err != nil {
 		t.Fatalf("replication drain: %v", err)
 	}
-	auditMgr, err := tx.NewManager(tx.Config{
-		Property:    tx.Dynamic,
-		Coordinator: e.pool,
-		ReadRouter:  e.cluster.ReadRouter(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, obj := range []histories.ObjectID{"acct0", "acct1"} {
-		if err := auditMgr.Register(e.cluster.Resource(obj, "")); err != nil {
-			t.Fatal(err)
-		}
-	}
+	auditMgr := e.newManager(t, tx.Config{Property: tx.Dynamic, ReadRouter: e.cluster.ReadRouter()})
 	before := obsReplReads.Load()
 	var total int64
 	if err := auditMgr.RunReadOnly(func(txn *tx.Txn) error {

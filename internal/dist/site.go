@@ -149,7 +149,11 @@ type SiteConfig struct {
 	Injector *fault.Injector
 	// Disk substitutes the site's stable storage. Nil selects a fresh
 	// in-memory recovery.Disk; pass a recovery.FileWAL (opened on the
-	// site's own directory) for real durability.
+	// site's own directory) for real durability. Limit: a FileWAL encodes
+	// object states only for the objects named in FileWALOptions.Specs at
+	// open, so such a site cannot take in an object migrated or replicated
+	// to it later (the migrate-in vote and the replica seed log the state
+	// and fail) — DESIGN §13.
 	Disk recovery.Backend
 }
 

@@ -28,11 +28,10 @@ import (
 // the inner locking object (whose conflicts land under
 // cc.locking.conflicts). A read-only wait is the hybrid protocol's own
 // conflict event — a query stalled behind a prepared update — so it is
-// counted under the uniform cc.<protocol>.conflicts scheme, with the
-// historical hybrid.rowaits name kept as an alias for one release.
+// counted under the uniform cc.<protocol>.conflicts scheme.
 var (
 	obsQueries  = obs.Default.Counter("hybrid.queries")
-	obsROWaits  = obs.Default.AliasCounter("hybrid.rowaits", "cc.hybrid.conflicts")
+	obsROWaits  = obs.Default.Counter("cc.hybrid.conflicts")
 	obsWaitLat  = obs.Default.Histogram("hybrid.wait_ns")
 	obsVersions = obs.Default.Histogram("hybrid.versions")
 	obsTrace    = obs.Default.Tracer()

@@ -20,12 +20,11 @@ import (
 // Observability: conflict-wait metrics for the locking protocols. Waits
 // are the slow path, so the extra clock reads cost nothing on granted
 // invocations. A wait is entered exactly when the guard denies every
-// candidate outcome — a conflict — so the canonical counter lives under
-// the uniform cc.<protocol>.conflicts scheme, with the historical
-// locking.waits name kept as an alias for one release.
+// candidate outcome — a conflict — so the counter lives under the uniform
+// cc.<protocol>.conflicts scheme.
 var (
 	obsGrants  = obs.Default.Counter("locking.grants")
-	obsWaits   = obs.Default.AliasCounter("locking.waits", "cc.locking.conflicts")
+	obsWaits   = obs.Default.Counter("cc.locking.conflicts")
 	obsWaitLat = obs.Default.Histogram("locking.wait_ns")
 	obsTrace   = obs.Default.Tracer()
 )

@@ -43,12 +43,11 @@ import (
 // Observability. Chain length is observed at each grant so the histogram
 // tracks how long the version log actually gets under load, not just its
 // final size. Conflicts are counted under the uniform
-// cc.<protocol>.conflicts scheme; the historical mvcc.conflicts name stays
-// as an alias for one release.
+// cc.<protocol>.conflicts scheme.
 var (
 	obsGrants    = obs.Default.Counter("mvcc.grants")
 	obsWaits     = obs.Default.Counter("mvcc.waits")
-	obsConflicts = obs.Default.AliasCounter("mvcc.conflicts", "cc.mvcc.conflicts")
+	obsConflicts = obs.Default.Counter("cc.mvcc.conflicts")
 	obsFastpath  = obs.Default.Counter("cc.mvcc.commute_fastpath")
 	obsWaitLat   = obs.Default.Histogram("mvcc.wait_ns")
 	obsChainLen  = obs.Default.Histogram("mvcc.chain.len")

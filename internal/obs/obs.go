@@ -237,19 +237,6 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// AliasCounter registers alias as a second name for the canonical counter
-// and returns the shared counter: both names resolve to the same cells, and
-// snapshots report both with equal totals. It exists to rename metrics
-// without breaking dashboards for one release — instrument under the
-// canonical name, alias the legacy one.
-func (r *Registry) AliasCounter(alias, canonical string) *Counter {
-	c := r.Counter(canonical)
-	r.mu.Lock()
-	r.counters[alias] = c
-	r.mu.Unlock()
-	return c
-}
-
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
 	r.mu.RLock()

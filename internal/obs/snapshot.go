@@ -84,41 +84,6 @@ func (s HistogramSnapshot) Quantile(q float64) int64 {
 	return s.Max
 }
 
-// DeltaSince returns the observations recorded between prev and s as a
-// snapshot of its own: counts, sum and buckets are subtracted and the
-// quantile fields re-derived from the delta buckets, so a long-running
-// process can report per-window percentiles (a benchmark row, a scrape
-// interval) without resetting the live histogram. Max cannot be windowed
-// from bucket counts alone and carries over as the all-time maximum — an
-// upper bound for the window. prev must be an earlier snapshot of the
-// same histogram; a delta with no observations is the zero snapshot.
-func (s HistogramSnapshot) DeltaSince(prev HistogramSnapshot) HistogramSnapshot {
-	d := HistogramSnapshot{Count: s.Count - prev.Count, Sum: s.Sum - prev.Sum, Max: s.Max}
-	if d.Count <= 0 {
-		return HistogramSnapshot{}
-	}
-	d.Mean = float64(d.Sum) / float64(d.Count)
-	buckets := make([]int64, len(s.Buckets))
-	copy(buckets, s.Buckets)
-	for i, n := range prev.Buckets {
-		if i < len(buckets) {
-			buckets[i] -= n
-		}
-	}
-	last := -1
-	for i, n := range buckets {
-		if n != 0 {
-			last = i
-		}
-	}
-	d.Buckets = buckets[:last+1]
-	d.P50 = d.Quantile(0.50)
-	d.P90 = d.Quantile(0.90)
-	d.P95 = d.Quantile(0.95)
-	d.P99 = d.Quantile(0.99)
-	return d
-}
-
 // Snapshot is one consistent-enough sample of a whole registry: every
 // counter total, every histogram summary, and (optionally) the tracer's
 // ring. Counters and histograms are read atomically per metric; the

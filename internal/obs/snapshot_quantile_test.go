@@ -42,43 +42,6 @@ func TestHistogramSnapshotQuantile(t *testing.T) {
 	}
 }
 
-// TestHistogramSnapshotDeltaSince checks that a window between two
-// snapshots reports the window's own count, sum, mean and percentiles —
-// the bankbench per-row commit-latency columns depend on the delta not
-// being contaminated by earlier rows.
-func TestHistogramSnapshotDeltaSince(t *testing.T) {
-	var h Histogram
-	for i := 0; i < 1000; i++ {
-		h.Observe(10) // earlier window: all fast
-	}
-	prev := SnapshotOf(&h)
-	for i := 0; i < 100; i++ {
-		h.Observe(100_000) // this window: all slow
-	}
-	d := SnapshotOf(&h).DeltaSince(prev)
-	if d.Count != 100 {
-		t.Errorf("delta count = %d, want 100", d.Count)
-	}
-	if d.Sum != 100*100_000 {
-		t.Errorf("delta sum = %d, want %d", d.Sum, 100*100_000)
-	}
-	// Every observation in the window is 100_000, so every percentile must
-	// land in its bucket — far above the earlier window's value of 10.
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		if got := d.Quantile(q); got < 100_000 {
-			t.Errorf("delta Quantile(%v) = %d, want >= 100000 (contaminated by the earlier window?)", q, got)
-		}
-	}
-	if d.P50 != d.Quantile(0.5) || d.P95 != d.Quantile(0.95) || d.P99 != d.Quantile(0.99) {
-		t.Errorf("delta percentile fields %d/%d/%d disagree with Quantile", d.P50, d.P95, d.P99)
-	}
-
-	// No observations between snapshots: the zero snapshot.
-	if z := SnapshotOf(&h).DeltaSince(SnapshotOf(&h)); z.Count != 0 || z.P99 != 0 {
-		t.Errorf("empty delta = %+v, want zero", z)
-	}
-}
-
 func TestHistogramSnapshotQuantileEdges(t *testing.T) {
 	var empty HistogramSnapshot
 	if got := empty.Quantile(0.5); got != 0 {

@@ -20,7 +20,7 @@ import (
 // Durability observability: fsync latency and how many transactions each
 // forced write amortises. One fsync per AppendBatch is the whole point of
 // group commit; these two instruments make the batching visible in
-// Metrics() snapshots and bankbench -json.
+// Metrics() snapshots.
 var (
 	obsFsyncLatency   = obs.Default.Histogram("wal.fsync")
 	obsFsyncBatchSize = obs.Default.Counter("wal.fsync.batch_size")

@@ -75,17 +75,6 @@ func (m *Metrics) AuditFailed() int64 { return m.auditFailed.Load() }
 // ConservationViolations returns how many audits saw a non-conserved total.
 func (m *Metrics) ConservationViolations() int64 { return m.violations.Load() }
 
-// TransferLatencyStats summarises the per-chain transfer latency
-// distribution (committed and failed chains alike).
-func (m *Metrics) TransferLatencyStats() obs.HistogramSnapshot {
-	return obs.SnapshotOf(&m.transferLat)
-}
-
-// AuditLatencyStats summarises the per-chain audit latency distribution.
-func (m *Metrics) AuditLatencyStats() obs.HistogramSnapshot {
-	return obs.SnapshotOf(&m.auditLat)
-}
-
 // TransferThroughput returns committed transfers per second of wall time.
 func (m *Metrics) TransferThroughput() float64 {
 	if m.Wall <= 0 {

@@ -55,11 +55,6 @@ const (
 	KindMVCCClassical
 	// KindHybrid: hybrid atomicity (locking updates, snapshot audits).
 	KindHybrid
-	// KindCascade: dynamic atomicity via the tiered conflict engine
-	// (internal/conflict): name table → argument predicate → per-block
-	// summary → memoised exact search. Grants exactly what KindExact
-	// grants.
-	KindCascade
 )
 
 // String returns the kind's short name used in experiment tables.
@@ -83,8 +78,6 @@ func (k Kind) String() string {
 		return "mvcc-classical"
 	case KindHybrid:
 		return "hybrid"
-	case KindCascade:
-		return "cascade"
 	default:
 		return "invalid"
 	}
@@ -228,8 +221,6 @@ func NewSystem(cfg Config, wantAccounts int, wantQueue bool) (*System, error) {
 			return addLocking(id, ty, locking.ExactGuard{Spec: ty.Spec}, false)
 		case KindExact:
 			return addLocking(id, ty, locking.ExactGuard{Spec: ty.Spec}, false)
-		case KindCascade:
-			return addLocking(id, ty, conflict.ForType(ty), false)
 		case KindMVCC, KindMVCCClassical:
 			o, err := mvcc.New(mvcc.Config{
 				ID:        id,

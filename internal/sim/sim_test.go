@@ -206,15 +206,6 @@ func TestMetricsDerived(t *testing.T) {
 	if empty.TransferThroughput() != 0 || empty.MeanTransferLatency() != 0 || empty.MeanAuditLatency() != 0 || empty.TransferAbortRate() != 0 || empty.AuditAbortRate() != 0 {
 		t.Error("zero metrics not zero")
 	}
-	// The latency stats come from real histograms now: quantiles are
-	// conservative upper bounds capped by the max, so p99 ≤ max.
-	stats := m.TransferLatencyStats()
-	if stats.Count != 2 || stats.Max != 4e6 || stats.P99 > stats.Max {
-		t.Errorf("transfer latency stats %+v", stats)
-	}
-	if a := m.AuditLatencyStats(); a.Count != 1 || a.Sum != 6e6 {
-		t.Errorf("audit latency stats %+v", a)
-	}
 }
 
 // TestHistoriesStayBounded sanity-checks that recording can be disabled.
