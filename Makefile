@@ -36,9 +36,12 @@ race:
 # order-stress reruns the schedule-dependent crash-consistency tests: the
 # recovered state of an object whose concurrent commits do not commute
 # state-wise equals the live one only while log order == install order
-# (DESIGN §9), and a single run can pass by luck. Well under a second.
+# (DESIGN §9), and a single run can pass by luck. Both run on a file WAL,
+# whose group commit writes one batch while the previous batch's fsync is
+# in flight; the tx test also runs on the in-memory Disk. A few seconds.
 order-stress:
 	$(GO) test -count=20 -run 'TestCrashConsistency' ./internal/tx
+	$(GO) test -count=20 -run 'TestFacadeDurableQueueRecoversInInstallOrder' .
 
 # check is the CI gate: formatting, vet, staticcheck (when present), build,
 # the full suite under the race detector, and the install-order stress.

@@ -26,6 +26,15 @@ import (
 //     write-ahead rule — a commit that cannot be logged stays prepared).
 //     AppendBatch isolates faults per group: errs[i] is nil iff group i is
 //     durable, independent of its batch mates.
+//   - WriteBatch splits AppendBatch into its two stages. It frames and
+//     writes the groups before it returns — writes land in call order, so
+//     a later call's records follow an earlier call's in the log — and the
+//     returned wait blocks until those bytes are durable, returning
+//     AppendBatch's per-group errors. AppendBatch is WriteBatch(groups)().
+//     A caller may write batch N+1 while batch N's wait is still blocked
+//     (pipelined group commit), and need not wait at all for a record
+//     whose durability no one depends on: an unwaited batch becomes
+//     durable with the next force that covers it.
 //   - Records returns a deep-copied snapshot; mutating it cannot alias the
 //     live log.
 //   - Checkpoint/CheckpointHosted snapshot committed state, compact the
@@ -36,6 +45,7 @@ import (
 type Backend interface {
 	Append(r Record) error
 	AppendBatch(groups [][]Record) []error
+	WriteBatch(groups [][]Record) (wait func() []error)
 	Records() []Record
 	Len() int
 	Checkpoint(specs map[histories.ObjectID]spec.SerialSpec) (int64, error)

@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"weihl83/internal/fault"
@@ -17,14 +19,16 @@ import (
 	"weihl83/internal/spec"
 )
 
-// Durability observability: fsync latency and how many transactions each
-// forced write amortises. One fsync per AppendBatch is the whole point of
-// group commit; these two instruments make the batching visible in
-// Metrics() snapshots.
+// Durability observability: fsync latency, how many transactions the
+// forced writes amortise, and how the durability stage overlaps: syncs
+// started while another was still in flight, and waits a sync started by
+// someone else satisfied.
 var (
-	obsFsyncLatency   = obs.Default.Histogram("wal.fsync")
-	obsFsyncBatchSize = obs.Default.Counter("wal.fsync.batch_size")
-	obsFsyncCount     = obs.Default.Counter("wal.fsync.count")
+	obsFsyncLatency    = obs.Default.Histogram("wal.fsync")
+	obsFsyncBatchSize  = obs.Default.Counter("wal.fsync.batch_size")
+	obsFsyncCount      = obs.Default.Counter("wal.fsync.count")
+	obsFsyncOverlapped = obs.Default.Counter("wal.fsync.overlapped")
+	obsFsyncCovered    = obs.Default.Counter("wal.fsync.covered")
 )
 
 // manifestName is the checkpoint manifest file inside a WAL directory.
@@ -38,6 +42,14 @@ const (
 
 // defaultSegmentBytes is the rotation threshold for the active segment.
 const defaultSegmentBytes = 4 << 20
+
+// maxSyncsInFlight caps the fsyncs of the active segment running at once:
+// two let batch N+1's fsync overlap batch N's. Each runs on a handle of its
+// own (FileWAL.handles).
+const maxSyncsInFlight = 2
+
+// errInjectedFsync is the OS error the fsync fault point stands in for.
+var errInjectedFsync = errors.New("injected fault")
 
 // walFile is the slice of *os.File the WAL needs — the injectable seam for
 // simulating write and fsync failures from the OS side in tests.
@@ -136,15 +148,15 @@ type FileWALOptions struct {
 }
 
 // FileWAL is the file-backed segmented Backend: CRC32C-framed records,
-// group commit (one write and one fsync per AppendBatch), segment rotation
-// with an on-disk checkpoint manifest, and recovery that scans segments in
-// manifest order and trims the torn tail of the final segment at the
-// first bad frame.
+// pipelined group commit (one write per WriteBatch, fsyncs that overlap the
+// next batch's write), segment rotation with an on-disk checkpoint
+// manifest, and recovery that scans segments in manifest order and trims
+// the torn tail of the final segment at the first bad frame.
 //
 // It mirrors the durable records in the log core it shares with the
 // in-memory Disk, so Records(), Len() and what a checkpoint compacts the
-// log to are the same code; the mirror is only ever updated after the
-// corresponding bytes are durable.
+// log to are the same code; the mirror takes records in log order and only
+// once their bytes are durable.
 type FileWAL struct {
 	memLog // mirror of the durable log
 	dir    string
@@ -154,10 +166,39 @@ type FileWAL struct {
 
 	active      walFile // current segment, opened for append
 	activeSeq   uint64
-	activeLen   int64
+	activeLen   int64  // bytes written to the active segment
 	sealedBytes int64  // size of the live segments before the active one
-	batch       []byte // AppendBatch's frame buffer, reused across batches
+	batch       []byte // WriteBatch's frame buffer, reused across batches
 	closed      bool
+
+	// The durability stage. Offsets are into the active segment: rotation
+	// and checkpoint drain first, so no written batch outlives its segment.
+	cond     *sync.Cond      // on mu: broadcast when a sync returns or a drain ends
+	synced   int64           // watermark: every byte below it is durable and acknowledged
+	started  int64           // the highest target of a sync started since the last failure
+	pending  []*writtenBatch // written, not yet acknowledged, in log order
+	inFlight int             // started syncs not yet returned
+	epoch    uint64          // bumped by every sync failure
+	draining int             // drains in progress: no batch is written, no other sync starts
+	// The sync handles, one per sync that may be in flight. Linux reports
+	// a writeback error to one fsync per open file description (errseq), so
+	// two fsyncs sharing a descriptor could see the error consumed by one
+	// and success reported by the other; one descriptor per concurrent sync
+	// keeps every error reaching every sync that covers its bytes. handles[0]
+	// is active itself; handles[1] is a second descriptor on the active
+	// segment, opened by the first sync that overlaps another.
+	handles [maxSyncsInFlight]walFile
+	busy    [maxSyncsInFlight]bool
+}
+
+// writtenBatch is one WriteBatch whose bytes are in the segment but not yet
+// known durable.
+type writtenBatch struct {
+	end     int64    // segment offset just past its last byte
+	records []Record // what the mirror takes once the batch is durable
+	errs    []error  // per-group outcome, final once done
+	done    bool     // acknowledged durable, or failed
+	durable bool
 }
 
 var _ Backend = (*FileWAL)(nil)
@@ -200,6 +241,7 @@ func OpenFileWAL(opts FileWALOptions) (*FileWAL, error) {
 		segMax: opts.SegmentBytes,
 	}
 	w.inj = opts.Injector
+	w.cond = sync.NewCond(&w.mu)
 	if w.segMax <= 0 {
 		w.segMax = defaultSegmentBytes
 	}
@@ -296,7 +338,7 @@ func (w *FileWAL) load() error {
 	if err != nil {
 		return fmt.Errorf("recovery: open active segment: %w", err)
 	}
-	w.active, w.activeSeq, w.activeLen = f, activeSeq, size
+	w.useSegmentLocked(f, activeSeq, size)
 	if len(seqs) == 0 {
 		// Fresh directory: make the first segment's existence durable.
 		if err := w.fs.SyncDir(w.dir); err != nil {
@@ -335,46 +377,59 @@ func (w *FileWAL) readSegment(seq uint64) (segment, error) {
 // Dir returns the WAL directory.
 func (w *FileWAL) Dir() string { return w.dir }
 
-// Close implements Backend: it closes the active segment. The log needs no
-// shutdown protocol — every acknowledged record is already durable.
+// Close implements Backend: it drains the durability stage — every written
+// batch is forced and acknowledged (or failed) — and closes the active
+// segment.
 func (w *FileWAL) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return nil
 	}
+	w.drainLocked()
+	if w.closed {
+		return nil
+	}
 	w.closed = true
+	w.closeSparesLocked()
 	return w.active.Close()
 }
 
 // Append implements Backend: one record, forced durable before return.
-func (w *FileWAL) Append(r Record) error {
-	errs := w.AppendBatch([][]Record{{r}})
-	return errs[0]
-}
+func (w *FileWAL) Append(r Record) error { return w.WriteBatch([][]Record{{r}})()[0] }
 
-// AppendBatch implements Backend — the group-commit force. Every group's
-// frames go into one buffer, one write puts the batch in the active
-// segment, and one fsync makes it durable. Fault isolation per record
-// mirrors the in-memory disk: a record that cannot be encoded, or whose
-// write the torn fault point tears, fails its group alone — the group's
-// earlier frames stay, exactly the unacknowledged prefix a solo committer
-// would leave, and later groups follow them. The torn frame itself never
-// reaches the file: on a real disk a torn tail only survives a crash, and a
-// live process that saw its write fail repairs it. A failed or short OS
-// write, or a failed fsync, fails every group and truncates the segment
-// back to the batch start: a commit record whose force failed must not be
-// durable, or a transaction the client saw abort could resurrect at
-// restart.
-func (w *FileWAL) AppendBatch(groups [][]Record) []error {
+// AppendBatch implements Backend: the write stage and the durability stage
+// back to back.
+func (w *FileWAL) AppendBatch(groups [][]Record) []error { return w.WriteBatch(groups)() }
+
+// WriteBatch implements Backend — the write stage of group commit. Every
+// group's frames go into one buffer and one write puts the batch in the
+// active segment; the returned wait is the durability stage. Fault
+// isolation per record mirrors the in-memory disk: a record that cannot be
+// encoded, or whose write the torn fault point tears, fails its group alone
+// — the group's earlier frames stay, exactly the unacknowledged prefix a
+// solo committer would leave, and later groups follow them. The torn frame
+// itself never reaches the file: on a real disk a torn tail only survives a
+// crash, and a live process that saw its write fail repairs it. A failed or
+// short OS write fails every group and truncates the segment back to the
+// batch start: a commit record whose force failed must not be durable, or a
+// transaction the client saw abort could resurrect at restart.
+//
+// WriteBatch itself never runs an fsync; it blocks on one only while a
+// drain (rotation, Checkpoint, Close) is in progress.
+func (w *FileWAL) WriteBatch(groups [][]Record) (wait func() []error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	errs := make([]error, len(groups))
+	resolved := func() []error { return errs }
+	for w.draining > 0 {
+		w.cond.Wait()
+	}
 	if w.closed {
 		for i := range errs {
 			errs[i] = fmt.Errorf("%w: wal closed", ErrWriteFailed)
 		}
-		return errs
+		return resolved
 	}
 	obsWALBatchSize.Observe(int64(len(groups)))
 
@@ -391,23 +446,20 @@ func (w *FileWAL) AppendBatch(groups [][]Record) []error {
 		}
 	}
 	w.batch = buf[:0]
-	if len(buf) > 0 {
-		if err := w.writeBatchLocked(buf, len(groups)); err != nil {
-			for i := range errs {
-				if errs[i] == nil {
-					errs[i] = err
-				}
+	if len(buf) == 0 {
+		return resolved
+	}
+	if err := w.writeLocked(buf); err != nil {
+		for i := range errs {
+			if errs[i] == nil {
+				errs[i] = err
 			}
-			return errs
 		}
+		return resolved
 	}
-
-	for _, r := range durable {
-		w.records = append(w.records, r)
-		obsWALAppends.Inc()
-	}
-	w.maybeRotateLocked()
-	return errs
+	b := &writtenBatch{end: w.activeLen, records: durable, errs: errs}
+	w.pending = append(w.pending, b)
+	return func() []error { return w.wait(b) }
 }
 
 // frameLocked appends r's frame to buf, applying the torn-write fault
@@ -424,10 +476,9 @@ func (w *FileWAL) frameLocked(buf []byte, r Record) ([]byte, error) {
 	return out, nil
 }
 
-// writeBatchLocked writes a framed batch to the active segment in one
-// write and forces it with one fsync. On any failure the segment is
-// truncated back to where the batch began.
-func (w *FileWAL) writeBatchLocked(buf []byte, groups int) error {
+// writeLocked writes a framed batch to the active segment in one write. On
+// failure the segment is truncated back to where the batch began.
+func (w *FileWAL) writeLocked(buf []byte) error {
 	start := w.activeLen
 	n, err := w.active.Write(buf)
 	w.activeLen += int64(n)
@@ -436,44 +487,197 @@ func (w *FileWAL) writeBatchLocked(buf []byte, groups int) error {
 	}
 	if err != nil {
 		obsWALFailed.Inc()
-		err = fmt.Errorf("%w: write: %v", ErrWriteFailed, err)
-	} else {
-		obsWALBytes.Add(int64(n))
-		err = w.syncLocked(groups)
-	}
-	if err != nil {
 		if terr := w.active.Truncate(start); terr == nil {
 			w.activeLen = start
 		}
+		return fmt.Errorf("%w: write: %v", ErrWriteFailed, err)
 	}
-	return err
-}
-
-// syncLocked forces the active segment, applying the fsync fault point and
-// recording latency + amortisation.
-func (w *FileWAL) syncLocked(batch int) error {
-	if w.inj.Fires(fault.DiskFsyncFail) {
-		obsWALFailed.Inc()
-		return fmt.Errorf("%w: fsync failed", ErrWriteFailed)
-	}
-	start := time.Now()
-	if err := w.active.Sync(); err != nil {
-		obsWALFailed.Inc()
-		return fmt.Errorf("%w: fsync: %v", ErrWriteFailed, err)
-	}
-	obsFsyncLatency.Observe(time.Since(start).Nanoseconds())
-	obsFsyncCount.Inc()
-	obsFsyncBatchSize.Add(int64(batch))
+	obsWALBytes.Add(int64(n))
 	return nil
 }
 
-// maybeRotateLocked starts a fresh segment once the active one is over the
-// rotation threshold. The old segment is already durable; the new file's
-// directory entry is fsynced before any record lands in it, so the
+// wait is a written batch's durability stage. It returns once every byte up
+// to the batch's end is durable — forced by a sync of its own, or by any
+// sync started after the batch was written — or once a sync failure has
+// failed it. A batch nobody waits for is acknowledged by the next sync that
+// covers it and never holds up a later wait. A waiter whose batch made the
+// active segment durable past the rotation threshold rotates it before
+// returning, so rotation, and the fsyncs it forces, fall to a committer that
+// waits anyway, never to an unwaited write.
+func (w *FileWAL) wait(b *writtenBatch) []error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	own := false
+	for !b.done {
+		if w.draining == 0 && w.started < b.end && w.inFlight < maxSyncsInFlight && w.syncLocked() {
+			own = true
+			continue
+		}
+		w.cond.Wait()
+	}
+	if b.durable && !own {
+		obsFsyncCovered.Inc()
+	}
+	if b.durable && !w.closed && w.activeLen >= w.segMax {
+		w.rotateLocked()
+	}
+	return b.errs
+}
+
+// syncLocked forces the active segment up to everything written so far, on
+// an idle sync handle, and reports whether it could claim one (opening the
+// second handle can fail). The fsync runs with w.mu released, so the next
+// batch's write — and that batch's own fsync — can overlap it.
+//
+// A success makes every byte written before the sync started durable, and
+// is applied as soon as it returns, whatever a sync still in flight will
+// report: the two run on separate descriptors, so an error in these bytes
+// reaches this sync too rather than only the other. Only a failure in
+// between voids it (the epoch moved: the bytes it covered were truncated
+// and may have been rewritten). A failure, from the OS or the fsync fault
+// point (decided as the sync returns, so it can fail a sync that was in
+// flight), fails every unacknowledged batch at once (failLocked).
+func (w *FileWAL) syncLocked() bool {
+	h := 0
+	for w.busy[h] {
+		h++
+	}
+	if w.handles[h] == nil {
+		f, _, err := w.fs.OpenAppend(filepath.Join(w.dir, segName(w.activeSeq)))
+		if err != nil {
+			return false
+		}
+		w.handles[h] = f
+	}
+	f, target, epoch := w.handles[h], w.activeLen, w.epoch
+	if w.inFlight > 0 {
+		obsFsyncOverlapped.Inc()
+	}
+	w.busy[h] = true
+	w.inFlight++
+	w.started = target
+	w.mu.Unlock()
+	start := time.Now()
+	err := f.Sync()
+	elapsed := time.Since(start)
+	w.mu.Lock()
+	w.busy[h] = false
+	w.inFlight--
+	if err == nil && w.inj.Fires(fault.DiskFsyncFail) {
+		err = errInjectedFsync
+	}
+	if err != nil {
+		obsWALFailed.Inc()
+		w.failLocked(fmt.Errorf("%w: fsync: %v", ErrWriteFailed, err))
+	} else {
+		obsFsyncLatency.Observe(elapsed.Nanoseconds())
+		obsFsyncCount.Inc()
+		if epoch == w.epoch && target > w.synced {
+			w.synced = target
+			w.ackLocked()
+		}
+	}
+	if epoch != w.epoch {
+		// A spare opened before a failure would report its error again at
+		// its next fsync, failing batches written long after; so every
+		// idle spare goes once the failing sync returns, and a spare in
+		// flight then goes when it returns. (The first handle is the
+		// writer and stays; its next fsync may report the error once
+		// more, conservatively.)
+		w.closeSparesLocked()
+	}
+	w.cond.Broadcast()
+	return true
+}
+
+// ackLocked acknowledges the batches below the watermark, in log order, into
+// the mirror.
+func (w *FileWAL) ackLocked() {
+	acked := 0
+	for _, b := range w.pending {
+		if b.end > w.synced {
+			break
+		}
+		w.records = append(w.records, b.records...)
+		obsWALAppends.Add(int64(len(b.records)))
+		obsFsyncBatchSize.Add(int64(len(b.errs)))
+		b.done, b.durable = true, true
+		acked++
+	}
+	w.pending = append(w.pending[:0], w.pending[acked:]...)
+}
+
+// failLocked fails every batch not yet acknowledged, including batches a
+// sync still in flight covers: the failure may have lost any byte written
+// since the watermark. The segment is truncated back to the watermark so
+// the next write starts clean, and the epoch moves on so no success of a
+// sync started before the truncation is applied to bytes written after it.
+func (w *FileWAL) failLocked(err error) {
+	for _, b := range w.pending {
+		for i := range b.errs {
+			if b.errs[i] == nil {
+				b.errs[i] = err
+			}
+		}
+		b.done = true
+	}
+	w.pending = nil
+	if w.activeLen > w.synced {
+		if terr := w.active.Truncate(w.synced); terr == nil {
+			w.activeLen = w.synced
+		}
+	}
+	w.epoch++
+	w.started = w.synced
+}
+
+// closeSparesLocked closes the idle sync handles other than the writer; the
+// next overlapping sync opens a fresh one.
+func (w *FileWAL) closeSparesLocked() {
+	for h := 1; h < maxSyncsInFlight; h++ {
+		if w.handles[h] != nil && !w.busy[h] {
+			w.handles[h].Close()
+			w.handles[h] = nil
+		}
+	}
+}
+
+// drainLocked waits out every started sync and forces whatever is still
+// unsynced, so every written batch is acknowledged or failed and no sync
+// holds the active segment: rotation, checkpoint and close, which swap or
+// close it, drain first. While a drain runs no batch is written and no
+// other sync starts.
+func (w *FileWAL) drainLocked() {
+	w.draining++
+	for w.inFlight > 0 {
+		w.cond.Wait()
+	}
+	if !w.closed && w.activeLen > w.synced {
+		w.syncLocked()
+	}
+	w.draining--
+	w.cond.Broadcast()
+}
+
+// useSegmentLocked makes f, size bytes long and durable throughout, the
+// active segment seq and its first sync handle.
+func (w *FileWAL) useSegmentLocked(f walFile, seq uint64, size int64) {
+	w.active, w.activeSeq, w.activeLen = f, seq, size
+	w.synced, w.started = size, size
+	w.handles[0] = f
+}
+
+// rotateLocked starts a fresh segment once the active one is over the
+// rotation threshold. It drains first, so the old segment is durable and
+// acknowledged whole and no sync still holds it; the new file's directory
+// entry is fsynced before any record lands in it, so the
 // scan-in-sequence-order recovery invariant (only the final segment may be
 // torn) holds across rotation.
-func (w *FileWAL) maybeRotateLocked() {
-	if w.activeLen < w.segMax {
+func (w *FileWAL) rotateLocked() {
+	w.drainLocked()
+	if w.closed || w.activeLen < w.segMax || w.activeLen != w.synced {
+		// Closed, rotated or compacted meanwhile, or holding bytes a
+		// failure could not truncate away: keep the segment.
 		return
 	}
 	next := w.activeSeq + 1
@@ -494,9 +698,10 @@ func (w *FileWAL) maybeRotateLocked() {
 		_ = w.fs.Remove(filepath.Join(w.dir, segName(next)))
 		return
 	}
+	w.closeSparesLocked()
 	w.active.Close()
 	w.sealedBytes += w.activeLen
-	w.active, w.activeSeq, w.activeLen = f, next, size
+	w.useSegmentLocked(f, next, size)
 }
 
 // Checkpoint implements Backend. See CheckpointHosted.
@@ -517,6 +722,12 @@ func (w *FileWAL) CheckpointHosted(specs map[histories.ObjectID]spec.SerialSpec,
 func (w *FileWAL) checkpoint(specs map[histories.ObjectID]spec.SerialSpec, initialHosted map[histories.ObjectID]bool, withHosted bool) (int64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	// Drain first: a batch written but not yet acknowledged is not in the
+	// mirror the compaction folds, and its bytes are in a segment the
+	// install reclaims.
+	if !w.closed {
+		w.drainLocked()
+	}
 	if w.closed {
 		return 0, fmt.Errorf("%w: wal closed", ErrWriteFailed)
 	}
@@ -584,6 +795,7 @@ func (w *FileWAL) installSegmentLocked(compacted []Record, specs map[histories.O
 
 	// The manifest rename committed the checkpoint: everything below next
 	// is reclaimable space.
+	w.closeSparesLocked()
 	w.active.Close()
 	if names, err := w.fs.ReadDir(w.dir); err == nil {
 		for _, name := range names {
@@ -593,7 +805,8 @@ func (w *FileWAL) installSegmentLocked(compacted []Record, specs map[histories.O
 		}
 	}
 	written = int64(len(buf))
-	w.active, w.activeSeq, w.activeLen, w.sealedBytes = f, next, written, 0
+	w.sealedBytes = 0
+	w.useSegmentLocked(f, next, written)
 	return before - written, written, nil
 }
 

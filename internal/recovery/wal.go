@@ -274,10 +274,15 @@ func (d *Disk) appendLocked(r Record) error {
 // the log without a commit record, precisely the state a solo committer
 // would leave, so Restart ignores them — while later groups still append.
 // errs[i] is nil iff group i's records are all durably logged.
-func (d *Disk) AppendBatch(groups [][]Record) (errs []error) {
+func (d *Disk) AppendBatch(groups [][]Record) []error { return d.WriteBatch(groups)() }
+
+// WriteBatch implements Backend. The in-memory disk is durable the moment a
+// record is appended, so the write stage does everything and the returned
+// wait only hands back its outcome.
+func (d *Disk) WriteBatch(groups [][]Record) (wait func() []error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	errs = make([]error, len(groups))
+	errs := make([]error, len(groups))
 	obsWALBatchSize.Observe(int64(len(groups)))
 	for i, group := range groups {
 		for _, r := range group {
@@ -287,7 +292,7 @@ func (d *Disk) AppendBatch(groups [][]Record) (errs []error) {
 			}
 		}
 	}
-	return errs
+	return func() []error { return errs }
 }
 
 // Checkpoint writes a checkpoint record — the committed-state snapshot

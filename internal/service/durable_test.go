@@ -89,6 +89,17 @@ func TestServiceRestartConservation(t *testing.T) {
 	if snap.Counters["wal.fsync.batch_size"] == 0 {
 		t.Error("wal.fsync.batch_size counter never incremented on the file backend")
 	}
+	// The durability stage's overlap instruments are in every snapshot;
+	// whether a run overlaps its fsyncs depends on the schedule, but never
+	// more syncs overlap than ran.
+	for _, name := range []string{"wal.fsync.overlapped", "wal.fsync.covered"} {
+		if _, ok := snap.Counters[name]; !ok {
+			t.Errorf("snapshot lacks the %s counter", name)
+		}
+	}
+	if o, n := snap.Counters["wal.fsync.overlapped"], snap.Counters["wal.fsync.count"]; o > n {
+		t.Errorf("wal.fsync.overlapped = %d exceeds wal.fsync.count = %d", o, n)
+	}
 
 	// --- Second life: same directory, fresh server, no provisioning. ---
 	srv2 := service.New(service.Options{DataDir: dir})

@@ -20,12 +20,41 @@ import (
 // the live committed state exactly — including for objects whose
 // concurrent blocks do not commute state-wise (the exact-guard queue),
 // which requires the runtime to keep the log's commit order consistent
-// with the installation order.
+// with the installation order. It runs on the in-memory Disk, where every
+// append completes before the next, and on a FileWAL, where one batch is
+// written while the previous batch's fsync is still in flight and the
+// rebuild reads the log back from the reopened files.
 func TestCrashConsistencyUnderConcurrency(t *testing.T) {
+	t.Run("disk", func(t *testing.T) {
+		crashConsistencyTrials(t, func() recovery.Backend { return &recovery.Disk{} },
+			func(b recovery.Backend) recovery.Backend { return b })
+	})
+	t.Run("filewal", func(t *testing.T) {
+		open := func(dir string) recovery.Backend {
+			w, err := recovery.OpenFileWAL(recovery.FileWALOptions{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { w.Close() })
+			return w
+		}
+		crashConsistencyTrials(t, func() recovery.Backend { return open(t.TempDir()) },
+			func(b recovery.Backend) recovery.Backend {
+				if err := b.Close(); err != nil {
+					t.Fatal(err)
+				}
+				return open(b.(*recovery.FileWAL).Dir())
+			})
+	})
+}
+
+// crashConsistencyTrials runs ten trials of the workload, each on a log
+// from fresh, and rebuilds the objects from the log crash hands back.
+func crashConsistencyTrials(t *testing.T, fresh func() recovery.Backend, crash func(recovery.Backend) recovery.Backend) {
 	for trial := 0; trial < 10; trial++ {
-		disk := &recovery.Disk{}
+		wal := fresh()
 		det := locking.NewDetector()
-		m, err := tx.NewManager(tx.Config{Property: tx.Dynamic, Detector: det, WAL: disk})
+		m, err := tx.NewManager(tx.Config{Property: tx.Dynamic, Detector: det, WAL: wal})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,7 +101,7 @@ func TestCrashConsistencyUnderConcurrency(t *testing.T) {
 		}
 		wg.Wait()
 
-		states, err := recovery.Restart(disk, map[histories.ObjectID]spec.SerialSpec{
+		states, err := recovery.Restart(crash(wal), map[histories.ObjectID]spec.SerialSpec{
 			"acct":  adts.AccountSpec{},
 			"queue": adts.QueueSpec{},
 		})

@@ -2,6 +2,7 @@ package tx
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"weihl83/internal/obs"
 	"weihl83/internal/recovery"
@@ -28,16 +29,25 @@ type walReq struct {
 	lead chan struct{}
 }
 
+// pipelineDepth is how many committers may be inside walGroup.submit for a
+// leader to pipeline its batch: as many batches as the file WAL overlaps
+// fsyncs for.
+const pipelineDepth = 2
+
 // walGroup batches concurrent transactions' write-ahead-log appends into
 // single forced writes (group commit). The first committer with no leader
 // running becomes leader, drains the queue, and hands the whole batch to
-// the backend's AppendBatch under one stable-storage force; arrivals
-// during that write queue up for the next batch. When the leader finishes
-// it promotes the oldest queued request's owner to lead the next batch —
-// leadership rotates with the workload, so no committer waits more than
-// one batch and no dedicated logging thread exists to stall.
+// the backend's WriteBatch; arrivals meanwhile queue up for the next batch.
+// The leader then promotes the oldest queued request's owner to lead the
+// next batch, waits for its own batch's durability and releases its riders
+// — in that order while the log is quiet, so batch N+1 is written while
+// batch N's fsync is in flight, and with the last two swapped once more
+// committers arrive, so the next batch gathers everyone who queues during
+// the fsync (see submit). Either way writes stay serialized in queue order.
+// Leadership rotates with the workload, and no dedicated logging thread
+// exists to stall.
 //
-// Fault semantics are per transaction: AppendBatch applies the torn/failed
+// Fault semantics are per transaction: the backend applies the torn/failed
 // fault points to each record and fails only the group containing the
 // faulted record, so one transaction's torn write never aborts its batch
 // mates (exactly as if each had appended solo).
@@ -47,16 +57,20 @@ type walGroup struct {
 	mu      sync.Mutex
 	queue   []*walReq
 	leading bool
+	inside  atomic.Int32 // committers in submit: queued, leading, or awaiting durability
 }
 
 // submit logs one transaction's record group, batching it with concurrent
 // submitters. It returns nil iff every record in the group is durably
 // appended. queued, when non-nil, runs as the group takes its place in the
-// queue, under the queue lock: batches are cut from the queue in order and
-// AppendBatch keeps group order, so whatever queued draws (the install
+// queue, under the queue lock: batches are cut from the queue in order, a
+// leader is promoted only after its predecessor's WriteBatch returned, and
+// WriteBatch keeps group order, so whatever queued draws (the install
 // ticket, the commit timestamp it patches into recs) is drawn in log order.
 func (g *walGroup) submit(recs []recovery.Record, queued func()) error {
 	req := &walReq{recs: recs, done: make(chan struct{}), lead: make(chan struct{})}
+	g.inside.Add(1)
+	defer g.inside.Add(-1)
 	g.mu.Lock()
 	g.queue = append(g.queue, req)
 	if queued != nil {
@@ -85,7 +99,29 @@ func (g *walGroup) submit(recs []recovery.Record, queued func()) error {
 	for i, r := range batch {
 		groups[i] = r.recs
 	}
-	errs := g.disk.AppendBatch(groups)
+	wait := g.disk.WriteBatch(groups)
+
+	// Pipeline only while the log is quiet: with at most pipelineDepth
+	// committers inside, handing leadership on before this batch is durable
+	// lets the next batch's write and fsync overlap this one's. With more,
+	// they would each write and wait on their own, splitting over more,
+	// emptier fsyncs than holding leadership through this one — the next
+	// batch then takes everyone who queued meanwhile in one write.
+	pipelined := g.inside.Load() <= pipelineDepth
+	var errs []error
+	if !pipelined {
+		errs = wait()
+	}
+	g.mu.Lock()
+	if len(g.queue) > 0 {
+		close(g.queue[0].lead)
+	} else {
+		g.leading = false
+	}
+	g.mu.Unlock()
+	if pipelined {
+		errs = wait()
+	}
 	obsGroupBatches.Inc()
 	obsGroupSize.Observe(int64(len(batch)))
 	var myErr error
@@ -97,13 +133,5 @@ func (g *walGroup) submit(recs []recovery.Record, queued func()) error {
 		}
 		close(r.done)
 	}
-
-	g.mu.Lock()
-	if len(g.queue) > 0 {
-		close(g.queue[0].lead)
-	} else {
-		g.leading = false
-	}
-	g.mu.Unlock()
 	return myErr
 }

@@ -670,9 +670,13 @@ func (t *Txn) Abort() {
 		_ = t.m.cfg.Coordinator.Decide(t.info.ID, false)
 	}
 	if disk := t.m.cfg.WAL; disk != nil {
-		// A failed abort-record append is ignored: restart presumes abort
-		// for transactions without a commit record.
-		_ = disk.Append(recovery.Record{Kind: recovery.RecordAbort, Txn: t.info.ID})
+		// The abort record is written but not waited for, and a failed
+		// write is ignored: restart presumes abort for transactions without
+		// a commit record, so nothing depends on its durability and the
+		// locks need not be held across an fsync. The next force covers it.
+		// (A file WAL's write still waits while a segment rotation,
+		// checkpoint or close drains the log.)
+		disk.WriteBatch([][]recovery.Record{{{Kind: recovery.RecordAbort, Txn: t.info.ID}}})
 	}
 	for _, r := range t.joined {
 		r.Abort(&t.info)

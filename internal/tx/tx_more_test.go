@@ -2,7 +2,10 @@ package tx_test
 
 import (
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"weihl83/internal/adts"
 	"weihl83/internal/cc"
@@ -136,6 +139,121 @@ func TestHybridWithWAL(t *testing.T) {
 	}
 	if !sawIntentions || !sawCommitTS {
 		t.Errorf("WAL missing intentions or timestamped commit: %+v", recs)
+	}
+}
+
+// stalledWAL is an in-memory log whose durability stage hangs until release
+// is closed: WriteBatch writes at once, but no wait returns before then.
+type stalledWAL struct {
+	recovery.Disk
+	release chan struct{}
+	writes  atomic.Int32
+}
+
+func (s *stalledWAL) WriteBatch(groups [][]recovery.Record) func() []error {
+	s.writes.Add(1)
+	wait := s.Disk.WriteBatch(groups)
+	return func() []error { <-s.release; return wait() }
+}
+
+func (s *stalledWAL) AppendBatch(groups [][]recovery.Record) []error {
+	return s.WriteBatch(groups)()
+}
+
+func (s *stalledWAL) Append(r recovery.Record) error {
+	return s.AppendBatch([][]recovery.Record{{r}})[0]
+}
+
+// TestAbortDoesNotWaitForItsRecord: Abort writes its abort record but does
+// not wait for it to be durable — restart presumes abort without it — so
+// it returns, and releases its locks, while the log's force is stalled.
+func TestAbortDoesNotWaitForItsRecord(t *testing.T) {
+	wal := &stalledWAL{release: make(chan struct{})}
+	defer close(wal.release)
+	m, _ := newDynamicSystem(t, wal)
+	within := func(what string, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { defer close(done); f() }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s is still blocked behind the stalled log force", what)
+		}
+	}
+
+	t1 := m.Begin()
+	if _, err := t1.Invoke("set", adts.OpInsert, value.Int(3)); err != nil {
+		t.Fatal(err)
+	}
+	within("Abort", t1.Abort)
+	t2 := m.Begin()
+	within("a conflicting invocation after the abort", func() {
+		if _, err := t2.Invoke("set", adts.OpMember, value.Int(3)); err != nil {
+			t.Error(err)
+		}
+	})
+	within("a second Abort", t2.Abort)
+
+	var aborts int
+	for _, r := range wal.Records() {
+		if r.Kind == recovery.RecordAbort {
+			aborts++
+		}
+	}
+	if aborts != 2 {
+		t.Errorf("log holds %d abort records, want 2", aborts)
+	}
+}
+
+// TestGroupCommitPipelinesOnlyWhileQuiet: while at most two committers are
+// in group commit, a leader hands leadership on as soon as its batch is
+// written, so the next batch is written while this one's force is in
+// flight. A third committer keeps leadership until its batch is durable,
+// so a fourth queues behind it for the next batch instead of writing.
+func TestGroupCommitPipelinesOnlyWhileQuiet(t *testing.T) {
+	wal := &stalledWAL{release: make(chan struct{})}
+	m, _ := newDynamicSystem(t, wal)
+	var wg sync.WaitGroup
+	commit := func() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := m.Run(func(txn *tx.Txn) error {
+				_, err := txn.Invoke("acct1", adts.OpDeposit, value.Int(1))
+				return err
+			}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	awaitWrites := func(n int32) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); wal.writes.Load() < n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d batches written, want %d while every force is stalled", wal.writes.Load(), n)
+			}
+		}
+	}
+	for n := int32(1); n <= 3; n++ {
+		commit()
+		awaitWrites(n)
+	}
+	commit()
+	time.Sleep(50 * time.Millisecond) // a write would show up at once
+	if got := wal.writes.Load(); got != 3 {
+		t.Errorf("%d batches written with three committers awaiting a stalled force, want 3: the third must hold leadership", got)
+	}
+	close(wal.release)
+	wg.Wait()
+	var commits int
+	for _, r := range wal.Records() {
+		if r.Kind == recovery.RecordCommit {
+			commits++
+		}
+	}
+	if commits != 4 {
+		t.Errorf("log holds %d commit records, want 4", commits)
 	}
 }
 
