@@ -47,10 +47,12 @@ order-stress:
 # the full suite under the race detector, and the install-order stress.
 check: fmt vet staticcheck build race order-stress
 
-# chaos runs the fault-injection harness across a batch of seeds under
-# every atomicity property.
+# chaos runs the fault-injection harness across a batch of seeds in every
+# mode: each atomicity property, plus the churn and replication clusters.
 chaos:
 	$(GO) run ./cmd/chaos -property dynamic -runs 10
+	$(GO) run ./cmd/chaos -property dynamic -churn -runs 10
+	$(GO) run ./cmd/chaos -property dynamic -replication -runs 10
 	$(GO) run ./cmd/chaos -property static -runs 10
 	$(GO) run ./cmd/chaos -property hybrid -runs 10
 
@@ -77,11 +79,12 @@ chaos-churn:
 # chaos-replication is the replica-group chaos gate: every object
 # replicated across a four-site cluster while follower deliveries drop,
 # followers crash inside the apply windows, single-site partitions rotate,
-# and WAL checkpointing compacts the logs. On top of the usual oracles
-# every completed snapshot audit must see a conserved total and every
-# follower must converge to its leader's committed state — both before and
-# after a crash-all-sites restart. Coordinator crashes stay unarmed here:
-# an orphaned decision never ships its deliveries (DESIGN §14).
+# and WAL checkpointing compacts the logs. On top of the usual oracles and
+# single-homing, every completed snapshot audit must see a conserved total
+# and every follower must converge to its leader's committed state — both
+# before and after a crash-all-sites restart. Coordinator crashes stay
+# unarmed here: an orphaned decision never ships its deliveries (DESIGN
+# §14). The oracle table is DESIGN §7.
 chaos-replication:
 	$(GO) run ./cmd/chaos -property dynamic -replication -seed 1 -runs 5 -checkpoint 2ms
 

@@ -14,6 +14,12 @@
 //	chaos -property dynamic -drop 0.2 -dup 0.2 -crash 0.05 -timeout 30s
 //	chaos -property dynamic -coordcrash 0.05 -partition 0.5 -checkpoint 2ms
 //	chaos -property dynamic -churn -checkpoint 2ms -runs 10
+//	chaos -property dynamic -replication -checkpoint 2ms -runs 10
+//
+// A mode ignores the flags of the others: -partition drives only the
+// two-site mode, the flags marked "with -churn" or "with -replication"
+// only that mode (-replication wins over -churn), and static and hybrid
+// runs read only the workload and log-fault flags.
 package main
 
 import (
@@ -42,19 +48,17 @@ func main() {
 		torn     = flag.Float64("torn", 0.05, "torn log-append probability")
 		failP    = flag.Float64("fail", 0.05, "failed log-append probability")
 		crash    = flag.Float64("crash", 0.03, "site-crash window probability (dynamic)")
-		ccrash   = flag.Float64("coordcrash", 0.03, "coordinator-crash window probability (dynamic)")
-		part     = flag.Float64("partition", 0.0, "network-partition probability per partition tick (dynamic)")
+		ccrash   = flag.Float64("coordcrash", 0.03, "coordinator-crash window probability (dynamic, -churn; never armed with -replication)")
+		part     = flag.Float64("partition", 0.0, "rotating-partition probability per partition tick (two-site dynamic mode only)")
 		ckpt     = flag.Duration("checkpoint", 0, "checkpoint+compact the logs this often (0 disables; dynamic)")
 		churn    = flag.Bool("churn", false, "elastic-cluster mode: placement ring + coordinator pool + membership churn (dynamic)")
 		churnP   = flag.Float64("churnprob", 0.9, "membership-action probability per churn tick (with -churn)")
 		migCrash = flag.Float64("migcrash", 0.05, "shard-migration crash-window probability (with -churn)")
 		migPart  = flag.Float64("migpartition", 0.2, "mid-migration partition probability (with -churn)")
-		repl     = flag.Bool("replication", false, "replica-group mode: every object replicated, commuting ops stream to followers, snapshot audits read anywhere (dynamic)")
-		replFac  = flag.Int("rfactor", 3, "replica-set size per object (with -replication)")
+		repl     = flag.Bool("replication", false, "replica-group mode: every object replicated at factor 3, commuting ops stream to followers, two snapshot-audit clients read anywhere (dynamic)")
 		replDrop = flag.Float64("repldrop", 0.2, "follower delivery-drop probability (with -replication)")
 		replCr   = flag.Float64("replcrash", 0.05, "follower apply-window crash probability (with -replication)")
 		replPart = flag.Float64("replpartition", 0.3, "single-site partition probability per tick (with -replication)")
-		audits   = flag.Int("audits", 2, "concurrent snapshot-audit clients (with -replication)")
 		timeout  = flag.Duration("timeout", 30*time.Second, "wall-clock bound per run")
 		verbose  = flag.Bool("v", false, "dump every run, not just failures")
 	)
@@ -76,53 +80,30 @@ func main() {
 	failed := 0
 	for i := 0; i < *runs; i++ {
 		cfg := chaos.Config{
-			Property:         prop,
-			Seed:             *seed + int64(i),
-			Workers:          *workers,
-			Txns:             *txns,
-			DropProb:         *drop,
-			DupProb:          *dup,
-			ReplyDropProb:    *rdrop,
-			DelayProb:        *delayP,
-			Delay:            *delay,
-			TornProb:         *torn,
-			FailProb:         *failP,
-			CrashPrepareProb: *crash,
-			CrashCommitProb:  *crash,
-			CoordCrashProb:   *ccrash,
-			PartitionProb:    *part,
-			CheckpointEvery:  *ckpt,
-		}
-		if *churn {
-			cfg.Churn = true
-			cfg.ChurnProb = *churnP
-			cfg.MigrateCrashProb = *migCrash
-			cfg.MigratePartitionProb = *migPart
-			// Churn replaces the rotating whole-network partitions with the
-			// targeted mid-migration partitions of fault.MigratePartition.
-			cfg.PartitionProb = 0
-		}
-		if *repl {
-			cfg.Replication = true
-			cfg.ReplicationFactor = *replFac
-			cfg.ReplicaDropProb = *replDrop
-			cfg.ReplicaCrashProb = *replCr
-			cfg.ReplicaPartitionProb = *replPart
-			cfg.AuditWorkers = *audits
-			cfg.Churn, cfg.ChurnProb = false, 0
-			// Replication mode drives its own single-site partition windows
-			// (fault.ReplPartition) and must not orphan commits: an orphaned
-			// decision never ships its follower deliveries (DESIGN §14), so
-			// the coordinator crash windows stay unarmed.
-			cfg.PartitionProb, cfg.CoordCrashProb = 0, 0
-		}
-		if prop != tx.Dynamic {
-			cfg.DropProb, cfg.DupProb, cfg.ReplyDropProb, cfg.DelayProb = 0, 0, 0, 0
-			cfg.CrashPrepareProb, cfg.CrashCommitProb = 0, 0
-			cfg.CoordCrashProb, cfg.PartitionProb, cfg.CheckpointEvery = 0, 0, 0
-			cfg.Churn, cfg.ChurnProb, cfg.MigrateCrashProb, cfg.MigratePartitionProb = false, 0, 0, 0
-			cfg.Replication = false
-			cfg.ReplicaDropProb, cfg.ReplicaCrashProb, cfg.ReplicaPartitionProb = 0, 0, 0
+			Property:             prop,
+			Seed:                 *seed + int64(i),
+			Workers:              *workers,
+			Txns:                 *txns,
+			DropProb:             *drop,
+			DupProb:              *dup,
+			ReplyDropProb:        *rdrop,
+			DelayProb:            *delayP,
+			Delay:                *delay,
+			TornProb:             *torn,
+			FailProb:             *failP,
+			CrashPrepareProb:     *crash,
+			CrashCommitProb:      *crash,
+			CoordCrashProb:       *ccrash,
+			PartitionProb:        *part,
+			CheckpointEvery:      *ckpt,
+			Churn:                *churn,
+			ChurnProb:            *churnP,
+			MigrateCrashProb:     *migCrash,
+			MigratePartitionProb: *migPart,
+			Replication:          *repl,
+			ReplicaDropProb:      *replDrop,
+			ReplicaCrashProb:     *replCr,
+			ReplicaPartitionProb: *replPart,
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 		rep, err := chaos.Run(ctx, cfg)
@@ -133,6 +114,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "FAIL seed=%d: %v\n", cfg.Seed, err)
 			if rep != nil {
 				fmt.Fprintln(os.Stderr, rep.Dump())
+				// The history the checker refused, when it did.
+				for i, e := range rep.History {
+					fmt.Fprintf(os.Stderr, "  [%04d] %s\n", i, e)
+				}
 				// The full observability snapshot — every counter,
 				// histogram and the transaction event trace — as one JSON
 				// document, for replaying the failure offline.

@@ -1,18 +1,19 @@
 // Package chaos is the randomized fault-injection harness: it runs
-// bank/queue workloads against a full system — distributed two-site
-// two-phase commit for dynamic atomicity, write-ahead-logged local systems
-// for static and hybrid atomicity — while a seeded fault.Injector drops,
-// duplicates and delays messages, tears and fails log writes, and crashes
-// sites inside the commit protocol. A recoverer brings crashed sites back
-// up mid-run.
+// bank/queue workloads against a full system — distributed two-phase commit
+// for dynamic atomicity (a fixed two-site cluster, an elastic cluster under
+// membership churn, or a replicated cluster), write-ahead-logged local
+// systems for static and hybrid atomicity — while a seeded fault.Injector
+// drops, duplicates and delays messages, tears and fails log writes, and
+// crashes sites inside the commit protocol. A recoverer brings crashed sites
+// back up mid-run.
 //
 // The oracle is the paper's own theory: after the run the recorded event
 // history must satisfy the configured local atomicity property (the exact
 // Checker from internal/core), money must be conserved across the escrow
-// accounts, and — where intentions are logged — recovery.Restart replayed
-// over the log alone must reproduce the live committed balances. Faults
-// are decided purely by (seed, point, hit), so a failing run is replayed
-// exactly by rerunning its seed.
+// accounts, and — where intentions are logged — a restart from the log
+// alone must reproduce the live committed state. Faults are decided purely
+// by (seed, point, hit), so a failing run is replayed exactly by rerunning
+// its seed.
 package chaos
 
 import (
@@ -20,18 +21,14 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"sync"
 	"time"
 
 	"weihl83/internal/adts"
 	"weihl83/internal/cc"
 	"weihl83/internal/ccrt"
-	"weihl83/internal/conflict"
 	"weihl83/internal/core"
-	"weihl83/internal/dist"
 	"weihl83/internal/fault"
 	"weihl83/internal/histories"
-	"weihl83/internal/locking"
 	"weihl83/internal/obs"
 	"weihl83/internal/recovery"
 	"weihl83/internal/sim"
@@ -41,11 +38,12 @@ import (
 )
 
 // Config parameterises a chaos run. The zero value is invalid: Property is
-// required; everything else defaults via fill.
+// required; everything else defaults via fill. Each mode reads only its own
+// fields and ignores the rest.
 type Config struct {
-	// Property selects the system under test: Dynamic runs a two-site
-	// distributed cluster, Static and Hybrid run local write-ahead-logged
-	// systems.
+	// Property selects the system under test: Dynamic runs a distributed
+	// cluster (see Churn and Replication for its modes), Static and Hybrid
+	// run local write-ahead-logged systems.
 	Property tx.Property
 	// Seed pins the fault schedule and all workload randomness.
 	Seed int64
@@ -66,34 +64,26 @@ type Config struct {
 	// after logging but before installing.
 	CrashPrepareProb, CrashCommitProb float64
 	// CoordCrashProb arms the coordinator's crash windows around the
-	// decision force (dynamic only; enabled after seeding, so the seed
+	// decision force (dynamic and churn; enabled after seeding, so the seed
 	// deposit cannot be orphaned and retried into a double deposit).
 	CoordCrashProb float64
-	// PartitionProb arms the partition driver: every PartitionEvery it
-	// consults fault.NetPartition and, when it fires, splits the network
-	// into rotating groups for PartitionWindow, then heals (dynamic only;
-	// started after seeding).
-	PartitionProb   float64
-	PartitionEvery  time.Duration
-	PartitionWindow time.Duration
-	// CheckpointEvery, when positive, checkpoints every up site's (and the
-	// coordinator's) write-ahead log on that cadence, compacting it
-	// mid-run (dynamic only).
+	// PartitionProb arms the partition driver of the two-site mode: on its
+	// cadence it consults fault.NetPartition and, when it fires, splits the
+	// network into rotating groups for a window, then heals (started after
+	// seeding).
+	PartitionProb float64
+	// CheckpointEvery, when positive, checkpoints every up site's and
+	// coordinator's write-ahead log on that cadence, compacting it mid-run
+	// (dynamic only).
 	CheckpointEvery time.Duration
-	// RecoverEvery is the recoverer's cadence for bringing crashed sites
-	// (and the coordinator) back up and running the in-doubt resolver at
-	// up sites (default 200µs; dynamic only). Zero disables the recoverer
-	// — only safe when no crash or partition faults are enabled.
-	RecoverEvery time.Duration
 	// Churn selects the elastic-cluster mode for dynamic runs: four sites
 	// behind a placement ring, a two-member coordinator pool, and a churn
 	// driver taking membership actions (targeted moves, join/leave,
-	// rebalance) while the workload runs. See runChurn.
+	// rebalance) while the workload runs. See churnTopology.
 	Churn bool
-	// ChurnProb arms fault.ClusterChurn: the churn driver consults it
-	// every ChurnEvery (default 300µs) and acts when it fires.
-	ChurnProb  float64
-	ChurnEvery time.Duration
+	// ChurnProb arms fault.ClusterChurn: the churn driver consults it on
+	// its cadence and acts when it fires.
+	ChurnProb float64
 	// MigrateCrashProb arms the shard-migration crash windows
 	// (fault.MigrateCrashSource, fault.MigrateCrashDest,
 	// fault.MigrateCrashCommit) at every site.
@@ -101,13 +91,11 @@ type Config struct {
 	// MigratePartitionProb arms fault.MigratePartition: the network splits
 	// between a migration's copy and its commit, isolating one half.
 	MigratePartitionProb float64
-	// Replication selects the replica-group mode for dynamic runs: four
-	// sites, every object replicated at ReplicationFactor, commuting
-	// operations streaming to followers without locks or 2PC, snapshot
-	// audits reading at any follower. See runReplication.
+	// Replication selects the replica-group mode for dynamic runs (it wins
+	// over Churn): four sites, every object replicated at factor 3,
+	// commuting operations streaming to followers without locks or 2PC,
+	// snapshot audits reading at any follower. See replicationTopology.
 	Replication bool
-	// ReplicationFactor is the replica-set size per object (default 3).
-	ReplicationFactor int
 	// ReplicaDropProb arms fault.ReplDeliverDrop: follower deliveries are
 	// dropped in flight and retried by the replicator's queues.
 	ReplicaDropProb float64
@@ -116,13 +104,20 @@ type Config struct {
 	// committing it), forcing redelivery against a recovered replica.
 	ReplicaCrashProb float64
 	// ReplicaPartitionProb arms fault.ReplPartition: the partition driver
-	// consults it on the PartitionEvery cadence and, when it fires, splits
-	// one site from the rest for PartitionWindow.
+	// consults it on its cadence and, when it fires, splits one site from
+	// the rest for a window.
 	ReplicaPartitionProb float64
-	// AuditWorkers is the number of concurrent snapshot-audit clients in
-	// replication mode (default 2).
-	AuditWorkers int
 }
+
+// The drivers' fixed cadences and the replication mode's fixed shape.
+const (
+	recoverEvery      = 200 * time.Microsecond
+	partitionEvery    = 500 * time.Microsecond
+	partitionWindow   = 1500 * time.Microsecond
+	churnEvery        = 300 * time.Microsecond
+	replicationFactor = 3
+	auditWorkers      = 2
+)
 
 func (c *Config) fill() {
 	if c.Workers <= 0 {
@@ -131,32 +126,19 @@ func (c *Config) fill() {
 	if c.Txns <= 0 {
 		c.Txns = 3
 	}
-	if c.RecoverEvery <= 0 && (c.CrashPrepareProb > 0 || c.CrashCommitProb > 0 ||
-		c.CoordCrashProb > 0 || c.PartitionProb > 0 || c.Churn || c.Replication) {
-		c.RecoverEvery = 200 * time.Microsecond
-	}
-	if c.Churn && c.ChurnEvery <= 0 {
-		c.ChurnEvery = 300 * time.Microsecond
-	}
-	if c.Replication {
-		if c.ReplicationFactor <= 0 {
-			c.ReplicationFactor = 3
-		}
-		if c.AuditWorkers <= 0 {
-			c.AuditWorkers = 2
-		}
-	}
 	if c.Delay <= 0 {
 		c.Delay = 50 * time.Microsecond
 	}
-	if c.PartitionProb > 0 || c.ReplicaPartitionProb > 0 {
-		if c.PartitionEvery <= 0 {
-			c.PartitionEvery = 500 * time.Microsecond
-		}
-		if c.PartitionWindow <= 0 {
-			c.PartitionWindow = 1500 * time.Microsecond
-		}
+	if c.Replication {
+		c.Churn = false
 	}
+}
+
+// recovers reports whether the run needs the recoverer: some crash,
+// partition, churn or replication fault class is armed.
+func (c Config) recovers() bool {
+	return c.CrashPrepareProb > 0 || c.CrashCommitProb > 0 || c.CoordCrashProb > 0 ||
+		c.PartitionProb > 0 || c.Churn || c.Replication
 }
 
 // Report is the outcome of a chaos run, returned even when the run fails
@@ -166,15 +148,19 @@ type Report struct {
 	Seed     int64
 	Commits  int64
 	Aborts   int64
-	Crashes  int64
+	// Crashes counts the crashes the faults injected at sites and
+	// coordinators (not the restart oracle's own).
+	Crashes int64
 	// Balances are the final committed account balances; Conserved is
 	// their sum matched against the initial deposit.
 	Balances  []int64
 	Conserved bool
 	// Events is the length of the recorded history; CheckErr is the
-	// atomicity checker's verdict on it (empty = passed).
+	// atomicity checker's verdict on it (empty = passed). History keeps
+	// the checked history when the checker failed.
 	Events   int
 	CheckErr string
+	History  histories.History
 	// Audits counts completed snapshot audits and Converged reports the
 	// follower-equals-leader oracle (replication mode only).
 	Audits    int64
@@ -222,14 +208,22 @@ func (c Config) injector() *fault.Injector {
 	in.Enable(fault.ReplApplyCrash, fault.Rule{Prob: c.ReplicaCrashProb})
 	in.Enable(fault.ReplPartition, fault.Rule{Prob: c.ReplicaPartitionProb})
 	// The coordinator crash windows (fault.CoordCrashBeforeLog/AfterLog)
-	// are armed by runDist after the seed deposit commits: an orphaned,
+	// are armed by runCluster after the seed deposit commits: an orphaned,
 	// committed-but-retried seed would double the deposit and break the
 	// conservation oracle, while orphaned transfers are sum-preserving.
+	// A point outside a mode's topology is armed but never reached.
 	return in
 }
 
 // perTransfer is the amount each transfer moves between accounts.
 const perTransfer = 5
+
+// accounts are the escrow accounts whose balances the conservation oracle
+// sums; objects adds the FIFO queue.
+var (
+	accounts = []histories.ObjectID{"acct0", "acct1"}
+	objects  = []histories.ObjectID{"acct0", "acct1", "queue"}
+)
 
 // Run executes one chaos run bounded by ctx: when ctx expires the workload
 // stops promptly (tx.RunCtx honours it through retries and backoff waits)
@@ -249,23 +243,19 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			tr.Disable()
 		}
 	}()
+	inj := cfg.injector()
 	var rep *Report
 	var err error
 	switch cfg.Property {
 	case tx.Dynamic:
-		if cfg.Replication {
-			rep, err = runReplication(ctx, cfg)
-		} else if cfg.Churn {
-			rep, err = runChurn(ctx, cfg)
-		} else {
-			rep, err = runDist(ctx, cfg)
-		}
+		rep, err = runCluster(ctx, cfg, inj)
 	case tx.Static, tx.Hybrid:
-		rep, err = runLocal(ctx, cfg)
+		rep, err = runLocal(ctx, cfg, inj)
 	default:
 		return nil, fmt.Errorf("chaos: unknown property %d", cfg.Property)
 	}
 	if rep != nil {
+		rep.Trace, rep.Injector = inj.Trace(), inj.Summary()
 		rep.Obs = obs.Default.Snapshot(true)
 	}
 	return rep, err
@@ -307,24 +297,20 @@ func transfer(txn *tx.Txn, worker, round int) error {
 	return err
 }
 
+// total is the money the seed deposit puts into acct0.
+func (c Config) total() int64 {
+	return int64(c.Workers * c.Txns * perTransfer)
+}
+
 // seedWorkload deposits the run's total into acct0.
 func seedWorkload(ctx context.Context, cfg Config, m *tx.Manager) error {
-	total := int64(cfg.Workers * cfg.Txns * perTransfer)
 	if err := m.RunCtx(ctx, func(txn *tx.Txn) error {
-		_, err := txn.Invoke("acct0", adts.OpDeposit, value.Int(total))
+		_, err := txn.Invoke("acct0", adts.OpDeposit, value.Int(cfg.total()))
 		return err
 	}); err != nil {
 		return fmt.Errorf("chaos: seeding: %w", err)
 	}
 	return nil
-}
-
-// runWorkers seeds acct0 and runs the concurrent transfer workload.
-func runWorkers(ctx context.Context, cfg Config, m *tx.Manager) error {
-	if err := seedWorkload(ctx, cfg, m); err != nil {
-		return err
-	}
-	return runTransfers(ctx, cfg, m)
 }
 
 // runTransfers runs the concurrent transfer workload.
@@ -352,13 +338,15 @@ func runTransfers(ctx context.Context, cfg Config, m *tx.Manager) error {
 	return first
 }
 
-func checkHistory(prop tx.Property, h histories.History) string {
+// check runs the property's exact checker over the recorded history,
+// keeping the history on the report when it fails, and returns the verdict.
+func (r *Report) check(h histories.History) error {
 	ck := core.NewChecker()
 	ck.Register("acct0", adts.AccountSpec{})
 	ck.Register("acct1", adts.AccountSpec{})
 	ck.Register("queue", adts.QueueSpec{})
 	var err error
-	switch prop {
+	switch r.Property {
 	case tx.Dynamic:
 		err = ck.DynamicAtomic(h)
 	case tx.Static:
@@ -366,312 +354,52 @@ func checkHistory(prop tx.Property, h histories.History) string {
 	case tx.Hybrid:
 		err = ck.HybridAtomic(h)
 	}
+	r.Events, r.CheckErr, r.History = len(h), "", nil
 	if err != nil {
-		return err.Error()
+		r.CheckErr, r.History = err.Error(), h
+		return errors.New("chaos: " + r.CheckErr)
 	}
-	return ""
+	return nil
 }
 
-// runDist is the dynamic-atomicity mode: two sites, escrow accounts on
-// each, a FIFO queue, a crashable coordinator with its own decision log,
-// distributed two-phase commit, message faults, site- and
-// coordinator-crash windows, network partitions and WAL checkpointing,
-// with a recoverer reviving crashed nodes and driving the in-doubt
-// resolver. The client's messages originate at the coordinator's network
-// position, so an open partition cuts transactions off from the sites on
-// the far side.
-func runDist(ctx context.Context, cfg Config) (*Report, error) {
-	inj := cfg.injector()
-	rec := &recorder{}
-	net := dist.NewNetwork(0, 0, cfg.Seed)
-	net.SetInjector(inj)
-	net.SetRPC(300*time.Microsecond, 7)
-	coord, err := dist.NewCoordinator(dist.CoordinatorConfig{ID: "C", Network: net, Injector: inj})
-	if err != nil {
-		return nil, err
-	}
-
-	newSite := func(id dist.SiteID) (*dist.Site, error) {
-		return dist.NewSite(dist.SiteConfig{
-			ID:          id,
-			Network:     net,
-			Coordinator: "C",
-			Sink:        rec.sink(),
-			Injector:    inj,
-			WaitTimeout: 2 * time.Millisecond,
-		})
-	}
-	siteA, err := newSite("A")
-	if err != nil {
-		return nil, err
-	}
-	siteB, err := newSite("B")
-	if err != nil {
-		return nil, err
-	}
-	// acct0 exercises the full tiered cascade under faults; acct1 keeps the
-	// standalone escrow guard covered, and the queue the plain table guard.
-	// The queue rides the table guard for a second reason: it grants two
-	// enqueues concurrently only when they carry the same value, where their
-	// order cannot show. Under the cascade (or exact) guard two transactions
-	// may prepare enqueues of different values in one order and commit in
-	// the other, and a site redoes a committed transaction at the log
-	// position of its prepare, not of its commit — restart would rebuild a
-	// queue no live transaction saw (dist.TestSiteRedoOrderHole, DESIGN
-	// §13). The committed seed matrix stays clear of that hole until
-	// recovery gains a per-object commit point.
-	cascade := func(t adts.Type) locking.Guard { return conflict.ForType(t) }
-	escrow := func(adts.Type) locking.Guard { return locking.EscrowGuard{} }
-	table := func(t adts.Type) locking.Guard { return locking.TableGuard{Conflicts: t.Conflicts} }
-	if err := siteA.AddObject("acct0", adts.Account(), cascade); err != nil {
-		return nil, err
-	}
-	if err := siteB.AddObject("acct1", adts.Account(), escrow); err != nil {
-		return nil, err
-	}
-	if err := siteB.AddObject("queue", adts.Queue(), table); err != nil {
-		return nil, err
-	}
-	m, err := tx.NewManager(tx.Config{
-		Property:    tx.Dynamic,
-		Coordinator: coord,
-		MaxRetries:  10000,
-		Backoff:     tx.Backoff{Base: 50 * time.Microsecond, Max: 2 * time.Millisecond, Seed: cfg.Seed + 1},
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range []cc.Resource{
-		dist.NewRemoteResourceAt(net, "C", "A", "acct0"),
-		dist.NewRemoteResourceAt(net, "C", "B", "acct1"),
-		dist.NewRemoteResourceAt(net, "C", "B", "queue"),
-	} {
-		if err := m.Register(r); err != nil {
-			return nil, err
-		}
-	}
-
-	// Background drivers run while the transfer workload does. The
-	// recoverer revives crashed sites and the coordinator and runs the
-	// in-doubt resolver at up sites; the partition driver opens windows
-	// when fault.NetPartition fires; the checkpoint driver compacts logs.
-	done := make(chan struct{})
-	var drivers sync.WaitGroup
-	stopDrivers := func() { close(done); drivers.Wait() }
-	if cfg.RecoverEvery > 0 {
-		drivers.Add(1)
-		go func() {
-			defer drivers.Done()
-			tick := time.NewTicker(cfg.RecoverEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-done:
-					return
-				case <-tick.C:
-					if !coord.Up() {
-						_ = coord.Recover()
-					}
-					for _, s := range net.Sites() {
-						if !s.Up() {
-							// ErrStillInDoubt (coordinator down or
-							// partitioned, peers silent) is retried on the
-							// next tick.
-							_ = s.Recover()
-						} else {
-							s.ResolveInDoubt(2 * time.Millisecond)
-							// Reclaim locks of unprepared transactions whose
-							// client-side abort never arrived (partitioned
-							// away or retransmissions exhausted); nothing
-							// else ever visits them. Live clients finish in
-							// well under the idle threshold.
-							s.AbortAbandoned(25 * time.Millisecond)
-						}
-					}
-				}
-			}
-		}()
-	}
-	if cfg.PartitionProb > 0 {
-		splits := [][][]dist.SiteID{
-			{{"C", "A"}, {"B"}},
-			{{"C", "B"}, {"A"}},
-			{{"A", "B"}, {"C"}},
-		}
-		drivers.Add(1)
-		go func() {
-			defer drivers.Done()
-			tick := time.NewTicker(cfg.PartitionEvery)
-			defer tick.Stop()
-			next := 0
-			for {
-				select {
-				case <-done:
-					return
-				case <-tick.C:
-					if !inj.Fires(fault.NetPartition) {
-						continue
-					}
-					net.Partition(splits[next%len(splits)]...)
-					next++
-					select {
-					case <-done:
-						net.Heal()
-						return
-					case <-time.After(cfg.PartitionWindow):
-					}
-					net.Heal()
-				}
-			}
-		}()
-	}
-	if cfg.CheckpointEvery > 0 {
-		drivers.Add(1)
-		go func() {
-			defer drivers.Done()
-			tick := time.NewTicker(cfg.CheckpointEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-done:
-					return
-				case <-tick.C:
-					for _, s := range net.Sites() {
-						if s.Up() {
-							_, _ = s.Checkpoint()
-						}
-					}
-					if coord.Up() {
-						_, _ = coord.Checkpoint()
-					}
-				}
-			}
-		}()
-	}
-
-	workErr := seedWorkload(ctx, cfg, m)
-	if workErr == nil {
-		// Arm the coordinator crash windows only now: see injector().
-		inj.Enable(fault.CoordCrashBeforeLog, fault.Rule{Prob: cfg.CoordCrashProb})
-		inj.Enable(fault.CoordCrashAfterLog, fault.Rule{Prob: cfg.CoordCrashProb})
-		workErr = runTransfers(ctx, cfg, m)
-	}
-	stopDrivers()
-
-	// Final phase: heal the network, detach message faults (their damage is
-	// done; what remains is bringing the system to a checkable state), and
-	// quiesce — every node up, every in-doubt transaction resolved through
-	// the termination protocol, every committed effect installed.
-	net.Heal()
-	net.SetInjector(nil)
-	if !coord.Up() {
-		if err := coord.Recover(); err != nil {
-			return nil, fmt.Errorf("chaos: final coordinator recovery: %w", err)
-		}
-	}
-	for round := 0; ; round++ {
-		allUp := true
-		pending := 0
-		for _, s := range net.Sites() {
-			if !s.Up() {
-				if err := s.Recover(); err != nil {
-					allUp = false
-					continue
-				}
-			}
-			s.ResolveInDoubt(0)
-			// Every worker has exited, so any still-unprepared invoker is
-			// abandoned by definition.
-			s.AbortAbandoned(0)
-			pending += s.PendingInDoubt()
-		}
-		if allUp && pending == 0 {
-			break
-		}
-		if round >= 200 {
-			return nil, fmt.Errorf("chaos: final recovery did not quiesce: allUp=%v pending=%d", allUp, pending)
-		}
-		time.Sleep(500 * time.Microsecond)
-	}
-
-	// Restart-replay oracle: crash every site and recover it, so the final
-	// committed states are provably reconstructible from the write-ahead
-	// logs (checkpoint + suffix after compaction) plus the termination
-	// protocol — never from surviving volatile state.
-	probes := []struct {
-		s   *dist.Site
-		ids []histories.ObjectID
-	}{{siteA, []histories.ObjectID{"acct0"}}, {siteB, []histories.ObjectID{"acct1", "queue"}}}
-	before := make(map[histories.ObjectID]string)
-	for _, p := range probes {
-		for _, id := range p.ids {
-			key, err := p.s.CommittedStateKey(id)
-			if err != nil {
-				return nil, err
-			}
-			before[id] = key
-		}
-	}
-	for _, p := range probes {
-		p.s.Crash()
-		if err := p.s.Recover(); err != nil {
-			return nil, fmt.Errorf("chaos: restart oracle recovering %s: %w", p.s.ID(), err)
-		}
-	}
-
-	rep := &Report{Property: cfg.Property, Seed: cfg.Seed, Trace: inj.Trace(), Injector: inj.Summary()}
-	rep.Commits, rep.Aborts = m.Stats()
-	rep.Crashes = siteA.Crashes() + siteB.Crashes() + coord.Crashes()
-	h := rec.history()
-	rep.Events = len(h)
-
-	// Conservation, read from the committed states directly (no extra
-	// transactions, so the checked history stays the workload's own).
+// conserve records the final balances and checks their sum against the
+// seeded total.
+func (r *Report) conserve(total int64, balances []int64) error {
 	var sum int64
-	var replayErr error
-	for _, p := range probes {
-		for _, id := range p.ids {
-			key, err := p.s.CommittedStateKey(id)
-			if err != nil {
-				return rep, err
-			}
-			if key != before[id] && replayErr == nil {
-				replayErr = fmt.Errorf("chaos: restart replay of %s = %q, live committed = %q", id, key, before[id])
-			}
-			if id != "queue" {
-				b, err := strconv.ParseInt(key, 10, 64)
-				if err != nil {
-					return rep, fmt.Errorf("chaos: account state %q: %w", key, err)
-				}
-				rep.Balances = append(rep.Balances, b)
-				sum += b
-			}
+	for _, b := range balances {
+		sum += b
+	}
+	r.Balances, r.Conserved = balances, sum == total
+	if !r.Conserved {
+		return fmt.Errorf("chaos: conservation violated: balances %v sum %d, want %d", balances, sum, total)
+	}
+	return nil
+}
+
+// firstError returns the first failed verdict, the oracles listed in
+// precedence order.
+func firstError(errs ...error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	total := int64(cfg.Workers * cfg.Txns * perTransfer)
-	rep.Conserved = sum == total
-	rep.CheckErr = checkHistory(cfg.Property, h)
+	return nil
+}
 
-	if workErr != nil {
-		return rep, workErr
+// balance parses an account's committed state key.
+func balance(key string) (int64, error) {
+	b, err := strconv.ParseInt(key, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("chaos: account state %q: %w", key, err)
 	}
-	if replayErr != nil {
-		return rep, replayErr
-	}
-	if !rep.Conserved {
-		return rep, fmt.Errorf("chaos: conservation violated: balances %v sum %d, want %d", rep.Balances, sum, total)
-	}
-	if rep.CheckErr != "" {
-		return rep, errors.New("chaos: " + rep.CheckErr)
-	}
-	return rep, nil
+	return b, nil
 }
 
 // runLocal is the static/hybrid mode: a local system with a write-ahead
 // log, stable-storage faults injected at the disk, and — when the protocol
 // logs intentions — a crash-restart oracle replaying the log from scratch.
-func runLocal(ctx context.Context, cfg Config) (*Report, error) {
-	inj := cfg.injector()
+func runLocal(ctx context.Context, cfg Config, inj *fault.Injector) (*Report, error) {
 	disk := &recovery.Disk{}
 	disk.SetInjector(inj)
 	kind := sim.KindMVCC
@@ -690,18 +418,19 @@ func runLocal(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	m := sys.Manager
 
-	workErr := runWorkers(ctx, cfg, m)
+	workErr := seedWorkload(ctx, cfg, m)
+	if workErr == nil {
+		workErr = runTransfers(ctx, cfg, m)
+	}
 
-	rep := &Report{Property: cfg.Property, Seed: cfg.Seed, Trace: inj.Trace(), Injector: inj.Summary()}
+	rep := &Report{Property: cfg.Property, Seed: cfg.Seed}
 	rep.Commits, rep.Aborts = m.Stats()
-	h := m.History()
-	rep.Events = len(h)
-	rep.CheckErr = checkHistory(cfg.Property, h)
+	checkErr := rep.check(m.History())
 
 	// Balances via read transactions — after capturing the checked history,
 	// so the audit reads don't inflate it.
-	var sum int64
-	for _, id := range []histories.ObjectID{"acct0", "acct1"} {
+	var balances []int64
+	for _, id := range accounts {
 		var b int64
 		if err := m.RunCtx(ctx, func(txn *tx.Txn) error {
 			v, err := txn.Invoke(id, adts.OpBalance, value.Nil())
@@ -713,23 +442,15 @@ func runLocal(ctx context.Context, cfg Config) (*Report, error) {
 		}); err != nil {
 			return rep, fmt.Errorf("chaos: reading %s: %w", id, err)
 		}
-		rep.Balances = append(rep.Balances, b)
-		sum += b
+		balances = append(balances, b)
 	}
-	total := int64(cfg.Workers * cfg.Txns * perTransfer)
-	rep.Conserved = sum == total
-
-	if workErr != nil {
-		return rep, workErr
+	consErr := rep.conserve(cfg.total(), balances)
+	invErr := sys.Err()
+	if invErr != nil {
+		invErr = fmt.Errorf("chaos: object invariant: %w", invErr)
 	}
-	if err := sys.Err(); err != nil {
-		return rep, fmt.Errorf("chaos: object invariant: %w", err)
-	}
-	if !rep.Conserved {
-		return rep, fmt.Errorf("chaos: conservation violated: balances %v sum %d, want %d", rep.Balances, sum, total)
-	}
-	if rep.CheckErr != "" {
-		return rep, errors.New("chaos: " + rep.CheckErr)
+	if err := firstError(workErr, invErr, consErr, checkErr); err != nil {
+		return rep, err
 	}
 
 	// Crash-restart oracle: hybrid objects report intentions, so the log
@@ -744,10 +465,10 @@ func runLocal(ctx context.Context, cfg Config) (*Report, error) {
 		if err != nil {
 			return rep, fmt.Errorf("chaos: restart replay: %w", err)
 		}
-		for i, id := range []histories.ObjectID{"acct0", "acct1"} {
-			b, err := strconv.ParseInt(states[id].Key(), 10, 64)
+		for i, id := range accounts {
+			b, err := balance(states[id].Key())
 			if err != nil {
-				return rep, fmt.Errorf("chaos: restarted state %q: %w", states[id].Key(), err)
+				return rep, err
 			}
 			if b != rep.Balances[i] {
 				return rep, fmt.Errorf("chaos: restart replay of %s = %d, live committed = %d", id, b, rep.Balances[i])

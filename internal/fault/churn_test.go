@@ -61,6 +61,58 @@ func TestChaosChurn(t *testing.T) {
 	}
 }
 
+// replicationConfig is the `make chaos-replication` configuration:
+// cmd/chaos's defaults with -replication -checkpoint 2ms. The two-site
+// knobs faultyConfig sets (PartitionProb, CoordCrashProb) stay set: the
+// replication mode must ignore them.
+func replicationConfig(seed int64) chaos.Config {
+	cfg := faultyConfig(tx.Dynamic, seed)
+	cfg.DelayProb, cfg.Delay = 0.10, 100*time.Microsecond
+	cfg.Replication = true
+	cfg.ReplicaDropProb = 0.2
+	cfg.ReplicaCrashProb = 0.05
+	cfg.ReplicaPartitionProb = 0.3
+	return cfg
+}
+
+// TestChaosReplication runs the replica-group mode across seeds 1–5,
+// verifying the harness's oracles — atomicity, conservation, restart
+// replay, single-homing, atomic audit snapshots and follower convergence
+// before and after a crash-all restart — and that every replica fault
+// class actually fired somewhere in the matrix.
+func TestChaosReplication(t *testing.T) {
+	fires := map[string]int64{
+		"fault.fire.repl.deliver.drop": 0,
+		"fault.fire.repl.apply.crash":  0,
+		"fault.fire.repl.partition":    0,
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+		rep, err := chaos.Run(ctx, replicationConfig(seed))
+		cancel()
+		if err != nil {
+			if rep != nil {
+				t.Log(rep.Dump())
+			}
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !rep.Converged {
+			t.Errorf("seed %d: replicas did not converge", seed)
+		}
+		if rep.Audits == 0 {
+			t.Errorf("seed %d: no snapshot audit completed", seed)
+		}
+		for name := range fires {
+			fires[name] += rep.Obs.Counter(name)
+		}
+	}
+	for name, n := range fires {
+		if n == 0 {
+			t.Errorf("%s = 0 across the seed matrix; fault class not exercised", name)
+		}
+	}
+}
+
 // TestChaosChurnSoak re-runs the churn matrix many times when
 // CHAOS_CHURN_SOAK names a run count (e.g. CHAOS_CHURN_SOAK=100); plain
 // `go test` does a 2-round smoke. Each round cycles fresh seeds so the
