@@ -767,14 +767,29 @@ func (s *Site) handleInvoke(obj histories.ObjectID, txn *cc.TxnInfo, inv spec.In
 		return value.Nil(), err
 	}
 	v, err := o.Invoke(txn, inv)
-	if err == nil && s.isDecided(txn.ID) {
+	if s.isDecided(txn.ID) {
 		// The abandoned-transaction sweeper resolved this transaction while
-		// the invoke was in flight; its freshly granted locks would leak.
-		// Undo and refuse.
-		o.Abort(txn)
-		return value.Nil(), fmt.Errorf("%w: invoke by %s at %s", ErrRefused, txn.ID, s.id)
+		// the invoke was in flight. Its freshly granted locks would leak, and
+		// so would the detector entry a wait inside the invoke left behind
+		// after the sweeper's Forget: undo both and refuse.
+		if err == nil {
+			o.Abort(txn)
+			err = fmt.Errorf("%w: invoke by %s at %s", ErrRefused, txn.ID, s.id)
+		}
+		s.forgetTxn(txn.ID)
+		return value.Nil(), err
 	}
 	return v, err
+}
+
+// forgetTxn drops txn from the site's deadlock detector.
+func (s *Site) forgetTxn(txn histories.ActivityID) {
+	s.mu.Lock()
+	det := s.detector
+	s.mu.Unlock()
+	if det != nil {
+		det.Forget(txn)
+	}
 }
 
 func (s *Site) isDecided(txn histories.ActivityID) bool {
@@ -786,7 +801,6 @@ func (s *Site) isDecided(txn histories.ActivityID) bool {
 
 func (s *Site) registerTxn(txn *cc.TxnInfo, obj histories.ObjectID) {
 	s.mu.Lock()
-	det := s.detector
 	if s.active != nil {
 		a := s.active[txn.ID]
 		if a == nil {
@@ -797,9 +811,6 @@ func (s *Site) registerTxn(txn *cc.TxnInfo, obj histories.ObjectID) {
 		a.lastSeen = time.Now()
 	}
 	s.mu.Unlock()
-	if det != nil {
-		det.Register(txn.ID, txn.Seq)
-	}
 }
 
 // handlePrepare is a client transaction's vote at obj: the intentions the

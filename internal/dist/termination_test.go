@@ -454,3 +454,80 @@ func TestAbandonedUnpreparedTxnSwept(t *testing.T) {
 		t.Fatalf("swept %d prepared transactions, want 0", n)
 	}
 }
+
+// TestSweptWaiterLeavesDetectorEmpty: an invoke that is blocked at a site
+// when the sweeper aborts its transaction as abandoned keeps waiting behind
+// the holder, entering the deadlock detector again after the sweeper's
+// Forget. Once granted it is refused — and it must leave no detector entry
+// behind, or the site's detector would stay resident for good.
+func TestSweptWaiterLeavesDetectorEmpty(t *testing.T) {
+	c := newCluster(t, 0)
+	seedAcct0(t, c)
+	o, err := c.siteA.object("acct0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// held reads acct0 and votes yes: a prepared holder is never swept.
+	held := c.manager.Begin()
+	if _, err := held.Invoke("acct0", adts.OpBalance, value.Nil()); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.remA.Prepare(&cc.TxnInfo{ID: held.ID(), Participants: []string{"A"}}); err != nil {
+		t.Fatal(err)
+	}
+	dead := c.manager.Begin()
+	errc := make(chan error, 1)
+	go func() {
+		_, err := dead.Invoke("acct0", adts.OpDeposit, value.Int(1))
+		errc <- err
+	}()
+	waitFor(t, "the deposit to wait", func() bool { return detectorResident(c.siteA) == 1 })
+	if n := c.siteA.AbortAbandoned(0); n != 1 {
+		t.Fatalf("swept %d, want 1 (the waiting deposit)", n)
+	}
+	// A commit at acct0 wakes the swept waiter, which blocks behind held
+	// again: its new wait postdates the sweeper's Forget.
+	_, waitsBefore := o.Stats()
+	if err := c.manager.Run(func(txn *tx.Txn) error {
+		_, err := txn.Invoke("acct0", adts.OpBalance, value.Nil())
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the swept deposit to wait again", func() bool {
+		_, waits := o.Stats()
+		return waits > waitsBefore && detectorResident(c.siteA) == 1
+	})
+	held.Abort()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, ErrRefused) {
+			t.Fatalf("swept invoke = %v, want ErrRefused", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("swept invoke never returned")
+	}
+	if r := detectorResident(c.siteA); r != 0 {
+		t.Fatalf("detector resident = %d after every transaction finished, want 0", r)
+	}
+}
+
+// detectorResident reads the resident count of s's deadlock detector.
+func detectorResident(s *Site) int {
+	s.mu.Lock()
+	det := s.detector
+	s.mu.Unlock()
+	return det.Resident()
+}
+
+// waitFor polls cond until it holds, failing the test after five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

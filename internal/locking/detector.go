@@ -2,24 +2,38 @@ package locking
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"weihl83/internal/cc"
 	"weihl83/internal/histories"
 )
 
 // Detector is the global waits-for-graph deadlock detector. Objects report
-// "transaction W is waiting for holders H₁…Hₙ"; the detector looks for a
-// cycle through the new edges and, if it finds one, dooms the youngest
-// transaction in the cycle (the one with the largest birth sequence
-// number). Doomed transactions are woken via the broadcast hooks the
-// objects register and observe their fate through Doomed.
+// "transaction W, born at sequence number s, is waiting for holders
+// H₁…Hₙ"; the detector looks for a cycle through the new edges and, if it
+// finds one, dooms the youngest transaction in the cycle (the one with the
+// largest birth sequence number). Doomed transactions are woken via the
+// wake hooks the objects register and observe their fate through Doomed.
+//
+// Only transactions that wait pay for detection. A transaction enters the
+// detector's maps (becomes resident) in SetWaiting and leaves them in
+// Forget. Every node on a waits-for cycle has an outgoing edge, so it is a
+// waiter and resident with its birth number recorded: victim selection
+// needs nothing from transactions that never waited, and a victim is
+// always resident before it is doomed. While no transaction is resident,
+// Doomed, ClearWaiting and Forget answer from an atomic count without
+// taking the mutex, so uncontended transactions share nothing here.
 type Detector struct {
-	mu         sync.Mutex
-	waits      map[histories.ActivityID]map[histories.ActivityID]bool
-	seq        map[histories.ActivityID]int64
-	doomed     map[histories.ActivityID]error
-	broadcasts []func()
-	wakes      []func(histories.ActivityID)
+	mu     sync.Mutex
+	waits  map[histories.ActivityID]map[histories.ActivityID]bool
+	seq    map[histories.ActivityID]int64
+	doomed map[histories.ActivityID]error
+	wakes  []func(histories.ActivityID)
+
+	// resident is len(seq), stored under mu after every change. The keys of
+	// waits and doomed are subsets of seq's, so it counts every transaction
+	// the maps mention.
+	resident atomic.Int64
 }
 
 // NewDetector returns an empty detector.
@@ -31,83 +45,51 @@ func NewDetector() *Detector {
 	}
 }
 
-// RegisterBroadcast adds a hook the detector calls (outside its lock)
-// whenever it dooms a transaction, so blocked waiters re-examine their
-// state. Broadcast hooks wake every waiter at the registering object;
-// prefer RegisterWake, which lets the object wake only the victim.
-func (d *Detector) RegisterBroadcast(f func()) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.broadcasts = append(d.broadcasts, f)
-}
-
 // RegisterWake adds a targeted hook the detector calls (outside its lock)
 // with each doomed transaction's id. The object hosting that transaction's
 // blocked wait wakes exactly that waiter; every other object's hook is a
-// cheap map miss. This replaces the old doom-time broadcast, under which a
-// single deadlock victim woke every blocked transaction in the system (a
-// thundering herd re-running every guard to no effect).
+// cheap map miss, so one deadlock victim does not wake every blocked
+// transaction in the system.
 func (d *Detector) RegisterWake(f func(histories.ActivityID)) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.wakes = append(d.wakes, f)
 }
 
-// Register announces a transaction and its birth sequence number.
-func (d *Detector) Register(txn histories.ActivityID, seq int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.seq[txn] = seq
-}
+// Resident returns the number of transactions the detector holds state
+// for: those that waited (or were doomed) and are not yet forgotten. It is
+// zero whenever no transaction is between its first wait and its Forget.
+func (d *Detector) Resident() int { return int(d.resident.Load()) }
 
 // Forget removes all record of a finished transaction.
 func (d *Detector) Forget(txn histories.ActivityID) {
+	if d.resident.Load() == 0 {
+		return
+	}
 	d.mu.Lock()
 	delete(d.waits, txn)
 	delete(d.seq, txn)
 	delete(d.doomed, txn)
+	d.resident.Store(int64(len(d.seq)))
 	d.mu.Unlock()
 }
 
 // Doomed returns the abort reason assigned to txn, or nil.
 func (d *Detector) Doomed(txn histories.ActivityID) error {
+	if d.resident.Load() == 0 {
+		return nil
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.doomed[txn]
 }
 
-// Doom marks txn for abort with the given reason (e.g. a user-initiated
-// abort of a blocked transaction) and wakes its waiter.
-func (d *Detector) Doom(txn histories.ActivityID, reason error) {
-	d.mu.Lock()
-	if d.doomed[txn] == nil {
-		d.doomed[txn] = reason
-	}
-	broadcasts := append([]func(){}, d.broadcasts...)
-	wakes := append([]func(histories.ActivityID){}, d.wakes...)
-	d.mu.Unlock()
-	d.fire(broadcasts, wakes, []histories.ActivityID{txn})
-}
-
-// fire runs the wake hooks for each doomed transaction and any legacy
-// broadcast hooks, outside d.mu (hooks re-acquire object locks).
-func (d *Detector) fire(broadcasts []func(), wakes []func(histories.ActivityID), doomed []histories.ActivityID) {
-	for _, txn := range doomed {
-		for _, f := range wakes {
-			f(txn)
-		}
-	}
-	for _, f := range broadcasts {
-		f()
-	}
-}
-
-// SetWaiting records that waiter is blocked on holders, runs cycle
-// detection, and returns the waiter's doom reason if the waiter itself is
-// (or became) doomed. Victim selection dooms the youngest transaction on
-// the detected cycle; if that victim is not the waiter, the waiter keeps
-// waiting (the victim is woken by broadcast).
-func (d *Detector) SetWaiting(waiter histories.ActivityID, holders []histories.ActivityID) error {
+// SetWaiting records that waiter (born at seq) is blocked on holders, runs
+// cycle detection, and returns the waiter's doom reason if the waiter
+// itself is (or became) doomed. Victim selection dooms the youngest
+// transaction on the detected cycle; if that victim is not the waiter, the
+// waiter keeps waiting (the victim is woken through the wake hooks).
+func (d *Detector) SetWaiting(waiter histories.ActivityID, seq int64, holders []histories.ActivityID) error {
 	d.mu.Lock()
 	set := make(map[histories.ActivityID]bool, len(holders))
 	for _, h := range holders {
@@ -116,6 +98,8 @@ func (d *Detector) SetWaiting(waiter histories.ActivityID, holders []histories.A
 		}
 	}
 	d.waits[waiter] = set
+	d.seq[waiter] = seq
+	d.resident.Store(int64(len(d.seq)))
 
 	var doomedNow []histories.ActivityID
 	for {
@@ -136,18 +120,26 @@ func (d *Detector) SetWaiting(waiter histories.ActivityID, holders []histories.A
 		doomedNow = append(doomedNow, victim)
 	}
 	err := d.doomed[waiter]
-	broadcasts := append([]func(){}, d.broadcasts...)
-	wakes := append([]func(histories.ActivityID){}, d.wakes...)
+	var wakes []func(histories.ActivityID)
+	if len(doomedNow) > 0 {
+		wakes = append(wakes, d.wakes...)
+	}
 	d.mu.Unlock()
 
-	if len(doomedNow) > 0 {
-		d.fire(broadcasts, wakes, doomedNow)
+	// The hooks re-acquire object locks, so they run outside d.mu.
+	for _, txn := range doomedNow {
+		for _, f := range wakes {
+			f(txn)
+		}
 	}
 	return err
 }
 
 // ClearWaiting records that waiter is no longer blocked.
 func (d *Detector) ClearWaiting(waiter histories.ActivityID) {
+	if d.resident.Load() == 0 {
+		return
+	}
 	d.mu.Lock()
 	delete(d.waits, waiter)
 	d.mu.Unlock()

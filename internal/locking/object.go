@@ -207,19 +207,20 @@ func (o *Object) Invoke(txn *cc.TxnInfo, inv spec.Invocation) (value.Value, erro
 	o.sink.Emit(histories.Invoke(o.id, txn.ID, inv.Op, inv.Arg))
 	e := o.active.Get(txn.ID)
 
-	var deadline <-chan time.Time
-	if o.waitTimeout > 0 {
-		timer := time.NewTimer(o.waitTimeout)
-		defer timer.Stop()
-		deadline = timer.C
-	}
-	// The wait channel is allocated on first block and re-registered on every
+	// The wait channel and the WaitTimeout timer are allocated on the first
+	// block, so a granted invocation allocates neither; the timer bounds the
+	// whole blocked wait from then on. The channel is re-registered on every
 	// pass through the loop; this deferred cleanup (running before the
 	// deferred unlock, so still under o.mu) covers every return path.
 	var waitCh chan struct{}
+	var timer *time.Timer
+	var deadline <-chan time.Time
 	defer func() {
 		if waitCh != nil {
 			o.waiters.Unregister(txn.ID)
+		}
+		if timer != nil {
+			timer.Stop()
 		}
 	}()
 	for {
@@ -269,6 +270,10 @@ func (o *Object) Invoke(txn *cc.TxnInfo, inv spec.Invocation) (value.Value, erro
 		waitStart := time.Now()
 		if waitCh == nil {
 			waitCh = make(chan struct{}, 1)
+			if o.waitTimeout > 0 {
+				timer = time.NewTimer(o.waitTimeout)
+				deadline = timer.C
+			}
 		} else {
 			select {
 			case <-waitCh:
@@ -278,7 +283,7 @@ func (o *Object) Invoke(txn *cc.TxnInfo, inv spec.Invocation) (value.Value, erro
 		o.waiters.Register(txn.ID, waitCh)
 		o.mu.Unlock()
 		if o.detector != nil {
-			if reason := o.detector.SetWaiting(txn.ID, holders); reason != nil {
+			if reason := o.detector.SetWaiting(txn.ID, txn.Seq, holders); reason != nil {
 				o.detector.ClearWaiting(txn.ID)
 				o.mu.Lock() // restore the invariant for the deferred unlock
 				return value.Nil(), fmt.Errorf("locking: %s blocked at %s: %w", txn.ID, o.id, reason)
@@ -327,9 +332,6 @@ func (o *Object) grant(txn *cc.TxnInfo, e *txnEntry, cand spec.Call, next spec.S
 		o.base = next
 	}
 	e.intentions.Add(cand)
-	if o.detector != nil {
-		o.detector.ClearWaiting(txn.ID)
-	}
 	o.sink.Emit(histories.Return(o.id, txn.ID, cand.Result))
 }
 
@@ -337,6 +339,11 @@ func (o *Object) grant(txn *cc.TxnInfo, e *txnEntry, cand spec.Call, next spec.S
 // transactions and their ids. Callers must hold o.mu. Iteration order is
 // made deterministic for reproducible guard decisions.
 func (o *Object) othersOf(me histories.ActivityID) ([][]spec.Call, []histories.ActivityID) {
+	// Nobody else is active: skip the sort. (A concurrent abort can delete
+	// a blocked invoker's own entry, so the length alone does not say so.)
+	if n := o.active.Len(); n == 0 || n == 1 && o.active.Lookup(me) != nil {
+		return nil, nil
+	}
 	ids := o.active.SortedIDs(func(id histories.ActivityID, e *txnEntry) bool {
 		return id != me && e.intentions.Len() > 0
 	})

@@ -241,8 +241,6 @@ func TestDeadlockDetectionAcrossObjects(t *testing.T) {
 	}
 	ox, oy := newObj("x"), newObj("y")
 	a, b := txn("a", 1), txn("b", 2)
-	det.Register(a.ID, a.Seq)
-	det.Register(b.ID, b.Seq)
 
 	mustInvoke(t, ox, a, adts.OpDeposit, value.Int(1)) // a holds x
 	mustInvoke(t, oy, b, adts.OpDeposit, value.Int(1)) // b holds y
@@ -291,6 +289,8 @@ func TestDeadlockDetectionAcrossObjects(t *testing.T) {
 	wg.Wait()
 	ox.Commit(a, histories.TSNone)
 	oy.Commit(a, histories.TSNone)
+	det.Forget(a.ID)
+	assertDetectorEmpty(t, det)
 }
 
 func TestTimeoutWithoutDetector(t *testing.T) {
@@ -308,6 +308,39 @@ func TestTimeoutWithoutDetector(t *testing.T) {
 	_, err = o.Invoke(b, spec.Invocation{Op: adts.OpWithdraw, Arg: value.Int(1)})
 	if !errors.Is(err, cc.ErrTimeout) {
 		t.Errorf("blocked invoke = %v, want ErrTimeout", err)
+	}
+}
+
+// TestAbortedWaiterStillSeesHolder: aborting a blocked invoker's entry
+// underneath it (a site's abandoned-transaction sweeper does) wakes it, but
+// the holder it conflicts with still blocks it — it must time out, not be
+// granted as if the object had no other transaction.
+func TestAbortedWaiterStillSeesHolder(t *testing.T) {
+	o, err := New(Config{
+		ID:          "y",
+		Type:        adts.Account(),
+		Guard:       TableGuard{Conflicts: adts.AccountConflicts},
+		WaitTimeout: 100 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := txn("a", 1), txn("b", 2)
+	mustInvoke(t, o, a, adts.OpBalance, value.Nil())
+	errc := make(chan error, 1)
+	go func() {
+		_, err := o.Invoke(b, spec.Invocation{Op: adts.OpDeposit, Arg: value.Int(1)})
+		errc <- err
+	}()
+	for {
+		if _, waits := o.Stats(); waits > 0 {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	o.Abort(b)
+	if err := <-errc; !errors.Is(err, cc.ErrTimeout) {
+		t.Fatalf("woken waiter = %v, want ErrTimeout behind the holder", err)
 	}
 }
 

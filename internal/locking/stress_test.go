@@ -53,7 +53,6 @@ func stressGuardCase(t *testing.T, name string, ty adts.Type, mkGuard func() Gua
 				rng := rand.New(rand.NewSource(int64(w) + 1))
 				for k := 0; k < opsPer; k++ {
 					tx := nextTxn(w)
-					det.Register(tx.ID, tx.Seq)
 					nOps := 1 + rng.Intn(3)
 					aborted := false
 					for i := 0; i < nOps; i++ {
@@ -90,6 +89,7 @@ func stressGuardCase(t *testing.T, name string, ty adts.Type, mkGuard func() Gua
 		if err := o.Err(); err != nil {
 			t.Fatalf("object corrupted: %v", err)
 		}
+		assertDetectorEmpty(t, det)
 		h := rec.history()
 		if err := h.WellFormed(); err != nil {
 			t.Fatalf("recorded history ill-formed: %v", err)

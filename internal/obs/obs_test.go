@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -96,6 +97,68 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 	if got := h.Max(); got != n-1 {
 		t.Errorf("max = %d, want %d", got, n-1)
+	}
+}
+
+// TestHistogramShardedMatchesSerial: observations spread over the shards
+// by eight concurrent goroutines read back exactly like the same values
+// observed serially — count, sum, max, every quantile and the raw buckets.
+func TestHistogramShardedMatchesSerial(t *testing.T) {
+	const workers, perWorker = 8, 4_000
+	value := func(w, i int) int64 { return int64((w*7919 + i*104729) % 5_000_000) }
+	var serial, sharded Histogram
+	for w := 0; w < workers; w++ {
+		for i := 0; i < perWorker; i++ {
+			serial.Observe(value(w, i))
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				sharded.Observe(value(w, i))
+			}
+		}(w)
+	}
+	wg.Wait()
+	if sharded.Count() != serial.Count() || sharded.Sum() != serial.Sum() || sharded.Max() != serial.Max() {
+		t.Fatalf("count/sum/max = %d/%d/%d, serial %d/%d/%d",
+			sharded.Count(), sharded.Sum(), sharded.Max(), serial.Count(), serial.Sum(), serial.Max())
+	}
+	for _, q := range []float64{0, 0.1, 0.5, 0.9, 0.95, 0.99, 0.999, 1} {
+		if got, want := sharded.Quantile(q), serial.Quantile(q); got != want {
+			t.Errorf("quantile(%v) = %d, serial %d", q, got, want)
+		}
+	}
+	got, want := SnapshotOf(&sharded), SnapshotOf(&serial)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("snapshot = %+v\nserial   = %+v", got, want)
+	}
+}
+
+// TestHistogramResetZeroesEveryShard: reset clears every shard, not just
+// the one the resetting goroutine would observe into.
+func TestHistogramResetZeroesEveryShard(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("h")
+	for i := range h.shards {
+		s := &h.shards[i]
+		s.count, s.sum, s.max = 1, int64(i+1), int64(i+1)
+		s.buckets[bucketOf(int64(i+1))] = 1
+	}
+	if h.Count() != counterShards || h.Max() != counterShards {
+		t.Fatalf("seeded count/max = %d/%d, want %d/%d", h.Count(), h.Max(), counterShards, counterShards)
+	}
+	r.Reset()
+	for i := range h.shards {
+		if s := h.shards[i]; s.count != 0 || s.sum != 0 || s.max != 0 || s.buckets != [histBuckets]int64{} {
+			t.Fatalf("shard %d not zeroed by Reset: %+v", i, s)
+		}
+	}
+	if snap := SnapshotOf(h); snap.Count != 0 || len(snap.Buckets) != 0 || snap.P99 != 0 {
+		t.Fatalf("snapshot after Reset = %+v", snap)
 	}
 }
 

@@ -26,27 +26,27 @@ type HistogramSnapshot struct {
 	Buckets []int64 `json:"buckets,omitempty"`
 }
 
-// SnapshotOf captures a histogram.
+// SnapshotOf captures a histogram, merging its shards once: the quantiles
+// are derived from the captured buckets.
 func SnapshotOf(h *Histogram) HistogramSnapshot {
-	buckets := make([]int64, histBuckets)
+	buckets := h.buckets()
 	last := -1
-	for i := range buckets {
-		buckets[i] = atomicLoad(&h.buckets[i])
-		if buckets[i] != 0 {
+	for i, n := range buckets {
+		if n != 0 {
 			last = i
 		}
 	}
-	return HistogramSnapshot{
+	s := HistogramSnapshot{
 		Count:   h.Count(),
 		Sum:     h.Sum(),
-		Mean:    h.Mean(),
 		Max:     h.Max(),
-		P50:     h.Quantile(0.50),
-		P90:     h.Quantile(0.90),
-		P95:     h.Quantile(0.95),
-		P99:     h.Quantile(0.99),
-		Buckets: buckets[:last+1],
+		Buckets: append([]int64{}, buckets[:last+1]...),
 	}
+	if s.Count > 0 {
+		s.Mean = float64(s.Sum) / float64(s.Count)
+	}
+	s.P50, s.P90, s.P95, s.P99 = s.Quantile(0.50), s.Quantile(0.90), s.Quantile(0.95), s.Quantile(0.99)
+	return s
 }
 
 // Quantile estimates the q-quantile (q in [0,1]) from the snapshot's raw
@@ -54,34 +54,10 @@ func SnapshotOf(h *Histogram) HistogramSnapshot {
 // gives: consumers (benchmark emitters, dashboards) ask a snapshot for any
 // percentile instead of re-deriving it from the bucket layout themselves.
 func (s HistogramSnapshot) Quantile(q float64) int64 {
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	if s.Count == 0 || len(s.Buckets) == 0 {
+	if len(s.Buckets) == 0 {
 		return 0
 	}
-	rank := int64(q * float64(s.Count))
-	if rank >= s.Count {
-		rank = s.Count - 1
-	}
-	var cum int64
-	for i, n := range s.Buckets {
-		cum += n
-		if cum > rank {
-			upper := int64(1)<<uint(i) - 1
-			if i == 0 {
-				upper = 0
-			}
-			if s.Max < upper {
-				upper = s.Max
-			}
-			return upper
-		}
-	}
-	return s.Max
+	return quantileOf(q, s.Count, s.Max, s.Buckets)
 }
 
 // Snapshot is one consistent-enough sample of a whole registry: every

@@ -93,12 +93,12 @@ type TimestampSource interface {
 	Next() histories.Timestamp
 }
 
-// Doomer lets the runtime doom blocked transactions (implemented by
-// locking.Detector); optional.
+// Doomer is the deadlock detector's view of transaction deaths
+// (implemented by locking.Detector); optional. Objects report waits to the
+// detector themselves, so the runtime only tells it when a transaction
+// finishes.
 type Doomer interface {
-	Register(txn histories.ActivityID, seq int64)
 	Forget(txn histories.ActivityID)
-	Doom(txn histories.ActivityID, reason error)
 }
 
 // callsReporter is implemented by resources that can report a
@@ -187,7 +187,7 @@ type Config struct {
 	Property Property
 	// Clock issues timestamps; required for Static and Hybrid.
 	Clock TimestampSource
-	// Detector, when set, is informed of transaction births and deaths.
+	// Detector, when set, is told when each transaction finishes.
 	Detector Doomer
 	// Record enables history recording (see Manager.Sink and
 	// Manager.History).
@@ -424,9 +424,6 @@ func (m *Manager) begin(readOnly bool) *Txn {
 			t.info.ReadOnly = true
 		}
 	}
-	if m.cfg.Detector != nil {
-		m.cfg.Detector.Register(t.info.ID, seq)
-	}
 	if obsTrace.Enabled() {
 		note := ""
 		if readOnly {
@@ -539,7 +536,10 @@ func (t *Txn) Commit() error {
 	}
 	prepStart := time.Now()
 	for _, r := range t.joined {
-		r0 := time.Now()
+		var r0 time.Time
+		if obsTrace.Enabled() {
+			r0 = time.Now()
+		}
 		if err := r.Prepare(&t.info); err != nil {
 			t.Abort()
 			return fmt.Errorf("tx: prepare failed: %w", err)
