@@ -241,21 +241,28 @@ type stagedImport struct {
 // preparedTxn tracks a transaction this site voted yes for and has not yet
 // learned the outcome of.
 type preparedTxn struct {
-	halves       map[histories.ObjectID]half // the votes, by object
+	halves       []half // the votes, one per object
 	participants []string
 	preparedAt   time.Time
 	attempts     int       // failed termination-protocol attempts
 	nextTry      time.Time // capped-backoff gate for the next attempt
 }
 
+// at returns the index of the half voted at obj, or -1.
+func (p *preparedTxn) at(obj histories.ObjectID) int {
+	return slices.IndexFunc(p.halves, func(h half) bool { return h.obj == obj })
+}
+
 // half is one yes-vote: the part of a transaction this site prepared at one
-// object. The zero half is a client half — the object's lock table holds
-// the intentions and its Commit or Abort installs the outcome. A migration
-// half (dir MigrateOut or MigrateIn) installs a hosting change instead.
+// object. A half with no dir is a client half — the object's lock table
+// holds the intentions and its Commit or Abort installs the outcome. A
+// migration half (dir MigrateOut or MigrateIn) installs a hosting change
+// instead.
 type half struct {
+	obj    histories.ObjectID
 	dir    recovery.MigrateDir
 	ringv  uint64
-	staged stagedImport // MigrateIn only: the baseline to adopt
+	staged *stagedImport // MigrateIn only: the baseline to adopt
 }
 
 // activeTxn tracks a transaction that has invoked operations here (and so
@@ -833,7 +840,7 @@ func (s *Site) handlePrepare(obj histories.ObjectID, txn *cc.TxnInfo, expect int
 	if err := o.Prepare(txn); err != nil {
 		return err
 	}
-	err = s.vote(txn, recovery.Record{Object: obj, Calls: calls}, fault.SiteCrashPrepare, stagedImport{})
+	err = s.vote(txn, recovery.Record{Object: obj, Calls: calls}, fault.SiteCrashPrepare, nil)
 	if errors.Is(err, ErrRefused) {
 		o.Abort(txn)
 	}
@@ -851,7 +858,7 @@ func (s *Site) handlePrepare(obj histories.ObjectID, txn *cc.TxnInfo, expect int
 // refusal that forbids it. crash is the caller's window after the force:
 // the vote is durable but never reaches the coordinator, leaving the
 // transaction in doubt here for the cooperative termination protocol.
-func (s *Site) vote(txn *cc.TxnInfo, rec recovery.Record, crash fault.Point, staged stagedImport) error {
+func (s *Site) vote(txn *cc.TxnInfo, rec recovery.Record, crash fault.Point, staged *stagedImport) error {
 	rec.Kind, rec.Txn, rec.Participants = recovery.RecordIntentions, txn.ID, txn.Participants
 	s.voteMu.Lock()
 	if s.isDecided(txn.ID) {
@@ -872,13 +879,17 @@ func (s *Site) vote(txn *cc.TxnInfo, rec recovery.Record, crash fault.Point, sta
 		p := s.prepared[txn.ID]
 		if p == nil {
 			p = &preparedTxn{
-				halves:       make(map[histories.ObjectID]half),
 				participants: append([]string(nil), txn.Participants...),
 				preparedAt:   time.Now(),
 			}
 			s.prepared[txn.ID] = p
 		}
-		p.halves[rec.Object] = half{dir: rec.Migrate, ringv: rec.RingV, staged: staged}
+		h := half{obj: rec.Object, dir: rec.Migrate, ringv: rec.RingV, staged: staged}
+		if i := p.at(rec.Object); i >= 0 {
+			p.halves[i] = h
+		} else {
+			p.halves = append(p.halves, h)
+		}
 	}
 	s.mu.Unlock()
 	debugTrace("vote %s %s@%s", txn.ID, rec.Object, s.id)
@@ -934,27 +945,23 @@ func (s *Site) decide(txn histories.ActivityID, obj histories.ObjectID, commit b
 		s.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrSiteDown, s.id)
 	}
-	type pick struct {
-		id histories.ObjectID
-		half
-	}
-	var picks []pick
+	var picks []half
 	if p := s.prepared[txn]; p != nil {
-		for id, h := range p.halves {
-			if obj == "" || id == obj {
-				picks = append(picks, pick{id, h})
+		for _, h := range p.halves {
+			if obj == "" || h.obj == obj {
+				picks = append(picks, h)
 			}
 		}
 	}
 	if len(picks) == 0 && obj != "" && !commit {
-		// An abort before the vote: the zero half releases the object's
+		// An abort before the vote: a client half releases the object's
 		// locks, or the freeze or staged copy of a migration.
-		picks = append(picks, pick{id: obj})
+		picks = append(picks, half{obj: obj})
 	}
-	sort.Slice(picks, func(i, j int) bool { return picks[i].id < picks[j].id })
+	sort.Slice(picks, func(i, j int) bool { return picks[i].obj < picks[j].obj })
 	var objects []*locking.Object
 	for _, pk := range picks {
-		if o := s.objects[pk.id]; o != nil && pk.dir == recovery.MigrateNone {
+		if o := s.objects[pk.obj]; o != nil && pk.dir == recovery.MigrateNone {
 			objects = append(objects, o)
 		}
 	}
@@ -993,9 +1000,11 @@ func (s *Site) decide(txn histories.ActivityID, obj histories.ObjectID, commit b
 	}
 	p := s.prepared[txn]
 	for _, pk := range picks {
-		s.installHostingLocked(txn, pk.id, pk.half, commit)
+		s.installHostingLocked(txn, pk, commit)
 		if p != nil {
-			delete(p.halves, pk.id)
+			if i := p.at(pk.obj); i >= 0 {
+				p.halves = slices.Delete(p.halves, i, i+1)
+			}
 		}
 	}
 	var det *locking.Detector
@@ -1058,7 +1067,7 @@ func (s *Site) handleMigrateExport(obj histories.ObjectID, txn *cc.TxnInfo) (mig
 		}
 	}
 	for id, p := range s.prepared {
-		if _, votedHere := p.halves[obj]; votedHere && id != txn.ID {
+		if id != txn.ID && p.at(obj) >= 0 {
 			s.mu.Unlock()
 			return migExport{}, fmt.Errorf("%w: %s at %s busy (in-doubt transaction %s)", ErrMigrating, obj, s.id, id)
 		}
@@ -1162,6 +1171,7 @@ func (s *Site) handleMigratePrepare(obj histories.ObjectID, txn *cc.TxnInfo, dir
 	s.mu.Unlock()
 	rec := recovery.Record{Object: obj, Migrate: dir, RingV: ringv}
 	crash := fault.MigrateCrashSource
+	var in *stagedImport
 	switch {
 	case !up:
 		return fmt.Errorf("%w: %s", ErrSiteDown, s.id)
@@ -1169,10 +1179,11 @@ func (s *Site) handleMigratePrepare(obj histories.ObjectID, txn *cc.TxnInfo, dir
 	case dir == recovery.MigrateIn && staged:
 		rec.States = map[histories.ObjectID]spec.State{obj: st.state}
 		crash = fault.MigrateCrashDest
+		in = &st
 	default:
 		return fmt.Errorf("%w: migration %s lost its half (direction %d) of %s at %s", ErrStaleTxn, txn.ID, dir, obj, s.id)
 	}
-	return s.vote(txn, rec, crash, st)
+	return s.vote(txn, rec, crash, in)
 }
 
 // handleMigrateCommit and handleMigrateAbort deliver the decision for a
@@ -1196,7 +1207,8 @@ func (s *Site) handleMigrateAbort(obj histories.ObjectID, txn *cc.TxnInfo) error
 // transaction's freeze and drops its staged copy. For a client half (and
 // for a commit that finds no vote: recovery already redid the hosting
 // change from the log) nothing applies.
-func (s *Site) installHostingLocked(txn histories.ActivityID, obj histories.ObjectID, h half, commit bool) {
+func (s *Site) installHostingLocked(txn histories.ActivityID, h half, commit bool) {
+	obj := h.obj
 	if commit {
 		switch h.dir {
 		case recovery.MigrateOut:

@@ -74,7 +74,7 @@ func TestSnapshotBoundaryIsExclusive(t *testing.T) {
 	if err := o.Prepare(a); err != nil {
 		t.Fatal(err)
 	}
-	o.Commit(a, 5)
+	commit(t, o, a, 5)
 	// A reader AT the commit timestamp must not see it (strictly below).
 	r := readOnly("r", 5)
 	v, err := o.Invoke(r, inv(adts.OpBalance, value.Nil()))
@@ -95,7 +95,7 @@ func TestUpdateWithNoCallsCommits(t *testing.T) {
 	if err := o.Prepare(a); err == nil {
 		t.Error("prepare of unknown update succeeded")
 	}
-	o.Commit(a, 3)
+	commit(t, o, a, 3)
 	o.Abort(a)
 	if err := o.Err(); err != nil {
 		t.Errorf("object corrupted: %v", err)

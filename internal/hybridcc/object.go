@@ -236,16 +236,18 @@ func (o *Object) Commit(txn *cc.TxnInfo, ts histories.Timestamp) {
 		o.sink.Emit(histories.Commit(o.id, txn.ID))
 		return
 	}
+	// Commits reach the object in timestamp order, so the version head
+	// equals the inner object's base before each one, and the state the
+	// inner commit installs is the new version: the calls are not replayed
+	// a second time.
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	calls := o.inner.PendingCalls(txn)
+	invoked := o.inner.HasPending(txn)
 	o.inner.Commit(txn, ts)
-	if len(calls) > 0 {
-		prev := o.versions.Head(o.ty.Spec.Init())
-		st, err := ccrt.Replay(prev, calls)
-		if err != nil {
-			o.corrupt(fmt.Errorf("hybridcc: version replay at %s: %w", o.id, err))
-		} else if err := o.versions.Append(ts, st); err != nil {
+	if invoked {
+		if err := o.inner.Err(); err != nil {
+			o.corrupt(fmt.Errorf("hybridcc: commit at %s: %w", o.id, err))
+		} else if err := o.versions.Append(ts, o.inner.Base()); err != nil {
 			o.corrupt(fmt.Errorf("hybridcc: at %s: %w", o.id, err))
 		} else {
 			obsVersions.Observe(int64(o.versions.Len()))

@@ -62,6 +62,20 @@ func inv(op string, arg value.Value) spec.Invocation {
 	return spec.Invocation{Op: op, Arg: arg}
 }
 
+// commit commits an update and checks the version log's head against the
+// inner object's base: commits arrive in timestamp order, so the state the
+// inner commit installed is the newest version.
+func commit(t *testing.T, o *Object, txn *cc.TxnInfo, ts histories.Timestamp) {
+	t.Helper()
+	o.Commit(txn, ts)
+	o.mu.Lock()
+	head := o.versions.Head(o.ty.Spec.Init())
+	o.mu.Unlock()
+	if got, want := head.Key(), o.inner.Base().Key(); got != want {
+		t.Errorf("after committing %s: version head %s, inner base %s", txn.ID, got, want)
+	}
+}
+
 // TestSnapshotPrefix: a read-only activity with timestamp t sees exactly
 // the committed updates with timestamps below t (§4.3).
 func TestSnapshotPrefix(t *testing.T) {
@@ -76,7 +90,7 @@ func TestSnapshotPrefix(t *testing.T) {
 	if err := o.Prepare(a); err != nil {
 		t.Fatal(err)
 	}
-	o.Commit(a, 2)
+	commit(t, o, a, 2)
 
 	// Update b deposits 5, commits with timestamp 4.
 	b := update("b", 2)
@@ -86,7 +100,7 @@ func TestSnapshotPrefix(t *testing.T) {
 	if err := o.Prepare(b); err != nil {
 		t.Fatal(err)
 	}
-	o.Commit(b, 4)
+	commit(t, o, b, 4)
 
 	cases := []struct {
 		ts   histories.Timestamp
@@ -150,7 +164,7 @@ func TestReadOnlyDoesNotBlockUpdates(t *testing.T) {
 	if err := o.Prepare(a); err != nil {
 		t.Fatal(err)
 	}
-	o.Commit(a, 2)
+	commit(t, o, a, 2)
 }
 
 // TestReadOnlyWaitsForPreparedUpdate: between prepare and commit an update
@@ -177,7 +191,7 @@ func TestReadOnlyWaitsForPreparedUpdate(t *testing.T) {
 		t.Fatalf("reader did not wait for the prepared update (got %v)", v)
 	case <-time.After(50 * time.Millisecond):
 	}
-	o.Commit(a, 2)
+	commit(t, o, a, 2)
 	select {
 	case v := <-done:
 		if v != value.Int(7) {
@@ -219,7 +233,7 @@ func TestCommitTimestampMonotonicityGuard(t *testing.T) {
 	if err := o.Prepare(a); err != nil {
 		t.Fatal(err)
 	}
-	o.Commit(a, 5)
+	commit(t, o, a, 5)
 	b := update("b", 2)
 	if _, err := o.Invoke(b, inv(adts.OpDeposit, value.Int(1))); err != nil {
 		t.Fatal(err)
@@ -256,5 +270,46 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Type: adts.Account(), Guard: locking.EscrowGuard{}, Detector: locking.NewDetector()}); err == nil {
 		t.Error("missing ID accepted")
+	}
+}
+
+// admitAll grants every update. It breaks the locking.Guard soundness
+// contract on purpose, to reach a commit whose replay diverges.
+type admitAll struct{}
+
+func (admitAll) Allowed(spec.State, []spec.Call, spec.Call, [][]spec.Call) (bool, error) {
+	return true, nil
+}
+
+// TestDivergentCommitAppendsNoVersion: T1 and T2 each withdraw 60 from a
+// balance of 100 and T1 commits first. T2's commit replays onto 40, which
+// the inner object flags; the hybrid object must flag it too and keep the
+// version log at T1's state.
+func TestDivergentCommitAppendsNoVersion(t *testing.T) {
+	o, err := New(Config{ID: "y", Type: adts.Account(), Guard: admitAll{}, Detector: locking.NewDetector()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := update("seed", 1)
+	if _, err := o.Invoke(seed, inv(adts.OpDeposit, value.Int(100))); err != nil {
+		t.Fatal(err)
+	}
+	commit(t, o, seed, 2)
+	t1, t2 := update("t1", 2), update("t2", 3)
+	for _, tx := range []*cc.TxnInfo{t1, t2} {
+		if v, err := o.Invoke(tx, inv(adts.OpWithdraw, value.Int(60))); err != nil || v != value.Unit() {
+			t.Fatalf("%s withdraw(60) = %v, %v; want ok", tx.ID, v, err)
+		}
+	}
+	commit(t, o, t1, 3)
+	o.Commit(t2, 4)
+	if o.Err() == nil {
+		t.Fatal("divergent commit not flagged")
+	}
+	o.mu.Lock()
+	n, head := o.versions.Len(), o.versions.Head(o.ty.Spec.Init())
+	o.mu.Unlock()
+	if n != 2 || head.(adts.AccountState).Balance() != 40 {
+		t.Errorf("version log holds %d versions, head %s; want 2, balance 40", n, head.Key())
 	}
 }

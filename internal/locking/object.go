@@ -57,11 +57,17 @@ type Config struct {
 	Initial spec.State
 }
 
-// txnEntry is the per-transaction state at one object.
+// txnEntry is the per-transaction state at one object. Under deferred
+// update, view caches the transaction's view — the committed base with its
+// intentions applied — and is valid while viewGen equals the object's
+// baseGen; each grant advances it by the granted call, so an invoke or a
+// commit replays the intentions only after the base moved.
 type txnEntry struct {
 	intentions recovery.IntentionsList
 	undo       recovery.UndoLog
 	prepared   bool
+	view       spec.State
+	viewGen    uint64
 }
 
 // Object is a locking-protocol object: the generalisation of two-phase
@@ -79,6 +85,7 @@ type Object struct {
 	mu      sync.Mutex
 	waiters ccrt.WaitSet // blocked invokers, one wakeup channel each
 	base    spec.State
+	baseGen uint64 // bumped whenever base is assigned; dates cached views
 	active  ccrt.Table[txnEntry]
 	broken  error // set if commit-time replay diverges (protocol bug guardrail)
 
@@ -199,6 +206,14 @@ func (o *Object) PendingCalls(txn *cc.TxnInfo) []spec.Call {
 	return append([]spec.Call(nil), e.intentions.Calls()...)
 }
 
+// HasPending reports whether txn has recorded calls at this object.
+func (o *Object) HasPending(txn *cc.TxnInfo) bool {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	e := o.active.Lookup(txn.ID)
+	return e != nil && e.intentions.Len() > 0
+}
+
 // Invoke implements cc.Resource: it blocks until the call is grantable,
 // the transaction is doomed, or the wait times out.
 func (o *Object) Invoke(txn *cc.TxnInfo, inv spec.Invocation) (value.Value, error) {
@@ -256,7 +271,7 @@ func (o *Object) Invoke(txn *cc.TxnInfo, inv spec.Invocation) (value.Value, erro
 				return value.Nil(), fmt.Errorf("locking: %s at %s: guard: %w", txn.ID, o.id, gerr)
 			}
 			if allowed {
-				o.grant(txn, e, cand, out.Next)
+				o.grant(txn, e, cand, outs)
 				return out.Result, nil
 			}
 		}
@@ -315,21 +330,43 @@ func (o *Object) Invoke(txn *cc.TxnInfo, inv spec.Invocation) (value.Value, erro
 // uncommitted effects; the static guards permitted in that mode ignore it.
 func (o *Object) guardBase() spec.State { return o.base }
 
-// viewOf computes the state a transaction observes. Callers must hold o.mu.
+// viewOf returns the state a transaction observes: the base itself under
+// update in place, otherwise the cached view while the base has not moved
+// since it was built, and else the intentions replayed once onto the
+// current base and cached. Callers must hold o.mu.
 func (o *Object) viewOf(e *txnEntry) (spec.State, error) {
 	if o.inPlace {
 		return o.base, nil
 	}
-	return e.intentions.View(o.base)
+	if e.view == nil || e.viewGen != o.baseGen {
+		view, err := e.intentions.View(o.base)
+		if err != nil {
+			return nil, err
+		}
+		e.view, e.viewGen = view, o.baseGen
+	}
+	return e.view, nil
 }
 
-// grant records the call. Callers must hold o.mu.
-func (o *Object) grant(txn *cc.TxnInfo, e *txnEntry, cand spec.Call, next spec.State) {
+// grant records the call. outs are the outcomes the invocation offered in
+// the state viewOf returned in the same critical section; the state the
+// call moves to is the first with the granted result, the one
+// ccrt.StepMatching picks when the call is replayed. Callers must hold o.mu.
+func (o *Object) grant(txn *cc.TxnInfo, e *txnEntry, cand spec.Call, outs []spec.Outcome) {
 	o.grants++
 	obsGrants.Inc()
+	var next spec.State
+	for _, out := range outs {
+		if out.Result == cand.Result {
+			next = out.Next
+			break
+		}
+	}
 	if o.inPlace {
 		e.undo.Record(o.ty.Invert(o.base, cand.Inv, cand.Result))
-		o.base = next
+		o.setBase(next)
+	} else {
+		e.view, e.viewGen = next, o.baseGen
 	}
 	e.intentions.Add(cand)
 	o.sink.Emit(histories.Return(o.id, txn.ID, cand.Result))
@@ -382,15 +419,18 @@ func (o *Object) Commit(txn *cc.TxnInfo, ts histories.Timestamp) {
 		// Committing a transaction that never invoked here is a no-op.
 		return
 	}
-	if !o.inPlace {
-		next, err := e.intentions.Apply(o.base)
+	if !o.inPlace && e.intentions.Len() > 0 {
+		// The cached view is installed as is unless another commit moved
+		// the base since it was built; only then does viewOf replay, and
+		// only then can the replay diverge from what the calls returned.
+		next, err := o.viewOf(e)
 		if err != nil {
 			o.corrupt(fmt.Errorf("locking: commit %s at %s: %w", txn.ID, o.id, err))
 			o.active.Delete(txn.ID)
 			o.changed()
 			return
 		}
-		o.base = next
+		o.setBase(next)
 	}
 	o.active.Delete(txn.ID)
 	o.invalidateGuard()
@@ -416,13 +456,20 @@ func (o *Object) Abort(txn *cc.TxnInfo) {
 		if err != nil {
 			o.corrupt(fmt.Errorf("locking: abort %s at %s: %w", txn.ID, o.id, err))
 		} else {
-			o.base = restored
+			o.setBase(restored)
 		}
 	}
 	o.active.Delete(txn.ID)
 	o.invalidateGuard()
 	o.sink.Emit(histories.Abort(o.id, txn.ID))
 	o.changed()
+}
+
+// setBase installs a new committed base and invalidates every cached
+// view. Callers must hold o.mu.
+func (o *Object) setBase(st spec.State) {
+	o.base = st
+	o.baseGen++
 }
 
 // corrupt records the first internal invariant violation.

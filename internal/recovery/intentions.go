@@ -15,6 +15,12 @@ import (
 // IntentionsList is the deferred-update recovery representation: the
 // sequence of calls a transaction has executed at one object, to be applied
 // to the committed base state at commit and simply discarded at abort.
+//
+// A live object need not replay the list to learn that state: locking.Object
+// keeps each transaction's view (base plus intentions) and advances it with
+// every grant, so View and Apply run only when the committed base moved
+// since the view was built — at the next invoke or at commit — and at
+// recovery, where the logged calls are redone onto the recovered base.
 type IntentionsList struct {
 	calls []spec.Call
 }
