@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt vet staticcheck test race order-stress detector-stress chaos chaos-smoke chaos-churn chaos-replication check bench-smoke bench-ledger-check fuzz-smoke clean
+.PHONY: all build fmt vet staticcheck test race examples order-stress detector-stress chaos chaos-smoke chaos-churn chaos-replication check bench-smoke bench-ledger-check fuzz-smoke clean
 
 all: check
 
@@ -33,6 +33,12 @@ test:
 race:
 	$(GO) test -race ./...
 
+# examples runs every program under examples/ and fails on the first one
+# that exits non-zero: go build compiles them, but nothing else runs them.
+# About a second once built.
+examples:
+	@for d in examples/*/; do echo "$$d"; $(GO) run ./$$d > /dev/null || exit 1; done
+
 # order-stress reruns the schedule-dependent crash-consistency tests: the
 # recovered state of an object whose concurrent commits do not commute
 # state-wise equals the live one only while log order == install order
@@ -57,9 +63,9 @@ detector-stress:
 	$(GO) test -race -count=20 -run '^TestFacadeDeadlockCascadeLeavesDetectorEmpty$$' .
 
 # check is the CI gate: formatting, vet, staticcheck (when present), build,
-# the full suite under the race detector, the install-order stress and the
-# deadlock-detector stress.
-check: fmt vet staticcheck build race order-stress detector-stress
+# the full suite under the race detector, the examples, the install-order
+# stress and the deadlock-detector stress.
+check: fmt vet staticcheck build race examples order-stress detector-stress
 
 # chaos runs the fault-injection harness across a batch of seeds in every
 # mode: each atomicity property, plus the churn and replication clusters.

@@ -33,11 +33,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	siteA, err := dist.NewSite(dist.SiteConfig{ID: "A", Network: network, Coordinator: "C"})
+	siteA, err := dist.NewSite(dist.SiteConfig{ID: "A", Network: network, Coordinators: []dist.SiteID{"C"}})
 	if err != nil {
 		log.Fatal(err)
 	}
-	siteB, err := dist.NewSite(dist.SiteConfig{ID: "B", Network: network, Coordinator: "C"})
+	siteB, err := dist.NewSite(dist.SiteConfig{ID: "B", Network: network, Coordinators: []dist.SiteID{"C"}})
 	if err != nil {
 		log.Fatal(err)
 	}

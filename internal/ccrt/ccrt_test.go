@@ -252,8 +252,9 @@ func TestWaitSetTargetedWake(t *testing.T) {
 	mu.Unlock()
 }
 
-// TestVersionLogMonotonic: Append enforces strictly ascending timestamps
-// and StateBelow picks the right prefix snapshot.
+// TestVersionLogMonotonic: Append enforces strictly ascending timestamps,
+// StateBelow picks the right prefix snapshot, At answers at or below its
+// argument but never below the floor, and Trim keeps the newest half.
 func TestVersionLogMonotonic(t *testing.T) {
 	s := adts.CounterSpec{}
 	var l ccrt.VersionLog
@@ -272,6 +273,43 @@ func TestVersionLogMonotonic(t *testing.T) {
 	}
 	if got := l.Head(s.Init()).Key(); got != "1" {
 		t.Errorf("Head = %s, want 1", got)
+	}
+	if st, ok := l.At(5); !ok || st.Key() != "1" {
+		t.Errorf("At(5) = %v, %v; want 1 (at or below)", st, ok)
+	}
+	if _, ok := l.At(4); ok {
+		t.Error("At(4) answered below the floor 5")
+	}
+	var empty ccrt.VersionLog
+	if _, ok := empty.At(100); ok || empty.Floor() != histories.TSNone || empty.HeadTS() != histories.TSNone {
+		t.Error("an empty log answered a lookup or reported a floor or head")
+	}
+
+	// Trim: past its cap a log keeps its newest half, its floor becomes the
+	// oldest kept timestamp, and lookups below the floor refuse.
+	l = ccrt.VersionLog{}
+	st := s.Init()
+	for i := 1; i <= 9; i++ {
+		st, _ = ccrt.Replay(st, []spec.Call{{Inv: spec.Invocation{Op: adts.OpIncrement, Arg: value.Nil()}, Result: value.Int(int64(i))}})
+		if err := l.Append(histories.Timestamp(10*i), st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Trim(9)
+	if l.Len() != 9 || l.Floor() != 10 {
+		t.Fatalf("Trim at the cap changed the log: len %d floor %d", l.Len(), l.Floor())
+	}
+	l.Trim(8)
+	if l.Len() != 5 || l.Floor() != 50 || l.HeadTS() != 90 {
+		t.Fatalf("after Trim(8): len %d floor %d head %d, want 5, 50, 90 (newest half kept)", l.Len(), l.Floor(), l.HeadTS())
+	}
+	for ts, want := range map[histories.Timestamp]string{50: "5", 65: "6", 90: "9", 1000: "9"} {
+		if got, ok := l.At(ts); !ok || got.Key() != want {
+			t.Errorf("At(%d) = %v, %v; want %s", ts, got, ok, want)
+		}
+	}
+	if _, ok := l.At(49); ok {
+		t.Error("At(49) answered below the trimmed floor 50")
 	}
 }
 

@@ -15,9 +15,10 @@ type Version struct {
 	State spec.State
 }
 
-// VersionLog is the timestamp-ordered log of committed state snapshots a
-// hybrid-atomicity object serves read-only queries from. Externally locked,
-// like Table and WaitSet.
+// VersionLog is the timestamp-ordered log of committed state snapshots that
+// read-only activities are served from (§4.3.3): a hybrid-atomicity object's
+// history above its initial state, or a follower's copy above a baseline
+// version. Externally locked, like Table and WaitSet.
 type VersionLog struct {
 	versions []Version
 }
@@ -50,6 +51,43 @@ func (l *VersionLog) Head(init spec.State) spec.State {
 		return l.versions[n-1].State
 	}
 	return init
+}
+
+// HeadTS returns the newest version's timestamp, or TSNone if the log is
+// empty.
+func (l *VersionLog) HeadTS() histories.Timestamp {
+	if n := len(l.versions); n > 0 {
+		return l.versions[n-1].TS
+	}
+	return histories.TSNone
+}
+
+// Floor returns the oldest kept version's timestamp, or TSNone if the log
+// is empty. A log that starts from a baseline version, or has been trimmed,
+// cannot answer below it.
+func (l *VersionLog) Floor() histories.Timestamp {
+	if len(l.versions) == 0 {
+		return histories.TSNone
+	}
+	return l.versions[0].TS
+}
+
+// At returns the newest version at or below ts, or false when ts is below
+// the floor: the state there is no longer (or never was) in the log.
+func (l *VersionLog) At(ts histories.Timestamp) (spec.State, bool) {
+	if len(l.versions) == 0 || ts < l.versions[0].TS {
+		return nil, false
+	}
+	return l.StateBelow(ts+1, nil), true
+}
+
+// Trim keeps a log that has grown past max versions to its newest half,
+// which raises the floor to the oldest version kept. The kept versions are
+// copied so the dropped states can be collected.
+func (l *VersionLog) Trim(max int) {
+	if len(l.versions) > max {
+		l.versions = append([]Version(nil), l.versions[len(l.versions)/2:]...)
+	}
 }
 
 // Len returns the number of versions.

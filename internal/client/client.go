@@ -29,8 +29,8 @@ import (
 	"weihl83/internal/service"
 )
 
-// Observability: client-side counters (shared registry, so an in-process
-// loadgen's snapshot shows both sides of the wire).
+// Observability: client-side counters (shared registry, so a process that
+// runs both client and service sees both sides of the wire in one snapshot).
 var (
 	obsRequests = obs.Default.Counter("svc.client.requests")
 	obsRetries  = obs.Default.Counter("svc.client.retries")

@@ -19,7 +19,7 @@ func decideSite(t *testing.T, id SiteID, withObject bool) *Site {
 	if _, err := NewCoordinator(CoordinatorConfig{ID: "C", Network: n}); err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSite(SiteConfig{ID: id, Network: n, Coordinator: "C", Sink: (&recorder{}).sink()})
+	s, err := NewSite(SiteConfig{ID: id, Network: n, Coordinators: []SiteID{"C"}, Sink: (&recorder{}).sink()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestSiteRedoOrderHole(t *testing.T) {
 	if _, err := NewCoordinator(CoordinatorConfig{ID: "C", Network: n}); err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSite(SiteConfig{ID: "A", Network: n, Coordinator: "C", Sink: (&recorder{}).sink()})
+	s, err := NewSite(SiteConfig{ID: "A", Network: n, Coordinators: []SiteID{"C"}, Sink: (&recorder{}).sink()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,11 +67,11 @@ func newClusterInj(t *testing.T, maxDelay time.Duration, inj *fault.Injector) *t
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.siteA, err = NewSite(SiteConfig{ID: "A", Network: c.net, Coordinator: "C", Sink: c.recorder.sink(), Injector: inj})
+	c.siteA, err = NewSite(SiteConfig{ID: "A", Network: c.net, Coordinators: []SiteID{"C"}, Sink: c.recorder.sink(), Injector: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.siteB, err = NewSite(SiteConfig{ID: "B", Network: c.net, Coordinator: "C", Sink: c.recorder.sink(), Injector: inj})
+	c.siteB, err = NewSite(SiteConfig{ID: "B", Network: c.net, Coordinators: []SiteID{"C"}, Sink: c.recorder.sink(), Injector: inj})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,11 +306,11 @@ func TestSiteValidation(t *testing.T) {
 	if _, err := NewSite(SiteConfig{ID: "A", Network: net}); err == nil {
 		t.Error("SiteConfig without a coordinator accepted")
 	}
-	s, err := NewSite(SiteConfig{ID: "A", Network: net, Coordinator: "C"})
+	s, err := NewSite(SiteConfig{ID: "A", Network: net, Coordinators: []SiteID{"C"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSite(SiteConfig{ID: "A", Network: net, Coordinator: "C"}); err == nil {
+	if _, err := NewSite(SiteConfig{ID: "A", Network: net, Coordinators: []SiteID{"C"}}); err == nil {
 		t.Error("duplicate site accepted")
 	}
 	if _, err := NewCoordinator(CoordinatorConfig{}); err == nil {

@@ -73,7 +73,7 @@ func TestEveryMessageKindRidesOneExchange(t *testing.T) {
 				if _, err := NewCoordinator(CoordinatorConfig{ID: "C", Network: n}); err != nil {
 					t.Fatal(err)
 				}
-				a, err := NewSite(SiteConfig{ID: "A", Network: n, Coordinator: "C"})
+				a, err := NewSite(SiteConfig{ID: "A", Network: n, Coordinators: []SiteID{"C"}})
 				if err != nil {
 					t.Fatal(err)
 				}

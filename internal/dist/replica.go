@@ -9,6 +9,7 @@ import (
 
 	"weihl83/internal/adts"
 	"weihl83/internal/cc"
+	"weihl83/internal/ccrt"
 	"weihl83/internal/conflict"
 	"weihl83/internal/fault"
 	"weihl83/internal/histories"
@@ -105,39 +106,14 @@ func replSeedRID(obj histories.ObjectID, ts histories.Timestamp) histories.Activ
 
 // --- follower-side state and handlers ------------------------------------
 
-// replicaVersion is one timestamped committed state at a follower.
-type replicaVersion struct {
-	ts    histories.Timestamp
-	state spec.State
-}
-
-// replicaObj is a follower's volatile copy of an object: an append-only,
-// timestamp-ascending version log floored at the oldest reconstructible
-// snapshot. It is rebuilt from the WAL at recovery (collapsed to a single
-// version at the replica watermark).
-type replicaObj struct {
-	typ      adts.Type
-	floor    histories.Timestamp
-	versions []replicaVersion
-}
-
-// latest returns the newest version.
-func (ro *replicaObj) latest() replicaVersion {
-	return ro.versions[len(ro.versions)-1]
-}
-
-// at returns the newest version at or below ts, or false when ts predates
-// the floor.
-func (ro *replicaObj) at(ts histories.Timestamp) (spec.State, bool) {
-	if ts < ro.floor {
-		return nil, false
-	}
-	for i := len(ro.versions) - 1; i >= 0; i-- {
-		if ro.versions[i].ts <= ts {
-			return ro.versions[i].state, true
-		}
-	}
-	return nil, false
+// baselineLog starts a follower's version log at one baseline version, so
+// its floor is the baseline's timestamp. Followers keep their copies in the
+// same ccrt.VersionLog hybridcc objects serve snapshots from; the log is
+// rebuilt from the WAL at recovery (collapsed to the replica watermark).
+func baselineLog(ts histories.Timestamp, st spec.State) *ccrt.VersionLog {
+	l := new(ccrt.VersionLog)
+	_ = l.Append(ts, st) // an empty log accepts any timestamp
+	return l
 }
 
 // replSeedReq carries a baseline seed to a new follower.
@@ -173,7 +149,7 @@ func (s *Site) handleReplicaSeed(req replSeedReq) (struct{}, error) {
 		obsReplRedundant.Inc()
 		return struct{}{}, nil
 	}
-	if ro := s.replicas[req.Obj]; ro != nil && req.TS <= ro.floor {
+	if l := s.replicas[req.Obj]; l != nil && req.TS <= l.Floor() {
 		s.mu.Unlock()
 		obsReplRedundant.Inc()
 		return struct{}{}, nil
@@ -206,15 +182,10 @@ func (s *Site) handleReplicaSeed(req replSeedReq) (struct{}, error) {
 		s.decidedLocked(rid, true)
 	}
 	if s.replicas != nil {
-		s.replicas[req.Obj] = &replicaObj{
-			typ:      req.Typ,
-			floor:    req.TS,
-			versions: []replicaVersion{{ts: req.TS, state: req.State}},
-		}
+		s.replicas[req.Obj] = baselineLog(req.TS, req.State)
 	}
 	s.mu.Unlock()
 	obsReplSeeds.Inc()
-	debugTrace("repl-seed %s@%s ts=%d base=%s", req.Obj, s.id, req.TS, req.State.Key())
 	return struct{}{}, nil
 }
 
@@ -240,24 +211,25 @@ func (s *Site) handleReplicaApply(req replApplyReq) (struct{}, error) {
 		obsReplRedundant.Inc()
 		return struct{}{}, nil
 	}
-	ro := s.replicas[req.Obj]
-	if ro == nil || !s.follows[req.Obj] {
+	l := s.replicas[req.Obj]
+	if l == nil || !s.follows[req.Obj] {
 		s.mu.Unlock()
 		return struct{}{}, fmt.Errorf("%w: %s at %s", ErrNotReplica, req.Obj, s.id)
 	}
-	if req.TS <= ro.floor {
+	if req.TS <= l.Floor() {
 		s.mu.Unlock()
 		obsReplRedundant.Inc()
 		return struct{}{}, nil
 	}
-	if last := ro.latest(); req.TS <= last.ts {
+	if head := l.HeadTS(); req.TS <= head {
 		// Deliveries reach a follower in stamp order (stamped and enqueued
 		// under one mutex, FIFO per queue); a lower-or-equal stamp here can
 		// only be a protocol bug, and applying it would corrupt snapshots.
 		s.mu.Unlock()
 		obsReplApplyErrors.Inc()
-		return struct{}{}, fmt.Errorf("dist: out-of-order delivery of %s at %s: ts %d after %d", req.Obj, s.id, req.TS, last.ts)
+		return struct{}{}, fmt.Errorf("dist: out-of-order delivery of %s at %s: ts %d after %d", req.Obj, s.id, req.TS, head)
 	}
+	st := l.Head(nil)
 	s.mu.Unlock()
 	if s.inj.Fires(fault.ReplApplyCrash) {
 		s.Crash()
@@ -280,7 +252,6 @@ func (s *Site) handleReplicaApply(req replApplyReq) (struct{}, error) {
 	if err := s.disk.Append(recovery.Record{Kind: recovery.RecordCommit, Txn: rid}); err != nil {
 		return struct{}{}, fmt.Errorf("dist: delivery %s at %s: %w", rid, s.id, errors.Join(err, cc.ErrUnavailable))
 	}
-	st := ro.latest().state
 	for _, c := range req.Calls {
 		out, err := spec.Apply(st, c.Inv)
 		if err != nil {
@@ -297,20 +268,16 @@ func (s *Site) handleReplicaApply(req replApplyReq) (struct{}, error) {
 	if s.decided != nil {
 		s.decidedLocked(rid, true)
 	}
-	if s.replicas != nil {
-		if ro := s.replicas[req.Obj]; ro != nil {
-			ro.versions = append(ro.versions, replicaVersion{ts: req.TS, state: st})
-			if len(ro.versions) > replicaVersionCap {
-				cut := len(ro.versions) / 2
-				ro.versions = append([]replicaVersion(nil), ro.versions[cut:]...)
-				ro.floor = ro.versions[0].ts
-			}
-		}
+	// A crash and recovery between the appends and here rebuilt the log
+	// from the WAL, which already holds this delivery: the log then ends at
+	// req.TS and the version is not appended twice.
+	if l := s.replicas[req.Obj]; l != nil && req.TS > l.HeadTS() {
+		_ = l.Append(req.TS, st) // above the head: accepted
+		l.Trim(replicaVersionCap)
 	}
 	s.mu.Unlock()
 	obsReplDeliveries.Inc()
 	obsReplApplyLat.Observe(int64(time.Since(start)))
-	debugTrace("repl-apply %s@%s ts=%d -> %s", rid, s.id, req.TS, st.Key())
 	return struct{}{}, nil
 }
 
@@ -324,13 +291,13 @@ func (s *Site) handleReplicaRead(obj histories.ObjectID, inv spec.Invocation, ts
 		s.mu.Unlock()
 		return value.Nil(), fmt.Errorf("%w: %s", ErrSiteDown, s.id)
 	}
-	ro := s.replicas[obj]
-	if ro == nil || !s.follows[obj] {
+	l := s.replicas[obj]
+	if l == nil || !s.follows[obj] {
 		s.mu.Unlock()
 		obsReplReadRefusals.Inc()
 		return value.Nil(), fmt.Errorf("%w: %s at %s", ErrNotReplica, obj, s.id)
 	}
-	st, ok := ro.at(ts)
+	st, ok := l.At(ts)
 	s.mu.Unlock()
 	if !ok {
 		obsReplReadRefusals.Inc()
@@ -367,12 +334,11 @@ func (s *Site) ReplicaStateKey(obj histories.ObjectID) (string, histories.Timest
 	if !s.up {
 		return "", 0, fmt.Errorf("%w: %s", ErrSiteDown, s.id)
 	}
-	ro := s.replicas[obj]
-	if ro == nil {
+	l := s.replicas[obj]
+	if l == nil {
 		return "", 0, fmt.Errorf("%w: %s at %s", ErrNotReplica, obj, s.id)
 	}
-	last := ro.latest()
-	return last.state.Key(), last.ts, nil
+	return l.Head(nil).Key(), l.HeadTS(), nil
 }
 
 // Follows reports whether the site currently follows obj (for tests and
@@ -593,7 +559,6 @@ func (q *replQueue) process(it replItem) {
 		// cannot ever stick. Dropping it keeps the queue live; the error
 		// counter and the convergence oracle make the loss visible.
 		obsReplApplyErrors.Inc()
-		debugTrace("repl-drop %s@%s: %v", it.obj, q.site, err)
 		return
 	}
 }

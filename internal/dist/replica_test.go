@@ -3,6 +3,8 @@ package dist
 import (
 	"context"
 	"errors"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,6 +12,7 @@ import (
 	"weihl83/internal/cc"
 	"weihl83/internal/fault"
 	"weihl83/internal/histories"
+	"weihl83/internal/recovery"
 	"weihl83/internal/spec"
 	"weihl83/internal/tx"
 	"weihl83/internal/value"
@@ -432,4 +435,118 @@ func TestReplicaReadBelowFloorRefuses(t *testing.T) {
 	if !cc.Retryable(err) {
 		t.Errorf("ErrReplicaLag must be retryable: %v", err)
 	}
+}
+
+// TestReplicaCompactionMovesFloor: more than replicaVersionCap deliveries
+// make a follower drop the oldest half of its version log. A read at the
+// new floor answers the state of the oldest kept version; a read one below
+// it refuses with ErrReplicaLag, retryably.
+func TestReplicaCompactionMovesFloor(t *testing.T) {
+	e := newReplicated(t, 3, nil)
+	for i := 0; i < replicaVersionCap+44; i++ {
+		e.deposit(t, "acct0", 1)
+	}
+	if err := e.cluster.ReplicationIdle(5 * time.Second); err != nil {
+		t.Fatalf("replication drain: %v", err)
+	}
+	follower := e.sites[e.cluster.ReplicaSet("acct0")[1]]
+	follower.mu.Lock()
+	n, floor := follower.replicas["acct0"].Len(), follower.replicas["acct0"].Floor()
+	follower.mu.Unlock()
+	// The seed plus 256 deliveries overflow the cap once: 128 versions go,
+	// and the 44 later deliveries land on the kept 129.
+	if n != 129+44 {
+		t.Fatalf("follower keeps %d versions, want %d after one halving", n, 129+44)
+	}
+	read := func(ts histories.Timestamp) (value.Value, error) {
+		return e.net.QueryReplicaRead("", follower.ID(), "acct0", spec.Invocation{Op: adts.OpBalance, Arg: value.Nil()}, ts)
+	}
+	v, err := read(floor)
+	if err != nil {
+		t.Fatalf("read at the floor %d: %v", floor, err)
+	}
+	if got := v.MustInt(); got != 128 {
+		t.Errorf("balance at the floor = %d, want 128 (the 128th delivery is the oldest kept)", got)
+	}
+	_, err = read(floor - 1)
+	if !errors.Is(err, ErrReplicaLag) {
+		t.Fatalf("read one below the floor: err = %v, want ErrReplicaLag", err)
+	}
+	if !cc.Retryable(err) {
+		t.Errorf("ErrReplicaLag must be retryable: %v", err)
+	}
+}
+
+// recoverAfterDelivery is a site's stable storage that, once armed, crashes
+// and recovers the site right after a replica delivery's commit record
+// lands: the window between the delivery becoming durable and its version
+// reaching the in-memory log.
+type recoverAfterDelivery struct {
+	recovery.Backend
+	site  *Site
+	armed atomic.Bool
+	err   error
+}
+
+func (d *recoverAfterDelivery) Append(r recovery.Record) error {
+	err := d.Backend.Append(r)
+	if err == nil && r.Kind == recovery.RecordCommit && strings.HasPrefix(string(r.Txn), "repl!") && d.armed.CompareAndSwap(true, false) {
+		d.site.Crash()
+		d.err = d.site.Recover()
+	}
+	return err
+}
+
+// TestReplicaApplyRacingRecovery: a follower that crashes and recovers
+// between logging a delivery and installing it rebuilds its log from the
+// WAL, which already ends at the delivery's timestamp. The apply must not
+// append that version again, and must not count it as an apply error.
+func TestReplicaApplyRacingRecovery(t *testing.T) {
+	disks := map[SiteID]recovery.Backend{}
+	wrappers := map[SiteID]*recoverAfterDelivery{}
+	for _, id := range []SiteID{"A", "B", "C"} {
+		w := &recoverAfterDelivery{Backend: &recovery.Disk{}}
+		disks[id], wrappers[id] = w, w
+	}
+	e := newElasticWith(t, elasticConfig{sites: []SiteID{"A", "B", "C"}, homes: []SiteID{"A", "A"}, disks: disks})
+	for id, w := range wrappers {
+		w.site = e.sites[id]
+	}
+	e.replicate(t, 3)
+	e.deposit(t, "acct0", 30)
+	if err := e.cluster.ReplicationIdle(5 * time.Second); err != nil {
+		t.Fatalf("replication drain: %v", err)
+	}
+	fid := e.cluster.ReplicaSet("acct0")[1]
+	errorsBefore := obsReplApplyErrors.Load()
+	wrappers[fid].armed.Store(true)
+	e.deposit(t, "acct0", 12)
+	if err := e.cluster.ReplicationIdle(5 * time.Second); err != nil {
+		t.Fatalf("replication drain: %v", err)
+	}
+	w := wrappers[fid]
+	if w.armed.Load() {
+		t.Fatal("no delivery reached the armed follower")
+	}
+	if w.err != nil {
+		t.Fatalf("recover inside the delivery: %v", w.err)
+	}
+	key, ts, err := e.sites[fid].ReplicaStateKey("acct0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key != "42" {
+		t.Errorf("follower state = %s, want 42", key)
+	}
+	v, err := e.net.QueryReplicaRead("", fid, "acct0", spec.Invocation{Op: adts.OpBalance, Arg: value.Nil()}, ts)
+	if err != nil {
+		t.Fatalf("read at the follower's head %d: %v", ts, err)
+	}
+	if got := v.MustInt(); got != 42 {
+		t.Errorf("read at the head = %d, want 42", got)
+	}
+	if got := obsReplApplyErrors.Load() - errorsBefore; got != 0 {
+		t.Errorf("dist.repl.apply.errors rose by %d", got)
+	}
+	e.assertConverged(t, "acct0")
 }

@@ -3,7 +3,6 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"os"
 	"slices"
 	"sort"
 	"sync"
@@ -11,6 +10,7 @@ import (
 
 	"weihl83/internal/adts"
 	"weihl83/internal/cc"
+	"weihl83/internal/ccrt"
 	"weihl83/internal/conflict"
 	"weihl83/internal/fault"
 	"weihl83/internal/histories"
@@ -69,70 +69,16 @@ var ErrMoved = fmt.Errorf("dist: object is not homed at this site: %w", cc.ErrMo
 // is told ErrMoved and re-routes.
 var ErrMigrating = fmt.Errorf("dist: object is migrating: %w", cc.ErrUnavailable)
 
-// DecisionLog is an in-memory commit/abort outcome log satisfying the
-// runtime's coordinator hook (tx.Coordinator) for single-process setups —
-// tests and the local simulator. It records both decisions explicitly, so
-// a decided abort is distinguishable from a transaction it never heard of.
-//
-// Distributed sites do NOT consult it: they resolve in-doubt transactions
-// through the cooperative termination protocol against a crashable
-// Coordinator and their peer participants.
-type DecisionLog struct {
-	mu       sync.Mutex
-	outcomes map[histories.ActivityID]bool
-}
-
-// NewDecisionLog returns an empty decision log.
-func NewDecisionLog() *DecisionLog {
-	return &DecisionLog{outcomes: make(map[histories.ActivityID]bool)}
-}
-
-// Begin satisfies tx.Coordinator; the in-memory log needs no begin record.
-func (d *DecisionLog) Begin(histories.ActivityID) {}
-
-// Decide records the outcome. It satisfies tx.Coordinator and never fails.
-func (d *DecisionLog) Decide(txn histories.ActivityID, commit bool) error {
-	d.mu.Lock()
-	d.outcomes[txn] = commit
-	d.mu.Unlock()
-	return nil
-}
-
-// RecordCommit records the decision to commit.
-func (d *DecisionLog) RecordCommit(txn histories.ActivityID) { _ = d.Decide(txn, true) }
-
-// RecordAbort records an explicit abort decision.
-func (d *DecisionLog) RecordAbort(txn histories.ActivityID) { _ = d.Decide(txn, false) }
-
-// Committed reports whether txn was decided committed.
-func (d *DecisionLog) Committed(txn histories.ActivityID) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.outcomes[txn]
-}
-
-// Outcome distinguishes decided-committed, decided-aborted, and
-// never-heard-of-it.
-func (d *DecisionLog) Outcome(txn histories.ActivityID) Outcome {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return cachedOutcome(d.outcomes, txn)
-}
-
 // SiteConfig configures a site.
 type SiteConfig struct {
 	// ID names the site. Required.
 	ID SiteID
 	// Network to attach to. Required.
 	Network *Network
-	// Coordinator names the coordinator this site's in-doubt recoveries
-	// query first during cooperative termination. Required unless
-	// Coordinators is set.
-	Coordinator SiteID
-	// Coordinators names a coordinator pool in pool order: an in-doubt
-	// recovery queries the member owning the transaction (the same
-	// hash-by-id assignment Pool uses for decisions). When set it takes
-	// precedence over Coordinator.
+	// Coordinators names the coordinator pool in pool order: an in-doubt
+	// recovery queries the member owning the transaction first (the same
+	// hash-by-id assignment Pool uses for decisions) during cooperative
+	// termination. Required: at least one.
 	Coordinators []SiteID
 	// Sink receives history events from the site's objects.
 	Sink cc.EventSink
@@ -228,7 +174,7 @@ type Site struct {
 	// copies from the WAL for exactly these objects); replicas holds the
 	// volatile timestamped version logs (see replica.go).
 	follows  map[histories.ObjectID]bool
-	replicas map[histories.ObjectID]*replicaObj
+	replicas map[histories.ObjectID]*ccrt.VersionLog
 }
 
 // stagedImport is the copied object state a migration's import handler
@@ -282,11 +228,7 @@ type cachedReply struct {
 
 // NewSite creates a site and attaches it to the network.
 func NewSite(cfg SiteConfig) (*Site, error) {
-	coords := cfg.Coordinators
-	if len(coords) == 0 && cfg.Coordinator != "" {
-		coords = []SiteID{cfg.Coordinator}
-	}
-	if cfg.ID == "" || cfg.Network == nil || len(coords) == 0 {
+	if cfg.ID == "" || cfg.Network == nil || len(cfg.Coordinators) == 0 {
 		return nil, errors.New("dist: SiteConfig needs ID, Network and at least one coordinator")
 	}
 	if cfg.Disk == nil {
@@ -295,7 +237,7 @@ func NewSite(cfg SiteConfig) (*Site, error) {
 	s := &Site{
 		id:          cfg.ID,
 		net:         cfg.Network,
-		coords:      append([]SiteID(nil), coords...),
+		coords:      append([]SiteID(nil), cfg.Coordinators...),
 		sink:        cfg.Sink,
 		waitTimeout: cfg.WaitTimeout,
 		inj:         cfg.Injector,
@@ -318,7 +260,7 @@ func NewSite(cfg SiteConfig) (*Site, error) {
 		migrating:   make(map[histories.ObjectID]histories.ActivityID),
 		staged:      make(map[histories.ActivityID]map[histories.ObjectID]stagedImport),
 		follows:     make(map[histories.ObjectID]bool),
-		replicas:    make(map[histories.ObjectID]*replicaObj),
+		replicas:    make(map[histories.ObjectID]*ccrt.VersionLog),
 	}
 	s.disk.SetInjector(cfg.Injector)
 	if err := cfg.Network.register(s); err != nil {
@@ -562,7 +504,6 @@ func (s *Site) Recover() error {
 		}
 		fold.Add(rec)
 		obs.Default.Counter("dist.indoubt.resolved." + res.path).Inc()
-		debugTrace("recover-resolve %s@%s commit=%v path=%s objs=%v", res.t.Txn, s.id, res.commit, res.path, res.t.Objects)
 		if !res.commit {
 			obsInDoubtAborts.Inc()
 			continue
@@ -643,20 +584,11 @@ func (s *Site) rebuildLocked(fold *recovery.Fold) error {
 	// with ErrReplicaLag until fresher deliveries rebuild history. An object
 	// whose seed never committed (crash between the seed's two appends) has
 	// no replayed state; the delivery worker reseeds it.
-	s.replicas = make(map[histories.ObjectID]*replicaObj)
+	s.replicas = make(map[histories.ObjectID]*ccrt.VersionLog)
 	marks := fold.Watermarks()
 	for id := range s.follows {
 		if st, ok := states[id]; ok {
-			s.replicas[id] = &replicaObj{
-				typ:      s.types[id],
-				floor:    marks[id],
-				versions: []replicaVersion{{ts: marks[id], state: st}},
-			}
-		}
-	}
-	if debugTraceOn {
-		for id, o := range s.objects {
-			debugTrace("rebuilt %s@%s -> %s", id, s.id, o.Base().Key())
+			s.replicas[id] = baselineLog(marks[id], st)
 		}
 	}
 	return nil
@@ -892,7 +824,6 @@ func (s *Site) vote(txn *cc.TxnInfo, rec recovery.Record, crash fault.Point, sta
 		}
 	}
 	s.mu.Unlock()
-	debugTrace("vote %s %s@%s", txn.ID, rec.Object, s.id)
 	return nil
 }
 
@@ -1018,7 +949,6 @@ func (s *Site) decide(txn histories.ActivityID, obj histories.ObjectID, commit b
 	if det != nil {
 		det.Forget(txn)
 	}
-	debugTrace("decide %s@%s commit=%v halves=%d", txn, s.id, commit, len(picks))
 	return nil
 }
 
@@ -1087,7 +1017,6 @@ func (s *Site) handleMigrateExport(obj histories.ObjectID, txn *cc.TxnInfo) (mig
 		s.mu.Unlock()
 		return migExport{}, err
 	}
-	debugTrace("export %s %s@%s base=%s", txn.ID, obj, s.id, o.Base().Key())
 	return migExport{State: o.Base(), Type: typ, Guard: guard}, nil
 }
 
@@ -1222,7 +1151,6 @@ func (s *Site) installHostingLocked(txn histories.ActivityID, h half, commit boo
 			if o, err := s.buildObject(obj, h.staged.typ, s.guards[obj], h.staged.state); err == nil {
 				s.objects[obj] = o
 			}
-			debugTrace("adopt %s %s@%s ringv=%d base=%s", txn, obj, s.id, h.ringv, h.staged.state.Key())
 			s.hosted[obj] = true
 			s.homedAt[obj] = h.ringv
 		}
@@ -1338,14 +1266,4 @@ func (s *Site) CommittedStateKey(id histories.ObjectID) (string, error) {
 		return "", err
 	}
 	return o.Base().Key(), nil
-}
-
-// debugTrace prints migration/commit state-transition traces to stderr when
-// DIST_DEBUG_TRACE is set (diagnostic aid for chaos-failure triage).
-var debugTraceOn = os.Getenv("DIST_DEBUG_TRACE") != ""
-
-func debugTrace(format string, args ...any) {
-	if debugTraceOn {
-		fmt.Fprintf(os.Stderr, "TRACE "+format+"\n", args...)
-	}
 }

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,6 +17,53 @@ import (
 
 var _ tx.Coordinator = (*DecisionLog)(nil)
 var _ tx.Coordinator = (*Coordinator)(nil)
+
+// DecisionLog is an in-memory commit/abort outcome log satisfying the
+// runtime's coordinator hook (tx.Coordinator) in one process. It records
+// both decisions explicitly, so a decided abort is distinguishable from a
+// transaction it never heard of. Sites never consult it: they resolve
+// in-doubt transactions through cooperative termination.
+type DecisionLog struct {
+	mu       sync.Mutex
+	outcomes map[histories.ActivityID]bool
+}
+
+// NewDecisionLog returns an empty decision log.
+func NewDecisionLog() *DecisionLog {
+	return &DecisionLog{outcomes: make(map[histories.ActivityID]bool)}
+}
+
+// Begin satisfies tx.Coordinator; the in-memory log needs no begin record.
+func (d *DecisionLog) Begin(histories.ActivityID) {}
+
+// Decide records the outcome. It never fails.
+func (d *DecisionLog) Decide(txn histories.ActivityID, commit bool) error {
+	d.mu.Lock()
+	d.outcomes[txn] = commit
+	d.mu.Unlock()
+	return nil
+}
+
+// RecordCommit records the decision to commit.
+func (d *DecisionLog) RecordCommit(txn histories.ActivityID) { _ = d.Decide(txn, true) }
+
+// RecordAbort records an explicit abort decision.
+func (d *DecisionLog) RecordAbort(txn histories.ActivityID) { _ = d.Decide(txn, false) }
+
+// Committed reports whether txn was decided committed.
+func (d *DecisionLog) Committed(txn histories.ActivityID) bool {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.outcomes[txn]
+}
+
+// Outcome distinguishes decided-committed, decided-aborted, and
+// never-heard-of-it.
+func (d *DecisionLog) Outcome(txn histories.ActivityID) Outcome {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return cachedOutcome(d.outcomes, txn)
+}
 
 // seedAcct0 deposits 50 into acct0.
 func seedAcct0(t *testing.T, c *testCluster) {
@@ -300,7 +348,7 @@ func TestReplyCacheBoundedByEvictions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	site, err := NewSite(SiteConfig{ID: "A", Network: net, Coordinator: "C"})
+	site, err := NewSite(SiteConfig{ID: "A", Network: net, Coordinators: []SiteID{"C"}})
 	if err != nil {
 		t.Fatal(err)
 	}

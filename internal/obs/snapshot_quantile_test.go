@@ -7,8 +7,9 @@ import (
 
 // TestHistogramSnapshotQuantile checks that a snapshot answers the same
 // conservative upper-bound quantiles as the live histogram it was taken
-// from, and keeps doing so after a JSON round trip (the loadgen path:
-// decode a snapshot off the wire, ask it for percentiles).
+// from, and keeps doing so after a JSON round trip (a client of the
+// service's /v1/metrics: decode a snapshot off the wire, ask it for
+// percentiles).
 func TestHistogramSnapshotQuantile(t *testing.T) {
 	var h Histogram
 	for i := int64(1); i <= 1000; i++ {
