@@ -54,11 +54,14 @@ order-stress:
 # ClearWaiting and Forget skip its mutex while none is resident (DESIGN §9),
 # so a lost doom or a leaked entry shows up as a hung victim, a wrong
 # victim, or a detector left non-empty after every transaction finished.
+# The hybridcc line runs the read-only wait tests and the concurrent audit
+# oracle: a reader waits only for prepared updates whose prepare floor is
+# below its timestamp.
 # TestStressDynamicAtomicity stays out: it flakes on its own (ROADMAP).
 detector-stress:
 	$(GO) test -race -count=20 -run '^(TestDetector.*|TestDeadlockDetectionAcrossObjects|TestTimeoutWithoutDetector|TestAbortedWaiterStillSeesHolder)$$' ./internal/locking
 	$(GO) test -race -count=20 -run '^(TestRunRetriesDeadlocks|TestUncontendedTxnsNeverResident)$$' ./internal/tx
-	$(GO) test -race -count=20 -run '^TestReadOnlyWaitsForPreparedUpdate$$' ./internal/hybridcc
+	$(GO) test -race -count=20 -run '^(TestReadOnlyWaitsForPreparedUpdate|TestReaderBelowFloorSkipsPreparedUpdate|TestReaderWaitsOnlyForFloorsBelow|TestZeroFloorBlocksReaders|TestConcurrentAuditsConserve)$$' ./internal/hybridcc
 	$(GO) test -race -count=20 -run '^TestSweptWaiterLeavesDetectorEmpty$$' ./internal/dist
 	$(GO) test -race -count=20 -run '^TestFacadeDeadlockCascadeLeavesDetectorEmpty$$' .
 

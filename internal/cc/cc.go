@@ -113,6 +113,13 @@ type TxnInfo struct {
 	Seq int64
 	// ReadOnly marks hybrid-atomicity read-only activities.
 	ReadOnly bool
+	// PrepareFloor, for a hybrid-atomicity update, is a timestamp the
+	// runtime draws from the shared clock just before the update's first
+	// Prepare. The commit timestamp is drawn later from the same strictly
+	// increasing clock, so it lies above the floor, and a read-only
+	// activity whose timestamp is at or below the floor can never see the
+	// update. Zero when no floor was drawn.
+	PrepareFloor histories.Timestamp
 	// Participants names the sites taking part in the transaction's
 	// two-phase commit (set by the runtime before prepare when resources
 	// report their site). A participant persists the list with its

@@ -5,7 +5,10 @@
 // §4.3.3 requires), and append their committed intentions to a version log;
 // read-only transactions choose a timestamp at initiation and compute every
 // query from the log prefix below their timestamp — without acquiring
-// locks, without ever aborting, and without delaying any update.
+// locks, without ever aborting, and without delaying any update. A query
+// waits only for a prepared update whose prepare floor (cc.TxnInfo) is
+// below its timestamp: any other prepared update commits above the reader
+// and is outside its snapshot.
 package hybridcc
 
 import (
@@ -28,10 +31,13 @@ import (
 // the inner locking object (whose conflicts land under
 // cc.locking.conflicts). A read-only wait is the hybrid protocol's own
 // conflict event — a query stalled behind a prepared update — so it is
-// counted under the uniform cc.<protocol>.conflicts scheme.
+// counted under the uniform cc.<protocol>.conflicts scheme. A query that
+// passed over prepared updates because every one's floor was at or above
+// its timestamp counts under hybrid.waits_skipped.
 var (
 	obsQueries  = obs.Default.Counter("hybrid.queries")
 	obsROWaits  = obs.Default.Counter("cc.hybrid.conflicts")
+	obsSkipped  = obs.Default.Counter("hybrid.waits_skipped")
 	obsWaitLat  = obs.Default.Histogram("hybrid.wait_ns")
 	obsVersions = obs.Default.Histogram("hybrid.versions")
 	obsTrace    = obs.Default.Tracer()
@@ -64,7 +70,7 @@ type Object struct {
 	mu       sync.Mutex
 	waiters  ccrt.WaitSet // read-only queries blocked behind prepared updates
 	versions ccrt.VersionLog
-	prepared map[histories.ActivityID]bool
+	prepared map[histories.ActivityID]histories.Timestamp // prepare floors
 	seenRO   map[histories.ActivityID]bool
 	broken   error
 
@@ -94,7 +100,7 @@ func New(cfg Config) (*Object, error) {
 		ty:       cfg.Type,
 		sink:     cfg.Sink,
 		inner:    inner,
-		prepared: make(map[histories.ActivityID]bool),
+		prepared: make(map[histories.ActivityID]histories.Timestamp),
 		seenRO:   make(map[histories.ActivityID]bool),
 	}, nil
 }
@@ -147,9 +153,11 @@ func (o *Object) Invoke(txn *cc.TxnInfo, inv spec.Invocation) (value.Value, erro
 
 // query serves a read-only transaction from the version-log prefix below
 // its timestamp. It blocks only while some update is between prepare and
-// commit at this object (such an update may already hold a commit
-// timestamp below the reader's); it never blocks any update and never
-// aborts.
+// commit at this object with a prepare floor below the reader's timestamp
+// (such an update may yet commit below the reader). An update whose floor
+// is at or above it commits above it, so the query passes it by; a zero
+// floor (an update prepared without the runtime) blocks every reader. It
+// never blocks any update and never aborts.
 func (o *Object) query(txn *cc.TxnInfo, inv spec.Invocation) (value.Value, error) {
 	if txn.TS == histories.TSNone {
 		return value.Nil(), fmt.Errorf("hybridcc: read-only transaction %s has no timestamp", txn.ID)
@@ -165,7 +173,7 @@ func (o *Object) query(txn *cc.TxnInfo, inv spec.Invocation) (value.Value, error
 	}
 	o.sink.Emit(histories.Invoke(o.id, txn.ID, inv.Op, inv.Arg))
 	var waitCh chan struct{}
-	for len(o.prepared) > 0 {
+	for o.preparedBelow(txn.TS) {
 		o.roWaits++
 		obsROWaits.Inc()
 		waitStart := time.Now()
@@ -190,6 +198,9 @@ func (o *Object) query(txn *cc.TxnInfo, inv spec.Invocation) (value.Value, error
 	if waitCh != nil {
 		o.waiters.Unregister(txn.ID)
 	}
+	if len(o.prepared) > 0 {
+		obsSkipped.Inc()
+	}
 	st := o.stateBelow(txn.TS)
 	out, err := spec.Apply(st, inv)
 	if err != nil {
@@ -199,6 +210,18 @@ func (o *Object) query(txn *cc.TxnInfo, inv spec.Invocation) (value.Value, error
 	obsQueries.Inc()
 	o.sink.Emit(histories.Return(o.id, txn.ID, out.Result))
 	return out.Result, nil
+}
+
+// preparedBelow reports whether some prepared update's floor is below ts:
+// that update may commit below ts, so a reader at ts must wait for it.
+// Callers must hold o.mu.
+func (o *Object) preparedBelow(ts histories.Timestamp) bool {
+	for _, floor := range o.prepared {
+		if floor < ts {
+			return true
+		}
+	}
+	return false
 }
 
 // stateBelow returns the state containing exactly the committed updates
@@ -216,7 +239,7 @@ func (o *Object) Prepare(txn *cc.TxnInfo) error {
 		return err
 	}
 	o.mu.Lock()
-	o.prepared[txn.ID] = true
+	o.prepared[txn.ID] = txn.PrepareFloor
 	o.mu.Unlock()
 	return nil
 }

@@ -167,38 +167,21 @@ func TestReadOnlyDoesNotBlockUpdates(t *testing.T) {
 	commit(t, o, a, 2)
 }
 
-// TestReadOnlyWaitsForPreparedUpdate: between prepare and commit an update
-// may already hold a timestamp below the reader's, so the reader briefly
-// waits — and sees the update's effects once it commits.
+// TestReadOnlyWaitsForPreparedUpdate: an update prepared with a floor below
+// the reader's timestamp may still commit below it (its commit timestamp is
+// drawn after the floor, nothing more), so the reader waits — and sees the
+// update's effects once it commits below it.
 func TestReadOnlyWaitsForPreparedUpdate(t *testing.T) {
 	o := newAccount(t, nil)
-	a := update("a", 1)
-	if _, err := o.Invoke(a, inv(adts.OpDeposit, value.Int(7))); err != nil {
-		t.Fatal(err)
-	}
-	if err := o.Prepare(a); err != nil {
-		t.Fatal(err)
-	}
-	// Reader's timestamp is above the update's eventual commit timestamp.
+	a := prepareDeposit(t, o, "a", 1, 7, 1)
+	// The reader's timestamp is above the floor and, as it turns out,
+	// above the update's commit timestamp.
 	r := readOnly("r", 10)
-	done := make(chan value.Value, 1)
-	go func() {
-		v, _ := o.Invoke(r, inv(adts.OpBalance, value.Nil()))
-		done <- v
-	}()
-	select {
-	case v := <-done:
-		t.Fatalf("reader did not wait for the prepared update (got %v)", v)
-	case <-time.After(50 * time.Millisecond):
-	}
+	done := readAsync(t, o, r)
+	mustBlock(t, done)
 	commit(t, o, a, 2)
-	select {
-	case v := <-done:
-		if v != value.Int(7) {
-			t.Errorf("reader saw %v, want 7", v)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("reader never unblocked")
+	if v := mustReturn(t, done); v != value.Int(7) {
+		t.Errorf("reader saw %v, want 7", v)
 	}
 	o.Commit(r, histories.TSNone)
 	_, roWaits := o.Stats()

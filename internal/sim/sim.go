@@ -103,7 +103,8 @@ type Config struct {
 	// disabled in benchmarks).
 	Record bool
 	// Skew, when positive, draws static timestamps from a skewed clock
-	// with the given disorder (E6). Ignored by non-static kinds.
+	// with the given disorder (E6). Ignored by non-static kinds: hybrid
+	// atomicity needs a strictly increasing clock.
 	Skew int64
 	// Seed seeds the skewed clock.
 	Seed int64
@@ -159,7 +160,7 @@ func NewSystem(cfg Config, wantAccounts int, wantQueue bool) (*System, error) {
 	switch {
 	case prop == tx.Dynamic:
 		src = nil
-	case cfg.Skew > 0:
+	case prop == tx.Static && cfg.Skew > 0:
 		src = clock.NewSkewed(cfg.Skew, cfg.Seed)
 	default:
 		src = &clock.Source{}

@@ -161,6 +161,42 @@ func TestSkewedStaticCausesConflicts(t *testing.T) {
 	}
 }
 
+// TestHybridIgnoresSkew: Skew applies to static kinds only. Hybrid
+// atomicity needs a strictly increasing clock, so a hybrid system given a
+// skew still runs the bank workload clean and stays hybrid atomic.
+func TestHybridIgnoresSkew(t *testing.T) {
+	sys, err := NewSystem(Config{Kind: KindHybrid, Record: true, Skew: 8, Seed: 3}, 2, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := BankParams{
+		Accounts:           2,
+		InitialBalance:     1000,
+		TransferWorkers:    4,
+		TransfersPerWorker: 25,
+		AuditWorkers:       2,
+		AuditsPerWorker:    10,
+		Seed:               3,
+	}
+	m, err := RunBank(sys, p)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if err := sys.Err(); err != nil {
+		t.Fatalf("object invariant: %v", err)
+	}
+	if n := m.ConservationViolations(); n != 0 {
+		t.Errorf("conservation violated %d times", n)
+	}
+	h := sys.Manager.History()
+	if err := h.WellFormedHybrid(); err != nil {
+		t.Fatalf("not hybrid well-formed: %v", err)
+	}
+	if err := bankChecker(p.Accounts).HybridAtomic(h); err != nil {
+		t.Errorf("history not hybrid atomic: %v", err)
+	}
+}
+
 func TestKindStrings(t *testing.T) {
 	for _, k := range []Kind{KindRW2PL, KindCommut, KindCommutNameOnly, KindCommutUndo, KindEscrow, KindExact, KindMVCC, KindMVCCClassical, KindHybrid} {
 		if k.String() == "invalid" {

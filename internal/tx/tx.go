@@ -88,7 +88,12 @@ func (p Property) String() string {
 	}
 }
 
-// TimestampSource issues unique timestamps.
+// TimestampSource issues unique timestamps. Hybrid atomicity needs them
+// strictly increasing in the order Next is called (clock.Source): a hybrid
+// object's version log must grow in timestamp order, and a reader passes a
+// prepared update only because the update's commit timestamp, drawn after
+// its prepare floor, is above the floor. Static atomicity accepts any
+// unique source, skewed ones included (clock.Skewed).
 type TimestampSource interface {
 	Next() histories.Timestamp
 }
@@ -185,7 +190,8 @@ func (b *Backoff) fill() {
 type Config struct {
 	// Property selects the timestamp regime. Required.
 	Property Property
-	// Clock issues timestamps; required for Static and Hybrid.
+	// Clock issues timestamps; required for Static and Hybrid. Under
+	// Hybrid it must be strictly increasing (see TimestampSource).
 	Clock TimestampSource
 	// Detector, when set, is told when each transaction finishes.
 	Detector Doomer
@@ -534,6 +540,14 @@ func (t *Txn) Commit() error {
 		t.m.cfg.Coordinator.Begin(t.info.ID)
 		t.began2pc = true
 	}
+	// A hybrid update draws its prepare floor before its first Prepare. A
+	// reader whose timestamp was issued before the floor passes the
+	// prepared update (the commit timestamp, drawn below, is above the
+	// floor); a later reader waits for it.
+	hybridUpdate := t.m.cfg.Property == Hybrid && !t.info.ReadOnly
+	if hybridUpdate && len(t.joined) > 0 {
+		t.info.PrepareFloor = t.m.cfg.Clock.Next()
+	}
 	prepStart := time.Now()
 	for _, r := range t.joined {
 		var r0 time.Time
@@ -566,7 +580,6 @@ func (t *Txn) Commit() error {
 	var cts histories.Timestamp
 	var ticket ccrt.Ticket
 	hasTicket := false
-	hybridUpdate := t.m.cfg.Property == Hybrid && !t.info.ReadOnly
 	reserve := func() {
 		ticket = t.m.installSeq.ReserveWith(func() {
 			if hybridUpdate {
