@@ -44,10 +44,15 @@ examples:
 # state-wise equals the live one only while log order == install order
 # (DESIGN §9), and a single run can pass by luck. Both run on a file WAL,
 # whose group commit writes one batch while the previous batch's fsync is
-# in flight; the tx test also runs on the in-memory Disk. A few seconds.
+# in flight; the tx test also runs on the in-memory Disk. The dist line
+# reruns, under the race detector, the tests that pin where a running site
+# gets an outcome: from its volatile tables, never its log, with a yes-vote
+# registered before voteMu is released and a half whose commit record failed
+# holding its object against export. About 15 seconds in all.
 order-stress:
 	$(GO) test -count=20 -run 'TestCrashConsistency' ./internal/tx
 	$(GO) test -count=20 -run 'TestFacadeDurableQueueRecoversInInstallOrder' .
+	$(GO) test -race -count=20 -run '^(TestMigrationCrashWindowSweep|TestAbandonedUnpreparedTxnSwept|TestUnanimousPeerRefusalPresumesAbort|TestDownCoordinatorAnswersInDoubt|TestRunningSitesNeverReadTheirLog|TestFailedCommitRecordHoldsTheExport|TestVoteAndRefusalNeverBothSucceed)$$' ./internal/dist
 
 # detector-stress reruns the deadlock-detector tests under the race
 # detector: only transactions that wait enter the detector, and Doomed,
@@ -96,8 +101,10 @@ chaos-smoke:
 # partition windows, and WAL checkpointing, all at once. On top of the
 # usual oracles every run must end with each object singly-homed and every
 # committed state reconstructible from the logs at its post-churn home.
+# Twenty seeds: churn is the mode that finds durability-ordering bugs
+# between commit records, checkpoints and migration exports.
 chaos-churn:
-	$(GO) run ./cmd/chaos -property dynamic -churn -seed 1 -runs 5 -checkpoint 2ms
+	$(GO) run ./cmd/chaos -property dynamic -churn -seed 1 -runs 20 -checkpoint 2ms
 
 # chaos-replication is the replica-group chaos gate: every object
 # replicated across a four-site cluster while follower deliveries drop,

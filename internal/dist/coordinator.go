@@ -272,12 +272,15 @@ func (c *Coordinator) Checkpoint() (int64, error) {
 // record before caching it, and recovery rebuilds the cache from the log),
 // so the answer always reflects durable state; OutcomeInDoubt shields
 // transactions inside a live client's decision window, and OutcomeUnknown
-// is a safe presumed-abort answer by the continuity rule.
+// is a safe presumed-abort answer by the continuity rule. A down
+// coordinator has no map and answers OutcomeInDoubt, the same rule as a
+// site's: it may have logged a commit, so it must not promise presumed
+// abort.
 func (c *Coordinator) queryOutcome(txn histories.ActivityID) Outcome {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.up {
-		return OutcomeUnknown
+		return OutcomeInDoubt
 	}
 	if c.inflight[txn] {
 		return OutcomeInDoubt

@@ -11,10 +11,11 @@ import (
 )
 
 // TestEveryAskerGivesTheFoldsFate pins the one fate rule on the inputs the
-// former hand-rolled copies treated differently, and requires every asker —
-// restart's redo, a site's outcome query against its log, the decided cache
-// a site's recovery rebuilds, and a coordinator's recovery — to resolve to
-// the fold's single answer.
+// former hand-rolled copies treated differently, and requires every reader
+// of a log — restart's redo, the decided table a site's recovery rebuilds
+// and the outcome query it then answers from it, and a coordinator's
+// recovery — to resolve to the fold's single answer. A down site reads no
+// log: it answers in-doubt until it recovers.
 func TestEveryAskerGivesTheFoldsFate(t *testing.T) {
 	const x = histories.ActivityID("x")
 	deposit := recovery.Record{
@@ -81,12 +82,16 @@ func TestEveryAskerGivesTheFoldsFate(t *testing.T) {
 				t.Errorf("restart balance = %s, want %s", got, tc.balance)
 			}
 
-			// A crashed site has no caches: outcomeOf answers from its log.
+			// A crashed site has no tables and does not read its log: it
+			// answers in-doubt, like an unreachable node, and logs nothing.
 			c := newCluster(t, 0)
 			c.siteA.Crash()
 			fill(c.siteA.Disk(), tc.log)
-			if got := c.siteA.outcomeOf(x); got != tc.want {
-				t.Errorf("site outcomeOf = %s, want %s", got, tc.want)
+			if got := c.siteA.queryOutcome(x); got != OutcomeInDoubt {
+				t.Errorf("down site queryOutcome = %s, want %s", got, OutcomeInDoubt)
+			}
+			if got := c.siteA.Disk().Len(); got != len(tc.log) {
+				t.Errorf("down site's log holds %d records after a query, want %d", got, len(tc.log))
 			}
 			// Recovery resolves what is in doubt (the coordinator knows
 			// nothing: presumed abort) and rebuilds the decided cache; every

@@ -122,9 +122,10 @@ type Site struct {
 
 	// voteMu serialises yes-votes against termination-protocol refusals:
 	// a peer-outcome query that finds no trace of a transaction durably
-	// refuses it under voteMu, and vote checks for the refusal and appends
-	// its intentions under voteMu, so a refusal and a yes-vote for the same
-	// transaction cannot interleave.
+	// refuses it under voteMu, and vote checks for the refusal, appends its
+	// intentions and registers the prepared half under voteMu, so a refusal
+	// and a yes-vote for the same transaction cannot interleave. Lock
+	// order: voteMu before mu.
 	voteMu sync.Mutex
 
 	// recoverMu serialises whole recovery passes.
@@ -141,7 +142,7 @@ type Site struct {
 	detector   *locking.Detector                      // volatile
 	prepared   map[histories.ActivityID]*preparedTxn  // volatile in-doubt set
 	active     map[histories.ActivityID]*activeTxn    // volatile unprepared-invoker set
-	decided    map[histories.ActivityID]bool          // volatile outcome cache (rebuilt from log)
+	decided    map[histories.ActivityID]bool          // volatile outcomes, authoritative while up (rebuilt from log)
 	crashes    int64                                  // total crashes, for diagnostics
 
 	// The volatile at-most-once reply cache. A reply is pinned while its
@@ -460,9 +461,11 @@ func (s *Site) specsLocked() map[histories.ObjectID]spec.SerialSpec {
 // caller can retry after the heal. Third, the resolved outcomes are appended
 // to the log (and added to the fold), and every volatile structure is
 // rebuilt from the fold: committed states and hosting by redo, the outcome
-// cache, migrate-in placement versions, replica watermarks. A down site's
+// table, migrate-in placement versions, replica watermarks. A down site's
 // handlers refuse before they log anything, so the fold read at the top,
-// plus the outcomes added to it, stays equal to the log.
+// plus the outcomes added to it, stays equal to the log. This is the only
+// place a site reads its log back: once up, it answers every outcome
+// question from the tables rebuilt here (see outcomeOf).
 func (s *Site) Recover() error {
 	s.recoverMu.Lock()
 	defer s.recoverMu.Unlock()
@@ -787,9 +790,12 @@ func (s *Site) handlePrepare(obj histories.ObjectID, txn *cc.TxnInfo, expect int
 // intentions that make it redoable. A transaction this site already
 // resolved (an abort applied, or a refusal promised to a querying peer) is
 // voted no under voteMu, so a yes-vote can never interleave with the
-// refusal that forbids it. crash is the caller's window after the force:
-// the vote is durable but never reaches the coordinator, leaving the
-// transaction in doubt here for the cooperative termination protocol.
+// refusal that forbids it. The half joins the prepared table before voteMu
+// is released: an outcome query, which answers from the volatile tables
+// alone, then never finds a logged yes-vote missing from them. crash is the
+// caller's window after the vote: it is durable but never reaches the
+// coordinator, leaving the transaction in doubt here for the cooperative
+// termination protocol.
 func (s *Site) vote(txn *cc.TxnInfo, rec recovery.Record, crash fault.Point, staged *stagedImport) error {
 	rec.Kind, rec.Txn, rec.Participants = recovery.RecordIntentions, txn.ID, txn.Participants
 	s.voteMu.Lock()
@@ -797,14 +803,9 @@ func (s *Site) vote(txn *cc.TxnInfo, rec recovery.Record, crash fault.Point, sta
 		s.voteMu.Unlock()
 		return fmt.Errorf("%w: %s at %s", ErrRefused, txn.ID, s.id)
 	}
-	err := s.disk.Append(rec)
-	s.voteMu.Unlock()
-	if err != nil {
+	if err := s.disk.Append(rec); err != nil {
+		s.voteMu.Unlock()
 		return fmt.Errorf("dist: vote of %s on %s at %s: %w", txn.ID, rec.Object, s.id, err)
-	}
-	if s.inj.Fires(crash) {
-		s.Crash()
-		return fmt.Errorf("%w: %s (crashed after logging its vote)", ErrSiteDown, s.id)
 	}
 	s.mu.Lock()
 	if s.prepared != nil {
@@ -824,6 +825,11 @@ func (s *Site) vote(txn *cc.TxnInfo, rec recovery.Record, crash fault.Point, sta
 		}
 	}
 	s.mu.Unlock()
+	s.voteMu.Unlock()
+	if s.inj.Fires(crash) {
+		s.Crash()
+		return fmt.Errorf("%w: %s (crashed after logging its vote)", ErrSiteDown, s.id)
+	}
 	return nil
 }
 
@@ -979,7 +985,10 @@ type migExport struct {
 // any other transaction with live invocations or a prepared vote on obj
 // refuses the migration (retryably — the driver backs off and retries),
 // because moving an object out from under undecided intentions could
-// commit them at a home that no longer owns the object.
+// commit them at a home that no longer owns the object. The same drain
+// keeps the exported baseline durable: decide installs a commit only after
+// its record is logged, and a half whose commit record failed stays
+// prepared here, so every effect in the copy is already told by the log.
 func (s *Site) handleMigrateExport(obj histories.ObjectID, txn *cc.TxnInfo) (migExport, error) {
 	o, err := s.objectRouted(obj, 0)
 	if err != nil {
@@ -1009,45 +1018,7 @@ func (s *Site) handleMigrateExport(obj histories.ObjectID, txn *cc.TxnInfo) (mig
 	// Register the migration in the active set: if its driver dies before
 	// prepare, the abandoned-transaction sweeper reclaims the freeze.
 	s.registerTxn(txn, obj)
-	if err := s.exportOutcomeCatchUp(obj); err != nil {
-		s.mu.Lock()
-		if owner, ok := s.migrating[obj]; ok && owner == txn.ID {
-			delete(s.migrating, obj)
-		}
-		s.mu.Unlock()
-		return migExport{}, err
-	}
 	return migExport{State: o.Base(), Type: typ, Guard: guard}, nil
-}
-
-// exportOutcomeCatchUp makes the object's durable story as new as the
-// state about to be exported. A tolerated outcome-append failure (see
-// decide) leaves a transaction decided in memory — its effects already in
-// the committed state the export copies — but undecided on disk. Left there, a checkpoint would re-append its
-// intentions after the snapshot as if still in doubt, and once the object
-// has moved on, a later recovery would resolve the transaction and redo
-// those intentions against a baseline that already includes them: a
-// double-apply (or, for an object the site no longer hosts, a rebuild
-// failure). Forcing the missing outcome records before the copy leaves
-// keeps replay redo exactly-once. The caller holds the freeze and the
-// drain found the object quiet, so the decided set for obj is stable. A
-// failed append refuses the export (retryably — the driver backs off).
-func (s *Site) exportOutcomeCatchUp(obj histories.ObjectID) error {
-	doubts := recovery.FoldLog(s.disk.Records()).InDoubt()
-	s.mu.Lock()
-	var missing []histories.ActivityID
-	for _, t := range doubts {
-		if s.decided[t.Txn] && slices.Contains(t.Objects, obj) {
-			missing = append(missing, t.Txn)
-		}
-	}
-	s.mu.Unlock()
-	for _, txn := range missing {
-		if err := s.disk.Append(recovery.Record{Kind: recovery.RecordCommit, Txn: txn}); err != nil {
-			return fmt.Errorf("dist: export of %s at %s: forcing outcome of %s: %w", obj, s.id, txn, err)
-		}
-	}
-	return nil
 }
 
 // handleMigrateImport stages the copied object state at the destination.

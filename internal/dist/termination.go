@@ -17,8 +17,8 @@ var obsInDoubtBlocked = obs.Default.Counter("dist.indoubt.blocked")
 
 // Outcome is a transaction's fate as known to one node, the unit of
 // information exchanged by the cooperative termination protocol. It is the
-// log fold's fate vocabulary: a node answers from the fold of its own log
-// (or a cache of it).
+// log fold's fate vocabulary: a running node answers from its volatile
+// tables, which recovery rebuilds from the fold of its log.
 type Outcome = recovery.Fate
 
 // Outcome values. Unknown means "no trace of the transaction" — from the
@@ -27,7 +27,7 @@ type Outcome = recovery.Fate
 // it additionally carries a durable promise never to vote yes, so a
 // unanimous Unknown from every peer also resolves to presumed abort.
 // InDoubt means the node has a prepare record (or a live decision window)
-// but no outcome; the asker must keep waiting.
+// but no outcome, or is down; the asker must keep waiting.
 const (
 	OutcomeUnknown   = recovery.FateUnknown
 	OutcomeCommitted = recovery.FateCommitted
@@ -57,12 +57,13 @@ type outcomeNode interface {
 	queryOutcome(txn histories.ActivityID) Outcome
 }
 
-// queryOutcome answers a peer's outcome query about txn. If this site has
-// no trace of the transaction it durably refuses it — an abort record is
-// forced under voteMu so no later prepare can vote yes — making the
-// Unknown answer a binding promise the asker may count toward unanimous
-// presumed abort. A refusal whose log write fails degrades to InDoubt: an
-// unlogged promise must not be given.
+// queryOutcome answers a peer's outcome query about txn from this site's
+// volatile tables (see outcomeOf). If the running site has no trace of the
+// transaction it durably refuses it — an abort record is forced under
+// voteMu so no later prepare can vote yes — making the Unknown answer a
+// binding promise the asker may count toward unanimous presumed abort. A
+// refusal whose log write fails degrades to InDoubt: an unlogged promise
+// must not be given.
 func (s *Site) queryOutcome(txn histories.ActivityID) Outcome {
 	s.voteMu.Lock()
 	defer s.voteMu.Unlock()
@@ -81,23 +82,27 @@ func (s *Site) queryOutcome(txn histories.ActivityID) Outcome {
 	return OutcomeUnknown
 }
 
-// outcomeOf answers txn's fate from this site's volatile caches, then from
-// the fold of its write-ahead log: a durable commit or abort record (or a
-// checkpoint that absorbed a commit) decides it; logged intentions without
-// an outcome are in-doubt; otherwise the site never heard of it.
+// outcomeOf answers txn's fate from memory alone. A running site's volatile
+// tables are authoritative: decided holds every outcome it reached or
+// recovered (a commit only once its record is logged; an abort's record is
+// best-effort, the log presuming abort), and prepared holds every yes-vote
+// it logged without one (vote registers the half before it releases
+// voteMu). A down site has no tables and answers in-doubt, which every
+// asker treats like an unreachable node; its log is read back only by
+// Recover.
 func (s *Site) outcomeOf(txn histories.ActivityID) Outcome {
 	s.mu.Lock()
-	out := cachedOutcome(s.decided, txn)
-	_, pending := s.prepared[txn]
-	s.mu.Unlock()
-	if out != OutcomeUnknown {
-		return out
-	}
-	out = recovery.FoldLog(s.disk.Records()).Fate(txn)
-	if out == OutcomeUnknown && pending {
+	defer s.mu.Unlock()
+	if !s.up {
 		return OutcomeInDoubt
 	}
-	return out
+	if out := cachedOutcome(s.decided, txn); out != OutcomeUnknown {
+		return out
+	}
+	if s.prepared[txn] != nil {
+		return OutcomeInDoubt
+	}
+	return OutcomeUnknown
 }
 
 // resolveOutcome runs one round of the cooperative termination protocol

@@ -36,7 +36,9 @@ import (
 //     whose durability no one depends on: an unwaited batch becomes
 //     durable with the next force that covers it.
 //   - Records returns a deep-copied snapshot; mutating it cannot alias the
-//     live log.
+//     live log. It costs time in the log's length, so only recovery,
+//     checkpoint, tests and tooling read it: a running node answers from
+//     its volatile tables, never by reading its log back.
 //   - Checkpoint/CheckpointHosted snapshot committed state, compact the
 //     log to the snapshot plus the intentions of still-undecided
 //     transactions, and report (estimated) bytes reclaimed.
