@@ -72,8 +72,10 @@ detector-stress:
 
 # check is the CI gate: formatting, vet, staticcheck (when present), build,
 # the full suite under the race detector, the examples, the install-order
-# stress and the deadlock-detector stress.
-check: fmt vet staticcheck build race examples order-stress detector-stress
+# stress, the deadlock-detector stress, and the ledger's own vet and tests
+# (it compiles against the product and forwards guard methods by type
+# assertion, which the root build does not see).
+check: fmt vet staticcheck build race examples order-stress detector-stress bench-ledger-check
 
 # chaos runs the fault-injection harness across a batch of seeds in every
 # mode: each atomicity property, plus the churn and replication clusters.
@@ -135,7 +137,7 @@ bench-ledger-check:
 	cd bench && $(GO) vet . && $(GO) test -count=1 .
 
 # fuzz-smoke runs the library's fuzzers for a bounded time each: the
-# conflict engine's memoised exact tier must be indistinguishable from the
+# conflict engine's memoised exact stage must be indistinguishable from the
 # unmemoised search, the WAL frame decoder must turn arbitrary segment
 # damage into a clean torn-tail trim or ErrCorrupt — never a panic or a
 # silent misparse — the WAL record decoder must turn arbitrary payloads

@@ -299,7 +299,7 @@ func BenchmarkE8QueueExact(b *testing.B) {
 		o, err := locking.New(locking.Config{
 			ID:       "q",
 			Type:     adts.Queue(),
-			Guard:    locking.ExactGuard{Spec: adts.QueueSpec{}},
+			Guard:    locking.ExactGuard{},
 			Detector: det,
 		})
 		if err != nil {

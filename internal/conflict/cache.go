@@ -32,6 +32,9 @@ type decisionCache struct {
 	cap     int
 }
 
+// defaultCacheEntries bounds the decision cache.
+const defaultCacheEntries = 4096
+
 func newDecisionCache(capEntries int) *decisionCache {
 	return &decisionCache{entries: make(map[string]bool), cap: capEntries}
 }

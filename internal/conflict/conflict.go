@@ -1,33 +1,39 @@
-// Package conflict is the single pluggable conflict engine every protocol
-// layer consumes: locking guards, the scheduler model, the hybrid and
+// Package conflict is the single conflict engine every protocol layer
+// consumes: locking guards, the scheduler model, the hybrid and
 // multi-version protocols and the distributed sites all answer the same
 // question — may this call run concurrently with that pending work? — and
 // this package answers it once, from the type's serial specification and
 // the object's current state, instead of each layer re-deriving its own
 // commute check.
 //
-// The engine is a tiered cascade, cheapest test first:
+// ForType builds the engine, one fixed cascade, cheapest stage first (the
+// cc.conflict.tier.<name>.* counters count each stage's decisions):
 //
 //  1. name-only conflict table — operation names alone;
-//  2. argument-aware conflict predicate — names plus arguments;
-//  3. spec-derived per-block summaries — constant-time state-based tests
-//     over a summary of each transaction's pending block (the
-//     generalisation of the escrow guard's blockFacts beyond accounts);
+//  2. argument-aware conflict table — names plus arguments;
+//  3. the spec's per-block summary (accounts and integer sets) —
+//     constant-time state-based tests over a summary of each transaction's
+//     pending block (the generalisation of the escrow guard's blockFacts
+//     beyond accounts);
 //  4. memoised exact state-based search — every order of every subset of
 //     the pending blocks is replayed from the committed base (the
-//     ExactGuard search), behind a per-object decision cache.
+//     ExactSearch behind locking.ExactGuard), behind a per-object decision
+//     cache.
 //
-// Each tier answers Commutes, Conflicts or Unknown; Unknown escalates to
-// the next tier. Soundness is preserved tier by tier: a tier may answer
-// Commutes only when it has *proved* every arrangement replays the
-// recorded results, so the cheap tiers only ever grant or escalate, and a
-// denial (waiting) is always safe. The final tier is exact, so the cascade
-// as a whole grants exactly what the exhaustive search grants — it is just
-// cheap when the static structure already decides, and O(1) when the
-// memoisation cache hits.
+// A stage is skipped when the type lacks it. Stages 1–3 may only grant or
+// escalate: a table conflict over-approximates (two withdrawals "conflict"
+// even when the balance covers both), and a summary denial is conservative,
+// so both fall through to the finer stages. Soundness is preserved stage by
+// stage: a stage grants only when it has *proved* every arrangement replays
+// the recorded results, and a denial (waiting) is always safe. The exact
+// stage is the only one that denies, so the cascade as a whole grants
+// exactly what the exhaustive search grants — it is just cheap when the
+// static structure already decides, and O(1) when the memoisation cache
+// hits. A new stage goes into Engine.Allowed between the summary and the
+// exact search, under the same grant-or-escalate rule.
 //
-// Tier 4's cache is keyed on the full decision input — base-state key,
-// the requester's block, the candidate call, and a fingerprint of the
+// The exact stage's cache is keyed on the full decision input — base-state
+// key, the requester's block, the candidate call, and a fingerprint of the
 // other transactions' pending blocks — so a hit can never be unsound, and
 // it is invalidated on commit/abort (when the committed base moves or
 // pending work drains) to stay small.
@@ -39,22 +45,20 @@ import (
 	"weihl83/internal/spec"
 )
 
-// Verdict is a tier's three-valued answer.
+// Verdict is a state-based decision procedure's three-valued answer.
 type Verdict int
 
-// Verdicts. Unknown is deliberately the zero value: a tier that has
+// Verdicts. Unknown is deliberately the zero value: a procedure that has
 // nothing to say escalates.
 const (
-	// Unknown: the tier cannot decide; the question escalates to the next
-	// (finer, more expensive) tier.
+	// Unknown: the procedure cannot decide; in the cascade the question
+	// escalates to the next (finer, more expensive) stage.
 	Unknown Verdict = iota
-	// Commutes: the tier proved every arrangement of the pending blocks
-	// with the candidate appended replays the recorded results; granting
-	// is sound.
+	// Commutes: every arrangement of the pending blocks with the candidate
+	// appended is proved to replay the recorded results; granting is sound.
 	Commutes
-	// Conflicts: the tier decided the call must not be granted now (the
-	// requester waits). Denial is always sound; only authoritative tiers
-	// (the exact search, or a summary used standalone) answer it.
+	// Conflicts: the call must not be granted now (the requester waits).
+	// Denial is always sound; a summary's denial may be conservative.
 	Conflicts
 )
 
@@ -70,125 +74,124 @@ func (v Verdict) String() string {
 	}
 }
 
-// Tier is one level of the cascade. Decide answers from the committed base
-// state, the requester's pending calls (mine), the candidate call, and the
-// other active transactions' pending blocks.
-//
-// Soundness contract (same as the locking guard's): a tier may return
-// Commutes only if for every subset of the other transactions and every
-// serialization order of that subset together with the requester (its
-// block extended by cand), replaying from base reproduces every recorded
-// result. Conflicts and Unknown are always sound.
-type Tier interface {
-	// Name labels the tier in metrics ("name", "args", "summary", "exact").
-	Name() string
-	Decide(base spec.State, mine []spec.Call, cand spec.Call, others [][]spec.Call) (Verdict, error)
+// stageCounters are one stage's decision counters,
+// cc.conflict.tier.<name>.{commutes,conflicts,escalations}.
+type stageCounters struct{ commutes, conflicts, escalations *obs.Counter }
+
+func newStageCounters(name string) *stageCounters {
+	prefix := "cc.conflict.tier." + name + "."
+	return &stageCounters{
+		commutes:    obs.Default.Counter(prefix + "commutes"),
+		conflicts:   obs.Default.Counter(prefix + "conflicts"),
+		escalations: obs.Default.Counter(prefix + "escalations"),
+	}
 }
 
-// tierSlot pairs a tier with its decision counters.
-type tierSlot struct {
-	tier                             Tier
-	commutes, conflicts, escalations *obs.Counter
-}
-
-// Engine is a cascade of tiers. It satisfies the locking package's Guard
-// interface (structurally), exposes cache invalidation for the object's
-// commit/abort hooks, and reports itself state-based so update-in-place
-// recovery rejects it.
+// Engine is the conflict cascade of one object. It satisfies the locking
+// package's Guard interface (structurally), exposes cache invalidation for
+// the object's commit/abort hooks, and reports itself state-based so
+// update-in-place recovery rejects it.
 type Engine struct {
-	slots      []tierSlot
-	cache      *decisionCache // the exact tier's memo cache; nil without one
-	stateBased bool
+	tables  Static     // the type's tables, consulted without Static's counters
+	summary summarizer // nil when the spec has none
+	cache   *decisionCache
+
+	// Counters of the stages present; nil for an absent table or summary.
+	name, args, sum, exact *stageCounters
 }
 
-// NewEngine builds an engine from tiers, finest last. The last tier should
-// be authoritative (answer Commutes or Conflicts, not Unknown); if every
-// tier escalates the engine denies, which is sound but wasteful.
-func NewEngine(tiers ...Tier) *Engine {
-	e := &Engine{}
-	for _, t := range tiers {
-		prefix := "cc.conflict.tier." + t.Name() + "."
-		e.slots = append(e.slots, tierSlot{
-			tier:        t,
-			commutes:    obs.Default.Counter(prefix + "commutes"),
-			conflicts:   obs.Default.Counter(prefix + "conflicts"),
-			escalations: obs.Default.Counter(prefix + "escalations"),
-		})
-		switch tt := t.(type) {
-		case *ExactTier:
-			e.cache = tt.cache
-			e.stateBased = true
-		case SummaryTier:
-			e.stateBased = true
-		case *SummaryTier:
-			e.stateBased = true
+// ForType builds the cascade for a type: its name-only table, its
+// argument-aware table, the summary for its spec (accounts and integer
+// sets), and the memoised exact search. Missing tables and summaries are
+// skipped; the exact stage is always present, so the cascade decides every
+// input.
+func ForType(t adts.Type) *Engine {
+	e := &Engine{
+		tables: *StaticForType(t),
+		cache:  newDecisionCache(defaultCacheEntries),
+		exact:  newStageCounters("exact"),
+	}
+	if t.ConflictsNameOnly != nil {
+		e.name = newStageCounters("name")
+	}
+	if t.Conflicts != nil {
+		e.args = newStageCounters("args")
+	}
+	if t.Spec != nil {
+		switch t.Spec.Name() {
+		case adts.AccountSpec{}.Name():
+			e.summary = AccountSummary{}
+		case adts.IntSetSpec{}.Name():
+			e.summary = IntSetSummary{}
+		}
+		if e.summary != nil {
+			e.sum = newStageCounters("summary")
 		}
 	}
 	return e
 }
 
-// ForType builds the full cascade for a type: its name-only table, its
-// argument-aware predicate, a registered per-block summarizer for the
-// type's spec (if any), and the memoised exact search. Missing pieces are
-// skipped; the exact tier is always present, so the cascade decides every
-// input.
-func ForType(t adts.Type) *Engine {
-	var tiers []Tier
-	if t.ConflictsNameOnly != nil {
-		tiers = append(tiers, TableTier{TierName: "name", Conflicts: t.ConflictsNameOnly})
-	}
-	if t.Conflicts != nil {
-		tiers = append(tiers, TableTier{TierName: "args", Conflicts: t.Conflicts})
-	}
-	if t.Spec != nil {
-		if s := SummarizerFor(t.Spec.Name()); s != nil {
-			// In the cascade the summary must escalate its denials: its
-			// Conflicts answers are conservative (sound to wait on, but not
-			// exact), and the tier below is both exact and memoised.
-			tiers = append(tiers, SummaryTier{Summarizer: s, Escalate: true})
-		}
-	}
-	tiers = append(tiers, NewExactTier(0, 0))
-	return NewEngine(tiers...)
-}
-
 // Allowed runs the cascade. It has the locking Guard signature: true means
 // granting cand is sound, false means the requester must wait. An error
-// reports a misconfiguration (e.g. a summary tier asked about a state of
-// the wrong type standalone) — the call must not silently wait on it.
+// reports a misconfiguration (the summary asked about a state of the wrong
+// type, ErrTypeMismatch) — the call must not silently wait on it.
 func (e *Engine) Allowed(base spec.State, mine []spec.Call, cand spec.Call, others [][]spec.Call) (bool, error) {
-	for i := range e.slots {
-		s := &e.slots[i]
-		v, err := s.tier.Decide(base, mine, cand, others)
+	if e.name != nil {
+		if TableAllowed(e.tables.nameOnly, cand, others) {
+			e.name.commutes.Inc()
+			return true, nil
+		}
+		e.name.escalations.Inc()
+	}
+	if e.args != nil {
+		if TableAllowed(e.tables.args, cand, others) {
+			e.args.commutes.Inc()
+			return true, nil
+		}
+		e.args.escalations.Inc()
+	}
+	if e.summary != nil {
+		v, err := e.summary.Decide(base, mine, cand, others)
 		if err != nil {
 			return false, err
 		}
-		switch v {
-		case Commutes:
-			s.commutes.Inc()
+		if v == Commutes {
+			e.sum.commutes.Inc()
 			return true, nil
-		case Conflicts:
-			s.conflicts.Inc()
-			return false, nil
 		}
-		s.escalations.Inc()
+		// A summary denial is conservative (the account summary denies a
+		// deposit against any recorded failed withdrawal, even one too
+		// large for the deposit to flip): the exact search decides.
+		e.sum.escalations.Inc()
 	}
-	// Every tier escalated: deny. Waiting is the only sound default.
+	if e.exactAllowed(base, mine, cand, others) {
+		e.exact.commutes.Inc()
+		return true, nil
+	}
+	e.exact.conflicts.Inc()
 	return false, nil
 }
 
-// InvalidateConflictCache drops the exact tier's memoised decisions. The
+// exactAllowed is the exact stage: ExactSearch at the default bounds behind
+// the decision cache.
+func (e *Engine) exactAllowed(base spec.State, mine []spec.Call, cand spec.Call, others [][]spec.Call) bool {
+	key := decisionKey(base, mine, cand, others)
+	if ok, hit := e.cache.get(key); hit {
+		return ok
+	}
+	ok := ExactSearch(base, mine, cand, others, 0, 0)
+	e.cache.put(key, ok)
+	return ok
+}
+
+// InvalidateConflictCache drops the exact stage's memoised decisions. The
 // locking object calls it on every commit and abort: the committed base
 // may have moved and pending blocks drained, so the cached keys are dead
 // weight (they can never be *wrong* — the key covers the full decision
 // input — but they would accumulate without bound).
-func (e *Engine) InvalidateConflictCache() {
-	if e.cache != nil {
-		e.cache.clear()
-	}
-}
+func (e *Engine) InvalidateConflictCache() { e.cache.clear() }
 
-// StateBased reports whether any tier consults the base state. State-based
-// engines are incompatible with update-in-place recovery, whose base
-// includes uncommitted effects.
-func (e *Engine) StateBased() bool { return e.stateBased }
+// StateBased reports that the engine consults the base state (its exact
+// stage always does). State-based engines are incompatible with
+// update-in-place recovery, whose base includes uncommitted effects.
+func (e *Engine) StateBased() bool { return true }

@@ -51,45 +51,13 @@ func TestVerdictString(t *testing.T) {
 	}
 }
 
-// TestTableTierNeverDenies: the static tables over-approximate conflicts,
-// so a table tier may only grant (Commutes) or escalate (Unknown) — a
-// Conflicts answer from it would make the cascade stricter than the exact
-// search, breaking cascade ≡ exact.
-func TestTableTierNeverDenies(t *testing.T) {
-	tier := TableTier{TierName: "args", Conflicts: adts.AccountConflicts}
-	base := spec.State(adts.AccountState(10))
-	cases := []struct {
-		cand   spec.Call
-		others [][]spec.Call
-		want   Verdict
-	}{
-		{deposit(1), nil, Commutes},                           // vacuous: no others
-		{deposit(1), [][]spec.Call{{deposit(2)}}, Commutes},   // deposits commute in the table
-		{withdraw(1), [][]spec.Call{{withdraw(2)}}, Unknown},  // table conflict: escalate, never deny
-		{balance(10), [][]spec.Call{{withdraw(2)}}, Unknown},  // observer vs mutator
-		{balance(10), [][]spec.Call{{balance(10)}}, Commutes}, // observers commute
-	}
-	for i, c := range cases {
-		v, err := tier.Decide(base, nil, c.cand, c.others)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if v != c.want {
-			t.Errorf("case %d: got %v, want %v", i, v, c.want)
-		}
-		if v == Conflicts {
-			t.Errorf("case %d: a table tier must never answer Conflicts", i)
-		}
-	}
-}
-
 // TestCascadeTierResolution drives the account cascade with inputs designed
-// to resolve at each tier and checks where they landed via the exact tier's
-// cache occupancy (only inputs that reach tier 4 are cached).
+// to resolve at each stage and checks where they landed via the exact
+// stage's cache occupancy (only inputs that reach it are cached).
 func TestCascadeTierResolution(t *testing.T) {
 	e := ForType(adts.Account())
 	if e.cache == nil {
-		t.Fatal("account cascade has no exact-tier cache")
+		t.Fatal("account cascade has no exact-stage cache")
 	}
 	base := spec.State(adts.AccountState(100))
 
@@ -98,35 +66,38 @@ func TestCascadeTierResolution(t *testing.T) {
 		t.Error("deposit vs deposit denied")
 	}
 	if n := e.cache.len(); n != 0 {
-		t.Errorf("table-resolved decision reached the exact tier (cache len %d)", n)
+		t.Errorf("table-resolved decision reached the exact stage (cache len %d)", n)
 	}
 
-	// Resolved by the summary tier: covered withdrawals against mutators.
+	// Resolved by the summary: covered withdrawals against mutators.
 	if !mustAllow(t, e, base, nil, withdraw(3), [][]spec.Call{{withdraw(4)}, {withdraw(5)}}) {
 		t.Error("covered withdrawal denied")
 	}
 	if n := e.cache.len(); n != 0 {
-		t.Errorf("summary-resolved decision reached the exact tier (cache len %d)", n)
+		t.Errorf("summary-resolved decision reached the exact stage (cache len %d)", n)
 	}
 
-	// Escalates to the exact tier: the summary conservatively refuses a
+	// Escalates to the exact stage: the summary conservatively refuses a
 	// deposit against a recorded failure, but the failure is too large for
 	// the deposit to flip, so the exact search grants.
 	if !mustAllow(t, e, base, nil, deposit(1), [][]spec.Call{{failedWithdraw(1_000_000)}}) {
-		t.Error("unflippable failure should not block the deposit at the exact tier")
+		t.Error("unflippable failure should not block the deposit at the exact stage")
 	}
 	if n := e.cache.len(); n != 1 {
-		t.Errorf("exact-tier decision not cached (cache len %d)", n)
+		t.Errorf("exact-stage decision not cached (cache len %d)", n)
 	}
 
-	// And the exact tier still denies what is genuinely inadmissible.
+	// And the exact stage still denies what is genuinely inadmissible.
 	if mustAllow(t, e, base, nil, withdraw(60), [][]spec.Call{{withdraw(50)}}) {
 		t.Error("uncovered withdrawal granted")
 	}
 }
 
+// TestEngineCacheHitAndInvalidate: a question that reaches the exact stage
+// (the tables and the summary all pass it on) is memoised under an
+// order-insensitive key and recomputed, unchanged, after invalidation.
 func TestEngineCacheHitAndInvalidate(t *testing.T) {
-	e := NewEngine(NewExactTier(0, 0))
+	e := ForType(adts.Account())
 	base := spec.State(adts.AccountState(10))
 	others := [][]spec.Call{{withdraw(4)}, {withdraw(3)}}
 
@@ -161,21 +132,16 @@ func TestEngineCacheHitAndInvalidate(t *testing.T) {
 	}
 }
 
-// TestSummaryEscalationVsStandalone: inside the cascade the summary demotes
-// its conservative denials to Unknown and the exact tier overrides them;
+// TestSummaryEscalationVsStandalone: inside the cascade the summary's
+// conservative denials escalate and the exact stage overrides them;
 // standalone (the escrow guard) the denial is authoritative.
 func TestSummaryEscalationVsStandalone(t *testing.T) {
 	base := spec.State(adts.AccountState(100))
 	cand := deposit(1)
 	others := [][]spec.Call{{failedWithdraw(1_000_000)}}
 
-	standalone := SummaryTier{Summarizer: AccountSummary{}}
-	if v, err := standalone.Decide(base, nil, cand, others); err != nil || v != Conflicts {
+	if v, err := (AccountSummary{}).Decide(base, nil, cand, others); err != nil || v != Conflicts {
 		t.Fatalf("standalone summary: verdict %v err %v, want Conflicts", v, err)
-	}
-	escalating := SummaryTier{Summarizer: AccountSummary{}, Escalate: true}
-	if v, err := escalating.Decide(base, nil, cand, others); err != nil || v != Unknown {
-		t.Fatalf("escalating summary: verdict %v err %v, want Unknown", v, err)
 	}
 	if !mustAllow(t, ForType(adts.Account()), base, nil, cand, others) {
 		t.Fatal("cascade kept the summary's conservative denial")
@@ -186,13 +152,11 @@ func TestTypeMismatchError(t *testing.T) {
 	// The account summary asked about a set state: a misconfigured guard.
 	// The error must surface (not a silent deny) and must carry
 	// ErrTypeMismatch so callers can abort instead of waiting.
-	tier := SummaryTier{Summarizer: AccountSummary{}}
-	if _, err := tier.Decide(intSet(t, 1), nil, balance(0), nil); !errors.Is(err, ErrTypeMismatch) {
+	if _, err := (AccountSummary{}).Decide(intSet(t, 1), nil, balance(0), nil); !errors.Is(err, ErrTypeMismatch) {
 		t.Fatalf("account summary on a set state: err = %v, want ErrTypeMismatch", err)
 	}
-	// Same through an engine built with the summary as a tier.
-	e := NewEngine(tier)
-	if _, err := e.Allowed(intSet(t, 1), nil, balance(0), [][]spec.Call{{deposit(1)}}); !errors.Is(err, ErrTypeMismatch) {
+	// Same through the account cascade, once the tables pass it on.
+	if _, err := ForType(adts.Account()).Allowed(intSet(t, 1), nil, balance(0), [][]spec.Call{{deposit(1)}}); !errors.Is(err, ErrTypeMismatch) {
 		t.Fatalf("engine: err = %v, want ErrTypeMismatch", err)
 	}
 	// And from the set summarizer, symmetrically.
@@ -252,12 +216,12 @@ func TestIntSetSummary(t *testing.T) {
 
 // TestForTypeQueueComposition: the queue has no summarizer, so its cascade
 // is tables + exact; interleaved enqueues defeat both tables (enqueue order
-// is observable) but the exact tier proves the paper's §5.1 interleaving
+// is observable) but the exact stage proves the paper's §5.1 interleaving
 // admissible.
 func TestForTypeQueueComposition(t *testing.T) {
 	e := ForType(adts.Queue())
 	if !e.StateBased() {
-		t.Fatal("a cascade ending in the exact tier is state-based")
+		t.Fatal("a cascade ending in the exact stage is state-based")
 	}
 	base := adts.QueueSpec{}.Init()
 	enq := func(n int64) spec.Call { return call(adts.OpEnqueue, value.Int(n), value.Unit()) }
@@ -270,29 +234,13 @@ func TestForTypeQueueComposition(t *testing.T) {
 	}
 }
 
+// TestStateBased: every cascade ends in the exact stage, so every engine
+// reports state-based and update-in-place recovery refuses it.
 func TestStateBased(t *testing.T) {
-	if !ForType(adts.Account()).StateBased() {
-		t.Error("account cascade must report state-based")
-	}
-	if NewEngine(TableTier{TierName: "args", Conflicts: adts.AccountConflicts}).StateBased() {
-		t.Error("a pure table engine is not state-based")
-	}
-	if !NewEngine(SummaryTier{Summarizer: AccountSummary{}}).StateBased() {
-		t.Error("a summary (escrow) engine is state-based")
-	}
-}
-
-// TestEngineAllTiersEscalate: an engine whose every tier answers Unknown
-// must deny — waiting is the only sound default.
-func TestEngineAllTiersEscalate(t *testing.T) {
-	conflictAlways := func(p, q spec.Invocation) bool { return true }
-	e := NewEngine(TableTier{TierName: "name", Conflicts: conflictAlways})
-	ok, err := e.Allowed(spec.State(adts.AccountState(10)), nil, deposit(1), [][]spec.Call{{deposit(2)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("engine granted with no tier deciding")
+	for _, ty := range []adts.Type{adts.Account(), adts.IntSet(), adts.Queue()} {
+		if !ForType(ty).StateBased() {
+			t.Errorf("%s cascade must report state-based", ty.Spec.Name())
+		}
 	}
 }
 

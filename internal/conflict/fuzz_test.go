@@ -8,10 +8,11 @@ import (
 	"weihl83/internal/value"
 )
 
-// FuzzExactMemo checks that the memoised exact tier is indistinguishable
-// from the unmemoised search: on an arbitrary account scenario the tier's
-// decision equals ExactSearch, asking the same question twice (a cache hit)
-// gives the same answer, and the answer survives a cache invalidation.
+// FuzzExactMemo checks that the engine's memoised exact stage is
+// indistinguishable from the unmemoised search: on an arbitrary account
+// scenario the stage's decision equals ExactSearch, asking the same
+// question twice (a cache hit) gives the same answer, and the answer
+// survives a cache invalidation.
 // `make fuzz-smoke` runs this for a bounded time in CI.
 func FuzzExactMemo(f *testing.F) {
 	f.Add(int64(10), []byte{0x07, 0x01, 0x12, 0x23, 0x0a})
@@ -75,26 +76,18 @@ func FuzzExactMemo(f *testing.F) {
 		}
 
 		want := ExactSearch(base, mine, cand, others, 0, 0)
-		wantV := Conflicts
-		if want {
-			wantV = Commutes
-		}
-		tier := NewExactTier(0, 0)
+		e := ForType(adts.Account())
 		for i := 0; i < 2; i++ {
-			v, err := tier.Decide(base, mine, cand, others)
-			if err != nil {
-				t.Fatalf("decide %d: %v", i, err)
-			}
-			if v != wantV {
-				t.Fatalf("decide %d: memoised verdict %v, unmemoised search %v", i, v, wantV)
+			if got := e.exactAllowed(base, mine, cand, others); got != want {
+				t.Fatalf("decide %d: memoised %t, unmemoised search %t", i, got, want)
 			}
 		}
-		if n := tier.cache.len(); n != 1 {
+		if n := e.cache.len(); n != 1 {
 			t.Fatalf("cache len = %d after two identical decisions, want 1", n)
 		}
-		tier.cache.clear()
-		if v, err := tier.Decide(base, mine, cand, others); err != nil || v != wantV {
-			t.Fatalf("post-invalidation verdict %v (err %v), want %v", v, err, wantV)
+		e.InvalidateConflictCache()
+		if got := e.exactAllowed(base, mine, cand, others); got != want {
+			t.Fatalf("post-invalidation %t, want %t", got, want)
 		}
 	})
 }

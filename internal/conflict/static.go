@@ -8,7 +8,7 @@ import (
 
 // Static-cascade observability. The counters are shared by every Static
 // instance: the interesting signal is how often each tier decides across
-// the process, mirroring the engine's per-tier counters.
+// the process, mirroring the engine's per-stage counters.
 var (
 	obsStaticNameCommutes = obs.Default.Counter("cc.conflict.static.name.commutes")
 	obsStaticArgsCommutes = obs.Default.Counter("cc.conflict.static.args.commutes")
@@ -16,7 +16,7 @@ var (
 )
 
 // Static is the pairwise, state-independent face of the cascade: the two
-// table tiers applied to a single pair of invocations. Layers that reason
+// table stages applied to a single pair of invocations. Layers that reason
 // about invocation pairs rather than pending blocks — the scheduler model,
 // the multi-version protocol's validation fast path — consume this instead
 // of a raw conflict predicate, so the tiering (and its metrics) is uniform

@@ -3,7 +3,6 @@ package conflict
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"weihl83/internal/adts"
 	"weihl83/internal/obs"
@@ -24,76 +23,19 @@ var obsTypeMismatch = obs.Default.Counter("cc.conflict.type_mismatch")
 // aborts the invoking transaction's chain instead of livelocking it.
 var ErrTypeMismatch = errors.New("conflict: base state does not match the guard's type")
 
-// Summarizer is tier 3 of the cascade: a constant-time state-based
-// decision over per-block summaries. Instead of replaying arrangements it
-// folds each pending block into a small summary (the account summarizer's
-// net/has-balance/has-failed-withdraw triple, the set summarizer's
-// per-element touch sets) and decides from the summaries plus the base
-// state. Implementations obey the Tier soundness contract: Commutes only
-// with proof, Conflicts when the summary shows the call cannot be granted
-// (which may be conservative), Unknown otherwise.
-type Summarizer interface {
+// summarizer is stage 3 of the cascade (AccountSummary or IntSetSummary):
+// a constant-time state-based decision over per-block summaries. Instead of
+// replaying arrangements it
+// folds each pending block into a small summary (the account summary's
+// net/has-balance/has-failed-withdraw triple, the set summary's per-element
+// touch sets) and decides from the summaries plus the base state. It obeys
+// the guard soundness contract: Commutes only with proof, Conflicts when the
+// summary shows the call cannot be granted (which may be conservative),
+// Unknown otherwise. The cascade escalates both Conflicts and Unknown to
+// the exact search; the escrow guard uses AccountSummary standalone, its
+// denials final.
+type summarizer interface {
 	Decide(base spec.State, mine []spec.Call, cand spec.Call, others [][]spec.Call) (Verdict, error)
-}
-
-// summarizer registry, keyed by spec name (SerialSpec.Name()). ForType
-// consults it so any type can plug a summary tier into its cascade.
-var (
-	summaryMu   sync.RWMutex
-	summarizers = map[string]Summarizer{
-		adts.AccountSpec{}.Name(): AccountSummary{},
-		adts.IntSetSpec{}.Name():  IntSetSummary{},
-	}
-)
-
-// RegisterSummarizer installs (or replaces) the summarizer used by ForType
-// cascades for objects whose spec has the given name.
-func RegisterSummarizer(specName string, s Summarizer) {
-	summaryMu.Lock()
-	defer summaryMu.Unlock()
-	if s == nil {
-		delete(summarizers, specName)
-		return
-	}
-	summarizers[specName] = s
-}
-
-// SummarizerFor returns the summarizer registered for the spec name, or
-// nil.
-func SummarizerFor(specName string) Summarizer {
-	summaryMu.RLock()
-	defer summaryMu.RUnlock()
-	return summarizers[specName]
-}
-
-// SummaryTier adapts a Summarizer into the cascade.
-type SummaryTier struct {
-	Summarizer Summarizer
-	// Escalate demotes the summarizer's Conflicts answers to Unknown. Set
-	// inside the cascade, where a summary denial is conservative (e.g. the
-	// account summarizer denies a deposit against any recorded failed
-	// withdrawal, even one too large for the deposit to flip) and the
-	// exact tier below gives the precise answer. Clear it to use the
-	// summary standalone as an authoritative constant-time guard (the
-	// escrow guard).
-	Escalate bool
-}
-
-var _ Tier = SummaryTier{}
-
-// Name implements Tier.
-func (t SummaryTier) Name() string { return "summary" }
-
-// Decide implements Tier.
-func (t SummaryTier) Decide(base spec.State, mine []spec.Call, cand spec.Call, others [][]spec.Call) (Verdict, error) {
-	v, err := t.Summarizer.Decide(base, mine, cand, others)
-	if err != nil {
-		return Unknown, err
-	}
-	if t.Escalate && v == Conflicts {
-		return Unknown, nil
-	}
-	return v, nil
 }
 
 // --- bank account ---------------------------------------------------------
@@ -113,7 +55,7 @@ func (t SummaryTier) Decide(base spec.State, mine []spec.Call, cand spec.Call, o
 // derived in DESIGN.md.
 type AccountSummary struct{}
 
-var _ Summarizer = AccountSummary{}
+var _ summarizer = AccountSummary{}
 
 // accountFacts summarises one transaction's pending calls at an account.
 type accountFacts struct {
@@ -155,7 +97,7 @@ func accountFactsOf(calls []spec.Call) accountFacts {
 	return f
 }
 
-// Decide implements Summarizer.
+// Decide decides cand from the block summaries.
 func (AccountSummary) Decide(base spec.State, mine []spec.Call, cand spec.Call, others [][]spec.Call) (Verdict, error) {
 	acct, ok := base.(adts.AccountState)
 	if !ok {
@@ -233,7 +175,7 @@ type setMembership interface {
 	Has(n int64) bool
 }
 
-// IntSetSummary is the per-block summary tier for the integer-set type: it
+// IntSetSummary is the per-block summary for the integer-set type: it
 // proves commutativity exactly where the argument-aware table cannot — when
 // the candidate is a state no-op. An insert of an element already in the
 // base (and deleted by nobody pending) changes nothing in any arrangement,
@@ -243,7 +185,7 @@ type setMembership interface {
 // no-op argument does not apply it escalates.
 type IntSetSummary struct{}
 
-var _ Summarizer = IntSetSummary{}
+var _ summarizer = IntSetSummary{}
 
 // touches reports whether any call in calls is op(n).
 func touches(calls []spec.Call, op string, n int64) bool {
@@ -258,7 +200,7 @@ func touches(calls []spec.Call, op string, n int64) bool {
 	return false
 }
 
-// Decide implements Summarizer.
+// Decide decides cand from the block summaries.
 func (IntSetSummary) Decide(base spec.State, mine []spec.Call, cand spec.Call, others [][]spec.Call) (Verdict, error) {
 	set, ok := base.(setMembership)
 	if !ok {

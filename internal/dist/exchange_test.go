@@ -24,7 +24,7 @@ func TestEveryMessageKindRidesOneExchange(t *testing.T) {
 		send func(n *Network, epoch uint64) error
 	}{
 		{"call", func(n *Network, epoch uint64) error {
-			_, _, err := call(n, "B", "A", epoch, "t1", struct{}{}, func(*Site, struct{}) (struct{}, error) {
+			_, err := call(n, "B", "A", epoch, "t1", struct{}{}, func(*Site, struct{}) (struct{}, error) {
 				handlerRuns++
 				return struct{}{}, nil
 			})

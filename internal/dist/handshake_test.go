@@ -22,25 +22,38 @@ import (
 // invoke error and the number of history events the site recorded for the
 // operation. Under the handshake protocol the retransmission carries the
 // pre-crash epoch and is refused (ErrOrphaned, one event); under the old
-// pin-on-first-reply protocol it carries expect=0, slips past the epoch
-// and sequence checks, and re-executes (nil error, two events — the
-// phantom duplicate that broke serializability while money stayed
-// conserved).
-func firstContactWindow(t *testing.T) (error, int) {
+// pin-on-first-reply protocol (handshake false: the operation goes out
+// through call with expect=0) it slips past the epoch and sequence checks
+// and re-executes (nil error, two events — the phantom duplicate that
+// broke serializability while money stayed conserved).
+func firstContactWindow(t *testing.T, handshake bool) (error, int) {
 	t.Helper()
 	inj := fault.New(1)
 	c := newClusterInj(t, 0, inj)
 	c.net.SetRPC(150*time.Millisecond, 2)
 
 	txn := &cc.TxnInfo{ID: "T-first-contact", Seq: 1}
-	// Drop exactly one reply: the first delivery of the first operation.
-	// (The handshake protocol pins the epoch before this point; crucially
-	// the pin must survive being taken before the op, not from its reply.)
-	if !skipHandshake.Load() {
-		if _, err := c.remA.ensureEpoch(txn.ID); err != nil {
+	inv := spec.Invocation{Op: adts.OpDeposit, Arg: value.Int(5)}
+	r := c.remA
+	send := func() error {
+		_, err := r.Invoke(txn, inv)
+		return err
+	}
+	if handshake {
+		// The handshake pins the epoch before the operation; crucially the
+		// pin must survive being taken before the op, not from its reply.
+		if _, err := r.ensureEpoch(txn.ID); err != nil {
 			t.Fatal(err)
 		}
+	} else {
+		send = func() error {
+			_, err := call(r.net, r.origin, r.site, 0, txn.ID, inv, func(s *Site, inv spec.Invocation) (value.Value, error) {
+				return s.handleInvoke(r.obj, txn, inv, 0, r.rv)
+			})
+			return err
+		}
 	}
+	// Drop exactly one reply: the first delivery of the first operation.
 	inj.Enable(fault.NetReplyDrop, fault.Rule{Prob: 1, Limit: 1})
 
 	crashed := make(chan error, 1)
@@ -49,7 +62,7 @@ func firstContactWindow(t *testing.T) (error, int) {
 		c.siteA.Crash()
 		crashed <- c.siteA.Recover()
 	}()
-	_, err := c.remA.Invoke(txn, spec.Invocation{Op: adts.OpDeposit, Arg: value.Int(5)})
+	err := send()
 	if rerr := <-crashed; rerr != nil {
 		t.Fatal(rerr)
 	}
@@ -66,7 +79,7 @@ func firstContactWindow(t *testing.T) (error, int) {
 // retransmitted first operation is refused as orphaned — no re-execution,
 // no phantom history event — and the abort is retryable.
 func TestHandshakeClosesFirstContactWindow(t *testing.T) {
-	err, events := firstContactWindow(t)
+	err, events := firstContactWindow(t, true)
 	if !errors.Is(err, ErrOrphaned) {
 		t.Fatalf("retransmitted first op across a crash = %v, want ErrOrphaned", err)
 	}
@@ -79,18 +92,16 @@ func TestHandshakeClosesFirstContactWindow(t *testing.T) {
 }
 
 // TestHandshakeRegressionLock deliberately re-introduces the expect=0
-// first-contact path (the pre-handshake protocol) and shows the protections
-// the other handshake tests assert really do collapse without it: the
+// first-contact path (the pre-handshake protocol, by sending the first
+// operation through call with expect=0) and shows the protections the
+// other handshake tests assert really do collapse without it: the
 // retransmission re-executes the operation, records a phantom duplicate
 // event, and the expect=0 counter — which TestHandshakeNoExpectZeroUnderFaults
 // pins at zero — goes positive. If a regression ever reopens the window,
 // those tests fail exactly the way this one demonstrates.
 func TestHandshakeRegressionLock(t *testing.T) {
-	skipHandshake.Store(true)
-	defer skipHandshake.Store(false)
-
 	before := obs.Default.Counter("dist.rpc.expect0").Load()
-	err, events := firstContactWindow(t)
+	err, events := firstContactWindow(t, false)
 	if err != nil {
 		t.Fatalf("expect=0 retransmission was refused (%v); the re-introduced hole should slip through", err)
 	}

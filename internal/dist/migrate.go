@@ -38,14 +38,14 @@ func newMigPeer(net *Network, origin, site SiteID, obj histories.ObjectID) (*mig
 }
 
 func (p *migPeer) export(txn *cc.TxnInfo) (migExport, error) {
-	exp, _, err := call(p.net, p.origin, p.site, p.epoch, txn.ID, struct{}{}, func(s *Site, _ struct{}) (migExport, error) {
+	exp, err := call(p.net, p.origin, p.site, p.epoch, txn.ID, struct{}{}, func(s *Site, _ struct{}) (migExport, error) {
 		return s.handleMigrateExport(p.obj, txn)
 	})
 	return exp, err
 }
 
 func (p *migPeer) stage(txn *cc.TxnInfo, exp migExport) error {
-	_, _, err := call(p.net, p.origin, p.site, p.epoch, txn.ID, exp, func(s *Site, exp migExport) (struct{}, error) {
+	_, err := call(p.net, p.origin, p.site, p.epoch, txn.ID, exp, func(s *Site, exp migExport) (struct{}, error) {
 		return struct{}{}, s.handleMigrateImport(p.obj, txn, exp)
 	})
 	return err
@@ -53,7 +53,7 @@ func (p *migPeer) stage(txn *cc.TxnInfo, exp migExport) error {
 
 func (p *migPeer) prepare(txn *cc.TxnInfo, dir recovery.MigrateDir, ringv uint64) error {
 	type req struct{}
-	_, _, err := call(p.net, p.origin, p.site, p.epoch, txn.ID, req{}, func(s *Site, _ req) (struct{}, error) {
+	_, err := call(p.net, p.origin, p.site, p.epoch, txn.ID, req{}, func(s *Site, _ req) (struct{}, error) {
 		return struct{}{}, s.handleMigratePrepare(p.obj, txn, dir, ringv)
 	})
 	return err
@@ -64,7 +64,7 @@ func (p *migPeer) prepare(txn *cc.TxnInfo, dir recovery.MigrateDir, ringv uint64
 // termination protocol and recovery).
 func (p *migPeer) commit(txn *cc.TxnInfo) {
 	type req struct{}
-	_, _, _ = call(p.net, p.origin, p.site, p.epoch, txn.ID, req{}, func(s *Site, _ req) (struct{}, error) {
+	_, _ = call(p.net, p.origin, p.site, p.epoch, txn.ID, req{}, func(s *Site, _ req) (struct{}, error) {
 		return struct{}{}, s.handleMigrateCommit(p.obj, txn)
 	})
 }
@@ -74,7 +74,7 @@ func (p *migPeer) commit(txn *cc.TxnInfo) {
 // copy).
 func (p *migPeer) abort(txn *cc.TxnInfo) {
 	type req struct{}
-	_, _, _ = call(p.net, p.origin, p.site, p.epoch, txn.ID, req{}, func(s *Site, _ req) (struct{}, error) {
+	_, _ = call(p.net, p.origin, p.site, p.epoch, txn.ID, req{}, func(s *Site, _ req) (struct{}, error) {
 		return struct{}{}, s.handleMigrateAbort(p.obj, txn)
 	})
 }

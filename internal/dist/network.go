@@ -53,12 +53,6 @@ var (
 	obsPartitionBlocked = obs.Default.Counter("dist.net.partition.blocked")
 )
 
-// skipHandshake exists solely for the handshake regression-lock test: when
-// true, proxies skip the epoch handshake and fall back to pinning the epoch
-// from the first successful reply, reintroducing the expect=0 first-contact
-// window. Production code never sets it.
-var skipHandshake atomic.Bool
-
 // SiteID names a site (or the coordinator) on the network.
 type SiteID string
 
@@ -353,18 +347,17 @@ func (n *Network) requestLost(inj *fault.Injector) bool {
 }
 
 // call is the stateful exchange: it delivers a request to a site at most
-// once and returns the handler's reply plus the site's current epoch. The
-// request carries an id and the site caches its reply, so a retransmission
-// after a lost reply — or the duplicate fault.NetRequestDup injects — is
-// answered from the cache instead of re-executing the handler. expect is
-// the site epoch the client pinned for this transaction; a mismatch means
-// the site crashed underneath it, and the delivery is refused with
-// ErrOrphaned.
-func call[Req any, Resp any](n *Network, from SiteID, site SiteID, expect uint64, txn histories.ActivityID, req Req, handle func(s *Site, req Req) (Resp, error)) (Resp, uint64, error) {
+// once and returns the handler's reply. The request carries an id and the
+// site caches its reply, so a retransmission after a lost reply — or the
+// duplicate fault.NetRequestDup injects — is answered from the cache
+// instead of re-executing the handler. expect is the site epoch the client
+// pinned for this transaction; a mismatch means the site crashed
+// underneath it, and the delivery is refused with ErrOrphaned.
+func call[Req any, Resp any](n *Network, from SiteID, site SiteID, expect uint64, txn histories.ActivityID, req Req, handle func(s *Site, req Req) (Resp, error)) (Resp, error) {
 	s, err := n.Site(site)
 	if err != nil {
 		var zero Resp
-		return zero, 0, err
+		return zero, err
 	}
 	if expect == 0 {
 		// Regression lock for the exactly-once first-contact hole: the
@@ -374,25 +367,24 @@ func call[Req any, Resp any](n *Network, from SiteID, site SiteID, expect uint64
 		obsRPCExpect0.Inc()
 	}
 	type reply struct {
-		resp  Resp
-		epoch uint64
-		err   error
+		resp Resp
+		err  error
 	}
 	inj := n.injector()
 	reqID := n.reqSeq.Add(1)
 	r, err := exchange(n, from, site, s, func() (r reply) {
-		r.resp, r.epoch, r.err = deliver(s, reqID, expect, txn, req, handle)
+		r.resp, r.err = deliver(s, reqID, expect, txn, req, handle)
 		if inj.Fires(fault.NetRequestDup) {
 			// Deliver the duplicate; its reply is discarded. The reply
 			// cache makes this a no-op at the site.
-			_, _, _ = deliver(s, reqID, expect, txn, req, handle)
+			_, _ = deliver(s, reqID, expect, txn, req, handle)
 		}
 		return r
 	})
 	if err == nil {
 		err = r.err
 	}
-	return r.resp, r.epoch, err
+	return r.resp, err
 }
 
 // deliver executes one delivery of a request at a site, answering
@@ -401,18 +393,18 @@ func call[Req any, Resp any](n *Network, from SiteID, site SiteID, expect uint64
 // requests before they touch any state. The cache is same-epoch by
 // construction — a crash wipes it — so a cached reply needs no epoch
 // check.
-func deliver[Req any, Resp any](s *Site, reqID uint64, expect uint64, txn histories.ActivityID, req Req, handle func(s *Site, req Req) (Resp, error)) (Resp, uint64, error) {
+func deliver[Req any, Resp any](s *Site, reqID uint64, expect uint64, txn histories.ActivityID, req Req, handle func(s *Site, req Req) (Resp, error)) (Resp, error) {
 	if v, err, ok := s.cachedReply(reqID); ok {
 		resp, _ := v.(Resp)
-		return resp, s.Epoch(), err
+		return resp, err
 	}
 	if err := s.checkEpoch(expect); err != nil {
 		var zero Resp
-		return zero, s.Epoch(), err
+		return zero, err
 	}
 	resp, err := handle(s, req)
 	s.cacheReply(reqID, txn, resp, err)
-	return resp, s.Epoch(), err
+	return resp, err
 }
 
 // The query exchanges below are idempotent — they read state, or write it

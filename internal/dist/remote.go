@@ -120,11 +120,6 @@ func (r *RemoteResource) ensureEpoch(txn histories.ActivityID) (uint64, error) {
 	if e := r.epochOf(txn); e != 0 {
 		return e, nil
 	}
-	if skipHandshake.Load() {
-		// Regression-lock escape hatch (tests only): behave like the old
-		// pin-on-first-reply protocol, sending expect=0 first contact.
-		return 0, nil
-	}
 	epoch, err := r.net.Hello(r.origin, r.site)
 	if err != nil {
 		return 0, err
@@ -137,18 +132,6 @@ func (r *RemoteResource) ensureEpoch(txn histories.ActivityID) (uint64, error) {
 	}
 	r.mu.Unlock()
 	return epoch, nil
-}
-
-// noteEpoch pins the first site epoch the transaction observed from a
-// reply. Only the skipHandshake regression path reaches it with an
-// unpinned transaction; under the handshake protocol the epoch is always
-// pinned before the first message.
-func (r *RemoteResource) noteEpoch(txn histories.ActivityID, epoch uint64) {
-	r.mu.Lock()
-	if _, ok := r.epochs[txn]; !ok && epoch != 0 {
-		r.epochs[txn] = epoch
-	}
-	r.mu.Unlock()
 }
 
 func (r *RemoteResource) forget(txn histories.ActivityID) {
@@ -169,13 +152,12 @@ func (r *RemoteResource) Invoke(txn *cc.TxnInfo, inv spec.Invocation) (value.Val
 		obsInvokeLat.Observe(int64(time.Since(start)))
 		return value.Value{}, herr
 	}
-	v, epoch, err := call(r.net, r.origin, r.site, expect, txn.ID, inv, func(s *Site, inv spec.Invocation) (value.Value, error) {
+	v, err := call(r.net, r.origin, r.site, expect, txn.ID, inv, func(s *Site, inv spec.Invocation) (value.Value, error) {
 		return s.handleInvoke(r.obj, txn, inv, n, r.rv)
 	})
 	obsInvokeLat.Observe(int64(time.Since(start)))
 	if err == nil {
 		r.bump(txn.ID)
-		r.noteEpoch(txn.ID, epoch)
 	}
 	return v, err
 }
@@ -192,13 +174,10 @@ func (r *RemoteResource) Prepare(txn *cc.TxnInfo) error {
 		obsPrepareLat.Observe(int64(time.Since(start)))
 		return herr
 	}
-	_, epoch, err := call(r.net, r.origin, r.site, expect, txn.ID, req{}, func(s *Site, _ req) (struct{}, error) {
+	_, err := call(r.net, r.origin, r.site, expect, txn.ID, req{}, func(s *Site, _ req) (struct{}, error) {
 		return struct{}{}, s.handlePrepare(r.obj, txn, n, r.rv)
 	})
 	obsPrepareLat.Observe(int64(time.Since(start)))
-	if err == nil {
-		r.noteEpoch(txn.ID, epoch)
-	}
 	return err
 }
 
@@ -210,9 +189,8 @@ func (r *RemoteResource) Commit(txn *cc.TxnInfo, _ histories.Timestamp) {
 	type req struct{}
 	start := time.Now()
 	// Prepare pinned the epoch (commit only follows a successful prepare),
-	// so no handshake is needed here; an unpinned epoch can only mean the
-	// skipHandshake regression path.
-	_, _, _ = call(r.net, r.origin, r.site, r.epochOf(txn.ID), txn.ID, req{}, func(s *Site, _ req) (struct{}, error) {
+	// so no handshake is needed here.
+	_, _ = call(r.net, r.origin, r.site, r.epochOf(txn.ID), txn.ID, req{}, func(s *Site, _ req) (struct{}, error) {
 		return struct{}{}, s.handleCommit(r.obj, txn)
 	})
 	obsCommitLat.Observe(int64(time.Since(start)))
@@ -225,7 +203,7 @@ func (r *RemoteResource) Abort(txn *cc.TxnInfo) {
 	type req struct{}
 	start := time.Now()
 	expect := r.epochOf(txn.ID)
-	if expect == 0 && !skipHandshake.Load() {
+	if expect == 0 {
 		// The transaction never completed the handshake (it aborted on a
 		// handshake failure or before any contact). Handshake now — the
 		// exchange is idempotent — so even the abort message carries a
@@ -239,7 +217,7 @@ func (r *RemoteResource) Abort(txn *cc.TxnInfo) {
 		}
 		expect = e
 	}
-	_, _, _ = call(r.net, r.origin, r.site, expect, txn.ID, req{}, func(s *Site, _ req) (struct{}, error) {
+	_, _ = call(r.net, r.origin, r.site, expect, txn.ID, req{}, func(s *Site, _ req) (struct{}, error) {
 		return struct{}{}, s.handleAbort(r.obj, txn)
 	})
 	obsAbortLat.Observe(int64(time.Since(start)))

@@ -535,12 +535,12 @@ func (q *replQueue) process(it replItem) {
 		switch it.kind {
 		case replSeed:
 			rid := replSeedRID(it.obj, it.ts)
-			_, _, err = call(q.rep.c.net, q.rep.origin, q.site, q.epoch, rid,
+			_, err = call(q.rep.c.net, q.rep.origin, q.site, q.epoch, rid,
 				replSeedReq{Obj: it.obj, Typ: it.typ, State: it.state, TS: it.ts},
 				(*Site).handleReplicaSeed)
 		case replDeliver:
 			rid := replRID(it.txn, it.obj)
-			_, _, err = call(q.rep.c.net, q.rep.origin, q.site, q.epoch, rid,
+			_, err = call(q.rep.c.net, q.rep.origin, q.site, q.epoch, rid,
 				replApplyReq{Obj: it.obj, Txn: it.txn, Calls: it.calls, TS: it.ts},
 				(*Site).handleReplicaApply)
 		}

@@ -49,7 +49,7 @@ func bruteForceAllowed(s spec.SerialSpec, base spec.State, mine []spec.Call, can
 func TestExactGuardMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	s := adts.AccountSpec{}
-	g := ExactGuard{Spec: s}
+	g := ExactGuard{}
 	agreements, denials := 0, 0
 	for trial := 0; trial < 400; trial++ {
 		bal := int64(rng.Intn(12))
@@ -121,7 +121,7 @@ func TestExactGuardMatchesBruteForce(t *testing.T) {
 func TestExactGuardMatchesBruteForceOnSets(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	s := adts.IntSetSpec{}
-	g := ExactGuard{Spec: s}
+	g := ExactGuard{}
 	for trial := 0; trial < 300; trial++ {
 		base := spec.State(IntSetState(t, rng))
 		randomCall := func(st spec.State) (spec.Call, spec.State) {

@@ -2,9 +2,9 @@
 // deferred-update (intentions-list) locking object with pluggable conflict
 // guards, and a waits-for-graph deadlock detector.
 //
-// Conflict decisions are delegated to the tiered engine in
-// internal/conflict; the guards here are thin adapters that pin one
-// granularity of the spectrum the paper discusses:
+// Conflict decisions are delegated to internal/conflict; the guards here
+// are thin adapters that pin one granularity of the spectrum the paper
+// discusses:
 //
 //   - RWGuard — classical read/write two-phase locking, the coarsest
 //     baseline.
@@ -19,10 +19,11 @@
 //   - EscrowGuard — a constant-time specialisation of the same idea for
 //     the bank-account type.
 //
-// The engine itself (conflict.ForType) also satisfies Guard: it cascades
-// name table → argument predicate → per-block summary → memoised exact
-// search, granting exactly what ExactGuard grants at a fraction of the
-// cost.
+// The cascade engine (conflict.ForType) also satisfies Guard: it runs
+// name table → argument table → per-block summary → memoised exact search,
+// granting exactly what ExactGuard grants at a fraction of the cost. The
+// object finds its InvalidateConflictCache and StateBased methods by type
+// assertion, so a wrapper around it must forward both.
 package locking
 
 import (
@@ -81,32 +82,23 @@ func (g TableGuard) Allowed(_ spec.State, _ []spec.Call, cand spec.Call, others 
 }
 
 // ExactGuard implements state-based dynamic atomicity by exhaustive
-// arrangement checking (conflict.ExactSearch): starting from the committed
-// base, every order of every subset of the active blocks (the requester's
-// block has cand appended) must replay the recorded results. MaxBlocks and
-// MaxStates bound the work, and exceeding a bound conservatively denies
-// the call (the requester waits, which is always safe).
+// arrangement checking (conflict.ExactSearch at its default bounds):
+// starting from the committed base, every order of every subset of the
+// active blocks (the requester's block has cand appended) must replay the
+// recorded results. Past conflict.DefaultMaxBlocks blocks or
+// conflict.DefaultMaxStates explored states the search denies
+// conservatively (the requester waits, which is always safe).
 //
 // ExactGuard runs the search on every query. The cascade engine
 // (conflict.ForType) reaches the same decisions through its memoised exact
-// tier; prefer it on contended objects.
-type ExactGuard struct {
-	// Spec is retained for construction-site symmetry with the other
-	// guards; the search itself replays through the base state.
-	Spec spec.SerialSpec
-	// MaxBlocks caps the number of concurrent blocks considered exactly
-	// (default conflict.DefaultMaxBlocks).
-	MaxBlocks int
-	// MaxStates caps the total number of explored (subset, state) pairs
-	// (default conflict.DefaultMaxStates).
-	MaxStates int
-}
+// stage; prefer it on contended objects.
+type ExactGuard struct{}
 
 var _ Guard = ExactGuard{}
 
 // Allowed implements Guard.
-func (g ExactGuard) Allowed(base spec.State, mine []spec.Call, cand spec.Call, others [][]spec.Call) (bool, error) {
-	return conflict.ExactSearch(base, mine, cand, others, g.MaxBlocks, g.MaxStates), nil
+func (ExactGuard) Allowed(base spec.State, mine []spec.Call, cand spec.Call, others [][]spec.Call) (bool, error) {
+	return conflict.ExactSearch(base, mine, cand, others, 0, 0), nil
 }
 
 // EscrowGuard is the constant-time state-based guard for the bank-account

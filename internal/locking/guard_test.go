@@ -2,11 +2,12 @@ package locking
 
 import (
 	"errors"
-
 	"testing"
 
 	"weihl83/internal/adts"
 	"weihl83/internal/conflict"
+	"weihl83/internal/histories"
+	"weihl83/internal/obs"
 	"weihl83/internal/spec"
 	"weihl83/internal/value"
 )
@@ -67,7 +68,7 @@ func TestTableGuard(t *testing.T) {
 // of 5 is not (some order would bounce it) — the three-transaction case
 // where pairwise reasoning is unsound.
 func TestExactGuardConcurrentWithdrawals(t *testing.T) {
-	g := ExactGuard{Spec: adts.AccountSpec{}}
+	g := ExactGuard{}
 	base := spec.State(adts.AccountState(10))
 	w4 := call(adts.OpWithdraw, value.Int(4), value.Unit())
 	w3 := call(adts.OpWithdraw, value.Int(3), value.Unit())
@@ -87,7 +88,7 @@ func TestExactGuardConcurrentWithdrawals(t *testing.T) {
 // TestEscrowGuardAgreesWithExactOnWithdrawals: the O(1) escrow rule and the
 // exhaustive check agree on the mutator-only cases.
 func TestEscrowGuardAgreesWithExactOnWithdrawals(t *testing.T) {
-	exact := ExactGuard{Spec: adts.AccountSpec{}}
+	exact := ExactGuard{}
 	escrow := EscrowGuard{}
 	w := func(n int64) spec.Call { return call(adts.OpWithdraw, value.Int(n), value.Unit()) }
 	d := func(n int64) spec.Call { return call(adts.OpDeposit, value.Int(n), value.Unit()) }
@@ -180,7 +181,7 @@ func TestEscrowGuardObserverRules(t *testing.T) {
 // interleaved enqueues by two transactions are admissible (every order of
 // the two blocks replays ok), while a dequeue concurrent with them is not.
 func TestExactGuardQueueScenario(t *testing.T) {
-	g := ExactGuard{Spec: adts.QueueSpec{}}
+	g := ExactGuard{}
 	base := adts.QueueSpec{}.Init()
 	enq := func(n int64) spec.Call { return call(adts.OpEnqueue, value.Int(n), value.Unit()) }
 
@@ -206,7 +207,7 @@ func TestExactGuardQueueScenario(t *testing.T) {
 // TestExactGuardSubsetSensitivity: feasibility must hold for every SUBSET
 // of the other transactions (any of them may abort), not just the full set.
 func TestExactGuardSubsetSensitivity(t *testing.T) {
-	g := ExactGuard{Spec: adts.IntSetSpec{}}
+	g := ExactGuard{}
 	base := adts.IntSetSpec{}.Init()
 	ins := call(adts.OpInsert, value.Int(3), value.Unit())
 	memTrue := call(adts.OpMember, value.Int(3), value.Bool(true))
@@ -217,15 +218,24 @@ func TestExactGuardSubsetSensitivity(t *testing.T) {
 	}
 }
 
+// TestExactGuardBlockCap: past conflict.DefaultMaxBlocks concurrent blocks
+// the guard denies conservatively, although the call is admissible — the
+// same search with the bounds raised grants it.
 func TestExactGuardBlockCap(t *testing.T) {
-	g := ExactGuard{Spec: adts.AccountSpec{}, MaxBlocks: 2}
 	base := spec.State(adts.AccountState(100))
 	w := call(adts.OpWithdraw, value.Int(1), value.Unit())
-	others := [][]spec.Call{{w}, {w}} // 3 blocks total > cap
-	if allow(t, g, base, nil, w, others) {
+	// With the requester's block, one block over the cap.
+	others := make([][]spec.Call, conflict.DefaultMaxBlocks)
+	for i := range others {
+		others[i] = []spec.Call{w}
+	}
+	if allow(t, ExactGuard{}, base, nil, w, others) {
 		t.Error("guard over block cap must conservatively deny")
 	}
-	if !allow(t, g, base, nil, w, others[:1]) {
+	if !conflict.ExactSearch(base, nil, w, others, len(others)+1, 1<<20) {
+		t.Fatal("the call is admissible once the bounds cover the search")
+	}
+	if !allow(t, ExactGuard{}, base, nil, w, others[:1]) {
 		t.Error("guard within cap must grant")
 	}
 }
@@ -233,11 +243,81 @@ func TestExactGuardBlockCap(t *testing.T) {
 func TestExactGuardNondeterministicSpecIsConservative(t *testing.T) {
 	// pick's recorded result constrains the state; the guard must still
 	// terminate and stay sound (it may be conservative).
-	g := ExactGuard{Spec: adts.IntSetSpec{}}
+	g := ExactGuard{}
 	base := adts.IntSetSpec{}.Init()
 	ins1 := call(adts.OpInsert, value.Int(1), value.Unit())
 	pick1 := call(adts.OpPick, value.Nil(), value.Int(1))
 	if allow(t, g, base, []spec.Call{pick1}, pick1, [][]spec.Call{{ins1}}) {
 		t.Error("pick=1 cannot be granted when the only inserter may abort")
+	}
+}
+
+// embeddedGuard wraps a guard by embedding it and forwards nothing else.
+type embeddedGuard struct{ Guard }
+
+// forwardingGuard wraps a guard the way a tracing decorator does: it
+// embeds Guard and forwards the two methods the object finds by type
+// assertion.
+type forwardingGuard struct{ Guard }
+
+func (g forwardingGuard) InvalidateConflictCache() {
+	if inv, ok := g.Guard.(interface{ InvalidateConflictCache() }); ok {
+		inv.InvalidateConflictCache()
+	}
+}
+
+func (g forwardingGuard) StateBased() bool {
+	sb, ok := g.Guard.(interface{ StateBased() bool })
+	return ok && sb.StateBased()
+}
+
+// TestWrappedCascadeCacheClearedOnCommit: a cascade behind a forwarding
+// wrapper still has its decision cache cleared by an object commit and
+// still refuses update-in-place recovery. b's deposit reaches the exact
+// stage (a's recorded failed withdrawal defeats the tables and the
+// summary); b then withdraws it back and commits, so the base returns to
+// 100 and c's deposit asks the exact stage b's first question again. It
+// must miss: the commit cleared the cache. The embedding-only wrapper is
+// the control — its cache survives the commit and c hits.
+func TestWrappedCascadeCacheClearedOnCommit(t *testing.T) {
+	hits := obs.Default.Counter("cc.conflict.cache.hits")
+	misses := obs.Default.Counter("cc.conflict.cache.misses")
+	for _, c := range []struct {
+		name    string
+		wrap    func(Guard) Guard
+		wantHit bool
+	}{
+		{"forwarding", func(g Guard) Guard { return forwardingGuard{g} }, false},
+		{"embedding only", func(g Guard) Guard { return embeddedGuard{g} }, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g := c.wrap(conflict.ForType(adts.Account()))
+			o, _ := newAccountObject(t, g, nil)
+			a, b, d := txn("a", 1), txn("b", 2), txn("c", 3)
+			if got := mustInvoke(t, o, a, adts.OpWithdraw, value.Int(1_000_000)); got != adts.InsufficientFunds {
+				t.Fatalf("withdraw(1000000) = %v, want insufficient funds", got)
+			}
+			mustInvoke(t, o, b, adts.OpDeposit, value.Int(1))
+			mustInvoke(t, o, b, adts.OpWithdraw, value.Int(1))
+			o.Commit(b, histories.TSNone)
+
+			wantHits, wantMisses := int64(0), int64(1)
+			if c.wantHit {
+				wantHits, wantMisses = 1, 0
+			}
+			h0, m0 := hits.Load(), misses.Load()
+			mustInvoke(t, o, d, adts.OpDeposit, value.Int(1))
+			if got := hits.Load() - h0; got != wantHits {
+				t.Errorf("cache hits moved by %d, want %d", got, wantHits)
+			}
+			if got := misses.Load() - m0; got != wantMisses {
+				t.Errorf("cache misses moved by %d, want %d", got, wantMisses)
+			}
+
+			_, err := New(Config{ID: "y", Type: adts.Account(), Guard: g, Detector: NewDetector(), UpdateInPlace: true})
+			if refused := err != nil; refused == c.wantHit {
+				t.Errorf("update-in-place refused = %t (err %v)", refused, err)
+			}
+		})
 	}
 }

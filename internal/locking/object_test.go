@@ -185,16 +185,18 @@ func TestConcurrentWithdrawalsBlockUnderTableGuard(t *testing.T) {
 // TestQueuePaperHistoryUnderExactGuard drives the full §5.1 queue
 // interleaving through the protocol (E8's protocol side): the interleaved
 // enqueues of a and b are granted concurrently, and after both commit, c
-// dequeues 1, 2, 1, 2.
+// dequeues 1, 2, 1, 2. A guard that denies an interleaved enqueue fails
+// the test at the wait bound instead of hanging it.
 func TestQueuePaperHistoryUnderExactGuard(t *testing.T) {
 	var rec testSink
 	det := NewDetector()
 	o, err := New(Config{
-		ID:       "x",
-		Type:     adts.Queue(),
-		Guard:    ExactGuard{Spec: adts.QueueSpec{}},
-		Detector: det,
-		Sink:     rec.sink(),
+		ID:          "x",
+		Type:        adts.Queue(),
+		Guard:       ExactGuard{},
+		Detector:    det,
+		Sink:        rec.sink(),
+		WaitTimeout: time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -387,7 +389,7 @@ func TestConfigValidation(t *testing.T) {
 		{ID: "x", Type: adts.Account(), Guard: EscrowGuard{}},                                                                // no detector, no timeout
 		{ID: "x", Type: adts.Queue(), Guard: TableGuard{Conflicts: adts.QueueConflicts}, Detector: det, UpdateInPlace: true}, // queue has no inverter
 		{ID: "x", Type: adts.Account(), Guard: EscrowGuard{}, Detector: det, UpdateInPlace: true},                            // state-based guard in place
-		{ID: "x", Type: adts.Account(), Guard: ExactGuard{Spec: adts.AccountSpec{}}, Detector: det, UpdateInPlace: true},     // state-based guard in place
+		{ID: "x", Type: adts.Account(), Guard: ExactGuard{}, Detector: det, UpdateInPlace: true},                             // state-based guard in place
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {

@@ -22,7 +22,7 @@ func TestSemiQueueConcurrentDequeues(t *testing.T) {
 	o, err := New(Config{
 		ID:       "sq",
 		Type:     adts.SemiQueue(),
-		Guard:    ExactGuard{Spec: adts.SemiQueueSpec{}},
+		Guard:    ExactGuard{},
 		Detector: det,
 		Sink:     rec.sink(),
 	})
@@ -61,7 +61,7 @@ func TestSemiQueueLastElementStillConflicts(t *testing.T) {
 	o, err := New(Config{
 		ID:       "sq",
 		Type:     adts.SemiQueue(),
-		Guard:    ExactGuard{Spec: adts.SemiQueueSpec{}},
+		Guard:    ExactGuard{},
 		Detector: det,
 	})
 	if err != nil {
@@ -109,7 +109,7 @@ func TestSemiQueueFIFOContrast(t *testing.T) {
 	o, err := New(Config{
 		ID:       "q",
 		Type:     adts.Queue(),
-		Guard:    ExactGuard{Spec: adts.QueueSpec{}},
+		Guard:    ExactGuard{},
 		Detector: det,
 	})
 	if err != nil {

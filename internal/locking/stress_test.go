@@ -137,12 +137,12 @@ func TestStressDynamicAtomicity(t *testing.T) {
 	// Small transaction counts keep the exact offline check tractable (it
 	// explores linear extensions of precedes over every committed txn).
 	stressGuardCase(t, "account/escrow", adts.Account(), func() Guard { return EscrowGuard{} }, accountOps, 4, 4)
-	stressGuardCase(t, "account/exact", adts.Account(), func() Guard { return ExactGuard{Spec: adts.AccountSpec{}} }, accountOps, 4, 4)
+	stressGuardCase(t, "account/exact", adts.Account(), func() Guard { return ExactGuard{} }, accountOps, 4, 4)
 	stressGuardCase(t, "account/table", adts.Account(), func() Guard { return TableGuard{Conflicts: adts.AccountConflicts} }, accountOps, 4, 4)
 	stressGuardCase(t, "account/rw", adts.Account(), func() Guard { return RWGuard{IsWrite: adts.AccountIsWrite} }, accountOps, 4, 4)
 	stressGuardCase(t, "intset/table", adts.IntSet(), func() Guard { return TableGuard{Conflicts: adts.IntSetConflicts} }, setOps, 4, 4)
-	stressGuardCase(t, "intset/exact", adts.IntSet(), func() Guard { return ExactGuard{Spec: adts.IntSetSpec{}} }, setOps, 4, 4)
-	stressGuardCase(t, "queue/exact", adts.Queue(), func() Guard { return ExactGuard{Spec: adts.QueueSpec{}} }, queueOps, 3, 4)
+	stressGuardCase(t, "intset/exact", adts.IntSet(), func() Guard { return ExactGuard{} }, setOps, 4, 4)
+	stressGuardCase(t, "queue/exact", adts.Queue(), func() Guard { return ExactGuard{} }, queueOps, 3, 4)
 	stressGuardCase(t, "queue/table", adts.Queue(), func() Guard { return TableGuard{Conflicts: adts.QueueConflicts} }, queueOps, 3, 4)
 	// The tiered cascade must produce dynamic-atomic histories on every
 	// type, exactly like the raw exact guard it subsumes.

@@ -219,9 +219,9 @@ func NewSystem(cfg Config, wantAccounts int, wantQueue bool) (*System, error) {
 			if escrowOK {
 				return addLocking(id, ty, locking.EscrowGuard{}, false)
 			}
-			return addLocking(id, ty, locking.ExactGuard{Spec: ty.Spec}, false)
+			return addLocking(id, ty, locking.ExactGuard{}, false)
 		case KindExact:
-			return addLocking(id, ty, locking.ExactGuard{Spec: ty.Spec}, false)
+			return addLocking(id, ty, locking.ExactGuard{}, false)
 		case KindMVCC, KindMVCCClassical:
 			o, err := mvcc.New(mvcc.Config{
 				ID:        id,

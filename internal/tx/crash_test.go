@@ -65,7 +65,7 @@ func crashConsistencyTrials(t *testing.T, fresh func() recovery.Backend, crash f
 			t.Fatal(err)
 		}
 		queue, err := locking.New(locking.Config{
-			ID: "queue", Type: adts.Queue(), Guard: locking.ExactGuard{Spec: adts.QueueSpec{}}, Detector: det,
+			ID: "queue", Type: adts.Queue(), Guard: locking.ExactGuard{}, Detector: det,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -350,7 +350,7 @@ func buildGuard(g Guard, t ADT) (locking.Guard, error) {
 	case GuardEscrow:
 		return locking.EscrowGuard{}, nil
 	case GuardExact:
-		return locking.ExactGuard{Spec: t.Spec}, nil
+		return locking.ExactGuard{}, nil
 	case GuardCascade:
 		return conflict.ForType(t), nil
 	default:
