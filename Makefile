@@ -48,11 +48,16 @@ examples:
 # reruns, under the race detector, the tests that pin where a running site
 # gets an outcome: from its volatile tables, never its log, with a yes-vote
 # registered before voteMu is released and a half whose commit record failed
-# holding its object against export. About 15 seconds in all.
+# holding its object against export. The handshake line reruns, under the
+# race detector, the epoch-table tests: a site handshaken once per crash,
+# the resend of a first message refused on its first transmission, the
+# first-contact window, and network reconfiguration racing transfers and
+# crashes. About 25 seconds in all.
 order-stress:
 	$(GO) test -count=20 -run 'TestCrashConsistency' ./internal/tx
 	$(GO) test -count=20 -run 'TestFacadeDurableQueueRecoversInInstallOrder' .
 	$(GO) test -race -count=20 -run '^(TestMigrationCrashWindowSweep|TestAbandonedUnpreparedTxnSwept|TestUnanimousPeerRefusalPresumesAbort|TestDownCoordinatorAnswersInDoubt|TestRunningSitesNeverReadTheirLog|TestFailedCommitRecordHoldsTheExport|TestVoteAndRefusalNeverBothSucceed)$$' ./internal/dist
+	$(GO) test -race -count=20 -run '^(TestEpochHandshakeOncePerCrash|TestReconfigureUnderTransfers|TestHandshakeClosesFirstContactWindow|TestHandshakeRegressionLock|TestHandshakeNoExpectZeroUnderFaults|TestStaleRouteRefusedAfterRestart)$$' ./internal/dist
 
 # detector-stress reruns the deadlock-detector tests under the race
 # detector: only transactions that wait enter the detector, and Doomed,

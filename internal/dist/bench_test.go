@@ -3,12 +3,14 @@ package dist
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"weihl83/internal/adts"
 	"weihl83/internal/histories"
+	"weihl83/internal/obs"
 	"weihl83/internal/tx"
 	"weihl83/internal/value"
 )
@@ -40,15 +42,23 @@ func newBenchCluster(b *testing.B, nSites, factor int) (*elastic, *tx.Manager) {
 	}
 	e := newElasticWith(b, cfg)
 	e.replicate(b, factor)
-	for _, obj := range e.objects {
-		e.deposit(b, obj, 1_000_000)
-	}
 	m := e.newManager(b, tx.Config{
 		Property:   tx.Dynamic,
 		ReadRouter: e.cluster.ReadRouter(),
 		MaxRetries: 10000,
 		Backoff:    tx.Backoff{Base: 50 * time.Microsecond, Max: 2 * time.Millisecond, Seed: 43},
 	})
+	// Funded through m, not e's own manager: both number transactions
+	// from 1, and the sites refuse an id they have already decided, so a
+	// second manager's first transfers would be refused and retried.
+	for _, obj := range e.objects {
+		if err := m.Run(func(t *tx.Txn) error {
+			_, err := t.Invoke(obj, adts.OpDeposit, value.Int(1_000_000))
+			return err
+		}); err != nil {
+			b.Fatalf("funding %s: %v", obj, err)
+		}
+	}
 	return e, m
 }
 
@@ -112,7 +122,9 @@ func background(fn func() error) (stop func() int64) {
 // a 2PC round whenever the accounts live at different sites, while a
 // migration loop moves each account in turn to the next ring member.
 // Busy accounts refuse the export drain and the move fails retryably; the
-// next lap retries it.
+// next lap retries it. rpc/commit (dist.rpc.calls per transfer, the
+// migration loop's traffic included) and B/commit (bytes allocated per
+// transfer) report the protocol's cost beside its throughput.
 func BenchmarkClusterTransfer(b *testing.B) {
 	for _, nSites := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("sites=%d", nSites), func(b *testing.B) {
@@ -137,6 +149,10 @@ func BenchmarkClusterTransfer(b *testing.B) {
 					return e.cluster.Migrate(ctx, obj, dest)
 				})
 			}
+			rpcs := obs.Default.Counter("dist.rpc.calls")
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			rpc0 := rpcs.Load()
 			b.ResetTimer()
 			runWorkers(b, func(w, i int) error {
 				from := e.objects[(w+i)%len(e.objects)]
@@ -151,8 +167,11 @@ func BenchmarkClusterTransfer(b *testing.B) {
 			})
 			b.StopTimer()
 			moves := stop()
+			runtime.ReadMemStats(&after)
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "commits/s")
 			b.ReportMetric(float64(moves)/b.Elapsed().Seconds(), "moves/s")
+			b.ReportMetric(float64(rpcs.Load()-rpc0)/float64(b.N), "rpc/commit")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N), "B/commit")
 		})
 	}
 }

@@ -471,8 +471,7 @@ func (c *Cluster) Resource(obj histories.ObjectID, origin SiteID) *ClusterResour
 		c:      c,
 		obj:    obj,
 		origin: origin,
-		pins:   make(map[histories.ActivityID]*RemoteResource),
-		calls:  make(map[histories.ActivityID][]spec.Call),
+		pins:   make(map[histories.ActivityID]*clusterPin),
 	}
 }
 
@@ -490,11 +489,18 @@ type ClusterResource struct {
 	origin SiteID
 
 	mu   sync.Mutex
-	pins map[histories.ActivityID]*RemoteResource
-	// calls mirrors each transaction's completed calls here, so the
-	// replicator can ship them to the object's followers at commit and
-	// judge their commutative class at prepare.
-	calls map[histories.ActivityID][]spec.Call
+	pins map[histories.ActivityID]*clusterPin
+}
+
+// clusterPin is one transaction's pinned route and its leg there — the
+// same route and leg a RemoteResource runs, so both proxies share one
+// invoke, prepare, commit and abort path. calls mirrors the transaction's
+// completed calls here, so the replicator can ship them to the object's
+// followers at commit and judge their commutative class at prepare.
+type clusterPin struct {
+	route
+	leg
+	calls []spec.Call
 }
 
 var _ cc.Resource = (*ClusterResource)(nil)
@@ -514,9 +520,9 @@ func (r *ClusterResource) ParticipantSiteFor(txn histories.ActivityID) string {
 	return string(home)
 }
 
-// proxyFor returns the transaction's pinned per-home proxy, routing from
-// current placement on first contact.
-func (r *ClusterResource) proxyFor(txn histories.ActivityID) (*RemoteResource, error) {
+// pinFor returns the transaction's pin, routing from current placement on
+// first contact.
+func (r *ClusterResource) pinFor(txn histories.ActivityID) (*clusterPin, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if p := r.pins[txn]; p != nil {
@@ -529,25 +535,32 @@ func (r *ClusterResource) proxyFor(txn histories.ActivityID) (*RemoteResource, e
 	if !ok {
 		return nil, fmt.Errorf("dist: cluster does not track object %s", r.obj)
 	}
-	p := NewRemoteResourceRouted(r.c.net, r.origin, home, r.obj, rv)
+	p := &clusterPin{route: route{net: r.c.net, origin: r.origin, site: home, obj: r.obj, rv: rv}}
 	r.pins[txn] = p
 	return p, nil
 }
 
+// takePin removes and returns the transaction's pin (nil if it has none).
+func (r *ClusterResource) takePin(txn histories.ActivityID) *clusterPin {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	p := r.pins[txn]
+	delete(r.pins, txn)
+	return p
+}
+
 // Invoke implements cc.Resource.
 func (r *ClusterResource) Invoke(txn *cc.TxnInfo, inv spec.Invocation) (value.Value, error) {
-	p, err := r.proxyFor(txn.ID)
+	p, err := r.pinFor(txn.ID)
 	if err != nil {
 		return value.Value{}, err
 	}
-	v, err := p.Invoke(txn, inv)
+	v, err := p.invoke(&p.leg, txn, inv)
 	if err != nil && errors.Is(err, cc.ErrMoved) {
 		obsClusterRefused.Inc()
 	}
 	if err == nil && r.c.replicator() != nil {
-		r.mu.Lock()
-		r.calls[txn.ID] = append(r.calls[txn.ID], spec.Call{Inv: inv, Result: v})
-		r.mu.Unlock()
+		p.calls = append(p.calls, spec.Call{Inv: inv, Result: v})
 	}
 	return v, err
 }
@@ -559,19 +572,16 @@ func (r *ClusterResource) Invoke(txn *cc.TxnInfo, inv spec.Invocation) (value.Va
 // conflicting transaction's commit stamp follows everything it could
 // conflict with.
 func (r *ClusterResource) Prepare(txn *cc.TxnInfo) error {
-	if rep := r.c.replicator(); rep != nil {
-		r.mu.Lock()
-		calls := r.calls[txn.ID]
-		r.mu.Unlock()
-		if err := rep.prepare(txn.ID, r.obj, calls); err != nil {
-			return err
-		}
-	}
-	p, err := r.proxyFor(txn.ID)
+	p, err := r.pinFor(txn.ID)
 	if err != nil {
 		return err
 	}
-	return p.Prepare(txn)
+	if rep := r.c.replicator(); rep != nil {
+		if err := rep.prepare(txn.ID, r.obj, p.calls); err != nil {
+			return err
+		}
+	}
+	return p.prepare(&p.leg, txn)
 }
 
 // Commit implements cc.Resource. The decided transaction's legs ship to
@@ -579,17 +589,12 @@ func (r *ClusterResource) Prepare(txn *cc.TxnInfo) error {
 // enqueueing under one mutex keeps follower apply order equal to stamp
 // order, and the durable decision (already at the coordinator) makes the
 // ship safe however the leader-side delivery interleaves.
-func (r *ClusterResource) Commit(txn *cc.TxnInfo, ts histories.Timestamp) {
+func (r *ClusterResource) Commit(txn *cc.TxnInfo, _ histories.Timestamp) {
 	if rep := r.c.replicator(); rep != nil {
 		rep.ship(txn.ID)
 	}
-	r.mu.Lock()
-	p := r.pins[txn.ID]
-	delete(r.pins, txn.ID)
-	delete(r.calls, txn.ID)
-	r.mu.Unlock()
-	if p != nil {
-		p.Commit(txn, ts)
+	if p := r.takePin(txn.ID); p != nil {
+		p.commit(&p.leg, txn)
 	}
 }
 
@@ -598,12 +603,7 @@ func (r *ClusterResource) Abort(txn *cc.TxnInfo) {
 	if rep := r.c.replicator(); rep != nil {
 		rep.forget(txn.ID)
 	}
-	r.mu.Lock()
-	p := r.pins[txn.ID]
-	delete(r.pins, txn.ID)
-	delete(r.calls, txn.ID)
-	r.mu.Unlock()
-	if p != nil {
-		p.Abort(txn)
+	if p := r.takePin(txn.ID); p != nil {
+		p.abort(&p.leg, txn)
 	}
 }

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -138,5 +139,156 @@ func TestHandshakeNoExpectZeroUnderFaults(t *testing.T) {
 	}
 	if got := obs.Default.Counter("dist.rpc.expect0").Load() - before; got != 0 {
 		t.Errorf("%d messages carried expect=0; the handshake must pin an epoch before first contact", got)
+	}
+}
+
+// transferOnce runs one two-site transfer of amt from acct0 to acct1 and
+// returns how many times the runtime ran its body (1: no retry).
+func (c *testCluster) transferOnce(t *testing.T, amt int64) int {
+	t.Helper()
+	runs := 0
+	if err := c.manager.Run(func(txn *tx.Txn) error {
+		runs++
+		if _, err := txn.Invoke("acct0", adts.OpWithdraw, value.Int(amt)); err != nil {
+			return err
+		}
+		_, err := txn.Invoke("acct1", adts.OpDeposit, value.Int(amt))
+		return err
+	}); err != nil {
+		t.Fatalf("transfer: %v", err)
+	}
+	return runs
+}
+
+// TestEpochHandshakeOncePerCrash: the network's epoch table handshakes a
+// site once per crash, not once per transaction. A warm two-site transfer
+// sends six messages — an invoke, a prepare and a commit at each site —
+// and no Hello. After a crash the table's epoch for the site is stale: the
+// next transfer's first message there is refused as orphaned on its first
+// transmission, which proves nothing of the transaction executed, so the
+// proxy handshakes once and resends, and the transfer commits without a
+// retry and without an expect=0 message.
+func TestEpochHandshakeOncePerCrash(t *testing.T) {
+	c := newCluster(t, 0)
+	calls := obs.Default.Counter("dist.rpc.calls")
+	hellos := obs.Default.Counter("dist.rpc.hellos")
+	expect0 := obs.Default.Counter("dist.rpc.expect0")
+	if err := c.manager.Run(func(txn *tx.Txn) error {
+		_, err := txn.Invoke("acct0", adts.OpDeposit, value.Int(100))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	c.transferOnce(t, 1) // warm-up: learns both sites' epochs
+	const n = 10
+	measure := func(transfers int) (rpcs, hs int64, retried bool) {
+		c0, h0 := calls.Load(), hellos.Load()
+		for i := 0; i < transfers; i++ {
+			if c.transferOnce(t, 1) != 1 {
+				retried = true
+			}
+		}
+		return calls.Load() - c0, hellos.Load() - h0, retried
+	}
+	e0 := expect0.Load()
+	if rpcs, hs, retried := measure(n); rpcs != 6*n || hs != 0 || retried {
+		t.Errorf("%d warm transfers: %d messages, %d Hellos, retried=%v; want %d, 0, false", n, rpcs, hs, retried, 6*n)
+	}
+
+	c.siteA.Crash()
+	if err := c.siteA.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	// The stale invoke, one Hello, its resend, then the other five.
+	if rpcs, hs, retried := measure(1); rpcs != 8 || hs != 1 || retried {
+		t.Errorf("first transfer after a crash: %d messages, %d Hellos, retried=%v; want 8, 1, false", rpcs, hs, retried)
+	}
+	if rpcs, hs, retried := measure(n); rpcs != 6*n || hs != 0 || retried {
+		t.Errorf("%d transfers after the re-handshake: %d messages, %d Hellos, retried=%v; want %d, 0, false", n, rpcs, hs, retried, 6*n)
+	}
+	if got := expect0.Load() - e0; got != 0 {
+		t.Errorf("%d messages carried expect=0", got)
+	}
+	if b0, b1 := c.balance(t, "acct0"), c.balance(t, "acct1"); b0+b1 != 100 || b1 != 2*n+2 {
+		t.Errorf("balances %d/%d, want %d/%d", b0, b1, 100-(2*n+2), 2*n+2)
+	}
+}
+
+// TestReconfigureUnderTransfers races the network's configuration setters
+// — Partition, Heal, SetInjector, SetRPC — and two crash-and-recover
+// cycles of one site against two goroutines of two-site transfers: the
+// message path reads a published snapshot and the epoch table without the
+// network's mutex, and the race detector checks that it is safe to. The
+// partitions never cut the transfers' path (their messages originate
+// outside the network), and the injector only duplicates and delays
+// messages, so every transfer must commit and money must be conserved.
+func TestReconfigureUnderTransfers(t *testing.T) {
+	c := newCluster(t, 0)
+	if err := c.manager.Run(func(txn *tx.Txn) error {
+		_, err := txn.Invoke("acct0", adts.OpDeposit, value.Int(100000))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	inj := fault.New(5)
+	inj.Enable(fault.NetRequestDup, fault.Rule{Prob: 0.5})
+	inj.Enable(fault.NetDelay, fault.Rule{Prob: 0.2, Delay: 20 * time.Microsecond})
+	done := make(chan struct{})
+	var transfers [2]int
+	var workers sync.WaitGroup
+	for w := range transfers {
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if err := c.manager.Run(func(txn *tx.Txn) error {
+					if _, err := txn.Invoke("acct0", adts.OpWithdraw, value.Int(1)); err != nil {
+						return err
+					}
+					_, err := txn.Invoke("acct1", adts.OpDeposit, value.Int(1))
+					return err
+				}); err != nil {
+					t.Errorf("transfer: %v", err)
+					return
+				}
+				transfers[w]++
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		switch i % 4 {
+		case 0:
+			c.net.Partition([]SiteID{"A"}, []SiteID{"B", "C"})
+		case 1:
+			c.net.Heal()
+		case 2:
+			if i%8 == 2 {
+				c.net.SetInjector(inj)
+			} else {
+				c.net.SetInjector(nil)
+			}
+		case 3:
+			c.net.SetRPC(time.Duration(1+i%3)*time.Millisecond, 2+i%2)
+		}
+		if i == 50 || i == 150 {
+			c.siteA.Crash()
+			for c.siteA.Recover() != nil {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	close(done)
+	workers.Wait()
+	c.net.Heal()
+	c.net.SetInjector(nil)
+	moved := int64(transfers[0] + transfers[1])
+	if b0, b1 := c.balance(t, "acct0"), c.balance(t, "acct1"); b0+b1 != 100000 || b1 != moved {
+		t.Errorf("balances %d/%d after %d transfers, want %d/%d", b0, b1, moved, 100000-moved, moved)
 	}
 }

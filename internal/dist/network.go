@@ -29,6 +29,7 @@ package dist
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -49,6 +50,7 @@ var (
 	obsRPCRetransmits   = obs.Default.Counter("dist.rpc.retransmits")
 	obsRPCTimeouts      = obs.Default.Counter("dist.rpc.timeouts")
 	obsRPCExpect0       = obs.Default.Counter("dist.rpc.expect0")
+	obsRPCHellos        = obs.Default.Counter("dist.rpc.hellos")
 	obsPartitions       = obs.Default.Counter("dist.net.partitions")
 	obsPartitionBlocked = obs.Default.Counter("dist.net.partition.blocked")
 )
@@ -82,20 +84,47 @@ var ErrPartitioned = fmt.Errorf("dist: network partitioned: %w", cc.ErrUnavailab
 // latency and, under fault injection, message drops, duplications, extra
 // delays and partitions. Requests time out and are retransmitted up to a
 // bounded budget.
+//
+// Every message reads the network's configuration — injector, RPC
+// parameters, partition groups, the site and coordinator tables — from an
+// immutable snapshot published through an atomic pointer, so the message
+// path takes no lock; the setters publish a fresh copy under mu. The
+// latency bounds are fixed at construction, and mu guards the latency rng
+// only when the bounds differ.
 type Network struct {
 	mu       sync.Mutex
 	rng      *rand.Rand
 	minDelay time.Duration
 	maxDelay time.Duration
-	sites    map[SiteID]*Site
-	coords   map[SiteID]*Coordinator
-	groups   map[SiteID]int // open partition: site -> group; nil when healed
 
+	cfg    atomic.Pointer[netConfig]
+	reqSeq atomic.Uint64
+}
+
+// netConfig is one published snapshot of the network's configuration. A
+// snapshot is never written after it is published: a setter copies it,
+// changes the copy (copying any map it changes) and publishes the copy.
+type netConfig struct {
 	inj         *fault.Injector
 	rpcTimeout  time.Duration
 	retransmits int
+	groups      map[SiteID]int // open partition: site -> group; nil when healed
+	sites       map[SiteID]*siteEntry
+	coords      map[SiteID]*Coordinator
+}
 
-	reqSeq atomic.Uint64
+// siteEntry is a registered site plus the epoch senders last learned from
+// it. The entry is shared by every snapshot, so the epoch table survives
+// republishing.
+type siteEntry struct {
+	site *Site
+	// epoch is the site's epoch as the last handshake reported it (0: none
+	// known). Hello raises it; a refusal as orphaned clears it, but only
+	// while it still holds the refused epoch. Every stateful sender — a
+	// transaction's first contact, a migration peer, a replication queue —
+	// pins from here and handshakes only when it is empty, so a site is
+	// handshaken once per crash, not once per transaction.
+	epoch atomic.Uint64
 }
 
 // NewNetwork returns a network with per-message latency drawn uniformly
@@ -109,24 +138,41 @@ func NewNetwork(minDelay, maxDelay time.Duration, seed int64) *Network {
 	if timeout < time.Millisecond {
 		timeout = time.Millisecond
 	}
-	return &Network{
-		rng:         rand.New(rand.NewSource(seed)),
-		minDelay:    minDelay,
-		maxDelay:    maxDelay,
-		sites:       make(map[SiteID]*Site),
+	n := &Network{
+		rng:      rand.New(rand.NewSource(seed)),
+		minDelay: minDelay,
+		maxDelay: maxDelay,
+	}
+	n.cfg.Store(&netConfig{
+		sites:       make(map[SiteID]*siteEntry),
 		coords:      make(map[SiteID]*Coordinator),
 		rpcTimeout:  timeout,
 		retransmits: 2,
+	})
+	return n
+}
+
+// update publishes a copy of the current snapshot changed by f, under mu.
+// f must copy any map it changes.
+func (n *Network) update(f func(c *netConfig) error) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	c := *n.cfg.Load()
+	if err := f(&c); err != nil {
+		return err
 	}
+	n.cfg.Store(&c)
+	return nil
 }
 
 // SetInjector attaches a fault injector to the network's message layer
 // (nil detaches). The relevant points are fault.NetRequestDrop,
 // fault.NetRequestDup, fault.NetReplyDrop and fault.NetDelay.
 func (n *Network) SetInjector(in *fault.Injector) {
-	n.mu.Lock()
-	n.inj = in
-	n.mu.Unlock()
+	_ = n.update(func(c *netConfig) error {
+		c.inj = in
+		return nil
+	})
 }
 
 // SetRPC configures the per-attempt request timeout and the retransmission
@@ -134,16 +180,13 @@ func (n *Network) SetInjector(in *fault.Injector) {
 // respective setting unchanged; a budget of 0 disables retransmission — set
 // retransmits to -1 for that.
 func (n *Network) SetRPC(timeout time.Duration, retransmits int) {
-	n.mu.Lock()
-	if timeout > 0 {
-		n.rpcTimeout = timeout
-	}
-	if retransmits >= 0 {
-		n.retransmits = retransmits
-	} else {
-		n.retransmits = 0
-	}
-	n.mu.Unlock()
+	_ = n.update(func(c *netConfig) error {
+		if timeout > 0 {
+			c.rpcTimeout = timeout
+		}
+		c.retransmits = max(retransmits, 0)
+		return nil
+	})
 }
 
 // Partition splits the network: each listed group can only exchange
@@ -151,136 +194,127 @@ func (n *Network) SetRPC(timeout time.Duration, retransmits int) {
 // group of their own. The empty SiteID (an external client with no network
 // presence) is never partitioned from anything.
 func (n *Network) Partition(groups ...[]SiteID) {
-	n.mu.Lock()
-	n.groups = make(map[SiteID]int)
+	m := make(map[SiteID]int)
 	for g, members := range groups {
 		for _, id := range members {
-			n.groups[id] = g
+			m[id] = g
 		}
 	}
-	n.mu.Unlock()
+	_ = n.update(func(c *netConfig) error {
+		c.groups = m
+		return nil
+	})
 	obsPartitions.Inc()
 }
 
 // Heal closes any open partition.
 func (n *Network) Heal() {
-	n.mu.Lock()
-	n.groups = nil
-	n.mu.Unlock()
+	_ = n.update(func(c *netConfig) error {
+		c.groups = nil
+		return nil
+	})
 }
 
 // Partitioned reports whether a partition is open.
 func (n *Network) Partitioned() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.groups != nil
+	return n.cfg.Load().groups != nil
 }
 
-// reachable reports whether a message from a can reach b under the current
-// partition (trivially true when the network is healed).
-func (n *Network) reachable(a, b SiteID) bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.groups == nil {
+// reachable reports whether a message from a can reach b under the
+// snapshot's partition (trivially true when the network is healed).
+func (c *netConfig) reachable(a, b SiteID) bool {
+	if c.groups == nil || a == "" || b == "" {
 		return true
 	}
-	if a == "" || b == "" {
-		return true
-	}
-	ga, ok := n.groups[a]
+	ga, ok := c.groups[a]
 	if !ok {
 		ga = -1
 	}
-	gb, ok := n.groups[b]
+	gb, ok := c.groups[b]
 	if !ok {
 		gb = -1
 	}
 	return ga == gb
 }
 
-func (n *Network) injector() *fault.Injector {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.inj
-}
-
-func (n *Network) rpcParams() (time.Duration, int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.rpcTimeout, n.retransmits
-}
-
 // register attaches a site.
 func (n *Network) register(s *Site) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if _, dup := n.sites[s.id]; dup {
-		return fmt.Errorf("dist: duplicate site %s", s.id)
-	}
-	if _, dup := n.coords[s.id]; dup {
-		return fmt.Errorf("dist: site %s collides with a coordinator", s.id)
-	}
-	n.sites[s.id] = s
-	return nil
+	return n.update(func(c *netConfig) error {
+		if _, dup := c.sites[s.id]; dup {
+			return fmt.Errorf("dist: duplicate site %s", s.id)
+		}
+		if _, dup := c.coords[s.id]; dup {
+			return fmt.Errorf("dist: site %s collides with a coordinator", s.id)
+		}
+		c.sites = maps.Clone(c.sites)
+		c.sites[s.id] = &siteEntry{site: s}
+		return nil
+	})
 }
 
 // registerCoordinator attaches a coordinator.
-func (n *Network) registerCoordinator(c *Coordinator) error {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if _, dup := n.coords[c.id]; dup {
-		return fmt.Errorf("dist: duplicate coordinator %s", c.id)
+func (n *Network) registerCoordinator(co *Coordinator) error {
+	return n.update(func(c *netConfig) error {
+		if _, dup := c.coords[co.id]; dup {
+			return fmt.Errorf("dist: duplicate coordinator %s", co.id)
+		}
+		if _, dup := c.sites[co.id]; dup {
+			return fmt.Errorf("dist: coordinator %s collides with a site", co.id)
+		}
+		c.coords = maps.Clone(c.coords)
+		c.coords[co.id] = co
+		return nil
+	})
+}
+
+// entry returns the registered site's entry.
+func (n *Network) entry(id SiteID) (*siteEntry, error) {
+	e, ok := n.cfg.Load().sites[id]
+	if !ok {
+		return nil, fmt.Errorf("dist: unknown site %s", id)
 	}
-	if _, dup := n.sites[c.id]; dup {
-		return fmt.Errorf("dist: coordinator %s collides with a site", c.id)
-	}
-	n.coords[c.id] = c
-	return nil
+	return e, nil
 }
 
 // Site returns the registered site.
 func (n *Network) Site(id SiteID) (*Site, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	s, ok := n.sites[id]
-	if !ok {
-		return nil, fmt.Errorf("dist: unknown site %s", id)
+	e, err := n.entry(id)
+	if err != nil {
+		return nil, err
 	}
-	return s, nil
+	return e.site, nil
 }
 
 // Sites returns every registered site.
 func (n *Network) Sites() []*Site {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]*Site, 0, len(n.sites))
-	for _, s := range n.sites {
-		out = append(out, s)
+	sites := n.cfg.Load().sites
+	out := make([]*Site, 0, len(sites))
+	for _, e := range sites {
+		out = append(out, e.site)
 	}
 	return out
 }
 
 // node looks up an outcome-query answerer: the coordinator or a site.
 func (n *Network) node(id SiteID) (outcomeNode, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if c, ok := n.coords[id]; ok {
-		return c, nil
+	c := n.cfg.Load()
+	if co, ok := c.coords[id]; ok {
+		return co, nil
 	}
-	if s, ok := n.sites[id]; ok {
-		return s, nil
+	if e, ok := c.sites[id]; ok {
+		return e.site, nil
 	}
 	return nil, fmt.Errorf("dist: unknown node %s", id)
 }
 
 // delay sleeps a random message latency.
 func (n *Network) delay() {
-	n.mu.Lock()
 	d := n.minDelay
 	if n.maxDelay > n.minDelay {
+		n.mu.Lock()
 		d += time.Duration(n.rng.Int63n(int64(n.maxDelay - n.minDelay)))
+		n.mu.Unlock()
 	}
-	n.mu.Unlock()
 	if d > 0 {
 		time.Sleep(d)
 	}
@@ -295,22 +329,23 @@ func (n *Network) delay() {
 // fault.NetReplyDrop; an attempt that fails at any of them waits out the
 // timeout and is retransmitted until the budget is spent. serve may
 // therefore run more than once: it must be idempotent or answer duplicates
-// from the reply cache (see call). When the budget runs out the exchange
+// from the reply cache (see call). attempt reports which transmission the
+// reply answered (0: the first). When the budget runs out the exchange
 // fails with ErrSiteDown (refused throughout), ErrPartitioned (partitioned
 // throughout) or ErrRPCTimeout — all retryable — and serve's reply is
 // discarded.
-func exchange[R any](n *Network, from, to SiteID, node interface{ Up() bool }, serve func() R) (R, error) {
-	inj := n.injector()
-	timeout, retransmits := n.rpcParams()
+func exchange[R any](n *Network, from, to SiteID, node interface{ Up() bool }, serve func() R) (reply R, attempt int, err error) {
+	c := n.cfg.Load()
+	inj := c.inj
 	obsRPCCalls.Inc()
 	var lastErr error
-	for attempt := 0; attempt <= retransmits; attempt++ {
+	for attempt = 0; attempt <= c.retransmits; attempt++ {
 		obsRPCAttempts.Inc()
 		if attempt > 0 {
 			obsRPCRetransmits.Inc()
 		}
 		switch {
-		case !n.reachable(from, to):
+		case !n.cfg.Load().reachable(from, to):
 			obsPartitionBlocked.Inc()
 			lastErr = fmt.Errorf("%w: %s cannot reach %s", ErrPartitioned, from, to)
 		case n.requestLost(inj):
@@ -318,21 +353,21 @@ func exchange[R any](n *Network, from, to SiteID, node interface{ Up() bool }, s
 		case !node.Up():
 			lastErr = fmt.Errorf("%w: %s", ErrSiteDown, to)
 		default:
-			reply := serve()
+			reply = serve()
 			n.delay() // reply latency
 			if !inj.Fires(fault.NetReplyDrop) {
-				return reply, nil
+				return reply, attempt, nil
 			}
 			lastErr = fmt.Errorf("dist: reply from %s lost", to)
 		}
-		time.Sleep(timeout)
+		time.Sleep(c.rpcTimeout)
 	}
 	obsRPCTimeouts.Inc()
 	var zero R
 	if errors.Is(lastErr, ErrSiteDown) || errors.Is(lastErr, ErrPartitioned) {
-		return zero, lastErr
+		return zero, attempt, lastErr
 	}
-	return zero, fmt.Errorf("%w (%v)", ErrRPCTimeout, lastErr)
+	return zero, attempt, fmt.Errorf("%w (%v)", ErrRPCTimeout, lastErr)
 }
 
 // requestLost carries a request across the network — the message latency
@@ -350,14 +385,22 @@ func (n *Network) requestLost(inj *fault.Injector) bool {
 // once and returns the handler's reply. The request carries an id and the
 // site caches its reply, so a retransmission after a lost reply — or the
 // duplicate fault.NetRequestDup injects — is answered from the cache
-// instead of re-executing the handler. expect is the site epoch the client
-// pinned for this transaction; a mismatch means the site crashed
-// underneath it, and the delivery is refused with ErrOrphaned.
+// instead of re-executing the handler. expect is the site epoch the sender
+// pinned; a mismatch means the site crashed underneath it, and the
+// delivery is refused with ErrOrphaned.
 func call[Req any, Resp any](n *Network, from SiteID, site SiteID, expect uint64, txn histories.ActivityID, req Req, handle func(s *Site, req Req) (Resp, error)) (Resp, error) {
-	s, err := n.Site(site)
+	resp, _, err := callAt(n, from, site, expect, txn, req, handle)
+	return resp, err
+}
+
+// callAt is call reporting which transmission the reply answered (see
+// exchange). A refusal as orphaned also clears expect from the network's
+// epoch table, so the next sender to pin the site handshakes afresh.
+func callAt[Req any, Resp any](n *Network, from SiteID, site SiteID, expect uint64, txn histories.ActivityID, req Req, handle func(s *Site, req Req) (Resp, error)) (Resp, int, error) {
+	e, err := n.entry(site)
 	if err != nil {
 		var zero Resp
-		return zero, err
+		return zero, 0, err
 	}
 	if expect == 0 {
 		// Regression lock for the exactly-once first-contact hole: the
@@ -370,9 +413,10 @@ func call[Req any, Resp any](n *Network, from SiteID, site SiteID, expect uint64
 		resp Resp
 		err  error
 	}
-	inj := n.injector()
+	s := e.site
+	inj := n.cfg.Load().inj
 	reqID := n.reqSeq.Add(1)
-	r, err := exchange(n, from, site, s, func() (r reply) {
+	r, attempt, err := exchange(n, from, site, s, func() (r reply) {
 		r.resp, r.err = deliver(s, reqID, expect, txn, req, handle)
 		if inj.Fires(fault.NetRequestDup) {
 			// Deliver the duplicate; its reply is discarded. The reply
@@ -382,9 +426,11 @@ func call[Req any, Resp any](n *Network, from SiteID, site SiteID, expect uint64
 		return r
 	})
 	if err == nil {
-		err = r.err
+		if err = r.err; errors.Is(err, ErrOrphaned) {
+			e.epoch.CompareAndSwap(expect, 0)
+		}
 	}
-	return r.resp, err
+	return r.resp, attempt, err
 }
 
 // deliver executes one delivery of a request at a site, answering
@@ -394,13 +440,9 @@ func call[Req any, Resp any](n *Network, from SiteID, site SiteID, expect uint64
 // construction — a crash wipes it — so a cached reply needs no epoch
 // check.
 func deliver[Req any, Resp any](s *Site, reqID uint64, expect uint64, txn histories.ActivityID, req Req, handle func(s *Site, req Req) (Resp, error)) (Resp, error) {
-	if v, err, ok := s.cachedReply(reqID); ok {
+	if v, err, done := s.admit(reqID, expect); done {
 		resp, _ := v.(Resp)
 		return resp, err
-	}
-	if err := s.checkEpoch(expect); err != nil {
-		var zero Resp
-		return zero, err
 	}
 	resp, err := handle(s, req)
 	s.cacheReply(reqID, txn, resp, err)
@@ -412,17 +454,43 @@ func deliver[Req any, Resp any](s *Site, reqID uint64, expect uint64, txn histor
 // draw fault.NetRequestDup; they ride the same exchange, with the same
 // faults and retransmission budget, as every stateful call.
 
-// Hello fetches a site's current epoch on behalf of from — the handshake a
-// proxy performs before a transaction's first stateful message to the site,
-// so that no request ever carries expect=0. A retransmitted Hello that
-// straddles a crash is harmless: it pins the post-crash epoch and no
-// operation has executed yet.
+// Hello fetches a site's current epoch on behalf of from and records it in
+// the network's epoch table — the handshake a sender performs before its
+// first stateful message to a site whose epoch it does not know, so that
+// no request ever carries expect=0. A retransmitted Hello that straddles a
+// crash is harmless: it pins the post-crash epoch and no operation has
+// executed yet.
 func (n *Network) Hello(from, site SiteID) (uint64, error) {
-	s, err := n.Site(site)
+	e, err := n.entry(site)
 	if err != nil {
 		return 0, err
 	}
-	return exchange(n, from, site, s, s.Epoch)
+	obsRPCHellos.Inc()
+	epoch, _, err := exchange(n, from, site, e.site, e.site.Epoch)
+	if err != nil {
+		return 0, err
+	}
+	for {
+		// Epochs only grow: a slow reply never lowers what a later one
+		// taught the table.
+		cur := e.epoch.Load()
+		if epoch <= cur || e.epoch.CompareAndSwap(cur, epoch) {
+			return epoch, nil
+		}
+	}
+}
+
+// epochFor returns the epoch the network last learned from site, and
+// handshakes (Hello) only when it knows none: once per site per crash.
+func (n *Network) epochFor(from, site SiteID) (uint64, error) {
+	e, err := n.entry(site)
+	if err != nil {
+		return 0, err
+	}
+	if epoch := e.epoch.Load(); epoch != 0 {
+		return epoch, nil
+	}
+	return n.Hello(from, site)
 }
 
 // QueryHosting asks a site whether it currently hosts obj (and at which
@@ -437,7 +505,7 @@ func (n *Network) QueryHosting(from, to SiteID, obj histories.ObjectID) (bool, u
 		hosted bool
 		ringv  uint64
 	}
-	r, err := exchange(n, from, to, s, func() (r reply) {
+	r, _, err := exchange(n, from, to, s, func() (r reply) {
 		r.hosted, r.ringv = s.hostsObject(obj)
 		return r
 	})
@@ -452,5 +520,6 @@ func (n *Network) QueryOutcome(from, to SiteID, txn histories.ActivityID) (Outco
 	if err != nil {
 		return OutcomeUnknown, err
 	}
-	return exchange(n, from, to, node, func() Outcome { return node.queryOutcome(txn) })
+	out, _, err := exchange(n, from, to, node, func() Outcome { return node.queryOutcome(txn) })
+	return out, err
 }

@@ -361,7 +361,7 @@ func (n *Network) QueryReplicaRead(from, to SiteID, obj histories.ObjectID, inv 
 		v   value.Value
 		err error
 	}
-	r, err := exchange(n, from, to, s, func() (r reply) {
+	r, _, err := exchange(n, from, to, s, func() (r reply) {
 		r.v, r.err = s.handleReplicaRead(obj, inv, ts)
 		return r
 	})
@@ -444,8 +444,6 @@ type replQueue struct {
 	cond    *sync.Cond
 	items   []replItem
 	stopped bool
-
-	epoch uint64 // pinned follower epoch; 0 forces a Hello before the next send
 }
 
 func newReplQueue(rep *replicator, site SiteID) *replQueue {
@@ -495,9 +493,11 @@ func (q *replQueue) run() {
 }
 
 // process delivers one item, retrying retryable failures with a capped
-// backoff until it succeeds or the queue stops. The worker handshakes for
-// the follower's epoch before any stateful send (no expect=0 messages) and
-// re-handshakes when a crash orphans the pinned epoch.
+// backoff until it succeeds or the queue stops. Each send carries the
+// follower's epoch from the network's epoch table (no expect=0 messages);
+// a crash orphans it, the refusal clears it from the table, and the next
+// send handshakes afresh and redelivers — safe, since a delivery is
+// idempotent by its request id.
 func (q *replQueue) process(it replItem) {
 	inj := q.rep.c.inj
 	backoff := 100 * time.Microsecond
@@ -523,24 +523,20 @@ func (q *replQueue) process(it replItem) {
 			sleepAndGrow()
 			continue
 		}
-		if q.epoch == 0 {
-			e, err := q.rep.c.net.Hello(q.rep.origin, q.site)
-			if err != nil {
-				sleepAndGrow()
-				continue
-			}
-			q.epoch = e
+		epoch, err := q.rep.c.net.epochFor(q.rep.origin, q.site)
+		if err != nil {
+			sleepAndGrow()
+			continue
 		}
-		var err error
 		switch it.kind {
 		case replSeed:
 			rid := replSeedRID(it.obj, it.ts)
-			_, err = call(q.rep.c.net, q.rep.origin, q.site, q.epoch, rid,
+			_, err = call(q.rep.c.net, q.rep.origin, q.site, epoch, rid,
 				replSeedReq{Obj: it.obj, Typ: it.typ, State: it.state, TS: it.ts},
 				(*Site).handleReplicaSeed)
 		case replDeliver:
 			rid := replRID(it.txn, it.obj)
-			_, err = call(q.rep.c.net, q.rep.origin, q.site, q.epoch, rid,
+			_, err = call(q.rep.c.net, q.rep.origin, q.site, epoch, rid,
 				replApplyReq{Obj: it.obj, Txn: it.txn, Calls: it.calls, TS: it.ts},
 				(*Site).handleReplicaApply)
 		}
@@ -548,8 +544,7 @@ func (q *replQueue) process(it replItem) {
 			return
 		}
 		if errors.Is(err, ErrOrphaned) {
-			q.epoch = 0 // the follower crashed; re-handshake and redeliver
-			continue
+			continue // the follower crashed; re-handshake and redeliver
 		}
 		if cc.Retryable(err) {
 			sleepAndGrow()

@@ -217,8 +217,9 @@ type half struct {
 // unilaterally abort it, which is how locks leaked by a client whose abort
 // broadcast never arrived are eventually reclaimed (AbortAbandoned).
 type activeTxn struct {
-	objects  map[histories.ObjectID]bool
+	objects  []histories.ObjectID // touched here: one or two, so a slice beats a map
 	lastSeen time.Time
+	inline   [2]histories.ObjectID // objects' first backing array
 }
 
 // cachedReply is a memoised handler result, keyed by request id.
@@ -369,28 +370,24 @@ func (s *Site) Crashes() int64 {
 	return s.crashes
 }
 
-// checkEpoch refuses messages from a pre-crash epoch. expect is the epoch
-// the client first observed at this site (zero: no expectation yet).
-func (s *Site) checkEpoch(expect uint64) error {
+// admit is a delivery's entry check, under one lock: a duplicate of a
+// request already answered gets its memoised reply (at-most-once delivery;
+// crashed sites have no cache), and a request from a pre-crash epoch is
+// refused as orphaned. expect is the epoch the sender pinned at this site
+// (zero: no expectation). done reports that v and err are the delivery's
+// answer and the handler must not run.
+func (s *Site) admit(reqID, expect uint64) (v any, err error, done bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if r, ok := s.replies[reqID]; ok {
+		obsCacheHits.Inc()
+		return r.value, r.err, true
+	}
 	if expect != 0 && expect != s.epoch {
 		obsEpochOrphans.Inc()
-		return fmt.Errorf("%w: %s is at epoch %d, message from epoch %d", ErrOrphaned, s.id, s.epoch, expect)
+		return nil, fmt.Errorf("%w: %s is at epoch %d, message from epoch %d", ErrOrphaned, s.id, s.epoch, expect), true
 	}
-	return nil
-}
-
-// cachedReply looks up the memoised reply for a request id (at-most-once
-// delivery). Crashed sites have no cache.
-func (s *Site) cachedReply(reqID uint64) (any, error, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok := s.replies[reqID]
-	if ok {
-		obsCacheHits.Inc()
-	}
-	return r.value, r.err, ok
+	return nil, nil, false
 }
 
 // cacheReply memoises a handler's reply (a no-op after a crash), then
@@ -472,7 +469,11 @@ func (s *Site) Recover() error {
 	if s.Up() {
 		return fmt.Errorf("dist: site %s is already up", s.id)
 	}
+	// Under voteMu: a vote of the crashed epoch either appended already or
+	// will find the epoch moved and vote no (see vote).
+	s.voteMu.Lock()
 	fold := recovery.FoldLog(s.disk.Records())
+	s.voteMu.Unlock()
 
 	// Cooperative termination runs outside s.mu (it talks to the network).
 	type resolution struct {
@@ -616,27 +617,28 @@ func (s *Site) object(id histories.ObjectID) (*locking.Object, error) {
 // version rv (zero: unversioned) must not predate the migration that
 // brought the object here — either way the sender's placement view is
 // stale and the request is refused with ErrMoved rather than executed at
-// the wrong home.
-func (s *Site) objectRouted(id histories.ObjectID, rv uint64) (*locking.Object, error) {
+// the wrong home. It also returns the epoch the object belongs to, which a
+// vote on the object's intentions must still be in (see vote).
+func (s *Site) objectRouted(id histories.ObjectID, rv uint64) (*locking.Object, uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.up {
-		return nil, fmt.Errorf("%w: %s", ErrSiteDown, s.id)
+		return nil, 0, fmt.Errorf("%w: %s", ErrSiteDown, s.id)
 	}
 	if !s.hosted[id] {
 		if _, known := s.types[id]; known {
-			return nil, fmt.Errorf("%w: %s at %s", ErrMoved, id, s.id)
+			return nil, 0, fmt.Errorf("%w: %s at %s", ErrMoved, id, s.id)
 		}
-		return nil, fmt.Errorf("dist: no object %s at %s", id, s.id)
+		return nil, 0, fmt.Errorf("dist: no object %s at %s", id, s.id)
 	}
 	if rv != 0 && rv < s.homedAt[id] {
-		return nil, fmt.Errorf("%w: %s at %s homed at placement %d, request carries %d", ErrMoved, id, s.id, s.homedAt[id], rv)
+		return nil, 0, fmt.Errorf("%w: %s at %s homed at placement %d, request carries %d", ErrMoved, id, s.id, s.homedAt[id], rv)
 	}
 	o, ok := s.objects[id]
 	if !ok {
-		return nil, fmt.Errorf("dist: no object %s at %s", id, s.id)
+		return nil, 0, fmt.Errorf("dist: no object %s at %s", id, s.id)
 	}
-	return o, nil
+	return o, s.epoch, nil
 }
 
 // frozenCheck refuses a client operation on an object frozen by an
@@ -691,7 +693,7 @@ func (s *Site) HostedObjects() []histories.ObjectID {
 // a partial transaction commit — refuse with the retryable ErrStaleTxn
 // instead.
 func (s *Site) handleInvoke(obj histories.ObjectID, txn *cc.TxnInfo, inv spec.Invocation, seq int, rv uint64) (value.Value, error) {
-	o, err := s.objectRouted(obj, rv)
+	o, _, err := s.objectRouted(obj, rv)
 	if err != nil {
 		return value.Nil(), err
 	}
@@ -746,10 +748,13 @@ func (s *Site) registerTxn(txn *cc.TxnInfo, obj histories.ObjectID) {
 	if s.active != nil {
 		a := s.active[txn.ID]
 		if a == nil {
-			a = &activeTxn{objects: make(map[histories.ObjectID]bool)}
+			a = &activeTxn{}
+			a.objects = a.inline[:0]
 			s.active[txn.ID] = a
 		}
-		a.objects[obj] = true
+		if !slices.Contains(a.objects, obj) {
+			a.objects = append(a.objects, obj)
+		}
 		a.lastSeen = time.Now()
 	}
 	s.mu.Unlock()
@@ -761,7 +766,7 @@ func (s *Site) registerTxn(txn *cc.TxnInfo, obj histories.ObjectID) {
 // mismatch means a crash wiped part of the transaction, so the site votes
 // no.
 func (s *Site) handlePrepare(obj histories.ObjectID, txn *cc.TxnInfo, expect int, rv uint64) error {
-	o, err := s.objectRouted(obj, rv)
+	o, epoch, err := s.objectRouted(obj, rv)
 	if err != nil {
 		return err
 	}
@@ -775,7 +780,7 @@ func (s *Site) handlePrepare(obj histories.ObjectID, txn *cc.TxnInfo, expect int
 	if err := o.Prepare(txn); err != nil {
 		return err
 	}
-	err = s.vote(txn, recovery.Record{Object: obj, Calls: calls}, fault.SiteCrashPrepare, nil)
+	err = s.vote(txn, epoch, recovery.Record{Object: obj, Calls: calls}, fault.SiteCrashPrepare, nil)
 	if errors.Is(err, ErrRefused) {
 		o.Abort(txn)
 	}
@@ -796,10 +801,26 @@ func (s *Site) handlePrepare(obj histories.ObjectID, txn *cc.TxnInfo, expect int
 // caller's window after the vote: it is durable but never reaches the
 // coordinator, leaving the transaction in doubt here for the cooperative
 // termination protocol.
-func (s *Site) vote(txn *cc.TxnInfo, rec recovery.Record, crash fault.Point, staged *stagedImport) error {
+//
+// epoch is the epoch the half's volatile state (the object's intentions, a
+// freeze, a staged copy) was read in. A site that crashed since votes no:
+// the state the record would make durable is gone, and a recovery may
+// already have read the log without it and rebuilt its tables. Recover
+// reads its log under voteMu, so a vote that finds the epoch unchanged has
+// appended before any recovery of a later crash reads the log, and that
+// recovery finds the vote in doubt.
+func (s *Site) vote(txn *cc.TxnInfo, epoch uint64, rec recovery.Record, crash fault.Point, staged *stagedImport) error {
 	rec.Kind, rec.Txn, rec.Participants = recovery.RecordIntentions, txn.ID, txn.Participants
 	s.voteMu.Lock()
-	if s.isDecided(txn.ID) {
+	s.mu.Lock()
+	_, decided := s.decided[txn.ID]
+	moved := !s.up || s.epoch != epoch
+	s.mu.Unlock()
+	if moved {
+		s.voteMu.Unlock()
+		return fmt.Errorf("%w: %s crashed during the vote of %s", ErrOrphaned, s.id, txn.ID)
+	}
+	if decided {
 		s.voteMu.Unlock()
 		return fmt.Errorf("%w: %s at %s", ErrRefused, txn.ID, s.id)
 	}
@@ -882,6 +903,7 @@ func (s *Site) decide(txn histories.ActivityID, obj histories.ObjectID, commit b
 		s.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrSiteDown, s.id)
 	}
+	epoch := s.epoch
 	var picks []half
 	if p := s.prepared[txn]; p != nil {
 		for _, h := range p.halves {
@@ -931,7 +953,9 @@ func (s *Site) decide(txn histories.ActivityID, obj histories.ObjectID, commit b
 		}
 	}
 	s.mu.Lock()
-	if s.prepared == nil { // crashed concurrently
+	if s.prepared == nil || s.epoch != epoch {
+		// Crashed concurrently: the tables are gone, or a recovery rebuilt
+		// them from a log that tells this outcome or resolved it anew.
 		s.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrSiteDown, s.id)
 	}
@@ -990,7 +1014,7 @@ type migExport struct {
 // its record is logged, and a half whose commit record failed stays
 // prepared here, so every effect in the copy is already told by the log.
 func (s *Site) handleMigrateExport(obj histories.ObjectID, txn *cc.TxnInfo) (migExport, error) {
-	o, err := s.objectRouted(obj, 0)
+	o, _, err := s.objectRouted(obj, 0)
 	if err != nil {
 		return migExport{}, err
 	}
@@ -1000,7 +1024,7 @@ func (s *Site) handleMigrateExport(obj histories.ObjectID, txn *cc.TxnInfo) (mig
 		return migExport{}, fmt.Errorf("%w: %s at %s (frozen by %s)", ErrMigrating, obj, s.id, owner)
 	}
 	for id, a := range s.active {
-		if id != txn.ID && a.objects[obj] {
+		if id != txn.ID && slices.Contains(a.objects, obj) {
 			s.mu.Unlock()
 			return migExport{}, fmt.Errorf("%w: %s at %s busy (active transaction %s)", ErrMigrating, obj, s.id, id)
 		}
@@ -1066,7 +1090,7 @@ func (s *Site) handleMigrateImport(obj histories.ObjectID, txn *cc.TxnInfo, exp 
 // baseline, so a committed migration is redoable from the log alone.
 func (s *Site) handleMigratePrepare(obj histories.ObjectID, txn *cc.TxnInfo, dir recovery.MigrateDir, ringv uint64) error {
 	s.mu.Lock()
-	up, frozen := s.up, s.migrating[obj] == txn.ID
+	up, epoch, frozen := s.up, s.epoch, s.migrating[obj] == txn.ID
 	st, staged := s.staged[txn.ID][obj]
 	s.mu.Unlock()
 	rec := recovery.Record{Object: obj, Migrate: dir, RingV: ringv}
@@ -1083,7 +1107,7 @@ func (s *Site) handleMigratePrepare(obj histories.ObjectID, txn *cc.TxnInfo, dir
 	default:
 		return fmt.Errorf("%w: migration %s lost its half (direction %d) of %s at %s", ErrStaleTxn, txn.ID, dir, obj, s.id)
 	}
-	return s.vote(txn, rec, crash, in)
+	return s.vote(txn, epoch, rec, crash, in)
 }
 
 // handleMigrateCommit and handleMigrateAbort deliver the decision for a
@@ -1200,11 +1224,8 @@ func (s *Site) AbortAbandoned(idle time.Duration) int {
 		}
 		var objects []*locking.Object
 		if a != nil && out != OutcomeCommitted {
-			ids := make([]histories.ObjectID, 0, len(a.objects))
-			for id := range a.objects {
-				ids = append(ids, id)
-			}
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+			ids := slices.Clone(a.objects)
+			slices.Sort(ids)
 			for _, id := range ids {
 				if o := s.objects[id]; o != nil {
 					objects = append(objects, o)

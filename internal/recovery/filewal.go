@@ -326,7 +326,7 @@ func (w *FileWAL) load() error {
 				return fmt.Errorf("recovery: trim torn tail of segment %d: %w", seq, err)
 			}
 		}
-		w.records = append(w.records, s.records...)
+		w.records.append(s.records...)
 	}
 
 	// Open (or create) the active segment for appends.
@@ -598,7 +598,7 @@ func (w *FileWAL) ackLocked() {
 		if b.end > w.synced {
 			break
 		}
-		w.records = append(w.records, b.records...)
+		w.records.append(b.records...)
 		obsWALAppends.Add(int64(len(b.records)))
 		obsFsyncBatchSize.Add(int64(len(b.errs)))
 		b.done, b.durable = true, true

@@ -64,7 +64,7 @@ func TestFoldRows(t *testing.T) {
 		t.Errorf("Watermarks = %v, want %v", got, wantMarks)
 	}
 	d := &Disk{}
-	d.records = recs
+	d.records.append(recs...)
 	if got := ReplicaWatermarks(d); !reflect.DeepEqual(got, wantMarks) {
 		t.Errorf("ReplicaWatermarks = %v, want the fold's %v", got, wantMarks)
 	}

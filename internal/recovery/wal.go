@@ -167,8 +167,61 @@ var ErrWriteFailed = fmt.Errorf("recovery: stable-storage write failed: %w", cc.
 // FileWAL: framing, segments, fsync) and how a compacted log is installed.
 type memLog struct {
 	mu      sync.Mutex
-	records []Record
+	records recordList
 	inj     *fault.Injector
+}
+
+// Chunk sizes of a recordList, in records: the first chunk holds
+// minChunk, each later one twice its predecessor, up to maxChunk.
+const (
+	minChunk = 16
+	maxChunk = 1024
+)
+
+// recordList is an append-only record sequence kept in chunks. An append
+// never moves a record already in the list, so a long log does not copy
+// itself over and over the way a flat slice does (Go grows a large slice
+// by about 1.25×, copying it whole each time). Chunks double from minChunk
+// to maxChunk records, so a small log pays for no large zeroed chunk.
+type recordList struct {
+	chunks [][]Record // every chunk but the last is full
+	n      int
+}
+
+// append adds records at the end of the list.
+func (l *recordList) append(recs ...Record) {
+	for _, r := range recs {
+		last := len(l.chunks) - 1
+		if last < 0 || len(l.chunks[last]) == cap(l.chunks[last]) {
+			size := minChunk
+			if last >= 0 {
+				size = min(2*cap(l.chunks[last]), maxChunk)
+			}
+			l.chunks = append(l.chunks, make([]Record, 0, size))
+			last++
+		}
+		l.chunks[last] = append(l.chunks[last], r)
+	}
+	l.n += len(recs)
+}
+
+// flat returns the records as one slice, sharing their contents.
+func (l *recordList) flat() []Record {
+	out := make([]Record, 0, l.n)
+	for _, c := range l.chunks {
+		out = append(out, c...)
+	}
+	return out
+}
+
+// bytes is the estimated serialized size of every record in the list.
+func (l *recordList) bytes() (n int64) {
+	for _, c := range l.chunks {
+		for _, r := range c {
+			n += recordBytes(r)
+		}
+	}
+	return n
 }
 
 // SetInjector attaches a fault injector (nil detaches).
@@ -183,9 +236,11 @@ func (l *memLog) SetInjector(in *fault.Injector) {
 func (l *memLog) Records() []Record {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Record, len(l.records))
-	for i := range l.records {
-		out[i] = l.records[i].clone()
+	out := make([]Record, 0, l.records.n)
+	for _, c := range l.records.chunks {
+		for _, r := range c {
+			out = append(out, r.clone())
+		}
 	}
 	return out
 }
@@ -194,7 +249,7 @@ func (l *memLog) Records() []Record {
 func (l *memLog) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.records)
+	return l.records.n
 }
 
 // checkpointLocked compacts the log under l.mu: the fold of the live
@@ -204,7 +259,7 @@ func (l *memLog) Len() int {
 // reclaimed and written, and only then does it replace the live records. A
 // failed install leaves the uncompacted log authoritative.
 func (l *memLog) checkpointLocked(specs map[histories.ObjectID]spec.SerialSpec, initialHosted map[histories.ObjectID]bool, withHosted bool, install func(compacted []Record) (reclaimed, written int64, err error)) (int64, error) {
-	compacted, err := FoldLog(l.records).compact(specs, initialHosted, withHosted)
+	compacted, err := FoldLog(l.records.flat()).compact(specs, initialHosted, withHosted)
 	if err != nil {
 		return 0, fmt.Errorf("recovery: checkpoint replay: %w", err)
 	}
@@ -212,7 +267,8 @@ func (l *memLog) checkpointLocked(specs map[histories.ObjectID]spec.SerialSpec, 
 	if err != nil {
 		return 0, err
 	}
-	l.records = compacted
+	l.records = recordList{}
+	l.records.append(compacted...)
 	if reclaimed < 0 {
 		reclaimed = 0
 	}
@@ -248,7 +304,7 @@ func (d *Disk) appendLocked(r Record) error {
 		torn := cp
 		torn.Calls = cp.Calls[:len(cp.Calls)/2]
 		torn.Torn = true
-		d.records = append(d.records, torn)
+		d.records.append(torn)
 		obsWALTorn.Inc()
 		return fmt.Errorf("%w: torn append of %s record for %s", ErrWriteFailed, "intentions", r.Txn)
 	}
@@ -256,7 +312,7 @@ func (d *Disk) appendLocked(r Record) error {
 		obsWALFailed.Inc()
 		return fmt.Errorf("%w: append for %s", ErrWriteFailed, r.Txn)
 	}
-	d.records = append(d.records, cp)
+	d.records.append(cp)
 	obsWALAppends.Inc()
 	obsWALBytes.Add(recordBytes(cp))
 	return nil
@@ -325,13 +381,11 @@ func (d *Disk) CheckpointHosted(specs map[histories.ObjectID]spec.SerialSpec, in
 func (d *Disk) installLocked(compacted []Record) (reclaimed, written int64, err error) {
 	if d.inj.Fires(fault.DiskCheckpointTorn) {
 		// The snapshot never made it to stable storage.
-		d.records = append(d.records, Record{Kind: RecordCheckpoint, Torn: true})
+		d.records.append(Record{Kind: RecordCheckpoint, Torn: true})
 		obsCheckpointTorn.Inc()
 		return 0, 0, fmt.Errorf("%w: torn checkpoint", ErrWriteFailed)
 	}
-	for _, r := range d.records {
-		reclaimed += recordBytes(r)
-	}
+	reclaimed = d.records.bytes()
 	for _, r := range compacted {
 		reclaimed -= recordBytes(r)
 	}

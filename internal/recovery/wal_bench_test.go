@@ -3,6 +3,7 @@ package recovery
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
 
 	"weihl83/internal/adts"
@@ -205,6 +206,38 @@ func BenchmarkOpenFileWAL(b *testing.B) {
 				w.Close()
 			}
 			b.ReportMetric(float64(records*b.N)/b.Elapsed().Seconds(), "records/s")
+		})
+	}
+}
+
+// BenchmarkDiskAppend: one op fills a fresh in-memory Disk with 100k
+// transfer records, one Append each. B/append is the amortised bytes
+// allocated per append: the record's own copy plus whatever growing the
+// log costs — a flat slice re-copies itself as it grows, the chunked log
+// never moves a record.
+func BenchmarkDiskAppend(b *testing.B) {
+	for _, records := range []int{100_000} {
+		b.Run(fmt.Sprintf("records=%d", records), func(b *testing.B) {
+			var recs []Record
+			for n := 0; len(recs) < records; n++ {
+				recs = append(recs, transferGroup(n)...)
+			}
+			recs = recs[:records]
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d := &Disk{}
+				for _, r := range recs {
+					if err := d.Append(r); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*records), "B/append")
 		})
 	}
 }
