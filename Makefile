@@ -44,7 +44,13 @@ examples:
 # state-wise equals the live one only while log order == install order
 # (DESIGN §9), and a single run can pass by luck. Both run on a file WAL,
 # whose group commit writes one batch while the previous batch's fsync is
-# in flight; the tx test also runs on the in-memory Disk. The dist line
+# in flight; the tx test also runs on the in-memory Disk, with read-only
+# auditors whose commits are written unforced beside the writers and whose
+# records must all survive the crash. The blocked-durability line reruns,
+# under the race detector, the tests that hold a log force open: a
+# read-only commit and an abort return while it is stalled, an update
+# commit waits for it, and leadership is kept while the log is busy
+# (DESIGN §13). The dist line
 # reruns, under the race detector, the tests that pin where a running site
 # gets an outcome: from its volatile tables, never its log, with a yes-vote
 # registered before voteMu is released and a half whose commit record failed
@@ -52,10 +58,11 @@ examples:
 # race detector, the epoch-table tests: a site handshaken once per crash,
 # the resend of a first message refused on its first transmission, the
 # first-contact window, and network reconfiguration racing transfers and
-# crashes. About 25 seconds in all.
+# crashes. About 30 seconds in all.
 order-stress:
 	$(GO) test -count=20 -run 'TestCrashConsistency' ./internal/tx
 	$(GO) test -count=20 -run 'TestFacadeDurableQueueRecoversInInstallOrder' .
+	$(GO) test -race -count=20 -run '^(TestReadOnlyCommitWaitsForNoForce|TestAbortDoesNotWaitForItsRecord|TestGroupCommitPipelinesOnlyWhileQuiet)$$' ./internal/tx
 	$(GO) test -race -count=20 -run '^(TestMigrationCrashWindowSweep|TestAbandonedUnpreparedTxnSwept|TestUnanimousPeerRefusalPresumesAbort|TestDownCoordinatorAnswersInDoubt|TestRunningSitesNeverReadTheirLog|TestFailedCommitRecordHoldsTheExport|TestVoteAndRefusalNeverBothSucceed)$$' ./internal/dist
 	$(GO) test -race -count=20 -run '^(TestEpochHandshakeOncePerCrash|TestReconfigureUnderTransfers|TestHandshakeClosesFirstContactWindow|TestHandshakeRegressionLock|TestHandshakeNoExpectZeroUnderFaults|TestStaleRouteRefusedAfterRestart)$$' ./internal/dist
 

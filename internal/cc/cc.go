@@ -111,7 +111,11 @@ type TxnInfo struct {
 	// Seq is a global birth sequence number; deadlock victim selection
 	// aborts the youngest (largest Seq) transaction in a cycle.
 	Seq int64
-	// ReadOnly marks hybrid-atomicity read-only activities.
+	// ReadOnly marks a read-only activity, under every property. Objects
+	// refuse its mutating operations with ErrReadOnly; under hybrid
+	// atomicity it also selects the snapshot read at TS. The runtime commits
+	// it without waiting for a log force, since it has no effects to
+	// recover.
 	ReadOnly bool
 	// PrepareFloor, for a hybrid-atomicity update, is a timestamp the
 	// runtime draws from the shared clock just before the update's first

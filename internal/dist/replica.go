@@ -591,11 +591,14 @@ func (rep *replicator) queueFor(site SiteID) *replQueue {
 
 // tracks reports whether obj has a replica route with at least one
 // follower.
-func (rep *replicator) tracks(obj histories.ObjectID) bool {
+func (rep *replicator) tracks(obj histories.ObjectID) (adts.Type, bool) {
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
 	r := rep.routes[obj]
-	return r != nil && len(r.followers) > 0
+	if r == nil || len(r.followers) == 0 {
+		return adts.Type{}, false
+	}
+	return r.typ, true
 }
 
 // prepare registers a transaction's leg on obj and applies the sync
@@ -962,10 +965,11 @@ func (c *Cluster) ReadRouter() func(histories.ObjectID) cc.Resource {
 		return nil
 	}
 	return func(obj histories.ObjectID) cc.Resource {
-		if !rep.tracks(obj) {
+		typ, ok := rep.tracks(obj)
+		if !ok {
 			return nil
 		}
-		return &replicaReadResource{rep: rep, obj: obj}
+		return &replicaReadResource{rep: rep, obj: obj, isWrite: typ.IsWrite}
 	}
 }
 
@@ -975,8 +979,9 @@ func (c *Cluster) ReadRouter() func(histories.ObjectID) cc.Resource {
 // timestamp is the whole serialisation argument (hybrid atomicity's
 // timestamp order).
 type replicaReadResource struct {
-	rep *replicator
-	obj histories.ObjectID
+	rep     *replicator
+	obj     histories.ObjectID
+	isWrite func(op string) bool
 }
 
 var _ cc.Resource = (*replicaReadResource)(nil)
@@ -987,8 +992,12 @@ func (r *replicaReadResource) ObjectID() histories.ObjectID { return r.obj }
 // Invoke implements cc.Resource: pin the snapshot, rotate over the
 // followers, and validate the route version afterwards so a read that
 // raced a replica-set change (migration) refuses instead of returning a
-// value from a site that just left the set.
+// value from a site that just left the set. A mutating operation is
+// refused with cc.ErrReadOnly: a snapshot has nowhere to put its effect.
 func (r *replicaReadResource) Invoke(txn *cc.TxnInfo, inv spec.Invocation) (value.Value, error) {
+	if r.isWrite != nil && r.isWrite(inv.Op) {
+		return value.Nil(), fmt.Errorf("dist: %s invokes %s at replicas of %s: %w", txn.ID, inv.Op, r.obj, cc.ErrReadOnly)
+	}
 	ts := r.rep.pinRead(txn.ID)
 	followers, v := r.rep.routeSnapshot(r.obj)
 	if len(followers) == 0 {

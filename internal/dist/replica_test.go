@@ -405,6 +405,14 @@ func TestReadOnlyRunRoutesToReplicas(t *testing.T) {
 	if got := obsReplReads.Load() - before; got < 2 {
 		t.Errorf("replica reads during audit = %d, want >= 2 (audit did not route to followers)", got)
 	}
+	// A read-only deposit routed to the followers is refused, not answered
+	// from a snapshot that drops its effect.
+	if err := auditMgr.RunReadOnly(func(txn *tx.Txn) error {
+		_, err := txn.Invoke("acct0", adts.OpDeposit, value.Int(5))
+		return err
+	}); !errors.Is(err, cc.ErrReadOnly) {
+		t.Errorf("read-only deposit through the router: err = %v, want cc.ErrReadOnly", err)
+	}
 	// Update transactions never consult the router: a deposit through the
 	// same manager still commits at the leader.
 	if err := auditMgr.Run(func(txn *tx.Txn) error {

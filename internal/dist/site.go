@@ -703,7 +703,7 @@ func (s *Site) handleInvoke(obj histories.ObjectID, txn *cc.TxnInfo, inv spec.In
 		// 2PC). Executing it would re-acquire locks for a dead transaction.
 		return value.Nil(), fmt.Errorf("%w: invoke by %s at %s", ErrRefused, txn.ID, s.id)
 	}
-	if got := len(o.PendingCalls(txn)); got != seq {
+	if got := o.CallCount(txn); got != seq {
 		return value.Nil(), fmt.Errorf("%w: %s at %s has %d of %d calls", ErrStaleTxn, txn.ID, s.id, got, seq)
 	}
 	s.registerTxn(txn, obj)

@@ -265,7 +265,7 @@ func (o *Object) Commit(txn *cc.TxnInfo, ts histories.Timestamp) {
 	// a second time.
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	invoked := o.inner.HasPending(txn)
+	invoked := o.inner.CallCount(txn) > 0
 	o.inner.Commit(txn, ts)
 	if invoked {
 		if err := o.inner.Err(); err != nil {

@@ -206,17 +206,33 @@ func (o *Object) PendingCalls(txn *cc.TxnInfo) []spec.Call {
 	return append([]spec.Call(nil), e.intentions.Calls()...)
 }
 
-// HasPending reports whether txn has recorded calls at this object.
-func (o *Object) HasPending(txn *cc.TxnInfo) bool {
+// CallCount returns how many calls txn has recorded at this object,
+// without copying them.
+func (o *Object) CallCount(txn *cc.TxnInfo) int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	e := o.active.Lookup(txn.ID)
-	return e != nil && e.intentions.Len() > 0
+	if e == nil {
+		return 0
+	}
+	return e.intentions.Len()
 }
 
 // Invoke implements cc.Resource: it blocks until the call is grantable,
-// the transaction is doomed, or the wait times out.
+// the transaction is doomed, or the wait times out. A read-only
+// transaction's mutating operation is refused with cc.ErrReadOnly.
 func (o *Object) Invoke(txn *cc.TxnInfo, inv spec.Invocation) (value.Value, error) {
+	if txn.ReadOnly && o.ty.IsWrite != nil && o.ty.IsWrite(inv.Op) {
+		return value.Nil(), fmt.Errorf("locking: %s invokes %s at %s: %w", txn.ID, inv.Op, o.id, cc.ErrReadOnly)
+	}
+	return o.invoke(txn, inv)
+}
+
+// invoke is Invoke past the read-only check. It is a function of its own
+// because the compiler open-codes defers only while returns × defers is at
+// most 15: one more return here would move both defers, on every invoke,
+// to the slower stack-allocated path (go build -gcflags=-d=defer).
+func (o *Object) invoke(txn *cc.TxnInfo, inv spec.Invocation) (value.Value, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.sink.Emit(histories.Invoke(o.id, txn.ID, inv.Op, inv.Arg))

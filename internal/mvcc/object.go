@@ -84,7 +84,9 @@ type Config struct {
 	// paper's §5 argues against. IsWrite classifies operations; required
 	// when Classical is set.
 	Classical bool
-	// IsWrite classifies operations for Classical mode.
+	// IsWrite classifies operations, for Classical mode and for refusing a
+	// read-only transaction's mutating operations (cc.ErrReadOnly). Nil
+	// refuses nothing.
 	IsWrite func(op string) bool
 }
 
@@ -246,10 +248,14 @@ func replay(st spec.State, calls []spec.Call) (spec.State, error) {
 
 // Invoke implements cc.Resource. txn.TS must be set (the initiation
 // timestamp); the first invocation by a transaction records its initiate
-// event.
+// event. With IsWrite configured, a read-only transaction's mutating
+// operation is refused with cc.ErrReadOnly.
 func (o *Object) Invoke(txn *cc.TxnInfo, inv spec.Invocation) (value.Value, error) {
 	if txn.TS == histories.TSNone {
 		return value.Nil(), fmt.Errorf("mvcc: transaction %s has no timestamp", txn.ID)
+	}
+	if txn.ReadOnly && o.isWrite != nil && o.isWrite(inv.Op) {
+		return value.Nil(), fmt.Errorf("mvcc: %s invokes %s at %s: %w", txn.ID, inv.Op, o.id, cc.ErrReadOnly)
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()

@@ -57,6 +57,31 @@ func TestServiceCommitAndRead(t *testing.T) {
 	}
 }
 
+// TestServiceReadOnlyRefusesDeposit: a read-only request that holds a
+// deposit on a dynamic tenant is refused with 422 and code "readonly",
+// and the balance it would have changed is untouched.
+func TestServiceReadOnlyRefusesDeposit(t *testing.T) {
+	_, c, _ := startServer(t, service.Options{
+		DefaultTenant: service.TenantOptions{Property: weihl83.Dynamic, AutoCreate: "account"},
+	})
+	ctx := context.Background()
+	if _, err := c.Run(ctx, []service.OpRequest{deposit("a", 10)}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := c.RunReadOnly(ctx, []service.OpRequest{balance("a"), deposit("a", 5)})
+	var se *client.Error
+	if !errors.As(err, &se) || se.Status != 422 || se.Code != "readonly" {
+		t.Fatalf("read-only deposit error = %v, want 422 readonly", err)
+	}
+	audit, err := c.RunReadOnly(ctx, []service.OpRequest{balance("a")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if audit.Results[0] != value.Int(10) {
+		t.Fatalf("balance after the refused deposit = %v, want 10", audit.Results[0])
+	}
+}
+
 // TestServiceUnknownObject: with auto-creation disabled, touching an
 // unknown object is the client's error (404, code "no-object"), and
 // explicit object creation fixes it.

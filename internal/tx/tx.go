@@ -371,10 +371,6 @@ type Txn struct {
 	joined  []cc.Resource
 	status  Status
 	started time.Time
-	// readOnly is set for BeginReadOnly transactions under every property
-	// (info.ReadOnly only marks the hybrid timestamp regime); it is what
-	// makes the transaction eligible for read-any routing.
-	readOnly bool
 	// readRes caches the read router's verdict per object for this
 	// transaction, so every read of one object lands on one routed resource
 	// (joined once) instead of a fresh proxy per invocation.
@@ -403,9 +399,11 @@ func (m *Manager) ResumeAfter(seq int64) {
 // Begin starts an update transaction.
 func (m *Manager) Begin() *Txn { return m.begin(false) }
 
-// BeginReadOnly starts a read-only transaction. Under hybrid atomicity it
-// draws its snapshot timestamp now; under the other properties it is an
-// ordinary transaction that happens to read.
+// BeginReadOnly starts a read-only transaction under any property: it sets
+// cc.TxnInfo.ReadOnly, so every object refuses its mutating operations with
+// cc.ErrReadOnly, and its commit waits for no log force. Under hybrid
+// atomicity it also draws its snapshot timestamp now; with a ReadRouter its
+// reads may be served by replicas.
 func (m *Manager) BeginReadOnly() *Txn { return m.begin(true) }
 
 func (m *Manager) begin(readOnly bool) *Txn {
@@ -413,12 +411,12 @@ func (m *Manager) begin(readOnly bool) *Txn {
 	t := &Txn{
 		m: m,
 		info: cc.TxnInfo{
-			ID:  cc.TxnID(seq),
-			Seq: seq,
+			ID:       cc.TxnID(seq),
+			Seq:      seq,
+			ReadOnly: readOnly,
 		},
-		status:   StatusActive,
-		started:  time.Now(),
-		readOnly: readOnly,
+		status:  StatusActive,
+		started: time.Now(),
 	}
 	obsBegins.Inc()
 	switch m.cfg.Property {
@@ -427,7 +425,6 @@ func (m *Manager) begin(readOnly bool) *Txn {
 	case Hybrid:
 		if readOnly {
 			t.info.TS = m.cfg.Clock.Next()
-			t.info.ReadOnly = true
 		}
 	}
 	if obsTrace.Enabled() {
@@ -466,7 +463,7 @@ func (t *Txn) Invoke(obj histories.ObjectID, op string, arg value.Value) (value.
 	if !ok {
 		return value.Nil(), fmt.Errorf("%w: %s", ErrNoResource, obj)
 	}
-	if t.readOnly && t.m.cfg.ReadRouter != nil {
+	if t.info.ReadOnly && t.m.cfg.ReadRouter != nil {
 		if routed, cached := t.readRes[obj]; cached {
 			if routed != nil {
 				r = routed
@@ -576,7 +573,8 @@ func (t *Txn) Commit() error {
 	// position in the group-commit queue: log order == install order, which
 	// recovery needs because it redoes the log in order and operations whose
 	// results are order-independent (two enqueues the exact guard grants
-	// concurrently) need not leave order-independent states.
+	// concurrently) need not leave order-independent states. A read-only
+	// commit outside two-phase commit draws none: it installs nothing.
 	var cts histories.Timestamp
 	var ticket ccrt.Ticket
 	hasTicket := false
@@ -595,10 +593,6 @@ func (t *Txn) Commit() error {
 		}
 	}
 	if t.m.wal != nil {
-		// A failed (or torn) log write before the commit record aborts the
-		// transaction: the commit record is the atomic commit point, and
-		// nothing before it may be considered durable. Already-appended
-		// intentions without a commit record are ignored by Restart.
 		recs := make([]recovery.Record, 0, len(t.joined)+1)
 		for _, r := range t.joined {
 			if cr, ok := r.(callsReporter); ok {
@@ -611,11 +605,25 @@ func (t *Txn) Commit() error {
 			}
 		}
 		recs = append(recs, recovery.Record{Kind: recovery.RecordCommit, Txn: t.info.ID})
-		err := t.m.wal.submit(recs, func() {
+		if t.info.ReadOnly && !t.began2pc {
+			// A read-only commit is logged like an abort: written, never
+			// waited for, a failed or torn write ignored, and no install
+			// ticket drawn. It needs no force because it has no effects,
+			// and everything it read is durable already: updates install
+			// only after their commit records are. The records are still
+			// written so that restart's redo re-checks every logged read
+			// result; a lost one makes restart presume an abort, which
+			// changes no state.
+			t.m.cfg.WAL.WriteBatch([][]recovery.Record{recs})
+		} else if err := t.m.wal.submit(recs, func() {
 			reserve()
 			recs[len(recs)-1].TS = cts
-		})
-		if err != nil {
+		}); err != nil {
+			// A failed (or torn) log write before the commit record aborts
+			// the transaction: the commit record is the atomic commit
+			// point, and nothing before it may be considered durable.
+			// Already-appended intentions without a commit record are
+			// ignored by Restart.
 			abandon()
 			t.Abort()
 			return fmt.Errorf("tx: logging commit: %w", err)
@@ -721,7 +729,8 @@ func (m *Manager) Run(fn func(t *Txn) error) error {
 	return m.run(context.Background(), fn, false)
 }
 
-// RunReadOnly is Run with read-only transactions.
+// RunReadOnly is Run with read-only transactions (see BeginReadOnly). A
+// mutating operation fails with cc.ErrReadOnly, which is not retried.
 func (m *Manager) RunReadOnly(fn func(t *Txn) error) error {
 	return m.run(context.Background(), fn, true)
 }

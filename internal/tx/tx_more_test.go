@@ -164,6 +164,19 @@ func (s *stalledWAL) Append(r recovery.Record) error {
 	return s.AppendBatch([][]recovery.Record{{r}})[0]
 }
 
+// within fails the test if f is still running after ten seconds: it is
+// blocked behind a stalled log force.
+func within(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { defer close(done); f() }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s is still blocked behind the stalled log force", what)
+	}
+}
+
 // TestAbortDoesNotWaitForItsRecord: Abort writes its abort record but does
 // not wait for it to be durable — restart presumes abort without it — so
 // it returns, and releases its locks, while the log's force is stalled.
@@ -171,29 +184,19 @@ func TestAbortDoesNotWaitForItsRecord(t *testing.T) {
 	wal := &stalledWAL{release: make(chan struct{})}
 	defer close(wal.release)
 	m, _ := newDynamicSystem(t, wal)
-	within := func(what string, f func()) {
-		t.Helper()
-		done := make(chan struct{})
-		go func() { defer close(done); f() }()
-		select {
-		case <-done:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("%s is still blocked behind the stalled log force", what)
-		}
-	}
 
 	t1 := m.Begin()
 	if _, err := t1.Invoke("set", adts.OpInsert, value.Int(3)); err != nil {
 		t.Fatal(err)
 	}
-	within("Abort", t1.Abort)
+	within(t, "Abort", t1.Abort)
 	t2 := m.Begin()
-	within("a conflicting invocation after the abort", func() {
+	within(t, "a conflicting invocation after the abort", func() {
 		if _, err := t2.Invoke("set", adts.OpMember, value.Int(3)); err != nil {
 			t.Error(err)
 		}
 	})
-	within("a second Abort", t2.Abort)
+	within(t, "a second Abort", t2.Abort)
 
 	var aborts int
 	for _, r := range wal.Records() {
@@ -203,6 +206,77 @@ func TestAbortDoesNotWaitForItsRecord(t *testing.T) {
 	}
 	if aborts != 2 {
 		t.Errorf("log holds %d abort records, want 2", aborts)
+	}
+}
+
+// TestReadOnlyCommitWaitsForNoForce: a read-only commit hands its
+// intentions and commit records to the log and returns without waiting for
+// them to be durable — everything it read was installed after its own
+// commit record was — while an update commit waits for its force. A
+// read-only transaction may not deposit.
+func TestReadOnlyCommitWaitsForNoForce(t *testing.T) {
+	wal := &stalledWAL{release: make(chan struct{})}
+	released := false
+	defer func() {
+		if !released {
+			close(wal.release)
+		}
+	}()
+	m, _ := newDynamicSystem(t, wal)
+
+	ro := m.BeginReadOnly()
+	if _, err := ro.Invoke("acct1", adts.OpBalance, value.Nil()); err != nil {
+		t.Fatal(err)
+	}
+	within(t, "a read-only Commit", func() {
+		if err := ro.Commit(); err != nil {
+			t.Error(err)
+		}
+	})
+	var intentions, commits int
+	for _, r := range wal.Records() {
+		if r.Txn != ro.ID() {
+			continue
+		}
+		switch r.Kind {
+		case recovery.RecordIntentions:
+			if r.Object == "acct1" && len(r.Calls) == 1 && r.Calls[0].Inv.Op == adts.OpBalance {
+				intentions++
+			}
+		case recovery.RecordCommit:
+			commits++
+		}
+	}
+	if intentions != 1 || commits != 1 {
+		t.Errorf("log holds %d intentions and %d commit records of the read-only transaction, want 1 and 1", intentions, commits)
+	}
+
+	bad := m.BeginReadOnly()
+	if _, err := bad.Invoke("acct1", adts.OpDeposit, value.Int(5)); !errors.Is(err, cc.ErrReadOnly) {
+		t.Errorf("read-only deposit: err = %v, want cc.ErrReadOnly", err)
+	}
+	bad.Abort()
+
+	up := m.Begin()
+	if _, err := up.Invoke("acct1", adts.OpDeposit, value.Int(5)); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- up.Commit() }()
+	select {
+	case err := <-done:
+		t.Fatalf("update commit returned (%v) while its force is stalled", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(wal.release)
+	released = true
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("update commit still blocked after the force was released")
 	}
 }
 

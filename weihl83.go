@@ -308,6 +308,7 @@ func (s *System) AddObject(id ObjectID, t ADT, opts ...ObjectOption) error {
 			Spec:     t.Spec,
 			Sink:     s.manager.Sink(),
 			Commutes: conflict.StaticForType(t),
+			IsWrite:  t.IsWrite,
 		})
 	case Hybrid:
 		if s.detector == nil {
@@ -361,14 +362,18 @@ func buildGuard(g Guard, t ADT) (locking.Guard, error) {
 // Begin starts an update transaction.
 func (s *System) Begin() *Txn { return s.manager.Begin() }
 
-// BeginReadOnly starts a read-only transaction (a hybrid-atomicity audit).
+// BeginReadOnly starts a read-only transaction under any property: its
+// mutating operations are refused with the non-retryable "readonly"
+// cause, and with a WAL its commit writes its records without waiting for
+// them to be forced. Under hybrid atomicity it reads a snapshot.
 func (s *System) BeginReadOnly() *Txn { return s.manager.BeginReadOnly() }
 
 // Run executes fn in a transaction with automatic retry on deadlock or
 // timestamp conflicts.
 func (s *System) Run(fn func(*Txn) error) error { return s.manager.Run(fn) }
 
-// RunReadOnly is Run with a read-only transaction.
+// RunReadOnly is Run with a read-only transaction (see BeginReadOnly): a
+// mutating operation fails the first attempt and is not retried.
 func (s *System) RunReadOnly(fn func(*Txn) error) error { return s.manager.RunReadOnly(fn) }
 
 // RunCtx is Run bounded by ctx: an expired or cancelled context stops the

@@ -231,3 +231,67 @@ func TestFacadeUndoLogObject(t *testing.T) {
 		t.Errorf("balance after undo %v", bal)
 	}
 }
+
+// TestFacadeReadOnlyRefusesWrites: under every property, guard and
+// recovery variant, a read-only transaction's deposit is refused with the
+// non-retryable "readonly" cause on the first attempt, and the balance is
+// unchanged.
+func TestFacadeReadOnlyRefusesWrites(t *testing.T) {
+	type variant struct {
+		name string
+		prop weihl83.Property
+		opts []weihl83.ObjectOption
+	}
+	var cases []variant
+	for _, g := range []struct {
+		name  string
+		guard weihl83.Guard
+	}{
+		{"commut", weihl83.GuardCommut}, {"name-only", weihl83.GuardNameOnly}, {"rw", weihl83.GuardRW},
+		{"escrow", weihl83.GuardEscrow}, {"exact", weihl83.GuardExact}, {"cascade", weihl83.GuardCascade},
+	} {
+		cases = append(cases, variant{"dynamic/" + g.name, weihl83.Dynamic, []weihl83.ObjectOption{weihl83.WithGuard(g.guard)}})
+	}
+	cases = append(cases,
+		variant{"dynamic/undo-log", weihl83.Dynamic, []weihl83.ObjectOption{weihl83.WithUndoLog()}},
+		variant{"static", weihl83.Static, nil},
+		variant{"hybrid", weihl83.Hybrid, nil},
+	)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			sys := newDynamic(t, weihl83.Options{Property: c.prop})
+			if err := sys.AddObject("a", weihl83.Account(), c.opts...); err != nil {
+				t.Fatal(err)
+			}
+			if err := sys.Run(func(txn *weihl83.Txn) error {
+				_, err := txn.Invoke("a", weihl83.OpDeposit, weihl83.Int(10))
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			attempts := 0
+			err := sys.RunReadOnly(func(txn *weihl83.Txn) error {
+				attempts++
+				_, err := txn.Invoke("a", weihl83.OpDeposit, weihl83.Int(5))
+				return err
+			})
+			if got := weihl83.AbortCause(err); got != "readonly" {
+				t.Errorf("read-only deposit: err = %v (cause %q), want cause readonly", err, got)
+			}
+			if attempts != 1 {
+				t.Errorf("read-only deposit ran %d attempts, want 1", attempts)
+			}
+			var bal weihl83.Value
+			if err := sys.RunReadOnly(func(txn *weihl83.Txn) error {
+				v, err := txn.Invoke("a", weihl83.OpBalance, weihl83.Nil())
+				bal = v
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if bal != weihl83.Int(10) {
+				t.Errorf("balance after the refused deposit = %v, want 10", bal)
+			}
+		})
+	}
+}
