@@ -153,14 +153,19 @@ bench-ledger-check:
 # unmemoised search, the WAL frame decoder must turn arbitrary segment
 # damage into a clean torn-tail trim or ErrCorrupt — never a panic or a
 # silent misparse — the WAL record decoder must turn arbitrary payloads
-# into a record that re-encodes stably or ErrCorrupt, and every ADT state
+# into a record that re-encodes stably or ErrCorrupt, every ADT state
 # decoder must reject corrupt checkpoint bytes cleanly or produce a state
-# that round-trips.
+# that round-trips, and the hand-written wire codec (Value, and the /v1/tx
+# request and response) must accept and refuse exactly what encoding/json
+# does, decode to the same values, and encode to the same bytes.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzExactMemo -fuzztime=30s ./internal/conflict
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=30s ./internal/recovery
 	$(GO) test -run='^$$' -fuzz=FuzzRecordDecode -fuzztime=30s ./internal/recovery
 	$(GO) test -run='^$$' -fuzz=FuzzStateDecode -fuzztime=30s ./internal/adts
+	$(GO) test -run='^$$' -fuzz=FuzzValueJSON -fuzztime=30s ./internal/value
+	$(GO) test -run='^$$' -fuzz=FuzzTxRequestDecode -fuzztime=30s ./internal/service
+	$(GO) test -run='^$$' -fuzz=FuzzTxResponseDecode -fuzztime=30s ./internal/service
 
 clean:
 	$(GO) clean ./...

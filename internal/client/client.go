@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -113,15 +114,11 @@ func New(baseURL string, opts Options) *Client {
 	}
 }
 
-// post issues one JSON POST with a fresh request id and decodes the JSON
-// response into out. Transport failures and torn bodies map onto
-// cc.ErrUnavailable; retryAfter carries the server's advisory delay when
-// it sent one.
-func (c *Client) post(ctx context.Context, path string, body, out any) (status int, retryAfter time.Duration, err error) {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return 0, 0, fmt.Errorf("client: encoding request: %w", err)
-	}
+// post issues one JSON POST of the encoded body raw with a fresh request
+// id and hands the response body to decode. Transport failures and torn
+// or undecodable bodies map onto cc.ErrUnavailable; retryAfter carries the
+// server's advisory delay when it sent one.
+func (c *Client) post(ctx context.Context, path string, raw []byte, decode func([]byte) error) (status int, retryAfter time.Duration, err error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(raw))
 	if err != nil {
 		return 0, 0, fmt.Errorf("client: %w", err)
@@ -151,7 +148,7 @@ func (c *Client) post(ctx context.Context, path string, body, out any) (status i
 		obsTorn.Inc()
 		return resp.StatusCode, retryAfter, fmt.Errorf("client: reading response: %v: %w", err, ErrTorn)
 	}
-	if err := json.Unmarshal(data, out); err != nil {
+	if err := decode(data); err != nil {
 		obsTorn.Inc()
 		return resp.StatusCode, retryAfter, fmt.Errorf("client: decoding response: %v: %w", err, ErrTorn)
 	}
@@ -178,20 +175,26 @@ func txErr(status int, resp *service.TxResponse) error {
 // own chains (the load generator counts attempts itself) pace with a Pacer
 // around Do.
 func (c *Client) Do(ctx context.Context, readOnly bool, ops []service.OpRequest) (*service.TxResponse, error) {
+	resp, _, err := c.tx(ctx, c.encodeTx(readOnly, ops))
+	return resp, err
+}
+
+// encodeTx encodes one transaction request for the client's tenant.
+func (c *Client) encodeTx(readOnly bool, ops []service.OpRequest) []byte {
+	req := service.TxRequest{Tenant: c.opts.Tenant, ReadOnly: readOnly, Ops: ops}
+	return req.AppendJSON(nil)
+}
+
+// tx submits one encoded transaction, one attempt, and maps the answer
+// onto the library error vocabulary. The response is nil only when none
+// arrived intact.
+func (c *Client) tx(ctx context.Context, raw []byte) (*service.TxResponse, time.Duration, error) {
 	var resp service.TxResponse
-	status, retryAfter, err := c.post(ctx, "/v1/tx", service.TxRequest{
-		Tenant:   c.opts.Tenant,
-		ReadOnly: readOnly,
-		Ops:      ops,
-	}, &resp)
-	_ = retryAfter
+	status, retryAfter, err := c.post(ctx, "/v1/tx", raw, resp.DecodeJSON)
 	if err != nil {
-		return nil, err
+		return nil, retryAfter, err
 	}
-	if err := txErr(status, &resp); err != nil {
-		return &resp, err
-	}
-	return &resp, nil
+	return &resp, retryAfter, txErr(status, &resp)
 }
 
 // Run submits one transaction with automatic retry: transient failures —
@@ -210,7 +213,7 @@ func (c *Client) RunReadOnly(ctx context.Context, ops []service.OpRequest) (*ser
 
 func (c *Client) run(ctx context.Context, readOnly bool, ops []service.OpRequest) (*service.TxResponse, error) {
 	pacer := weihl83.NewPacer(c.opts.Backoff)
-	req := service.TxRequest{Tenant: c.opts.Tenant, ReadOnly: readOnly, Ops: ops}
+	raw := c.encodeTx(readOnly, ops)
 	var lastErr error
 	for attempt := 0; attempt < c.opts.MaxRetries; attempt++ {
 		if attempt > 0 {
@@ -219,13 +222,9 @@ func (c *Client) run(ctx context.Context, readOnly bool, ops []service.OpRequest
 				return nil, fmt.Errorf("client: %w (after %d attempts, last: %v)", err, attempt, lastErr)
 			}
 		}
-		var resp service.TxResponse
-		status, retryAfter, err := c.post(ctx, "/v1/tx", req, &resp)
+		resp, retryAfter, err := c.tx(ctx, raw)
 		if err == nil {
-			err = txErr(status, &resp)
-			if err == nil {
-				return &resp, nil
-			}
+			return resp, nil
 		}
 		if errors.Is(err, ErrShed) {
 			obsShed.Inc()
@@ -299,6 +298,10 @@ func (c *Client) CreateObject(ctx context.Context, object, typeName, guard strin
 
 // provision posts one provisioning request, retrying transient failures.
 func (c *Client) provision(ctx context.Context, path string, body any) error {
+	raw, err := json.Marshal(body)
+	if err != nil {
+		return fmt.Errorf("client: encoding request: %w", err)
+	}
 	pacer := weihl83.NewPacer(c.opts.Backoff)
 	var lastErr error
 	for attempt := 0; attempt < c.opts.MaxRetries; attempt++ {
@@ -308,7 +311,7 @@ func (c *Client) provision(ctx context.Context, path string, body any) error {
 			}
 		}
 		var resp service.StatusResponse
-		status, _, err := c.post(ctx, path, body, &resp)
+		status, _, err := c.post(ctx, path, raw, func(data []byte) error { return json.Unmarshal(data, &resp) })
 		if err == nil {
 			if resp.OK {
 				return nil
@@ -327,13 +330,13 @@ func (c *Client) provision(ctx context.Context, path string, body any) error {
 }
 
 // Metrics fetches the server's metrics snapshot (scoped to one tenant when
-// tenant is non-empty).
+// tenant is non-empty). Any status but 200 is an *Error.
 func (c *Client) Metrics(ctx context.Context, tenant string) (obs.Snapshot, error) {
-	url := c.base + "/v1/metrics"
+	target := c.base + "/v1/metrics"
 	if tenant != "" {
-		url += "?tenant=" + tenant
+		target += "?" + url.Values{"tenant": {tenant}}.Encode()
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, target, nil)
 	if err != nil {
 		return obs.Snapshot{}, err
 	}
@@ -342,6 +345,9 @@ func (c *Client) Metrics(ctx context.Context, tenant string) (obs.Snapshot, erro
 		return obs.Snapshot{}, fmt.Errorf("client: %v: %w", err, cc.ErrUnavailable)
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return obs.Snapshot{}, &Error{Status: resp.StatusCode, Msg: "fetching metrics: " + http.StatusText(resp.StatusCode)}
+	}
 	var snap obs.Snapshot
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		return obs.Snapshot{}, fmt.Errorf("client: decoding metrics: %w", err)

@@ -25,9 +25,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -216,16 +219,66 @@ func (s *Server) requestID(w http.ResponseWriter, r *http.Request) string {
 	return id
 }
 
-// writeJSON writes one JSON response, subject to the svc.response.torn
-// fault point: a torn response writes a prefix of the body and kills the
-// connection, so the client sees the request fail AFTER its effects may
-// have committed.
+// bodies recycles the buffers /v1/tx reads requests into and encodes
+// responses in.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody bounds the buffers bodies keeps: one huge request must not
+// pin its buffer for the life of the process.
+const maxPooledBody = 64 << 10
+
+// decodeBody reads the whole request body and decodes it into v with
+// encoding/json, which refuses anything but exactly one JSON document
+// (surrounding whitespace aside).
+func decodeBody(r *http.Request, v any) error {
+	data, err := io.ReadAll(r.Body)
+	if err != nil {
+		return fmt.Errorf("reading request: %w", err)
+	}
+	return json.Unmarshal(data, v)
+}
+
+// writeJSON writes one JSON response encoded by encoding/json.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, body any) {
 	raw, err := json.Marshal(body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	s.writeRaw(w, status, raw)
+}
+
+// readTx reads the whole /v1/tx request body into a pooled buffer and
+// decodes it in one pass; the body must hold exactly one JSON document.
+func readTx(r *http.Request, req *TxRequest) error {
+	buf := bodies.Get().(*bytes.Buffer)
+	defer recycle(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(r.Body); err != nil {
+		return fmt.Errorf("reading request: %w", err)
+	}
+	return req.DecodeJSON(buf.Bytes())
+}
+
+// writeTx writes one /v1/tx response through the hand-written codec.
+func (s *Server) writeTx(w http.ResponseWriter, status int, resp TxResponse) {
+	buf := bodies.Get().(*bytes.Buffer)
+	buf.Reset()
+	s.writeRaw(w, status, resp.AppendJSON(buf.AvailableBuffer()))
+	recycle(buf)
+}
+
+func recycle(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBody {
+		bodies.Put(buf)
+	}
+}
+
+// writeRaw writes an encoded JSON response, subject to the
+// svc.response.torn fault point: a torn response writes a prefix of the
+// body and kills the connection, so the client sees the request fail AFTER
+// its effects may have committed.
+func (s *Server) writeRaw(w http.ResponseWriter, status int, raw []byte) {
 	if s.opts.Injector.Fires(fault.SvcResponseTorn) && len(raw) > 1 {
 		obsRespTorn.Inc()
 		w.Header().Set("Content-Type", "application/json")
@@ -248,7 +301,7 @@ func (s *Server) shed(w http.ResponseWriter, code string) {
 		status = http.StatusServiceUnavailable
 	}
 	w.Header().Set("Retry-After", strconv.FormatFloat(s.opts.RetryAfter.Seconds(), 'f', 3, 64))
-	s.writeJSON(w, status, TxResponse{Error: "admission refused", Code: code, Retryable: true})
+	s.writeTx(w, status, TxResponse{Error: "admission refused", Code: code, Retryable: true})
 }
 
 // handleTx runs one transaction.
@@ -264,17 +317,17 @@ func (s *Server) handleTx(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req TxRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.writeJSON(w, http.StatusBadRequest, TxResponse{Error: "decoding request: " + err.Error(), Code: CodeBadReq})
+	if err := readTx(r, &req); err != nil {
+		s.writeTx(w, http.StatusBadRequest, TxResponse{Error: "decoding request: " + err.Error(), Code: CodeBadReq})
 		return
 	}
 	if len(req.Ops) == 0 {
-		s.writeJSON(w, http.StatusBadRequest, TxResponse{Error: "empty transaction", Code: CodeBadReq})
+		s.writeTx(w, http.StatusBadRequest, TxResponse{Error: "empty transaction", Code: CodeBadReq})
 		return
 	}
 	tn, err := s.tenant(req.Tenant)
 	if err != nil {
-		s.writeJSON(w, http.StatusBadRequest, TxResponse{Error: err.Error(), Code: CodeBadReq})
+		s.writeTx(w, http.StatusBadRequest, TxResponse{Error: err.Error(), Code: CodeBadReq})
 		return
 	}
 
@@ -297,7 +350,7 @@ func (s *Server) handleTx(w http.ResponseWriter, r *http.Request) {
 		case tn.inflight <- struct{}{}:
 		case <-r.Context().Done():
 			s.queued.Add(-1)
-			s.writeJSON(w, http.StatusServiceUnavailable, TxResponse{Error: "client gone while queued", Code: CodeShed, Retryable: true})
+			s.writeTx(w, http.StatusServiceUnavailable, TxResponse{Error: "client gone while queued", Code: CodeShed, Retryable: true})
 			return
 		case <-s.drainCh:
 			s.queued.Add(-1)
@@ -319,7 +372,7 @@ func (s *Server) handleTx(w http.ResponseWriter, r *http.Request) {
 	}
 
 	status, resp := s.runTx(r.Context(), tn, &req)
-	s.writeJSON(w, status, resp)
+	s.writeTx(w, status, resp)
 }
 
 // runTx executes the transaction under the merged request + server
@@ -409,7 +462,7 @@ func (s *Server) handleTenant(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var cfg TenantConfig
-	if err := json.NewDecoder(r.Body).Decode(&cfg); err != nil {
+	if err := decodeBody(r, &cfg); err != nil {
 		s.writeJSON(w, http.StatusBadRequest, StatusResponse{Error: err.Error(), Code: CodeBadReq})
 		return
 	}
@@ -452,7 +505,7 @@ func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ObjectRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r, &req); err != nil {
 		s.writeJSON(w, http.StatusBadRequest, StatusResponse{Error: err.Error(), Code: CodeBadReq})
 		return
 	}

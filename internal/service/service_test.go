@@ -2,7 +2,9 @@ package service_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -131,7 +133,7 @@ func TestServiceTenantProvisioning(t *testing.T) {
 // TestServiceMetricsTenantFilter: /v1/metrics?tenant= must cut the
 // process-wide registry down to that tenant's instruments only.
 func TestServiceMetricsTenantFilter(t *testing.T) {
-	_, _, mk := startServer(t, service.Options{
+	srv, _, mk := startServer(t, service.Options{
 		DefaultTenant: service.TenantOptions{AutoCreate: "account"},
 	})
 	ctx := context.Background()
@@ -167,6 +169,95 @@ func TestServiceMetricsTenantFilter(t *testing.T) {
 	}
 	if full.Counter("svc.tx.committed") < 2 {
 		t.Errorf("svc.tx.committed = %d", full.Counter("svc.tx.committed"))
+	}
+	// A tenant name is a query value, escaped: "a&b" must not be read as
+	// tenant "a" plus a stray parameter.
+	for _, tenant := range []string{"a", "a&b"} {
+		if _, err := mk(tenant).Run(ctx, []service.OpRequest{deposit("x", 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	amp, err := mk("a&b").Metrics(ctx, "a&b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := amp.Counter("svc.tenant.a&b.committed"); got < 1 {
+		t.Errorf("svc.tenant.a&b.committed = %d", got)
+	}
+	for name := range amp.Counters {
+		if !strings.HasPrefix(name, "svc.tenant.a&b.") {
+			t.Errorf("snapshot for tenant a&b holds %q", name)
+		}
+	}
+	// A status other than 200 is an error, not an empty snapshot.
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	_, err = client.New(ts.URL+"/missing", client.Options{Tenant: "m1"}).Metrics(ctx, "")
+	var se *client.Error
+	if !errors.As(err, &se) || se.Status != http.StatusNotFound {
+		t.Errorf("metrics from a 404 path = %v, want a *client.Error with status 404", err)
+	}
+}
+
+// TestServiceRefusesTrailingBytes: a request body must hold exactly one
+// JSON document, whitespace aside. Two concatenated transactions, or a
+// provisioning document followed by garbage, are a 400 bad-request, and
+// nothing of them takes effect.
+func TestServiceRefusesTrailingBytes(t *testing.T) {
+	srv := service.New(service.Options{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c := client.New(ts.URL, client.Options{Tenant: "t", MaxRetries: 2})
+	ctx := context.Background()
+	for _, object := range []string{"a", "b"} {
+		if err := c.CreateObject(ctx, object, "account", ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tx := func(object string) string {
+		raw, err := json.Marshal(service.TxRequest{Tenant: "t", Ops: []service.OpRequest{deposit(object, 5)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw)
+	}
+	for _, tc := range []struct {
+		name, path, body string
+		status           int
+	}{
+		{"two transactions", "/v1/tx", tx("a") + tx("a"), http.StatusBadRequest},
+		{"transaction and garbage", "/v1/tx", tx("a") + "x", http.StatusBadRequest},
+		{"tenant and garbage", "/v1/tenants", `{"tenant":"u","property":"static"} {`, http.StatusBadRequest},
+		{"object and garbage", "/v1/objects", `{"tenant":"t","object":"c","type":"account"}]`, http.StatusBadRequest},
+		{"transaction and whitespace", "/v1/tx", tx("b") + " \n\t", http.StatusOK},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		var body struct{ Code string }
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: decoding the answer: %v", tc.name, err)
+		}
+		if resp.StatusCode != tc.status || (tc.status != http.StatusOK && body.Code != service.CodeBadReq) {
+			t.Errorf("%s: status %d code %q, want %d", tc.name, resp.StatusCode, body.Code, tc.status)
+		}
+	}
+	audit, err := c.RunReadOnly(ctx, []service.OpRequest{balance("a"), balance("b")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if audit.Results[0] != value.Int(0) || audit.Results[1] != value.Int(5) {
+		t.Errorf("balances a, b = %v, want 0 (refused) and 5", audit.Results)
+	}
+	if srv.TenantSystem("u") != nil {
+		t.Error("tenant u was provisioned from a body with trailing garbage")
+	}
+	var se *client.Error
+	if _, err := c.Run(ctx, []service.OpRequest{deposit("c", 1)}); !errors.As(err, &se) || se.Code != service.CodeNoObject {
+		t.Errorf("deposit into c = %v, want no-object: c was created from a body with trailing garbage", err)
 	}
 }
 
