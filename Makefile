@@ -58,13 +58,18 @@ examples:
 # race detector, the epoch-table tests: a site handshaken once per crash,
 # the resend of a first message refused on its first transmission, the
 # first-contact window, and network reconfiguration racing transfers and
-# crashes. About 30 seconds in all.
+# crashes. The record line reruns, under the race detector, the tests that
+# pin a site's transaction records: every decision deletes its record,
+# a message repeated after the decision leaves nothing behind, beside the
+# vote/refusal race and reconfiguration under transfers. About 40 seconds
+# in all.
 order-stress:
 	$(GO) test -count=20 -run 'TestCrashConsistency' ./internal/tx
 	$(GO) test -count=20 -run 'TestFacadeDurableQueueRecoversInInstallOrder' .
 	$(GO) test -race -count=20 -run '^(TestReadOnlyCommitWaitsForNoForce|TestAbortDoesNotWaitForItsRecord|TestGroupCommitPipelinesOnlyWhileQuiet)$$' ./internal/tx
 	$(GO) test -race -count=20 -run '^(TestMigrationCrashWindowSweep|TestAbandonedUnpreparedTxnSwept|TestUnanimousPeerRefusalPresumesAbort|TestDownCoordinatorAnswersInDoubt|TestRunningSitesNeverReadTheirLog|TestFailedCommitRecordHoldsTheExport|TestVoteAndRefusalNeverBothSucceed)$$' ./internal/dist
 	$(GO) test -race -count=20 -run '^(TestEpochHandshakeOncePerCrash|TestReconfigureUnderTransfers|TestHandshakeClosesFirstContactWindow|TestHandshakeRegressionLock|TestHandshakeNoExpectZeroUnderFaults|TestStaleRouteRefusedAfterRestart)$$' ./internal/dist
+	$(GO) test -race -count=20 -run '^(TestDecidedTransactionsLeaveNoSiteRecord|TestRetransmitAfterDecision|TestVoteAndRefusalNeverBothSucceed|TestReconfigureUnderTransfers)$$' ./internal/dist
 
 # detector-stress reruns the deadlock-detector tests under the race
 # detector: only transactions that wait enter the detector, and Doomed,

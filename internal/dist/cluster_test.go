@@ -593,7 +593,7 @@ func TestMigrationRefusedWhileObjectBusy(t *testing.T) {
 	}
 	// The export must refuse the freeze while the transaction is live.
 	mig := &cc.TxnInfo{ID: "M-busy:acct0", Participants: []string{"A", "B"}}
-	if _, err := e.sites["A"].handleMigrateExport("acct0", mig); !errors.Is(err, ErrMigrating) {
+	if _, err := e.sites["A"].handleMigrateExport(fresh(e.sites["A"]), "acct0", mig); !errors.Is(err, ErrMigrating) {
 		t.Fatalf("export of busy object: err = %v, want ErrMigrating", err)
 	}
 	if err := txn.Commit(); err != nil {

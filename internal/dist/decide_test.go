@@ -31,19 +31,23 @@ func decideSite(t *testing.T, id SiteID, withObject bool) *Site {
 	}
 	seed := &cc.TxnInfo{ID: "seed", Seq: 1, Participants: []string{string(id)}}
 	clientVote(t, s, seed, 5)
-	if err := s.handleCommit("acct0", seed); err != nil {
+	if err := s.handleCommit(fresh(s), "acct0", seed); err != nil {
 		t.Fatal(err)
 	}
 	return s
 }
 
+// fresh is a delivery for a test that calls a handler directly: a request
+// id never sent before, and no epoch expectation.
+func fresh(s *Site) delivery { return delivery{id: s.net.reqSeq.Add(1)} }
+
 // clientVote invokes deposit(n) on acct0 for txn and votes yes.
 func clientVote(t *testing.T, s *Site, txn *cc.TxnInfo, n int64) {
 	t.Helper()
-	if _, err := s.handleInvoke("acct0", txn, spec.Invocation{Op: adts.OpDeposit, Arg: value.Int(n)}, 0, 0); err != nil {
+	if _, err := s.handleInvoke(fresh(s), "acct0", txn, spec.Invocation{Op: adts.OpDeposit, Arg: value.Int(n)}, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.handlePrepare("acct0", txn, 1, 0); err != nil {
+	if err := s.handlePrepare(fresh(s), "acct0", txn, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -52,15 +56,15 @@ func clientVote(t *testing.T, s *Site, txn *cc.TxnInfo, n int64) {
 // outcome — the commit/abort message handler or the in-doubt resolver — and
 // whatever kind of half the site prepared, the site must log the same
 // records, end in the same hosting and committed state, cache the same
-// outcome and leave nothing behind in its prepared, freeze or staging
-// tables.
+// outcome and leave nothing behind: no transaction record (votes, staged
+// copies, replies) and no freeze.
 func TestDecideSameThroughHandlerAndResolver(t *testing.T) {
 	txn := &cc.TxnInfo{ID: "t9", Seq: 9, Participants: []string{"A", "B"}}
 	migrateHandler := func(s *Site, commit bool) error {
 		if commit {
-			return s.handleMigrateCommit("acct0", txn)
+			return s.handleMigrateCommit(fresh(s), "acct0", txn)
 		}
-		return s.handleMigrateAbort("acct0", txn)
+		return s.handleMigrateAbort(fresh(s), "acct0", txn)
 	}
 	halves := []struct {
 		name    string
@@ -73,30 +77,31 @@ func TestDecideSameThroughHandlerAndResolver(t *testing.T) {
 			return s
 		}, func(s *Site, commit bool) error {
 			if commit {
-				return s.handleCommit("acct0", txn)
+				return s.handleCommit(fresh(s), "acct0", txn)
 			}
-			return s.handleAbort("acct0", txn)
+			return s.handleAbort(fresh(s), "acct0", txn)
 		}},
 		{"migrate-out", func(t *testing.T) *Site {
 			s := decideSite(t, "A", true)
-			if _, err := s.handleMigrateExport("acct0", txn); err != nil {
+			if _, err := s.handleMigrateExport(fresh(s), "acct0", txn); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.handleMigratePrepare("acct0", txn, recovery.MigrateOut, 7); err != nil {
+			if err := s.handleMigratePrepare(fresh(s), "acct0", txn, recovery.MigrateOut, 7); err != nil {
 				t.Fatal(err)
 			}
 			return s
 		}, migrateHandler},
 		{"migrate-in", func(t *testing.T) *Site {
-			exp, err := decideSite(t, "A", true).handleMigrateExport("acct0", txn)
+			src := decideSite(t, "A", true)
+			exp, err := src.handleMigrateExport(fresh(src), "acct0", txn)
 			if err != nil {
 				t.Fatal(err)
 			}
 			s := decideSite(t, "B", false)
-			if err := s.handleMigrateImport("acct0", txn, exp); err != nil {
+			if err := s.handleMigrateImport(fresh(s), "acct0", txn, exp); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.handleMigratePrepare("acct0", txn, recovery.MigrateIn, 7); err != nil {
+			if err := s.handleMigratePrepare(fresh(s), "acct0", txn, recovery.MigrateIn, 7); err != nil {
 				t.Fatal(err)
 			}
 			return s
@@ -116,9 +121,9 @@ func TestDecideSameThroughHandlerAndResolver(t *testing.T) {
 		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		return fmt.Sprintf("appended=%v hosted=%v homedAt=%d state=%s decided=%v prepared=%d active=%d migrating=%d staged=%d",
+		return fmt.Sprintf("appended=%v hosted=%v homedAt=%d state=%s decided=%v records=%d migrating=%d",
 			kinds, s.hosted["acct0"], s.homedAt["acct0"], key, cachedOutcome(s.decided, txn.ID),
-			len(s.prepared), len(s.active), len(s.migrating), len(s.staged))
+			len(s.txns), len(s.migrating))
 	}
 	want := map[string]string{
 		"client/commit":      "appended=[commit] hosted=true homedAt=0 state=8 decided=committed",
@@ -150,7 +155,7 @@ func TestDecideSameThroughHandlerAndResolver(t *testing.T) {
 				if got != other {
 					t.Errorf("paths disagree:\n handler:  %s\n resolver: %s", got, other)
 				}
-				if full := want[name] + " prepared=0 active=0 migrating=0 staged=0"; got != full {
+				if full := want[name] + " records=0 migrating=0"; got != full {
 					t.Errorf("handler path left\n %s, want\n %s", got, full)
 				}
 			})
@@ -185,18 +190,18 @@ func TestSiteRedoOrderHole(t *testing.T) {
 	var txns []*cc.TxnInfo
 	for i := int64(1); i <= 2; i++ {
 		txn := &cc.TxnInfo{ID: histories.ActivityID(fmt.Sprintf("t%d", i)), Seq: i, Participants: []string{"A"}}
-		if _, err := s.handleInvoke("q", txn, spec.Invocation{Op: adts.OpEnqueue, Arg: value.Int(i)}, 0, 0); err != nil {
+		if _, err := s.handleInvoke(fresh(s), "q", txn, spec.Invocation{Op: adts.OpEnqueue, Arg: value.Int(i)}, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 		txns = append(txns, txn)
 	}
 	for _, txn := range txns { // prepare t1, t2 ...
-		if err := s.handlePrepare("q", txn, 1, 0); err != nil {
+		if err := s.handlePrepare(fresh(s), "q", txn, 1, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, txn := range []*cc.TxnInfo{txns[1], txns[0]} { // ... commit t2, t1
-		if err := s.handleCommit("q", txn); err != nil {
+		if err := s.handleCommit(fresh(s), "q", txn); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -6,27 +6,30 @@ import (
 	"time"
 
 	"weihl83/internal/adts"
+	"weihl83/internal/cc"
 	"weihl83/internal/fault"
+	"weihl83/internal/histories"
 	"weihl83/internal/obs"
 	"weihl83/internal/spec"
+	"weihl83/internal/value"
 )
 
 // TestEveryMessageKindRidesOneExchange: the stateful call and the four
 // idempotent queries cross the same unreliable round trip, so under each
 // way a round trip can fail they report the same error class after the
-// same number of attempts — and a stateful handler still runs at most once
-// however often its request is retransmitted.
+// same number of attempts — and a stateful invoke still executes at most
+// once however often its request is retransmitted.
 func TestEveryMessageKindRidesOneExchange(t *testing.T) {
 	const retransmits = 2
-	handlerRuns := 0
+	txn := &cc.TxnInfo{ID: "t1", Seq: 1}
 	kinds := []struct {
 		name string
 		send func(n *Network, epoch uint64) error
 	}{
 		{"call", func(n *Network, epoch uint64) error {
-			_, err := call(n, "B", "A", epoch, "t1", struct{}{}, func(*Site, struct{}) (struct{}, error) {
-				handlerRuns++
-				return struct{}{}, nil
+			deposit := spec.Invocation{Op: adts.OpDeposit, Arg: value.Int(1)}
+			_, err := call(n, "B", "A", epoch, deposit, func(s *Site, d delivery, inv spec.Invocation) (value.Value, error) {
+				return s.handleInvoke(d, "acct0", txn, inv, 0, 0)
 			})
 			return err
 		}},
@@ -51,7 +54,7 @@ func TestEveryMessageKindRidesOneExchange(t *testing.T) {
 		name    string
 		arrange func(n *Network, a *Site, inj *fault.Injector)
 		want    error
-		runs    int // times the stateful call's handler executes
+		runs    int // times the stateful call's invoke executes
 	}{
 		{"site down", func(_ *Network, a *Site, _ *fault.Injector) { a.Crash() }, ErrSiteDown, 0},
 		{"partitioned", func(n *Network, _ *Site, _ *fault.Injector) { n.Partition([]SiteID{"A"}) }, ErrPartitioned, 0},
@@ -73,7 +76,8 @@ func TestEveryMessageKindRidesOneExchange(t *testing.T) {
 				if _, err := NewCoordinator(CoordinatorConfig{ID: "C", Network: n}); err != nil {
 					t.Fatal(err)
 				}
-				a, err := NewSite(SiteConfig{ID: "A", Network: n, Coordinators: []SiteID{"C"}})
+				rec := &recorder{}
+				a, err := NewSite(SiteConfig{ID: "A", Network: n, Coordinators: []SiteID{"C"}, Sink: rec.sink()})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -82,7 +86,6 @@ func TestEveryMessageKindRidesOneExchange(t *testing.T) {
 				}
 				epoch := a.Epoch()
 				f.arrange(n, a, inj)
-				handlerRuns = 0
 				before := attempts.Load()
 				err = k.send(n, epoch)
 				if !errors.Is(err, f.want) {
@@ -91,8 +94,14 @@ func TestEveryMessageKindRidesOneExchange(t *testing.T) {
 				if got := attempts.Load() - before; got != retransmits+1 {
 					t.Errorf("dist.rpc.attempts rose by %d, want %d", got, retransmits+1)
 				}
-				if k.name == "call" && handlerRuns != f.runs {
-					t.Errorf("stateful handler ran %d times over %d deliveries, want %d", handlerRuns, retransmits+1, f.runs)
+				runs := 0
+				for _, e := range rec.history() {
+					if e.Activity == txn.ID && e.Kind == histories.KindInvoke {
+						runs++
+					}
+				}
+				if k.name == "call" && runs != f.runs {
+					t.Errorf("stateful invoke ran %d times over %d deliveries, want %d", runs, retransmits+1, f.runs)
 				}
 			})
 		}

@@ -48,8 +48,8 @@ func firstContactWindow(t *testing.T, handshake bool) (error, int) {
 		}
 	} else {
 		send = func() error {
-			_, err := call(r.net, r.origin, r.site, 0, txn.ID, inv, func(s *Site, inv spec.Invocation) (value.Value, error) {
-				return s.handleInvoke(r.obj, txn, inv, 0, r.rv)
+			_, err := call(r.net, r.origin, r.site, 0, inv, func(s *Site, d delivery, inv spec.Invocation) (value.Value, error) {
+				return s.handleInvoke(d, r.obj, txn, inv, 0, r.rv)
 			})
 			return err
 		}

@@ -35,21 +35,21 @@ func newMigPeer(net *Network, origin, site SiteID, obj histories.ObjectID) (*mig
 }
 
 func (p *migPeer) export(txn *cc.TxnInfo) (migExport, error) {
-	return send(&p.route, &p.leg, txn.ID, struct{}{}, func(s *Site, _ struct{}) (migExport, error) {
-		return s.handleMigrateExport(p.obj, txn)
+	return send(&p.route, &p.leg, struct{}{}, func(s *Site, d delivery, _ struct{}) (migExport, error) {
+		return s.handleMigrateExport(d, p.obj, txn)
 	})
 }
 
 func (p *migPeer) stage(txn *cc.TxnInfo, exp migExport) error {
-	_, err := send(&p.route, &p.leg, txn.ID, exp, func(s *Site, exp migExport) (struct{}, error) {
-		return struct{}{}, s.handleMigrateImport(p.obj, txn, exp)
+	_, err := send(&p.route, &p.leg, exp, func(s *Site, d delivery, exp migExport) (struct{}, error) {
+		return struct{}{}, s.handleMigrateImport(d, p.obj, txn, exp)
 	})
 	return err
 }
 
 func (p *migPeer) prepare(txn *cc.TxnInfo, dir recovery.MigrateDir, ringv uint64) error {
-	_, err := send(&p.route, &p.leg, txn.ID, struct{}{}, func(s *Site, _ struct{}) (struct{}, error) {
-		return struct{}{}, s.handleMigratePrepare(p.obj, txn, dir, ringv)
+	_, err := send(&p.route, &p.leg, struct{}{}, func(s *Site, d delivery, _ struct{}) (struct{}, error) {
+		return struct{}{}, s.handleMigratePrepare(d, p.obj, txn, dir, ringv)
 	})
 	return err
 }
@@ -58,8 +58,8 @@ func (p *migPeer) prepare(txn *cc.TxnInfo, dir recovery.MigrateDir, ringv uint64
 // or unreachable half redoes the hosting change from its log through the
 // termination protocol and recovery).
 func (p *migPeer) commit(txn *cc.TxnInfo) {
-	_, _ = send(&p.route, &p.leg, txn.ID, struct{}{}, func(s *Site, _ struct{}) (struct{}, error) {
-		return struct{}{}, s.handleMigrateCommit(p.obj, txn)
+	_, _ = send(&p.route, &p.leg, struct{}{}, func(s *Site, d delivery, _ struct{}) (struct{}, error) {
+		return struct{}{}, s.handleMigrateCommit(d, p.obj, txn)
 	})
 }
 
@@ -67,7 +67,7 @@ func (p *migPeer) commit(txn *cc.TxnInfo) {
 // the abandoned-transaction sweeper reclaims a leaked freeze or staged
 // copy).
 func (p *migPeer) abort(txn *cc.TxnInfo) {
-	_, _ = send(&p.route, &p.leg, txn.ID, struct{}{}, func(s *Site, _ struct{}) (struct{}, error) {
-		return struct{}{}, s.handleMigrateAbort(p.obj, txn)
+	_, _ = send(&p.route, &p.leg, struct{}{}, func(s *Site, d delivery, _ struct{}) (struct{}, error) {
+		return struct{}{}, s.handleMigrateAbort(d, p.obj, txn)
 	})
 }

@@ -16,11 +16,13 @@
 // The network is unreliable under fault injection: messages can be dropped,
 // duplicated, delayed, sites can crash inside the commit protocol, and the
 // network can partition into groups that cannot exchange messages until it
-// heals (see internal/fault for the named fault points). Requests carry ids
-// and sites keep a bounded volatile reply cache, giving at-most-once
-// delivery semantics; the client side retransmits after a timeout, bounded
+// heals (see internal/fault for the named fault points). Requests carry ids,
+// and a site keeps each live transaction's invoke replies in its record
+// until the transaction's decision, while every other handler is
+// idempotent until the decision and refuses after it: at-most-once
+// delivery semantics. The client side retransmits after a timeout, bounded
 // by a retransmission budget, so drop + retransmit + dedup composes to
-// exactly-once until a crash wipes the cache — at which point the
+// exactly-once until a crash wipes the records — at which point the
 // per-transaction call-sequence check and the site epoch piggybacked on
 // every message detect the lost state and abort the transaction rather
 // than committing partial effects.
@@ -328,12 +330,12 @@ func (n *Network) delay() {
 // (the callee's side of the exchange), the reply latency and
 // fault.NetReplyDrop; an attempt that fails at any of them waits out the
 // timeout and is retransmitted until the budget is spent. serve may
-// therefore run more than once: it must be idempotent or answer duplicates
-// from the reply cache (see call). attempt reports which transmission the
-// reply answered (0: the first). When the budget runs out the exchange
-// fails with ErrSiteDown (refused throughout), ErrPartitioned (partitioned
-// throughout) or ErrRPCTimeout — all retryable — and serve's reply is
-// discarded.
+// therefore run more than once: it must be idempotent, or answer repeats
+// of one delivery without executing twice (see call). attempt reports
+// which transmission the reply answered (0: the first). When the budget
+// runs out the exchange fails with ErrSiteDown (refused throughout),
+// ErrPartitioned (partitioned throughout) or ErrRPCTimeout — all
+// retryable — and serve's reply is discarded.
 func exchange[R any](n *Network, from, to SiteID, node interface{ Up() bool }, serve func() R) (reply R, attempt int, err error) {
 	c := n.cfg.Load()
 	inj := c.inj
@@ -381,22 +383,33 @@ func (n *Network) requestLost(inj *fault.Injector) bool {
 	return inj.Fires(fault.NetRequestDrop)
 }
 
+// delivery is one arrival of a stateful request at a site: the request id
+// its retransmissions and duplicates share, and the site epoch its sender
+// pinned (zero: no expectation). Every stateful handler takes it: a
+// message from a pre-crash epoch is refused with ErrOrphaned before it
+// touches any state, and a repeated invoke is answered from its
+// transaction's record instead of executing again (see Site.enter).
+type delivery struct {
+	id     uint64
+	expect uint64
+}
+
 // call is the stateful exchange: it delivers a request to a site at most
-// once and returns the handler's reply. The request carries an id and the
-// site caches its reply, so a retransmission after a lost reply — or the
-// duplicate fault.NetRequestDup injects — is answered from the cache
-// instead of re-executing the handler. expect is the site epoch the sender
-// pinned; a mismatch means the site crashed underneath it, and the
-// delivery is refused with ErrOrphaned.
-func call[Req any, Resp any](n *Network, from SiteID, site SiteID, expect uint64, txn histories.ActivityID, req Req, handle func(s *Site, req Req) (Resp, error)) (Resp, error) {
-	resp, _, err := callAt(n, from, site, expect, txn, req, handle)
+// once and returns the handler's reply. The request carries an id, so a
+// retransmission after a lost reply — or the duplicate
+// fault.NetRequestDup injects — reaches the handler as the same delivery,
+// and the handler answers it without executing twice. expect is the site
+// epoch the sender pinned; a mismatch means the site crashed underneath
+// it, and the delivery is refused with ErrOrphaned.
+func call[Req any, Resp any](n *Network, from SiteID, site SiteID, expect uint64, req Req, handle func(s *Site, d delivery, req Req) (Resp, error)) (Resp, error) {
+	resp, _, err := callAt(n, from, site, expect, req, handle)
 	return resp, err
 }
 
 // callAt is call reporting which transmission the reply answered (see
 // exchange). A refusal as orphaned also clears expect from the network's
 // epoch table, so the next sender to pin the site handshakes afresh.
-func callAt[Req any, Resp any](n *Network, from SiteID, site SiteID, expect uint64, txn histories.ActivityID, req Req, handle func(s *Site, req Req) (Resp, error)) (Resp, int, error) {
+func callAt[Req any, Resp any](n *Network, from SiteID, site SiteID, expect uint64, req Req, handle func(s *Site, d delivery, req Req) (Resp, error)) (Resp, int, error) {
 	e, err := n.entry(site)
 	if err != nil {
 		var zero Resp
@@ -415,13 +428,13 @@ func callAt[Req any, Resp any](n *Network, from SiteID, site SiteID, expect uint
 	}
 	s := e.site
 	inj := n.cfg.Load().inj
-	reqID := n.reqSeq.Add(1)
+	d := delivery{id: n.reqSeq.Add(1), expect: expect}
 	r, attempt, err := exchange(n, from, site, s, func() (r reply) {
-		r.resp, r.err = deliver(s, reqID, expect, txn, req, handle)
+		r.resp, r.err = handle(s, d, req)
 		if inj.Fires(fault.NetRequestDup) {
-			// Deliver the duplicate; its reply is discarded. The reply
-			// cache makes this a no-op at the site.
-			_, _ = deliver(s, reqID, expect, txn, req, handle)
+			// Deliver the duplicate; its reply is discarded, and the
+			// handler answers it without executing twice.
+			_, _ = handle(s, d, req)
 		}
 		return r
 	})
@@ -433,24 +446,8 @@ func callAt[Req any, Resp any](n *Network, from SiteID, site SiteID, expect uint
 	return r.resp, attempt, err
 }
 
-// deliver executes one delivery of a request at a site, answering
-// duplicates from the site's volatile reply cache so redelivery never
-// re-executes the handler, and refusing epoch-mismatched (orphaned)
-// requests before they touch any state. The cache is same-epoch by
-// construction — a crash wipes it — so a cached reply needs no epoch
-// check.
-func deliver[Req any, Resp any](s *Site, reqID uint64, expect uint64, txn histories.ActivityID, req Req, handle func(s *Site, req Req) (Resp, error)) (Resp, error) {
-	if v, err, done := s.admit(reqID, expect); done {
-		resp, _ := v.(Resp)
-		return resp, err
-	}
-	resp, err := handle(s, req)
-	s.cacheReply(reqID, txn, resp, err)
-	return resp, err
-}
-
 // The query exchanges below are idempotent — they read state, or write it
-// idempotently — so they carry no request id and no reply cache, and never
+// idempotently — so they carry no request id, and never
 // draw fault.NetRequestDup; they ride the same exchange, with the same
 // faults and retransmission budget, as every stateful call.
 

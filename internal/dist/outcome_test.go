@@ -48,16 +48,16 @@ func TestDownCoordinatorAnswersInDoubt(t *testing.T) {
 // TestVoteAndRefusalNeverBothSucceed: a yes-vote and a peer's outcome query
 // for the same transaction race. Either the query comes first and refuses
 // the transaction, so the vote fails, or the vote comes first and the query
-// answers in-doubt from the prepared table: never a refusal promised against
-// a logged yes-vote. Odd rounds hold the query back until the vote's
-// intentions are logged, aiming it at the moment between that append and
-// the prepared-table insert, which vote closes by holding voteMu across
-// both.
+// answers in-doubt from the transaction's record: never a refusal promised
+// against a logged yes-vote. Odd rounds hold the query back until the
+// vote's intentions are logged, aiming it at the moment between that
+// append and the half's insert into the record, which vote closes by
+// holding voteMu across both.
 func TestVoteAndRefusalNeverBothSucceed(t *testing.T) {
 	s := decideSite(t, "A", true)
 	for i := 0; i < 1000; i++ {
 		txn := &cc.TxnInfo{ID: histories.ActivityID(fmt.Sprintf("r%d", i)), Seq: int64(10 + i), Participants: []string{"A", "B"}}
-		if _, err := s.handleInvoke("acct0", txn, spec.Invocation{Op: adts.OpDeposit, Arg: value.Int(1)}, 0, 0); err != nil {
+		if _, err := s.handleInvoke(fresh(s), "acct0", txn, spec.Invocation{Op: adts.OpDeposit, Arg: value.Int(1)}, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 		var (
@@ -70,7 +70,7 @@ func TestVoteAndRefusalNeverBothSucceed(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			prepErr = s.handlePrepare("acct0", txn, 1, 0)
+			prepErr = s.handlePrepare(fresh(s), "acct0", txn, 1, 0)
 			voted.Store(true)
 		}()
 		go func() {
@@ -87,7 +87,7 @@ func TestVoteAndRefusalNeverBothSucceed(t *testing.T) {
 			if out != OutcomeInDoubt {
 				t.Fatalf("%s: vote succeeded but the query answered %s", txn.ID, out)
 			}
-			if err := s.handleAbort("acct0", txn); err != nil {
+			if err := s.handleAbort(fresh(s), "acct0", txn); err != nil {
 				t.Fatal(err)
 			}
 		} else if out != OutcomeUnknown || !errors.Is(prepErr, ErrRefused) {
@@ -149,10 +149,10 @@ func TestRunningSitesNeverReadTheirLog(t *testing.T) {
 	// peer B, which refuses from memory: unanimous presumed abort.
 	doubt := &cc.TxnInfo{ID: "doubt", Participants: []string{"A", "B"}}
 	a := e.sites["A"]
-	if _, err := a.handleInvoke("acct0", doubt, spec.Invocation{Op: adts.OpDeposit, Arg: value.Int(7)}, 0, 0); err != nil {
+	if _, err := a.handleInvoke(fresh(a), "acct0", doubt, spec.Invocation{Op: adts.OpDeposit, Arg: value.Int(7)}, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.handlePrepare("acct0", doubt, 1, 0); err != nil {
+	if err := a.handlePrepare(fresh(a), "acct0", doubt, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range e.coords {
@@ -198,27 +198,27 @@ func TestFailedCommitRecordHoldsTheExport(t *testing.T) {
 	}
 	info := &cc.TxnInfo{ID: txn.ID(), Participants: []string{"A", "B"}}
 	a, b := e.sites["A"], e.sites["B"]
-	if err := a.handlePrepare("acct0", info, 1, 0); err != nil {
+	if err := a.handlePrepare(fresh(a), "acct0", info, 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.handlePrepare("acct1", info, 1, 0); err != nil {
+	if err := b.handlePrepare(fresh(b), "acct1", info, 1, 0); err != nil {
 		t.Fatal(err)
 	}
 	e.pool.Begin(info.ID)
 	if err := e.pool.Decide(info.ID, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.handleCommit("acct1", info); err != nil {
+	if err := b.handleCommit(fresh(b), "acct1", info); err != nil {
 		t.Fatal(err)
 	}
 
 	// A's commit record fails: the half stays prepared and undecided.
 	inj.Enable(fault.DiskAppendFail, fault.Rule{Prob: 1, Limit: 1})
-	if err := a.handleCommit("acct0", info); err == nil {
+	if err := a.handleCommit(fresh(a), "acct0", info); err == nil {
 		t.Fatal("commit with a failed record append succeeded")
 	}
 	a.mu.Lock()
-	_, prepared := a.prepared[info.ID]
+	prepared := a.txns[info.ID].voted()
 	_, decided := a.decided[info.ID]
 	a.mu.Unlock()
 	if !prepared || decided {
@@ -227,7 +227,7 @@ func TestFailedCommitRecordHoldsTheExport(t *testing.T) {
 
 	// The drain refuses to export the object while the half is prepared.
 	mig := &cc.TxnInfo{ID: "M-held:acct0", Participants: []string{"A", "C"}}
-	if _, err := a.handleMigrateExport("acct0", mig); !errors.Is(err, ErrMigrating) {
+	if _, err := a.handleMigrateExport(fresh(a), "acct0", mig); !errors.Is(err, ErrMigrating) {
 		t.Fatalf("export with a prepared half = %v, want ErrMigrating", err)
 	}
 

@@ -3,22 +3,11 @@ package dist
 import (
 	"errors"
 	"sync"
-	"time"
 
 	"weihl83/internal/cc"
 	"weihl83/internal/histories"
-	"weihl83/internal/obs"
 	"weihl83/internal/spec"
 	"weihl83/internal/value"
-)
-
-// Observability: per-phase round-trip latency of the remote protocol, as
-// seen by the client (includes retransmission waits).
-var (
-	obsInvokeLat  = obs.Default.Histogram("dist.2pc.invoke_ns")
-	obsPrepareLat = obs.Default.Histogram("dist.2pc.prepare_ns")
-	obsCommitLat  = obs.Default.Histogram("dist.2pc.commit_ns")
-	obsAbortLat   = obs.Default.Histogram("dist.2pc.abort_ns")
 )
 
 // RemoteResource is a cc.Resource proxy for an object hosted at another
@@ -186,7 +175,7 @@ func (rt *route) pin(l *leg) (uint64, error) {
 // pinning the leg's epoch first. It applies the leg's one resend rule: a
 // refusal as orphaned of the first transmission of the leg's first message
 // re-pins and resends once under a fresh request id.
-func send[Req any, Resp any](rt *route, l *leg, txn histories.ActivityID, req Req, handle func(s *Site, req Req) (Resp, error)) (Resp, error) {
+func send[Req any, Resp any](rt *route, l *leg, req Req, handle func(s *Site, d delivery, req Req) (Resp, error)) (Resp, error) {
 	expect, err := rt.pin(l)
 	if err != nil {
 		var zero Resp
@@ -194,13 +183,13 @@ func send[Req any, Resp any](rt *route, l *leg, txn histories.ActivityID, req Re
 	}
 	first := !l.sent
 	l.sent = true
-	resp, attempt, err := callAt(rt.net, rt.origin, rt.site, expect, txn, req, handle)
+	resp, attempt, err := callAt(rt.net, rt.origin, rt.site, expect, req, handle)
 	if first && attempt == 0 && errors.Is(err, ErrOrphaned) {
 		l.epoch = 0
 		if expect, err = rt.pin(l); err != nil {
 			return resp, err
 		}
-		resp, err = call(rt.net, rt.origin, rt.site, expect, txn, req, handle)
+		resp, err = call(rt.net, rt.origin, rt.site, expect, req, handle)
 	}
 	return resp, err
 }
@@ -208,11 +197,9 @@ func send[Req any, Resp any](rt *route, l *leg, txn histories.ActivityID, req Re
 // invoke ships one invocation.
 func (rt *route) invoke(l *leg, txn *cc.TxnInfo, inv spec.Invocation) (value.Value, error) {
 	n := l.seq
-	start := time.Now()
-	v, err := send(rt, l, txn.ID, inv, func(s *Site, inv spec.Invocation) (value.Value, error) {
-		return s.handleInvoke(rt.obj, txn, inv, n, rt.rv)
+	v, err := send(rt, l, inv, func(s *Site, d delivery, inv spec.Invocation) (value.Value, error) {
+		return s.handleInvoke(d, rt.obj, txn, inv, n, rt.rv)
 	})
-	obsInvokeLat.Observe(int64(time.Since(start)))
 	if err == nil {
 		l.seq++
 	}
@@ -223,11 +210,9 @@ func (rt *route) invoke(l *leg, txn *cc.TxnInfo, inv spec.Invocation) (value.Val
 // stale or orphaned transaction, failed log write) vetoes the commit.
 func (rt *route) prepare(l *leg, txn *cc.TxnInfo) error {
 	n := l.seq
-	start := time.Now()
-	_, err := send(rt, l, txn.ID, struct{}{}, func(s *Site, _ struct{}) (struct{}, error) {
-		return struct{}{}, s.handlePrepare(rt.obj, txn, n, rt.rv)
+	_, err := send(rt, l, struct{}{}, func(s *Site, d delivery, _ struct{}) (struct{}, error) {
+		return struct{}{}, s.handlePrepare(d, rt.obj, txn, n, rt.rv)
 	})
-	obsPrepareLat.Observe(int64(time.Since(start)))
 	return err
 }
 
@@ -237,11 +222,9 @@ func (rt *route) prepare(l *leg, txn *cc.TxnInfo) error {
 // intentions redo the commit during recovery, which is the point of
 // write-ahead logging in two-phase commit.
 func (rt *route) commit(l *leg, txn *cc.TxnInfo) {
-	start := time.Now()
-	_, _ = send(rt, l, txn.ID, struct{}{}, func(s *Site, _ struct{}) (struct{}, error) {
-		return struct{}{}, s.handleCommit(rt.obj, txn)
+	_, _ = send(rt, l, struct{}{}, func(s *Site, d delivery, _ struct{}) (struct{}, error) {
+		return struct{}{}, s.handleCommit(d, rt.obj, txn)
 	})
-	obsCommitLat.Observe(int64(time.Since(start)))
 }
 
 // abort delivers the abort. A leg that never pinned an epoch (it aborted on
@@ -250,9 +233,7 @@ func (rt *route) commit(l *leg, txn *cc.TxnInfo) {
 // participant is dropped: recovery presumes abort for undecided
 // transactions.
 func (rt *route) abort(l *leg, txn *cc.TxnInfo) {
-	start := time.Now()
-	_, _ = send(rt, l, txn.ID, struct{}{}, func(s *Site, _ struct{}) (struct{}, error) {
-		return struct{}{}, s.handleAbort(rt.obj, txn)
+	_, _ = send(rt, l, struct{}{}, func(s *Site, d delivery, _ struct{}) (struct{}, error) {
+		return struct{}{}, s.handleAbort(d, rt.obj, txn)
 	})
-	obsAbortLat.Observe(int64(time.Since(start)))
 }

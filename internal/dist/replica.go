@@ -32,8 +32,9 @@ import (
 //     logged calls asynchronously to all followers — per-replica WAL
 //     append, no locks, no 2PC, unbounded worker retry over the bounded
 //     at-most-once message layer, idempotent replica-side apply keyed by a
-//     derived request id (`repl!<txn>!<obj>`) through the same reply-cache
-//     and WAL-dedup machinery as everything else. Operations in a
+//     derived delivery id (`repl!<txn>!<obj>`) through the decided table
+//     and WAL dedup: a delivery needs no cached reply and makes no
+//     transaction record. Operations in a
 //     proven-commutative class (conflict.Static.CommutativeClass) need
 //     nothing more: any delivery interleaving converges.
 //
@@ -137,12 +138,12 @@ type replApplyReq struct {
 // intentions record carrying the state, paired with its own commit record)
 // and the in-memory version log starts at the seed timestamp. Idempotent
 // under the seed's rid and floored against replays of older seeds.
-func (s *Site) handleReplicaSeed(req replSeedReq) (struct{}, error) {
+func (s *Site) handleReplicaSeed(d delivery, req replSeedReq) (struct{}, error) {
 	rid := replSeedRID(req.Obj, req.TS)
 	s.mu.Lock()
-	if !s.up {
+	if err := s.admitLocked(d.expect); err != nil {
 		s.mu.Unlock()
-		return struct{}{}, fmt.Errorf("%w: %s", ErrSiteDown, s.id)
+		return struct{}{}, err
 	}
 	if s.decided[rid] {
 		s.mu.Unlock()
@@ -198,13 +199,13 @@ func (s *Site) handleReplicaSeed(req replSeedReq) (struct{}, error) {
 // fault.ReplApplyCrash opens two crash windows: before anything is logged
 // (redelivery re-logs) and between the two appends (the uncommitted record
 // is ignored by replay and superseded by the redelivery's copy).
-func (s *Site) handleReplicaApply(req replApplyReq) (struct{}, error) {
+func (s *Site) handleReplicaApply(d delivery, req replApplyReq) (struct{}, error) {
 	rid := replRID(req.Txn, req.Obj)
 	start := time.Now()
 	s.mu.Lock()
-	if !s.up {
+	if err := s.admitLocked(d.expect); err != nil {
 		s.mu.Unlock()
-		return struct{}{}, fmt.Errorf("%w: %s", ErrSiteDown, s.id)
+		return struct{}{}, err
 	}
 	if s.decided[rid] {
 		s.mu.Unlock()
@@ -287,7 +288,7 @@ func (s *Site) handleReplicaApply(req replApplyReq) (struct{}, error) {
 // order, not the lock order the history checker audits.
 func (s *Site) handleReplicaRead(obj histories.ObjectID, inv spec.Invocation, ts histories.Timestamp) (value.Value, error) {
 	s.mu.Lock()
-	if !s.up {
+	if !s.up.Load() {
 		s.mu.Unlock()
 		return value.Nil(), fmt.Errorf("%w: %s", ErrSiteDown, s.id)
 	}
@@ -331,7 +332,7 @@ func (s *Site) unfollow(obj histories.ObjectID) {
 func (s *Site) ReplicaStateKey(obj histories.ObjectID) (string, histories.Timestamp, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.up {
+	if !s.up.Load() {
 		return "", 0, fmt.Errorf("%w: %s", ErrSiteDown, s.id)
 	}
 	l := s.replicas[obj]
@@ -530,13 +531,11 @@ func (q *replQueue) process(it replItem) {
 		}
 		switch it.kind {
 		case replSeed:
-			rid := replSeedRID(it.obj, it.ts)
-			_, err = call(q.rep.c.net, q.rep.origin, q.site, epoch, rid,
+			_, err = call(q.rep.c.net, q.rep.origin, q.site, epoch,
 				replSeedReq{Obj: it.obj, Typ: it.typ, State: it.state, TS: it.ts},
 				(*Site).handleReplicaSeed)
 		case replDeliver:
-			rid := replRID(it.txn, it.obj)
-			_, err = call(q.rep.c.net, q.rep.origin, q.site, epoch, rid,
+			_, err = call(q.rep.c.net, q.rep.origin, q.site, epoch,
 				replApplyReq{Obj: it.obj, Txn: it.txn, Calls: it.calls, TS: it.ts},
 				(*Site).handleReplicaApply)
 		}

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"weihl83/internal/adts"
@@ -27,7 +29,6 @@ var (
 	obsSiteCrashes    = obs.Default.Counter("dist.site.crashes")
 	obsSiteRecoveries = obs.Default.Counter("dist.site.recoveries")
 	obsCacheHits      = obs.Default.Counter("dist.reply.cache.hits")
-	obsCacheEvicts    = obs.Default.Counter("dist.reply.cache.evictions")
 	obsEpochOrphans   = obs.Default.Counter("dist.epoch.orphans")
 	obsInDoubtCommits = obs.Default.Counter("dist.recover.indoubt.commits")
 	obsInDoubtAborts  = obs.Default.Counter("dist.recover.indoubt.aborts")
@@ -132,7 +133,7 @@ type Site struct {
 	recoverMu sync.Mutex
 
 	mu         sync.Mutex
-	up         bool
+	up         atomic.Bool // written under mu; exchange's up-check reads it without
 	epoch      uint64
 	disk       recovery.Backend // stable: survives crashes
 	types      map[histories.ObjectID]adts.Type
@@ -140,35 +141,19 @@ type Site struct {
 	seedHosted map[histories.ObjectID]bool            // stable: objects seeded here (pre-migration)
 	objects    map[histories.ObjectID]*locking.Object // volatile
 	detector   *locking.Detector                      // volatile
-	prepared   map[histories.ActivityID]*preparedTxn  // volatile in-doubt set
-	active     map[histories.ActivityID]*activeTxn    // volatile unprepared-invoker set
+	txns       map[histories.ActivityID]*siteTxn      // volatile: one record per live transaction
 	decided    map[histories.ActivityID]bool          // volatile outcomes, authoritative while up (rebuilt from log)
 	crashes    int64                                  // total crashes, for diagnostics
-
-	// The volatile at-most-once reply cache. A reply is pinned while its
-	// transaction is undecided — evicting it would let a retransmission
-	// re-execute its handler — so the cache can exceed replyCap by the
-	// replies of in-flight transactions. pinned lists each undecided
-	// transaction's request ids; its decision (decidedLocked) moves them to
-	// evictable, the FIFO cacheReply evicts from while the cache is over
-	// replyCap. A decided transaction's client can never legitimately
-	// retransmit.
-	replies   map[uint64]cachedReply
-	pinned    map[histories.ActivityID][]uint64
-	evictable []uint64
-	replyCap  int
 
 	// Migration state. hosted is the volatile hosting view (rebuilt from
 	// the log at recovery: seedHosted plus committed migrations); homedAt
 	// records the placement version at which an object migrated in, so a
 	// request carrying an older placement view is refused as moved;
 	// migrating freezes an object under an in-flight migration
-	// transaction; staged holds copied-in state between a migration's
-	// import and its commit.
+	// transaction. A migration's copied-in state waits in its record.
 	hosted    map[histories.ObjectID]bool
 	homedAt   map[histories.ObjectID]uint64
 	migrating map[histories.ObjectID]histories.ActivityID
-	staged    map[histories.ActivityID]map[histories.ObjectID]stagedImport
 
 	// Replica-group state. follows is the stable follow catalog (like
 	// types/guards it survives crashes: a recovering follower rebuilds its
@@ -181,23 +166,9 @@ type Site struct {
 // stagedImport is the copied object state a migration's import handler
 // stages at the destination before prepare makes it durable.
 type stagedImport struct {
+	obj   histories.ObjectID
 	state spec.State
 	typ   adts.Type
-}
-
-// preparedTxn tracks a transaction this site voted yes for and has not yet
-// learned the outcome of.
-type preparedTxn struct {
-	halves       []half // the votes, one per object
-	participants []string
-	preparedAt   time.Time
-	attempts     int       // failed termination-protocol attempts
-	nextTry      time.Time // capped-backoff gate for the next attempt
-}
-
-// at returns the index of the half voted at obj, or -1.
-func (p *preparedTxn) at(obj histories.ObjectID) int {
-	return slices.IndexFunc(p.halves, func(h half) bool { return h.obj == obj })
 }
 
 // half is one yes-vote: the part of a transaction this site prepared at one
@@ -212,20 +183,74 @@ type half struct {
 	staged *stagedImport // MigrateIn only: the baseline to adopt
 }
 
-// activeTxn tracks a transaction that has invoked operations here (and so
-// may hold locks) but has not prepared. Until its yes-vote this site may
-// unilaterally abort it, which is how locks leaked by a client whose abort
-// broadcast never arrived are eventually reclaimed (AbortAbandoned).
-type activeTxn struct {
-	objects  []histories.ObjectID // touched here: one or two, so a slice beats a map
-	lastSeen time.Time
+// siteTxn is the site's record of one live transaction: the objects it
+// touched here, its yes-votes once it has voted, and the replies to its
+// invokes. The first invoke, export, import or vote creates the record;
+// the transaction's decision deletes it (decidedLocked), leaving only the
+// decided entry, so the reply cache is bounded by the live transactions.
+// A peer's refusal is the one decision that keeps the record: the refused
+// transaction may still hold locks here, and the sweeper releases them
+// from it (AbortAbandoned).
+type siteTxn struct {
+	objects  []histories.ObjectID  // touched here: one or two, so a slice beats a map
 	inline   [2]histories.ObjectID // objects' first backing array
+	lastSeen time.Time             // last invoke, export or import: the sweeper's idle clock
+	staged   *stagedImport         // a migration's copied-in object, from import to vote
+
+	// Set by the yes-votes. Until the first, the site may abort the
+	// transaction on its own authority; after it, only the outcome may.
+	halves       []half  // the votes still undecided, one per object
+	halfInline   [1]half // halves' first backing array
+	participants []string
+	preparedAt   time.Time
+	attempts     int       // failed termination-protocol attempts
+	nextTry      time.Time // capped-backoff gate for the next attempt
+
+	// replies memoises the transaction's invokes by request id. Invoke is
+	// the one handler that is not idempotent while its transaction lives,
+	// so a retransmitted or duplicated invoke is answered from here; every
+	// other handler repeats harmlessly until the decision and is refused
+	// or does nothing after it.
+	replies     []invokeReply
+	replyInline [1]invokeReply // replies' first backing array
 }
 
-// cachedReply is a memoised handler result, keyed by request id.
-type cachedReply struct {
-	value any
-	err   error
+// invokeReply is one memoised invoke result.
+type invokeReply struct {
+	id  uint64
+	v   value.Value
+	err error
+}
+
+// voted reports whether the transaction holds a yes-vote here. A nil
+// record has none.
+func (t *siteTxn) voted() bool { return t != nil && len(t.halves) > 0 }
+
+// at returns the index of the half voted at obj, or -1.
+func (t *siteTxn) at(obj histories.ObjectID) int {
+	if t == nil {
+		return -1
+	}
+	return slices.IndexFunc(t.halves, func(h half) bool { return h.obj == obj })
+}
+
+// reply returns the memoised reply to request id.
+func (t *siteTxn) reply(id uint64) (invokeReply, bool) {
+	if t != nil {
+		for _, r := range t.replies {
+			if r.id == id {
+				return r, true
+			}
+		}
+	}
+	return invokeReply{}, false
+}
+
+// touch records that the transaction touched obj here.
+func (t *siteTxn) touch(obj histories.ObjectID) {
+	if !slices.Contains(t.objects, obj) {
+		t.objects = append(t.objects, obj)
+	}
 }
 
 // NewSite creates a site and attaches it to the network.
@@ -243,7 +268,6 @@ func NewSite(cfg SiteConfig) (*Site, error) {
 		sink:        cfg.Sink,
 		waitTimeout: cfg.WaitTimeout,
 		inj:         cfg.Injector,
-		up:          true,
 		epoch:       1,
 		disk:        cfg.Disk,
 		types:       make(map[histories.ObjectID]adts.Type),
@@ -251,19 +275,15 @@ func NewSite(cfg SiteConfig) (*Site, error) {
 		seedHosted:  make(map[histories.ObjectID]bool),
 		objects:     make(map[histories.ObjectID]*locking.Object),
 		detector:    locking.NewDetector(),
-		prepared:    make(map[histories.ActivityID]*preparedTxn),
-		active:      make(map[histories.ActivityID]*activeTxn),
+		txns:        make(map[histories.ActivityID]*siteTxn),
 		decided:     make(map[histories.ActivityID]bool),
-		replies:     make(map[uint64]cachedReply),
-		pinned:      make(map[histories.ActivityID][]uint64),
-		replyCap:    1024,
 		hosted:      make(map[histories.ObjectID]bool),
 		homedAt:     make(map[histories.ObjectID]uint64),
 		migrating:   make(map[histories.ObjectID]histories.ActivityID),
-		staged:      make(map[histories.ActivityID]map[histories.ObjectID]stagedImport),
 		follows:     make(map[histories.ObjectID]bool),
 		replicas:    make(map[histories.ObjectID]*ccrt.VersionLog),
 	}
+	s.up.Store(true)
 	s.disk.SetInjector(cfg.Injector)
 	if err := cfg.Network.register(s); err != nil {
 		return nil, err
@@ -274,12 +294,9 @@ func NewSite(cfg SiteConfig) (*Site, error) {
 // ID returns the site identifier.
 func (s *Site) ID() SiteID { return s.id }
 
-// Up reports whether the site is running.
-func (s *Site) Up() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.up
-}
+// Up reports whether the site is running. It takes no lock: exchange
+// asks it before every delivery.
+func (s *Site) Up() bool { return s.up.Load() }
 
 // Epoch returns the site's current epoch (bumped at every crash).
 func (s *Site) Epoch() uint64 {
@@ -299,7 +316,7 @@ func (s *Site) Disk() recovery.Backend { return s.disk }
 func (s *Site) AddObject(id histories.ObjectID, t adts.Type, guard func(adts.Type) locking.Guard) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.up {
+	if !s.up.Load() {
 		return fmt.Errorf("%w: %s", ErrSiteDown, s.id)
 	}
 	if _, dup := s.types[id]; dup {
@@ -334,27 +351,22 @@ func (s *Site) buildObject(id histories.ObjectID, t adts.Type, guard func(adts.T
 	})
 }
 
-// Crash takes the site down, discarding every volatile structure: active
-// transactions, lock tables, committed in-memory states, the in-doubt set,
-// the outcome cache, the reply cache. Only the disk survives. The epoch is
+// Crash takes the site down, discarding every volatile structure: the
+// transaction records (with their votes and cached replies), lock tables,
+// committed in-memory states, the outcome cache. Only the disk survives. The epoch is
 // bumped so messages from pre-crash activities are detected as orphans.
 func (s *Site) Crash() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.up = false
+	s.up.Store(false)
 	s.epoch++
 	s.objects = nil
 	s.detector = nil
-	s.prepared = nil
-	s.active = nil
+	s.txns = nil
 	s.decided = nil
-	s.replies = nil
-	s.pinned = nil
-	s.evictable = nil
 	s.hosted = nil
 	s.homedAt = nil
 	s.migrating = nil
-	s.staged = nil
 	s.replicas = nil // follows survives: it is catalog, not state
 	s.crashes++
 	obsSiteCrashes.Inc()
@@ -370,54 +382,69 @@ func (s *Site) Crashes() int64 {
 	return s.crashes
 }
 
-// admit is a delivery's entry check, under one lock: a duplicate of a
-// request already answered gets its memoised reply (at-most-once delivery;
-// crashed sites have no cache), and a request from a pre-crash epoch is
-// refused as orphaned. expect is the epoch the sender pinned at this site
-// (zero: no expectation). done reports that v and err are the delivery's
-// answer and the handler must not run.
-func (s *Site) admit(reqID, expect uint64) (v any, err error, done bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r, ok := s.replies[reqID]; ok {
-		obsCacheHits.Inc()
-		return r.value, r.err, true
-	}
+// admitLocked refuses, under s.mu, a delivery from a pre-crash epoch
+// (ErrOrphaned) and one to a down site. expect is the epoch the sender
+// pinned at this site (zero: no expectation).
+func (s *Site) admitLocked(expect uint64) error {
 	if expect != 0 && expect != s.epoch {
 		obsEpochOrphans.Inc()
-		return nil, fmt.Errorf("%w: %s is at epoch %d, message from epoch %d", ErrOrphaned, s.id, s.epoch, expect), true
+		return fmt.Errorf("%w: %s is at epoch %d, message from epoch %d", ErrOrphaned, s.id, s.epoch, expect)
 	}
-	return nil, nil, false
+	if !s.up.Load() {
+		return fmt.Errorf("%w: %s", ErrSiteDown, s.id)
+	}
+	return nil
 }
 
-// cacheReply memoises a handler's reply (a no-op after a crash), then
-// evicts decided transactions' replies, oldest decision first, while the
-// cache is over its cap.
-func (s *Site) cacheReply(reqID uint64, txn histories.ActivityID, v any, err error) {
+// enter is a delivery's entry section: every check a handler makes, and
+// every registration, before it acts, under one hold of s.mu. The delivery
+// is admitted (see admitLocked), a transaction this site already decided is
+// refused — a late or repeated message of a resolved transaction must not
+// re-acquire locks, re-freeze an object or re-stage a copy — and check runs
+// the message kind's own checks on the transaction's record (nil: none
+// yet). A refusal here executed nothing.
+func (s *Site) enter(d delivery, txn histories.ActivityID, check func(t *siteTxn) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.replies == nil {
-		return
+	if err := s.admitLocked(d.expect); err != nil {
+		return err
 	}
-	s.replies[reqID] = cachedReply{value: v, err: err}
 	if _, done := s.decided[txn]; done {
-		s.evictable = append(s.evictable, reqID)
-	} else {
-		s.pinned[txn] = append(s.pinned[txn], reqID)
+		return fmt.Errorf("%w: %s at %s", ErrRefused, txn, s.id)
 	}
-	for len(s.replies) > s.replyCap && len(s.evictable) > 0 {
-		delete(s.replies, s.evictable[0])
-		s.evictable = s.evictable[1:]
-		obsCacheEvicts.Inc()
-	}
+	return check(s.txns[txn])
 }
 
-// decidedLocked caches txn's outcome and unpins its replies. Every path
-// that resolves a transaction at a running site ends here, under s.mu.
+// registerLocked records that txn touched obj here, creating its record
+// (t: the record, or nil), and restarts its idle clock. Under s.mu, on a
+// running site.
+func (s *Site) registerLocked(t *siteTxn, txn histories.ActivityID, obj histories.ObjectID) *siteTxn {
+	if t == nil {
+		t = s.recordLocked(txn)
+	}
+	t.touch(obj)
+	t.lastSeen = time.Now()
+	return t
+}
+
+// recordLocked returns txn's record, creating it. Under s.mu, on a running
+// site.
+func (s *Site) recordLocked(txn histories.ActivityID) *siteTxn {
+	t := s.txns[txn]
+	if t == nil {
+		t = &siteTxn{}
+		t.objects, t.halves, t.replies = t.inline[:0], t.halfInline[:0], t.replyInline[:0]
+		s.txns[txn] = t
+	}
+	return t
+}
+
+// decidedLocked caches txn's outcome and deletes its record, replies and
+// all. Every path that installs an outcome at a running site ends here,
+// under s.mu.
 func (s *Site) decidedLocked(txn histories.ActivityID, commit bool) {
 	s.decided[txn] = commit
-	s.evictable = append(s.evictable, s.pinned[txn]...)
-	delete(s.pinned, txn)
+	delete(s.txns, txn)
 }
 
 // Checkpoint snapshots the site's committed states into its write-ahead
@@ -425,7 +452,7 @@ func (s *Site) decidedLocked(txn histories.ActivityID, commit bool) {
 // estimated bytes reclaimed.
 func (s *Site) Checkpoint() (int64, error) {
 	s.mu.Lock()
-	if !s.up {
+	if !s.up.Load() {
 		s.mu.Unlock()
 		return 0, fmt.Errorf("%w: %s", ErrSiteDown, s.id)
 	}
@@ -532,7 +559,7 @@ func (s *Site) Recover() error {
 	if err := s.rebuildLocked(fold); err != nil {
 		return fmt.Errorf("dist: recovering %s: %w", s.id, err)
 	}
-	s.up = true
+	s.up.Store(true)
 	obsSiteRecoveries.Inc()
 	if obsSiteTrace.Enabled() {
 		obsSiteTrace.Record(obs.TraceEvent{Kind: obs.KindRecover, Site: string(s.id)})
@@ -549,10 +576,7 @@ func (s *Site) rebuildLocked(fold *recovery.Fold) error {
 	}
 	s.detector = locking.NewDetector()
 	s.objects = make(map[histories.ObjectID]*locking.Object, len(s.types))
-	s.prepared = make(map[histories.ActivityID]*preparedTxn)
-	s.active = make(map[histories.ActivityID]*activeTxn)
-	s.replies = make(map[uint64]cachedReply)
-	s.pinned = make(map[histories.ActivityID][]uint64)
+	s.txns = make(map[histories.ActivityID]*siteTxn)
 	s.decided = fold.Decided()
 	s.hosted = hosted
 	// The placement version each hosted object migrated in at. Compaction
@@ -567,7 +591,6 @@ func (s *Site) rebuildLocked(fold *recovery.Fold) error {
 		}
 	}
 	s.migrating = make(map[histories.ObjectID]histories.ActivityID)
-	s.staged = make(map[histories.ActivityID]map[histories.ObjectID]stagedImport)
 	for id, t := range s.types {
 		if !hosted[id] {
 			// The object's schema stays in the catalog (its pre-migration
@@ -602,7 +625,7 @@ func (s *Site) rebuildLocked(fold *recovery.Fold) error {
 func (s *Site) object(id histories.ObjectID) (*locking.Object, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.up {
+	if !s.up.Load() {
 		return nil, fmt.Errorf("%w: %s", ErrSiteDown, s.id)
 	}
 	o, ok := s.objects[id]
@@ -612,44 +635,36 @@ func (s *Site) object(id histories.ObjectID) (*locking.Object, error) {
 	return o, nil
 }
 
-// objectRouted is object for placement-routed client operations: the site
-// must currently be home to the object, and the request's placement
-// version rv (zero: unversioned) must not predate the migration that
-// brought the object here — either way the sender's placement view is
+// routedLocked looks up an object for a placement-routed message, under
+// s.mu: the site must currently be home to the object, and the request's
+// placement version rv (zero: unversioned) must not predate the migration
+// that brought the object here — either way the sender's placement view is
 // stale and the request is refused with ErrMoved rather than executed at
-// the wrong home. It also returns the epoch the object belongs to, which a
-// vote on the object's intentions must still be in (see vote).
-func (s *Site) objectRouted(id histories.ObjectID, rv uint64) (*locking.Object, uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.up {
-		return nil, 0, fmt.Errorf("%w: %s", ErrSiteDown, s.id)
-	}
+// the wrong home.
+func (s *Site) routedLocked(id histories.ObjectID, rv uint64) (*locking.Object, error) {
 	if !s.hosted[id] {
 		if _, known := s.types[id]; known {
-			return nil, 0, fmt.Errorf("%w: %s at %s", ErrMoved, id, s.id)
+			return nil, fmt.Errorf("%w: %s at %s", ErrMoved, id, s.id)
 		}
-		return nil, 0, fmt.Errorf("dist: no object %s at %s", id, s.id)
+		return nil, fmt.Errorf("dist: no object %s at %s", id, s.id)
 	}
 	if rv != 0 && rv < s.homedAt[id] {
-		return nil, 0, fmt.Errorf("%w: %s at %s homed at placement %d, request carries %d", ErrMoved, id, s.id, s.homedAt[id], rv)
+		return nil, fmt.Errorf("%w: %s at %s homed at placement %d, request carries %d", ErrMoved, id, s.id, s.homedAt[id], rv)
 	}
 	o, ok := s.objects[id]
 	if !ok {
-		return nil, 0, fmt.Errorf("dist: no object %s at %s", id, s.id)
+		return nil, fmt.Errorf("dist: no object %s at %s", id, s.id)
 	}
-	return o, s.epoch, nil
+	return o, nil
 }
 
-// frozenCheck refuses a client operation on an object frozen by an
-// in-flight migration transaction. It runs under s.mu AFTER the caller
-// registered the transaction in s.active, so it pairs with the migration
-// drain scan (also under s.mu): either the client registers first and the
-// drain sees it (migration told busy), or the freeze lands first and the
-// client sees it here — never both proceeding.
-func (s *Site) frozenCheck(obj histories.ObjectID, txn histories.ActivityID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// frozenLocked refuses an operation on an object frozen by another
+// transaction's in-flight migration, under s.mu. An invoke checks it in the
+// section that registers the invoker, and the migration's drain scan and
+// freeze share one section too: either the invoker registers first and
+// the drain sees it (the migration is told busy), or the freeze lands
+// first and the invoker sees it — never both proceeding.
+func (s *Site) frozenLocked(obj histories.ObjectID, txn histories.ActivityID) error {
 	if owner, frozen := s.migrating[obj]; frozen && owner != txn {
 		return fmt.Errorf("%w: %s at %s (frozen by %s)", ErrMigrating, obj, s.id, owner)
 	}
@@ -662,7 +677,7 @@ func (s *Site) frozenCheck(obj histories.ObjectID, txn histories.ActivityID) err
 func (s *Site) hostsObject(obj histories.ObjectID) (bool, uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.up || !s.hosted[obj] {
+	if !s.up.Load() || !s.hosted[obj] {
 		return false, 0
 	}
 	return true, s.homedAt[obj]
@@ -685,6 +700,13 @@ func (s *Site) HostedObjects() []histories.ObjectID {
 }
 
 // --- server-side message handlers ---------------------------------------
+//
+// Every handler takes the delivery it answers (see delivery) and runs its
+// checks in one entry section (see enter). The lock sections per message
+// kind: an invoke takes s.mu twice (enter, then leave, which memoises the
+// reply and asks whether the transaction was decided meanwhile) and a
+// third time only when it was; a prepare three times (enter and vote's
+// two); a commit or abort twice (decide); an export or import once.
 
 // handleInvoke executes one invocation. seq is the number of calls the
 // client believes the transaction has completed at this object; if the
@@ -692,30 +714,44 @@ func (s *Site) HostedObjects() []histories.ObjectID {
 // intentions between its operations, and executing further calls would let
 // a partial transaction commit — refuse with the retryable ErrStaleTxn
 // instead.
-func (s *Site) handleInvoke(obj histories.ObjectID, txn *cc.TxnInfo, inv spec.Invocation, seq int, rv uint64) (value.Value, error) {
-	o, _, err := s.objectRouted(obj, rv)
+func (s *Site) handleInvoke(d delivery, obj histories.ObjectID, txn *cc.TxnInfo, inv spec.Invocation, seq int, rv uint64) (value.Value, error) {
+	var (
+		o      *locking.Object
+		r      invokeReply
+		cached bool
+	)
+	err := s.enter(d, txn.ID, func(t *siteTxn) (err error) {
+		if r, cached = t.reply(d.id); cached {
+			obsCacheHits.Inc() // a repeat of an invoke already answered
+			return nil
+		}
+		if o, err = s.routedLocked(obj, rv); err != nil {
+			return err
+		}
+		if err = s.frozenLocked(obj, txn.ID); err != nil {
+			return err
+		}
+		s.registerLocked(t, txn.ID, obj)
+		return nil
+	})
+	if cached {
+		return r.v, r.err
+	}
 	if err != nil {
 		return value.Nil(), err
 	}
-	if s.isDecided(txn.ID) {
-		// A late or duplicate message from a transaction this site already
-		// resolved (aborted as abandoned, refused to a peer, or decided by
-		// 2PC). Executing it would re-acquire locks for a dead transaction.
-		return value.Nil(), fmt.Errorf("%w: invoke by %s at %s", ErrRefused, txn.ID, s.id)
-	}
+	v := value.Nil()
 	if got := o.CallCount(txn); got != seq {
-		return value.Nil(), fmt.Errorf("%w: %s at %s has %d of %d calls", ErrStaleTxn, txn.ID, s.id, got, seq)
+		err = fmt.Errorf("%w: %s at %s has %d of %d calls", ErrStaleTxn, txn.ID, s.id, got, seq)
+	} else {
+		v, err = o.Invoke(txn, inv)
 	}
-	s.registerTxn(txn, obj)
-	if err := s.frozenCheck(obj, txn.ID); err != nil {
-		return value.Nil(), err
-	}
-	v, err := o.Invoke(txn, inv)
-	if s.isDecided(txn.ID) {
-		// The abandoned-transaction sweeper resolved this transaction while
-		// the invoke was in flight. Its freshly granted locks would leak, and
-		// so would the detector entry a wait inside the invoke left behind
-		// after the sweeper's Forget: undo both and refuse.
+	if s.leave(d, txn.ID, v, err) {
+		// The site resolved this transaction (swept it, or refused it to a
+		// peer) while the invoke was in flight. Its freshly granted locks
+		// would leak, and so would the detector entry a wait inside the
+		// invoke left behind after the sweeper's Forget: undo both and
+		// refuse.
 		if err == nil {
 			o.Abort(txn)
 			err = fmt.Errorf("%w: invoke by %s at %s", ErrRefused, txn.ID, s.id)
@@ -724,6 +760,19 @@ func (s *Site) handleInvoke(obj histories.ObjectID, txn *cc.TxnInfo, inv spec.In
 		return value.Nil(), err
 	}
 	return v, err
+}
+
+// leave memoises an invoke's reply in its transaction's record, and
+// reports instead whether the transaction was decided while the invoke ran.
+func (s *Site) leave(d delivery, txn histories.ActivityID, v value.Value, err error) (decided bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, decided = s.decided[txn]; !decided {
+		if t := s.txns[txn]; t != nil {
+			t.replies = append(t.replies, invokeReply{id: d.id, v: v, err: err})
+		}
+	}
+	return decided
 }
 
 // forgetTxn drops txn from the site's deadlock detector.
@@ -736,41 +785,21 @@ func (s *Site) forgetTxn(txn histories.ActivityID) {
 	}
 }
 
-func (s *Site) isDecided(txn histories.ActivityID) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.decided[txn]
-	return ok
-}
-
-func (s *Site) registerTxn(txn *cc.TxnInfo, obj histories.ObjectID) {
-	s.mu.Lock()
-	if s.active != nil {
-		a := s.active[txn.ID]
-		if a == nil {
-			a = &activeTxn{}
-			a.objects = a.inline[:0]
-			s.active[txn.ID] = a
-		}
-		if !slices.Contains(a.objects, obj) {
-			a.objects = append(a.objects, obj)
-		}
-		a.lastSeen = time.Now()
-	}
-	s.mu.Unlock()
-}
-
 // handlePrepare is a client transaction's vote at obj: the intentions the
 // object's lock table holds are forced to the site's log (see vote). expect
 // is the client's count of the transaction's completed calls here; a
 // mismatch means a crash wiped part of the transaction, so the site votes
 // no.
-func (s *Site) handlePrepare(obj histories.ObjectID, txn *cc.TxnInfo, expect int, rv uint64) error {
-	o, epoch, err := s.objectRouted(obj, rv)
-	if err != nil {
-		return err
-	}
-	if err := s.frozenCheck(obj, txn.ID); err != nil {
+func (s *Site) handlePrepare(d delivery, obj histories.ObjectID, txn *cc.TxnInfo, expect int, rv uint64) error {
+	var o *locking.Object
+	var epoch uint64
+	if err := s.enter(d, txn.ID, func(*siteTxn) (err error) {
+		epoch = s.epoch
+		if o, err = s.routedLocked(obj, rv); err != nil {
+			return err
+		}
+		return s.frozenLocked(obj, txn.ID)
+	}); err != nil {
 		return err
 	}
 	calls := o.PendingCalls(txn)
@@ -780,7 +809,7 @@ func (s *Site) handlePrepare(obj histories.ObjectID, txn *cc.TxnInfo, expect int
 	if err := o.Prepare(txn); err != nil {
 		return err
 	}
-	err = s.vote(txn, epoch, recovery.Record{Object: obj, Calls: calls}, fault.SiteCrashPrepare, nil)
+	err := s.vote(txn, epoch, recovery.Record{Object: obj, Calls: calls}, fault.SiteCrashPrepare, nil)
 	if errors.Is(err, ErrRefused) {
 		o.Abort(txn)
 	}
@@ -790,17 +819,18 @@ func (s *Site) handlePrepare(obj histories.ObjectID, txn *cc.TxnInfo, expect int
 // vote is the participant's yes-vote, for a client half and a migration
 // half alike: rec — the half's intentions — is forced to the site's log
 // with the participant list, so an in-doubt recovery knows which peers to
-// poll, and the half joins the prepared table. A failed or torn append
-// votes no: an unlogged yes-vote would let a commit decision outrun the
-// intentions that make it redoable. A transaction this site already
+// poll, and the half joins the transaction's record. A failed or torn
+// append votes no: an unlogged yes-vote would let a commit decision outrun
+// the intentions that make it redoable. A transaction this site already
 // resolved (an abort applied, or a refusal promised to a querying peer) is
 // voted no under voteMu, so a yes-vote can never interleave with the
-// refusal that forbids it. The half joins the prepared table before voteMu
-// is released: an outcome query, which answers from the volatile tables
-// alone, then never finds a logged yes-vote missing from them. crash is the
-// caller's window after the vote: it is durable but never reaches the
-// coordinator, leaving the transaction in doubt here for the cooperative
-// termination protocol.
+// refusal that forbids it. A half already voted is voted yes again without
+// a second record, so a retransmitted prepare is harmless. The half joins
+// the record before voteMu is released: an outcome query, which answers
+// from the volatile tables alone, then never finds a logged yes-vote
+// missing from them. crash is the caller's window after the vote: it is
+// durable but never reaches the coordinator, leaving the transaction in
+// doubt here for the cooperative termination protocol.
 //
 // epoch is the epoch the half's volatile state (the object's intentions, a
 // freeze, a staged copy) was read in. A site that crashed since votes no:
@@ -812,41 +842,34 @@ func (s *Site) handlePrepare(obj histories.ObjectID, txn *cc.TxnInfo, expect int
 func (s *Site) vote(txn *cc.TxnInfo, epoch uint64, rec recovery.Record, crash fault.Point, staged *stagedImport) error {
 	rec.Kind, rec.Txn, rec.Participants = recovery.RecordIntentions, txn.ID, txn.Participants
 	s.voteMu.Lock()
+	defer s.voteMu.Unlock()
 	s.mu.Lock()
 	_, decided := s.decided[txn.ID]
-	moved := !s.up || s.epoch != epoch
+	moved := !s.up.Load() || s.epoch != epoch
+	again := s.txns[txn.ID].at(rec.Object) >= 0
 	s.mu.Unlock()
-	if moved {
-		s.voteMu.Unlock()
+	switch {
+	case moved:
 		return fmt.Errorf("%w: %s crashed during the vote of %s", ErrOrphaned, s.id, txn.ID)
-	}
-	if decided {
-		s.voteMu.Unlock()
+	case decided:
 		return fmt.Errorf("%w: %s at %s", ErrRefused, txn.ID, s.id)
+	case again:
+		return nil
 	}
 	if err := s.disk.Append(rec); err != nil {
-		s.voteMu.Unlock()
 		return fmt.Errorf("dist: vote of %s on %s at %s: %w", txn.ID, rec.Object, s.id, err)
 	}
 	s.mu.Lock()
-	if s.prepared != nil {
-		p := s.prepared[txn.ID]
-		if p == nil {
-			p = &preparedTxn{
-				participants: append([]string(nil), txn.Participants...),
-				preparedAt:   time.Now(),
-			}
-			s.prepared[txn.ID] = p
+	if s.txns != nil {
+		t := s.recordLocked(txn.ID)
+		if !t.voted() {
+			t.participants = append([]string(nil), txn.Participants...)
+			t.preparedAt = time.Now()
 		}
-		h := half{obj: rec.Object, dir: rec.Migrate, ringv: rec.RingV, staged: staged}
-		if i := p.at(rec.Object); i >= 0 {
-			p.halves[i] = h
-		} else {
-			p.halves = append(p.halves, h)
-		}
+		t.touch(rec.Object)
+		t.halves = append(t.halves, half{obj: rec.Object, dir: rec.Migrate, ringv: rec.RingV, staged: staged})
 	}
 	s.mu.Unlock()
-	s.voteMu.Unlock()
 	if s.inj.Fires(crash) {
 		s.Crash()
 		return fmt.Errorf("%w: %s (crashed after logging its vote)", ErrSiteDown, s.id)
@@ -861,19 +884,24 @@ func (s *Site) vote(txn *cc.TxnInfo, epoch uint64, rec recovery.Record, crash fa
 // object. Two crash windows are injectable around the commit record: before
 // it (recovery resolves cooperatively) and after it (recovery redoes the
 // installation).
-func (s *Site) handleCommit(obj histories.ObjectID, txn *cc.TxnInfo) error {
-	return s.decide(txn.ID, obj, true, fault.SiteCrashCommitBeforeLog, fault.SiteCrashCommitAfterLog)
+func (s *Site) handleCommit(d delivery, obj histories.ObjectID, txn *cc.TxnInfo) error {
+	return s.decide(d.expect, txn.ID, obj, true, fault.SiteCrashCommitBeforeLog, fault.SiteCrashCommitAfterLog)
 }
 
-func (s *Site) handleAbort(obj histories.ObjectID, txn *cc.TxnInfo) error {
-	return s.decide(txn.ID, obj, false, "", "")
+func (s *Site) handleAbort(d delivery, obj histories.ObjectID, txn *cc.TxnInfo) error {
+	return s.decide(d.expect, txn.ID, obj, false, "", "")
 }
 
-// decide installs txn's one agreed outcome at this site, on the half at
-// obj or — obj empty, the in-doubt resolver's verdict — on every half still
-// prepared here. It is the only place a running site forces an outcome
-// record and then acts on it, whoever learned the outcome and whatever kind
-// the half is.
+// decide installs txn's one agreed outcome at this site: a commit on the
+// half at obj or — obj empty, the in-doubt resolver's verdict — on every
+// half still prepared here; an abort on the whole transaction, every half
+// and every object it touched here. It is the only place a running site
+// forces an outcome record and then acts on it, whoever learned the
+// outcome and whatever kind the half is. expect is the epoch a decision
+// message's sender pinned (zero: the site's own resolver or sweeper). A
+// transaction decided here already is installed already, unless it was
+// refused to a peer with its record kept (see refuse): an abort then
+// releases what the record holds, without a second record.
 //
 // The record comes first. For a commit it is mandatory and write-ahead:
 // installing with the append failed would let the live state advance past
@@ -889,36 +917,62 @@ func (s *Site) handleAbort(obj histories.ObjectID, txn *cc.TxnInfo) error {
 //
 // Then each half installs by kind — a client half through its object's
 // Commit or Abort, a migration half as a hosting change — and is struck
-// from the prepared table. Client halves install before they are struck, so
-// a migration drain never finds the object idle with a decided commit still
-// missing from its base. Once the last half is struck (or the transaction
-// never voted here: an abort before prepare) the outcome is cached, the
-// transaction's replies become evictable and the deadlock detector forgets
-// it. Racing decides of one transaction (a handler and the resolver) are
-// benign: every install is idempotent and replay tolerates duplicate
-// outcome records.
-func (s *Site) decide(txn histories.ActivityID, obj histories.ObjectID, commit bool, before, after fault.Point) error {
+// from the record. Client halves install before they are struck, so a
+// migration drain never finds the object idle with a decided commit still
+// missing from its base. Once the last half is struck (or at once, for an
+// abort) the outcome is cached, the record deleted and the deadlock
+// detector forgets the transaction. Racing decides of one transaction (a
+// handler and the resolver) are benign: every install is idempotent and
+// replay tolerates duplicate outcome records.
+func (s *Site) decide(expect uint64, txn histories.ActivityID, obj histories.ObjectID, commit bool, before, after fault.Point) error {
 	s.mu.Lock()
-	if !s.up {
+	if err := s.admitLocked(expect); err != nil {
 		s.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrSiteDown, s.id)
+		return err
+	}
+	t := s.txns[txn]
+	prior, logged := s.decided[txn]
+	if logged && (prior != commit || t == nil) {
+		s.mu.Unlock()
+		if prior != commit {
+			return fmt.Errorf("%w: %s at %s", ErrRefused, txn, s.id)
+		}
+		return nil
 	}
 	epoch := s.epoch
-	var picks []half
-	if p := s.prepared[txn]; p != nil {
-		for _, h := range p.halves {
-			if obj == "" || h.obj == obj {
+	var buf [2]half
+	picks := buf[:0]
+	has := func(obj histories.ObjectID) bool {
+		return slices.ContainsFunc(picks, func(h half) bool { return h.obj == obj })
+	}
+	if t != nil {
+		for _, h := range t.halves {
+			if !commit || obj == "" || h.obj == obj {
 				picks = append(picks, h)
 			}
 		}
+		if !commit {
+			// An abort also releases the objects the transaction touched
+			// here without voting.
+			for _, o := range t.objects {
+				if !has(o) {
+					picks = append(picks, half{obj: o})
+				}
+			}
+		}
 	}
-	if len(picks) == 0 && obj != "" && !commit {
-		// An abort before the vote: a client half releases the object's
-		// locks, or the freeze or staged copy of a migration.
+	if !commit && obj != "" && !has(obj) {
 		picks = append(picks, half{obj: obj})
 	}
-	sort.Slice(picks, func(i, j int) bool { return picks[i].obj < picks[j].obj })
-	var objects []*locking.Object
+	if len(picks) == 0 {
+		// A repeated commit of a half struck already, or a resolver racing
+		// the handler that installed the outcome.
+		s.mu.Unlock()
+		return nil
+	}
+	slices.SortFunc(picks, func(a, b half) int { return strings.Compare(string(a.obj), string(b.obj)) })
+	var obuf [2]*locking.Object
+	objects := obuf[:0]
 	for _, pk := range picks {
 		if o := s.objects[pk.obj]; o != nil && pk.dir == recovery.MigrateNone {
 			objects = append(objects, o)
@@ -930,8 +984,10 @@ func (s *Site) decide(txn histories.ActivityID, obj histories.ObjectID, commit b
 		s.Crash()
 		return fmt.Errorf("%w: %s (crashed before logging commit)", ErrSiteDown, s.id)
 	}
-	if err := s.disk.Append(recovery.OutcomeRecord(txn, commit)); err != nil && commit {
-		return fmt.Errorf("dist: commit %s at %s: %w", txn, s.id, err)
+	if !logged {
+		if err := s.disk.Append(recovery.OutcomeRecord(txn, commit)); err != nil && commit {
+			return fmt.Errorf("dist: commit %s at %s: %w", txn, s.id, err)
+		}
 	}
 	if commit && s.inj.Fires(after) {
 		// The commit is durable but not installed; restart will redo it.
@@ -953,25 +1009,21 @@ func (s *Site) decide(txn histories.ActivityID, obj histories.ObjectID, commit b
 		}
 	}
 	s.mu.Lock()
-	if s.prepared == nil || s.epoch != epoch {
+	if s.txns == nil || s.epoch != epoch {
 		// Crashed concurrently: the tables are gone, or a recovery rebuilt
 		// them from a log that tells this outcome or resolved it anew.
 		s.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrSiteDown, s.id)
 	}
-	p := s.prepared[txn]
+	t = s.txns[txn]
 	for _, pk := range picks {
 		s.installHostingLocked(txn, pk, commit)
-		if p != nil {
-			if i := p.at(pk.obj); i >= 0 {
-				p.halves = slices.Delete(p.halves, i, i+1)
-			}
+		if i := t.at(pk.obj); i >= 0 {
+			t.halves = slices.Delete(t.halves, i, i+1)
 		}
 	}
 	var det *locking.Detector
-	if p == nil || len(p.halves) == 0 {
-		delete(s.prepared, txn)
-		delete(s.active, txn)
+	if !commit || !t.voted() {
 		s.decidedLocked(txn, commit)
 		det = s.detector
 	}
@@ -1006,81 +1058,73 @@ type migExport struct {
 
 // handleMigrateExport freezes obj under migration transaction txn and
 // returns its committed state. The freeze only lands on a drained object:
-// any other transaction with live invocations or a prepared vote on obj
-// refuses the migration (retryably — the driver backs off and retries),
-// because moving an object out from under undecided intentions could
-// commit them at a home that no longer owns the object. The same drain
-// keeps the exported baseline durable: decide installs a commit only after
-// its record is logged, and a half whose commit record failed stays
-// prepared here, so every effect in the copy is already told by the log.
-func (s *Site) handleMigrateExport(obj histories.ObjectID, txn *cc.TxnInfo) (migExport, error) {
-	o, _, err := s.objectRouted(obj, 0)
-	if err != nil {
+// any other transaction with a record touching obj — live invocations or a
+// prepared vote — refuses the migration (retryably — the driver backs off
+// and retries), because moving an object out from under undecided
+// intentions could commit them at a home that no longer owns the object.
+// The same drain keeps the exported baseline durable: decide installs a
+// commit only after its record is logged, and a half whose commit record
+// failed stays prepared here, so every effect in the copy is already told
+// by the log. The migration registers with its freeze: if its driver dies
+// before prepare, the sweeper lifts the freeze. A repeat while the
+// migration lives freezes and answers again, the same.
+func (s *Site) handleMigrateExport(d delivery, obj histories.ObjectID, txn *cc.TxnInfo) (migExport, error) {
+	var o *locking.Object
+	var exp migExport
+	if err := s.enter(d, txn.ID, func(own *siteTxn) (err error) {
+		if o, err = s.routedLocked(obj, 0); err != nil {
+			return err
+		}
+		if err = s.frozenLocked(obj, txn.ID); err != nil {
+			return err
+		}
+		for id, t := range s.txns {
+			if id != txn.ID && slices.Contains(t.objects, obj) {
+				what := "active"
+				if t.voted() {
+					what = "in-doubt"
+				}
+				return fmt.Errorf("%w: %s at %s busy (%s transaction %s)", ErrMigrating, obj, s.id, what, id)
+			}
+		}
+		s.migrating[obj] = txn.ID
+		exp.Type, exp.Guard = s.types[obj], s.guards[obj]
+		s.registerLocked(own, txn.ID, obj)
+		return nil
+	}); err != nil {
 		return migExport{}, err
 	}
-	s.mu.Lock()
-	if owner, frozen := s.migrating[obj]; frozen && owner != txn.ID {
-		s.mu.Unlock()
-		return migExport{}, fmt.Errorf("%w: %s at %s (frozen by %s)", ErrMigrating, obj, s.id, owner)
-	}
-	for id, a := range s.active {
-		if id != txn.ID && slices.Contains(a.objects, obj) {
-			s.mu.Unlock()
-			return migExport{}, fmt.Errorf("%w: %s at %s busy (active transaction %s)", ErrMigrating, obj, s.id, id)
-		}
-	}
-	for id, p := range s.prepared {
-		if id != txn.ID && p.at(obj) >= 0 {
-			s.mu.Unlock()
-			return migExport{}, fmt.Errorf("%w: %s at %s busy (in-doubt transaction %s)", ErrMigrating, obj, s.id, id)
-		}
-	}
-	s.migrating[obj] = txn.ID
-	typ := s.types[obj]
-	guard := s.guards[obj]
-	s.mu.Unlock()
-	// Register the migration in the active set: if its driver dies before
-	// prepare, the abandoned-transaction sweeper reclaims the freeze.
-	s.registerTxn(txn, obj)
-	return migExport{State: o.Base(), Type: typ, Guard: guard}, nil
+	exp.State = o.Base()
+	return exp, nil
 }
 
-// handleMigrateImport stages the copied object state at the destination.
-// The staging is volatile: a crash before prepare wipes it and the
-// migration's prepare then votes no (ErrStaleTxn). The object's schema
-// (type + guard factory) is adopted into the site's stable catalog so a
-// post-commit recovery can rebuild the object.
-func (s *Site) handleMigrateImport(obj histories.ObjectID, txn *cc.TxnInfo, exp migExport) error {
-	s.mu.Lock()
-	if !s.up {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrSiteDown, s.id)
-	}
-	if s.hosted[obj] {
-		s.mu.Unlock()
-		return fmt.Errorf("dist: import of %s at %s: already hosted here: %w", obj, s.id, cc.ErrUnavailable)
-	}
-	if _, known := s.types[obj]; !known {
-		s.types[obj] = exp.Type
-	}
-	// The type may be known without a guard factory — a replica seed adopts
-	// the schema but carries no guard — so the guard is filled independently.
-	if s.guards[obj] == nil {
-		guard := exp.Guard
-		if guard == nil {
-			guard = func(t adts.Type) locking.Guard { return conflict.ForType(t) }
+// handleMigrateImport stages the copied object state at the destination,
+// in the migration's record. The staging is volatile: a crash before
+// prepare wipes it and the migration's prepare then votes no
+// (ErrStaleTxn). The object's schema (type + guard factory) is adopted into
+// the site's stable catalog so a post-commit recovery can rebuild the
+// object. A repeat while the migration lives stages the same copy again.
+func (s *Site) handleMigrateImport(d delivery, obj histories.ObjectID, txn *cc.TxnInfo, exp migExport) error {
+	return s.enter(d, txn.ID, func(t *siteTxn) error {
+		if s.hosted[obj] {
+			return fmt.Errorf("dist: import of %s at %s: already hosted here: %w", obj, s.id, cc.ErrUnavailable)
 		}
-		s.guards[obj] = guard
-	}
-	m := s.staged[txn.ID]
-	if m == nil {
-		m = make(map[histories.ObjectID]stagedImport)
-		s.staged[txn.ID] = m
-	}
-	m[obj] = stagedImport{state: exp.State, typ: exp.Type}
-	s.mu.Unlock()
-	s.registerTxn(txn, obj)
-	return nil
+		if _, known := s.types[obj]; !known {
+			s.types[obj] = exp.Type
+		}
+		// The type may be known without a guard factory — a replica seed
+		// adopts the schema but carries no guard — so the guard is filled
+		// independently.
+		if s.guards[obj] == nil {
+			guard := exp.Guard
+			if guard == nil {
+				guard = func(t adts.Type) locking.Guard { return conflict.ForType(t) }
+			}
+			s.guards[obj] = guard
+		}
+		s.registerLocked(t, txn.ID, obj).staged = &stagedImport{obj: obj, state: exp.State, typ: exp.Type}
+		return nil
+	})
 }
 
 // handleMigratePrepare is the migration's vote at one half: it checks the
@@ -1088,22 +1132,27 @@ func (s *Site) handleMigrateImport(obj histories.ObjectID, txn *cc.TxnInfo, exp 
 // vote no), then votes like any client prepare (see vote) with a
 // Migrate-marked intentions record. The MigrateIn record carries the copied
 // baseline, so a committed migration is redoable from the log alone.
-func (s *Site) handleMigratePrepare(obj histories.ObjectID, txn *cc.TxnInfo, dir recovery.MigrateDir, ringv uint64) error {
-	s.mu.Lock()
-	up, epoch, frozen := s.up, s.epoch, s.migrating[obj] == txn.ID
-	st, staged := s.staged[txn.ID][obj]
-	s.mu.Unlock()
+func (s *Site) handleMigratePrepare(d delivery, obj histories.ObjectID, txn *cc.TxnInfo, dir recovery.MigrateDir, ringv uint64) error {
+	var epoch uint64
+	var frozen bool
+	var in *stagedImport
+	if err := s.enter(d, txn.ID, func(t *siteTxn) error {
+		epoch, frozen = s.epoch, s.migrating[obj] == txn.ID
+		if t != nil && t.staged != nil && t.staged.obj == obj {
+			in = t.staged
+		}
+		return nil
+	}); err != nil {
+		return err
+	}
 	rec := recovery.Record{Object: obj, Migrate: dir, RingV: ringv}
 	crash := fault.MigrateCrashSource
-	var in *stagedImport
 	switch {
-	case !up:
-		return fmt.Errorf("%w: %s", ErrSiteDown, s.id)
 	case dir == recovery.MigrateOut && frozen:
-	case dir == recovery.MigrateIn && staged:
-		rec.States = map[histories.ObjectID]spec.State{obj: st.state}
+		in = nil
+	case dir == recovery.MigrateIn && in != nil:
+		rec.States = map[histories.ObjectID]spec.State{obj: in.state}
 		crash = fault.MigrateCrashDest
-		in = &st
 	default:
 		return fmt.Errorf("%w: migration %s lost its half (direction %d) of %s at %s", ErrStaleTxn, txn.ID, dir, obj, s.id)
 	}
@@ -1116,21 +1165,21 @@ func (s *Site) handleMigratePrepare(obj histories.ObjectID, txn *cc.TxnInfo, dir
 // migration stays in doubt here and termination resolves it against the
 // coordinator's log) and after it (restart redoes the hosting change from
 // the log alone).
-func (s *Site) handleMigrateCommit(obj histories.ObjectID, txn *cc.TxnInfo) error {
-	return s.decide(txn.ID, obj, true, fault.MigrateCrashCommit, fault.MigrateCrashCommit)
+func (s *Site) handleMigrateCommit(d delivery, obj histories.ObjectID, txn *cc.TxnInfo) error {
+	return s.decide(d.expect, txn.ID, obj, true, fault.MigrateCrashCommit, fault.MigrateCrashCommit)
 }
 
-func (s *Site) handleMigrateAbort(obj histories.ObjectID, txn *cc.TxnInfo) error {
-	return s.decide(txn.ID, obj, false, "", "")
+func (s *Site) handleMigrateAbort(d delivery, obj histories.ObjectID, txn *cc.TxnInfo) error {
+	return s.decide(d.expect, txn.ID, obj, false, "", "")
 }
 
 // installHostingLocked is the hosting side of one half's outcome, under
 // s.mu: a committed Out half drops the object and its hosting, a committed
 // In half builds the object from the staged baseline and takes hosting at
 // the migration's placement version; either outcome lifts the
-// transaction's freeze and drops its staged copy. For a client half (and
-// for a commit that finds no vote: recovery already redid the hosting
-// change from the log) nothing applies.
+// transaction's freeze (its staged copy goes with its record). For a
+// client half (and for a commit that finds no vote: recovery already
+// redid the hosting change from the log) nothing applies.
 func (s *Site) installHostingLocked(txn histories.ActivityID, h half, commit bool) {
 	obj := h.obj
 	if commit {
@@ -1153,12 +1202,6 @@ func (s *Site) installHostingLocked(txn histories.ActivityID, h half, commit boo
 	if owner, ok := s.migrating[obj]; ok && owner == txn {
 		delete(s.migrating, obj)
 	}
-	if m := s.staged[txn]; m != nil {
-		delete(m, obj)
-		if len(m) == 0 {
-			delete(s.staged, txn)
-		}
-	}
 }
 
 // AbortAbandoned unilaterally aborts transactions that have invoked
@@ -1169,10 +1212,12 @@ func (s *Site) installHostingLocked(txn histories.ActivityID, h half, commit boo
 // retransmissions exhausted) otherwise leaves its locks granted forever —
 // no prepare record means the in-doubt resolver will never visit them.
 //
-// The abort is taken under voteMu with a durable refusal record, exactly
-// like a termination-protocol refusal: a racing prepare either loses
+// The abort is a durable refusal first, taken under voteMu exactly like a
+// termination-protocol refusal (see refuse): a racing prepare either loses
 // (refused via the decided cache) or has already logged intentions, in
 // which case the transaction is in doubt and is left to the resolver.
+// Then decide releases what the record holds. A transaction refused to a
+// peer earlier is released the same way, without a second record.
 func (s *Site) AbortAbandoned(idle time.Duration) int {
 	if !s.Up() {
 		return 0
@@ -1180,69 +1225,22 @@ func (s *Site) AbortAbandoned(idle time.Duration) int {
 	now := time.Now()
 	var stale []histories.ActivityID
 	s.mu.Lock()
-	for txn, a := range s.active {
-		if s.prepared[txn] == nil && now.Sub(a.lastSeen) >= idle {
+	for txn, t := range s.txns {
+		if !t.voted() && now.Sub(t.lastSeen) >= idle {
 			stale = append(stale, txn)
 		}
 	}
 	s.mu.Unlock()
-	sort.Slice(stale, func(i, j int) bool { return stale[i] < stale[j] })
+	slices.Sort(stale)
 	swept := 0
 	for _, txn := range stale {
 		s.voteMu.Lock()
-		out := s.outcomeOf(txn)
-		switch out {
-		case OutcomeUnknown:
-			if err := s.disk.Append(recovery.Record{Kind: recovery.RecordAbort, Txn: txn}); err != nil {
-				s.voteMu.Unlock()
-				continue // an unlogged refusal must not be acted on
-			}
-		case OutcomeInDoubt:
-			// Intentions are logged: a prepare won the race. The in-doubt
-			// machinery owns this transaction now.
-			s.voteMu.Unlock()
-			continue
-		}
-		s.mu.Lock()
-		if s.active == nil { // crashed concurrently
-			s.mu.Unlock()
-			s.voteMu.Unlock()
-			return swept
-		}
-		a := s.active[txn]
-		delete(s.active, txn)
-		if out == OutcomeUnknown || out == OutcomeAborted {
-			s.decidedLocked(txn, false)
-			// A swept migration driver leaves a freeze or a staged copy
-			// behind; the abort reclaims both.
-			for obj, owner := range s.migrating {
-				if owner == txn {
-					delete(s.migrating, obj)
-				}
-			}
-			delete(s.staged, txn)
-		}
-		var objects []*locking.Object
-		if a != nil && out != OutcomeCommitted {
-			ids := slices.Clone(a.objects)
-			slices.Sort(ids)
-			for _, id := range ids {
-				if o := s.objects[id]; o != nil {
-					objects = append(objects, o)
-				}
-			}
-		}
-		det := s.detector
-		s.mu.Unlock()
+		out := s.refuse(txn)
 		s.voteMu.Unlock()
-		info := &cc.TxnInfo{ID: txn}
-		for _, o := range objects {
-			o.Abort(info)
+		if out != OutcomeUnknown && out != OutcomeAborted {
+			continue // a prepare won the race, or the site is down
 		}
-		if det != nil {
-			det.Forget(txn)
-		}
-		if out == OutcomeUnknown || out == OutcomeAborted {
+		if s.decide(0, txn, "", false, "", "") == nil {
 			swept++
 			obsAbandonedSwept.Inc()
 		}

@@ -57,16 +57,23 @@ type outcomeNode interface {
 	queryOutcome(txn histories.ActivityID) Outcome
 }
 
-// queryOutcome answers a peer's outcome query about txn from this site's
-// volatile tables (see outcomeOf). If the running site has no trace of the
-// transaction it durably refuses it — an abort record is forced under
-// voteMu so no later prepare can vote yes — making the Unknown answer a
-// binding promise the asker may count toward unanimous presumed abort. A
-// refusal whose log write fails degrades to InDoubt: an unlogged promise
-// must not be given.
+// queryOutcome answers a peer's outcome query about txn (see refuse).
 func (s *Site) queryOutcome(txn histories.ActivityID) Outcome {
 	s.voteMu.Lock()
 	defer s.voteMu.Unlock()
+	return s.refuse(txn)
+}
+
+// refuse answers txn's outcome from this site's volatile tables (see
+// outcomeOf), under voteMu. If the running site has no trace of the
+// transaction — no outcome, no yes-vote — it durably refuses it: an abort
+// record is forced before the answer, so no later prepare can vote yes,
+// making the Unknown answer a binding promise the asker may count toward
+// unanimous presumed abort. A refusal whose log write fails degrades to
+// InDoubt: an unlogged promise must not be given. The refused
+// transaction's record, if it has one, stays: it may hold locks here,
+// which the sweeper (AbortAbandoned) releases from it.
+func (s *Site) refuse(txn histories.ActivityID) Outcome {
 	out := s.outcomeOf(txn)
 	if out != OutcomeUnknown {
 		return out
@@ -76,7 +83,7 @@ func (s *Site) queryOutcome(txn histories.ActivityID) Outcome {
 	}
 	s.mu.Lock()
 	if s.decided != nil {
-		s.decidedLocked(txn, false)
+		s.decided[txn] = false
 	}
 	s.mu.Unlock()
 	return OutcomeUnknown
@@ -85,21 +92,21 @@ func (s *Site) queryOutcome(txn histories.ActivityID) Outcome {
 // outcomeOf answers txn's fate from memory alone. A running site's volatile
 // tables are authoritative: decided holds every outcome it reached or
 // recovered (a commit only once its record is logged; an abort's record is
-// best-effort, the log presuming abort), and prepared holds every yes-vote
-// it logged without one (vote registers the half before it releases
-// voteMu). A down site has no tables and answers in-doubt, which every
-// asker treats like an unreachable node; its log is read back only by
+// best-effort, the log presuming abort), and the transaction records hold
+// every yes-vote it logged without one (vote registers the half before it
+// releases voteMu). A down site has no tables and answers in-doubt, which
+// every asker treats like an unreachable node; its log is read back only by
 // Recover.
 func (s *Site) outcomeOf(txn histories.ActivityID) Outcome {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.up {
+	if !s.up.Load() {
 		return OutcomeInDoubt
 	}
 	if out := cachedOutcome(s.decided, txn); out != OutcomeUnknown {
 		return out
 	}
-	if s.prepared[txn] != nil {
+	if s.txns[txn].voted() {
 		return OutcomeInDoubt
 	}
 	return OutcomeUnknown
@@ -183,11 +190,11 @@ func (s *Site) ResolveInDoubt(grace time.Duration) int {
 	}
 	var cands []candidate
 	s.mu.Lock()
-	for txn, p := range s.prepared {
-		if now.Sub(p.preparedAt) < grace || now.Before(p.nextTry) {
+	for txn, t := range s.txns {
+		if !t.voted() || now.Sub(t.preparedAt) < grace || now.Before(t.nextTry) {
 			continue
 		}
-		cands = append(cands, candidate{txn: txn, participants: append([]string(nil), p.participants...)})
+		cands = append(cands, candidate{txn: txn, participants: append([]string(nil), t.participants...)})
 	}
 	s.mu.Unlock()
 	sort.Slice(cands, func(i, j int) bool { return cands[i].txn < cands[j].txn })
@@ -197,13 +204,13 @@ func (s *Site) ResolveInDoubt(grace time.Duration) int {
 		if !ok {
 			obsInDoubtBlocked.Inc()
 			s.mu.Lock()
-			if p := s.prepared[c.txn]; p != nil {
-				p.attempts++
-				backoff := 200 * time.Microsecond << uint(p.attempts)
+			if t := s.txns[c.txn]; t.voted() {
+				t.attempts++
+				backoff := 200 * time.Microsecond << uint(t.attempts)
 				if backoff > 5*time.Millisecond || backoff <= 0 {
 					backoff = 5 * time.Millisecond
 				}
-				p.nextTry = time.Now().Add(backoff)
+				t.nextTry = time.Now().Add(backoff)
 			}
 			s.mu.Unlock()
 			continue
@@ -221,9 +228,9 @@ func (s *Site) ResolveInDoubt(grace time.Duration) int {
 // meanwhile has nothing left to resolve.
 func (s *Site) applyOutcome(txn histories.ActivityID, commit bool, path string) bool {
 	s.mu.Lock()
-	pending := s.prepared[txn] != nil
+	pending := s.txns[txn].voted()
 	s.mu.Unlock()
-	if !pending || s.decide(txn, "", commit, "", "") != nil {
+	if !pending || s.decide(0, txn, "", commit, "", "") != nil {
 		return false
 	}
 	obs.Default.Counter("dist.indoubt.resolved." + path).Inc()
@@ -236,5 +243,11 @@ func (s *Site) applyOutcome(txn histories.ActivityID, commit bool, path string) 
 func (s *Site) PendingInDoubt() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.prepared)
+	n := 0
+	for _, t := range s.txns {
+		if t.voted() {
+			n++
+		}
+	}
+	return n
 }

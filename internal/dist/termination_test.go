@@ -339,53 +339,6 @@ func TestPartitionBlocksRecoveryUntilHeal(t *testing.T) {
 	}
 }
 
-// TestReplyCacheBoundedByEvictions: the at-most-once reply cache stays
-// within its bound by evicting entries of transactions with a durable
-// outcome, and counts the evictions.
-func TestReplyCacheBoundedByEvictions(t *testing.T) {
-	net := NewNetwork(0, 0, 1)
-	coord, err := NewCoordinator(CoordinatorConfig{ID: "C", Network: net})
-	if err != nil {
-		t.Fatal(err)
-	}
-	site, err := NewSite(SiteConfig{ID: "A", Network: net, Coordinators: []SiteID{"C"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	site.replyCap = 2
-	if err := site.AddObject("acct0", adts.Account(), escrowGuard); err != nil {
-		t.Fatal(err)
-	}
-	manager, err := tx.NewManager(tx.Config{Property: tx.Dynamic, Coordinator: coord})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := manager.Register(NewRemoteResource(net, "A", "acct0")); err != nil {
-		t.Fatal(err)
-	}
-	evictsBefore := obs.Default.Counter("dist.reply.cache.evictions").Load()
-	for i := 0; i < 8; i++ {
-		if err := manager.Run(func(txn *tx.Txn) error {
-			_, err := txn.Invoke("acct0", adts.OpDeposit, value.Int(1))
-			return err
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	site.mu.Lock()
-	cached := len(site.replies)
-	site.mu.Unlock()
-	if cached > 2 {
-		t.Errorf("reply cache holds %d entries, want <= 2 (all transactions decided)", cached)
-	}
-	if got := obs.Default.Counter("dist.reply.cache.evictions").Load() - evictsBefore; got == 0 {
-		t.Error("no evictions counted although the cache overflowed its cap")
-	}
-	if key, _ := site.CommittedStateKey("acct0"); key != "8" {
-		t.Errorf("acct0 = %s, want 8 (eviction must not break exactly-once)", key)
-	}
-}
-
 // TestDecisionLogRecordsExplicitAborts: the single-process decision log
 // distinguishes decided-commit, decided-abort, and never-heard-of-it.
 func TestDecisionLogRecordsExplicitAborts(t *testing.T) {
