@@ -78,10 +78,14 @@ order-stress:
 # victim, or a detector left non-empty after every transaction finished.
 # The hybridcc line runs the read-only wait tests and the concurrent audit
 # oracle: a reader waits only for prepared updates whose prepare floor is
-# below its timestamp.
+# below its timestamp. The locking line also runs the tests that pin when
+# a locking object may reuse a released transaction entry: never while an
+# aborted waiter still holds it (the dist line covers a site's sweep), and
+# always otherwise, so a warm transaction allocates no more than its spec
+# Steps.
 # TestStressDynamicAtomicity stays out: it flakes on its own (ROADMAP).
 detector-stress:
-	$(GO) test -race -count=20 -run '^(TestDetector.*|TestDeadlockDetectionAcrossObjects|TestTimeoutWithoutDetector|TestAbortedWaiterStillSeesHolder)$$' ./internal/locking
+	$(GO) test -race -count=20 -run '^(TestDetector.*|TestDeadlockDetectionAcrossObjects|TestTimeoutWithoutDetector|TestAbortedWaiterStillSeesHolder|TestSweptWaiterNeverSharesAnEntry|TestRecycledEntryAllocatesOnlySteps)$$' ./internal/locking
 	$(GO) test -race -count=20 -run '^(TestRunRetriesDeadlocks|TestUncontendedTxnsNeverResident)$$' ./internal/tx
 	$(GO) test -race -count=20 -run '^(TestReadOnlyWaitsForPreparedUpdate|TestReaderBelowFloorSkipsPreparedUpdate|TestReaderWaitsOnlyForFloorsBelow|TestZeroFloorBlocksReaders|TestConcurrentAuditsConserve)$$' ./internal/hybridcc
 	$(GO) test -race -count=20 -run '^TestSweptWaiterLeavesDetectorEmpty$$' ./internal/dist

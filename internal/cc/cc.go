@@ -135,7 +135,10 @@ type TxnInfo struct {
 // TxnID is the activity identifier of the transaction with birth sequence
 // number seq.
 func TxnID(seq int64) histories.ActivityID {
-	return histories.ActivityID("t" + strconv.FormatInt(seq, 10))
+	// One allocation: the digits are appended into a stack buffer and the
+	// string conversion copies them once.
+	var buf [24]byte
+	return histories.ActivityID(strconv.AppendInt(append(buf[:0], 't'), seq, 10))
 }
 
 // TxnSeq is TxnID's inverse: the birth sequence number inside id, false for

@@ -2,6 +2,7 @@ package ccrt_test
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -313,22 +314,42 @@ func TestVersionLogMonotonic(t *testing.T) {
 	}
 }
 
-// TestTableDeterministicIteration: SortedIDs is stable regardless of map
-// iteration order.
+// TestTableDeterministicIteration: Sorted returns the ids in lexical order,
+// each with its own entry, regardless of insertion order and of the slot
+// order a delete leaves behind, and Delete detaches exactly one entry.
 func TestTableDeterministicIteration(t *testing.T) {
 	var tb ccrt.Table[int]
-	for _, id := range []histories.ActivityID{"t9", "t1", "t5"} {
-		*tb.Get(id) = 1
+	for i, id := range []histories.ActivityID{"t9", "t1", "t5"} {
+		*tb.Get(id) = i + 1
 	}
-	ids := tb.SortedIDs(nil)
-	want := []histories.ActivityID{"t1", "t5", "t9"}
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("SortedIDs = %v, want %v", ids, want)
+	type pair struct {
+		id histories.ActivityID
+		v  int
+	}
+	sorted := func(keep func(histories.ActivityID, *int) bool) []pair {
+		var out []pair
+		for _, x := range tb.Sorted(keep) {
+			out = append(out, pair{x.ID, *x.E})
 		}
+		return out
 	}
-	tb.Delete("t5")
-	if tb.Len() != 2 || tb.Lookup("t5") != nil {
+	if got, want := sorted(nil), []pair{{"t1", 2}, {"t5", 3}, {"t9", 1}}; !slices.Equal(got, want) {
+		t.Fatalf("Sorted = %v, want %v", got, want)
+	}
+	// Deleting the first slot moves the last one into its place.
+	if e := tb.Delete("t9"); e == nil || *e != 1 {
+		t.Fatalf("Delete(t9) = %v, want the entry holding 1", e)
+	}
+	if tb.Len() != 2 || tb.Lookup("t9") != nil {
 		t.Fatal("Delete left the entry behind")
+	}
+	if got, want := sorted(nil), []pair{{"t1", 2}, {"t5", 3}}; !slices.Equal(got, want) {
+		t.Fatalf("Sorted after delete = %v, want %v", got, want)
+	}
+	if e := tb.Delete("t9"); e != nil {
+		t.Fatalf("second Delete(t9) = %v, want nil", e)
+	}
+	if got, want := sorted(func(id histories.ActivityID, e *int) bool { return *e == 3 }), []pair{{"t5", 3}}; !slices.Equal(got, want) {
+		t.Fatalf("filtered Sorted = %v, want %v", got, want)
 	}
 }

@@ -94,5 +94,12 @@ func (w *WaitSet) WakeAll() {
 	obsWakeFan.Observe(int64(n))
 }
 
+// Has reports whether txn is enrolled as a waiter: blocked here, or woken
+// and not yet past its Unregister.
+func (w *WaitSet) Has(txn histories.ActivityID) bool {
+	_, ok := w.waiters[txn]
+	return ok
+}
+
 // Len returns the number of blocked waiters.
 func (w *WaitSet) Len() int { return len(w.waiters) }

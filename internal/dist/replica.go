@@ -68,7 +68,6 @@ var (
 	obsReplReadRefusals  = obs.Default.Counter("dist.repl.read.refusals")
 	obsReplDrains        = obs.Default.Counter("dist.repl.drains")
 	obsReplDrainTimeouts = obs.Default.Counter("dist.repl.drain.timeouts")
-	obsReplApplyLat      = obs.Default.Histogram("dist.repl.apply_ns")
 )
 
 // ErrReplicaLag reports a snapshot read below a replica's floor: the
@@ -201,7 +200,6 @@ func (s *Site) handleReplicaSeed(d delivery, req replSeedReq) (struct{}, error) 
 // is ignored by replay and superseded by the redelivery's copy).
 func (s *Site) handleReplicaApply(d delivery, req replApplyReq) (struct{}, error) {
 	rid := replRID(req.Txn, req.Obj)
-	start := time.Now()
 	s.mu.Lock()
 	if err := s.admitLocked(d.expect); err != nil {
 		s.mu.Unlock()
@@ -278,7 +276,6 @@ func (s *Site) handleReplicaApply(d delivery, req replApplyReq) (struct{}, error
 	}
 	s.mu.Unlock()
 	obsReplDeliveries.Inc()
-	obsReplApplyLat.Observe(int64(time.Since(start)))
 	return struct{}{}, nil
 }
 

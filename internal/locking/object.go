@@ -62,12 +62,31 @@ type Config struct {
 // intentions applied — and is valid while viewGen equals the object's
 // baseGen; each grant advances it by the granted call, so an invoke or a
 // commit replays the intentions only after the base moved.
+//
+// Entries are recycled: commit and abort reset a released entry and hand
+// it back to the table (see release), so the next transaction reuses its
+// intentions and undo arrays instead of growing new ones.
 type txnEntry struct {
 	intentions recovery.IntentionsList
 	undo       recovery.UndoLog
 	prepared   bool
 	view       spec.State
 	viewGen    uint64
+}
+
+// maxKeptCalls bounds the intentions and undo capacity a recycled entry
+// keeps: a longer transaction's arrays are dropped at its release, so an
+// object's retained memory does not grow with the longest transaction it
+// ever served.
+const maxKeptCalls = 64
+
+// reset empties e for another transaction, keeping its arrays within
+// maxKeptCalls, cleared so they pin no value.
+func (e *txnEntry) reset() {
+	e.intentions.Reset(maxKeptCalls)
+	e.undo.Reset(maxKeptCalls)
+	e.prepared = false
+	e.view, e.viewGen = nil, 0
 }
 
 // Object is a locking-protocol object: the generalisation of two-phase
@@ -276,10 +295,10 @@ func (o *Object) invoke(txn *cc.TxnInfo, inv spec.Invocation) (value.Value, erro
 			return value.Nil(), fmt.Errorf("locking: %s at %s: %w: %s not permitted in state %s",
 				txn.ID, o.id, cc.ErrInvalidOp, inv, view.Key())
 		}
-		others, holders := o.othersOf(txn.ID)
+		blocks, others := o.othersOf(txn.ID)
 		for _, out := range outs {
 			cand := spec.Call{Inv: inv, Result: out.Result}
-			allowed, gerr := o.guard.Allowed(o.guardBase(), e.intentions.Calls(), cand, others)
+			allowed, gerr := o.guard.Allowed(o.guardBase(), e.intentions.Calls(), cand, blocks)
 			if gerr != nil {
 				// The guard cannot decide (misconfiguration, e.g. a
 				// state-based guard over the wrong state type). Fail the
@@ -314,7 +333,7 @@ func (o *Object) invoke(txn *cc.TxnInfo, inv spec.Invocation) (value.Value, erro
 		o.waiters.Register(txn.ID, waitCh)
 		o.mu.Unlock()
 		if o.detector != nil {
-			if reason := o.detector.SetWaiting(txn.ID, txn.Seq, holders); reason != nil {
+			if reason := o.detector.SetWaiting(txn.ID, txn.Seq, holderIDs(others)); reason != nil {
 				o.detector.ClearWaiting(txn.ID)
 				o.mu.Lock() // restore the invariant for the deferred unlock
 				return value.Nil(), fmt.Errorf("locking: %s blocked at %s: %w", txn.ID, o.id, reason)
@@ -389,22 +408,33 @@ func (o *Object) grant(txn *cc.TxnInfo, e *txnEntry, cand spec.Call, outs []spec
 }
 
 // othersOf returns the non-empty pending blocks of the other active
-// transactions and their ids. Callers must hold o.mu. Iteration order is
-// made deterministic for reproducible guard decisions.
-func (o *Object) othersOf(me histories.ActivityID) ([][]spec.Call, []histories.ActivityID) {
+// transactions and, at the same index, their table entries. Callers must
+// hold o.mu. Iteration order is made deterministic for reproducible guard
+// decisions.
+func (o *Object) othersOf(me histories.ActivityID) ([][]spec.Call, []ccrt.Entry[txnEntry]) {
 	// Nobody else is active: skip the sort. (A concurrent abort can delete
 	// a blocked invoker's own entry, so the length alone does not say so.)
 	if n := o.active.Len(); n == 0 || n == 1 && o.active.Lookup(me) != nil {
 		return nil, nil
 	}
-	ids := o.active.SortedIDs(func(id histories.ActivityID, e *txnEntry) bool {
+	others := o.active.Sorted(func(id histories.ActivityID, e *txnEntry) bool {
 		return id != me && e.intentions.Len() > 0
 	})
-	blocks := make([][]spec.Call, len(ids))
-	for i, id := range ids {
-		blocks[i] = o.active.Lookup(id).intentions.Calls()
+	blocks := make([][]spec.Call, len(others))
+	for i, x := range others {
+		blocks[i] = x.E.intentions.Calls()
 	}
-	return blocks, ids
+	return blocks, others
+}
+
+// holderIDs returns the ids of the entries othersOf returned: the
+// transactions a blocked invoker waits for.
+func holderIDs(others []ccrt.Entry[txnEntry]) []histories.ActivityID {
+	ids := make([]histories.ActivityID, len(others))
+	for i, x := range others {
+		ids[i] = x.ID
+	}
+	return ids
 }
 
 // Prepare implements cc.Resource.
@@ -442,13 +472,13 @@ func (o *Object) Commit(txn *cc.TxnInfo, ts histories.Timestamp) {
 		next, err := o.viewOf(e)
 		if err != nil {
 			o.corrupt(fmt.Errorf("locking: commit %s at %s: %w", txn.ID, o.id, err))
-			o.active.Delete(txn.ID)
+			o.release(txn.ID)
 			o.changed()
 			return
 		}
 		o.setBase(next)
 	}
-	o.active.Delete(txn.ID)
+	o.release(txn.ID)
 	o.invalidateGuard()
 	if ts != histories.TSNone {
 		o.sink.Emit(histories.CommitTS(o.id, txn.ID, ts))
@@ -475,10 +505,25 @@ func (o *Object) Abort(txn *cc.TxnInfo) {
 			o.setBase(restored)
 		}
 	}
-	o.active.Delete(txn.ID)
+	o.release(txn.ID)
 	o.invalidateGuard()
 	o.sink.Emit(histories.Abort(o.id, txn.ID))
 	o.changed()
+}
+
+// release deletes txn's entry and recycles it, unless an invoker may still
+// hold it. A transaction registered in o.waiters is blocked inside invoke
+// with its entry in hand (a sweeper or a deadlock victim's runtime aborted
+// it mid-wait); once woken it may still be granted, and that grant must
+// land in the detached entry, never in another transaction's. Such an
+// entry is left to the collector. Callers must hold o.mu.
+func (o *Object) release(txn histories.ActivityID) {
+	e := o.active.Delete(txn)
+	if e == nil || o.waiters.Has(txn) {
+		return
+	}
+	e.reset()
+	o.active.Recycle(e)
 }
 
 // setBase installs a new committed base and invalidates every cached

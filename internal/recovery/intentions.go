@@ -28,8 +28,21 @@ type IntentionsList struct {
 // Add appends a call to the list.
 func (l *IntentionsList) Add(c spec.Call) { l.calls = append(l.calls, c) }
 
-// Calls returns the recorded calls. The returned slice is shared; callers
-// must not modify it.
+// Reset empties the list for reuse by another transaction. The backing
+// array is kept, with its old calls cleared so it pins no value, unless
+// its capacity exceeds maxCap: a long transaction's array is dropped
+// rather than held by every later, shorter one.
+func (l *IntentionsList) Reset(maxCap int) {
+	if cap(l.calls) > maxCap {
+		l.calls = nil
+		return
+	}
+	clear(l.calls)
+	l.calls = l.calls[:0]
+}
+
+// Calls returns the recorded calls. The returned slice is shared, and its
+// array is reused after Reset; callers must neither modify nor keep it.
 func (l *IntentionsList) Calls() []spec.Call { return l.calls }
 
 // Len returns the number of recorded calls.

@@ -75,6 +75,47 @@ func TestIntentionsClone(t *testing.T) {
 	}
 }
 
+// TestResetKeepsBoundedClearedArrays: Reset empties a list and an undo log
+// in place, clears the old elements so no value stays reachable through
+// the array, and drops an array above the capacity bound.
+func TestResetKeepsBoundedClearedArrays(t *testing.T) {
+	var l IntentionsList
+	for i := 0; i < 3; i++ {
+		l.Add(call(adts.OpDeposit, value.Int(int64(i)), value.Unit()))
+	}
+	calls := l.Calls()
+	l.Reset(8)
+	if l.Len() != 0 || cap(l.Calls()) != cap(calls) {
+		t.Fatalf("Reset: len %d cap %d, want 0 and the old cap %d", l.Len(), cap(l.Calls()), cap(calls))
+	}
+	for i, c := range calls {
+		if c != (spec.Call{}) {
+			t.Fatalf("call %d survived Reset: %v", i, c)
+		}
+	}
+	l.Add(call(adts.OpDeposit, value.Int(5), value.Unit()))
+	if st, err := l.Apply(adts.AccountSpec{}.Init()); err != nil || st.(adts.AccountState).Balance() != 5 {
+		t.Fatalf("reused list applies to %v, %v; want balance 5", st, err)
+	}
+	l.Reset(0)
+	if cap(l.Calls()) != 0 {
+		t.Fatalf("Reset(0) kept an array of cap %d", cap(l.Calls()))
+	}
+
+	var u UndoLog
+	u.Record([]spec.Invocation{{Op: adts.OpWithdraw, Arg: value.Int(1)}})
+	frames := u.frames
+	u.Reset(8)
+	if u.Len() != 0 || frames[0] != nil || cap(u.frames) != cap(frames) {
+		t.Fatalf("undo Reset: len %d, old frame %v, cap %d", u.Len(), frames[0], cap(u.frames))
+	}
+	u.Record(nil)
+	u.Reset(0)
+	if u.frames != nil {
+		t.Fatal("undo Reset(0) kept its array")
+	}
+}
+
 func TestUndoLogReverses(t *testing.T) {
 	st := spec.State(adts.AccountState(0))
 	var u UndoLog

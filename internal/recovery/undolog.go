@@ -20,6 +20,17 @@ func (u *UndoLog) Record(compensations []spec.Invocation) {
 	u.frames = append(u.frames, compensations)
 }
 
+// Reset empties the log for reuse, keeping its backing array (cleared)
+// unless its capacity exceeds maxCap, as IntentionsList.Reset does.
+func (u *UndoLog) Reset(maxCap int) {
+	if cap(u.frames) > maxCap {
+		u.frames = nil
+		return
+	}
+	clear(u.frames)
+	u.frames = u.frames[:0]
+}
+
 // Len returns the number of recorded frames.
 func (u *UndoLog) Len() int { return len(u.frames) }
 
