@@ -60,7 +60,8 @@ examples:
 # first-contact window, and network reconfiguration racing transfers and
 # crashes. The record line reruns, under the race detector, the tests that
 # pin a site's transaction records: every decision deletes its record,
-# a message repeated after the decision leaves nothing behind, beside the
+# a message repeated after the decision leaves nothing behind, a recycled
+# record or cluster pin carries nothing of its last transaction, beside the
 # vote/refusal race and reconfiguration under transfers. About 40 seconds
 # in all.
 order-stress:
@@ -69,7 +70,7 @@ order-stress:
 	$(GO) test -race -count=20 -run '^(TestReadOnlyCommitWaitsForNoForce|TestAbortDoesNotWaitForItsRecord|TestGroupCommitPipelinesOnlyWhileQuiet)$$' ./internal/tx
 	$(GO) test -race -count=20 -run '^(TestMigrationCrashWindowSweep|TestAbandonedUnpreparedTxnSwept|TestUnanimousPeerRefusalPresumesAbort|TestDownCoordinatorAnswersInDoubt|TestRunningSitesNeverReadTheirLog|TestFailedCommitRecordHoldsTheExport|TestVoteAndRefusalNeverBothSucceed)$$' ./internal/dist
 	$(GO) test -race -count=20 -run '^(TestEpochHandshakeOncePerCrash|TestReconfigureUnderTransfers|TestHandshakeClosesFirstContactWindow|TestHandshakeRegressionLock|TestHandshakeNoExpectZeroUnderFaults|TestStaleRouteRefusedAfterRestart)$$' ./internal/dist
-	$(GO) test -race -count=20 -run '^(TestDecidedTransactionsLeaveNoSiteRecord|TestRetransmitAfterDecision|TestVoteAndRefusalNeverBothSucceed|TestReconfigureUnderTransfers)$$' ./internal/dist
+	$(GO) test -race -count=20 -run '^(TestDecidedTransactionsLeaveNoSiteRecord|TestRetransmitAfterDecision|TestRecycledSiteRecordStartsClean|TestRecycledPinNeverAliasesShippedCalls|TestVoteAndRefusalNeverBothSucceed|TestReconfigureUnderTransfers)$$' ./internal/dist
 
 # detector-stress reruns the deadlock-detector tests under the race
 # detector: only transactions that wait enter the detector, and Doomed,
@@ -164,9 +165,10 @@ bench-ledger-check:
 # silent misparse — the WAL record decoder must turn arbitrary payloads
 # into a record that re-encodes stably or ErrCorrupt, every ADT state
 # decoder must reject corrupt checkpoint bytes cleanly or produce a state
-# that round-trips, and the hand-written wire codec (Value, and the /v1/tx
+# that round-trips, the hand-written wire codec (Value, and the /v1/tx
 # request and response) must accept and refuse exactly what encoding/json
-# does, decode to the same values, and encode to the same bytes.
+# does, decode to the same values, and encode to the same bytes, and the
+# transaction-number parser must accept only what TxnID produces.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzExactMemo -fuzztime=30s ./internal/conflict
 	$(GO) test -run='^$$' -fuzz=FuzzFrameDecode -fuzztime=30s ./internal/recovery
@@ -175,6 +177,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzValueJSON -fuzztime=30s ./internal/value
 	$(GO) test -run='^$$' -fuzz=FuzzTxRequestDecode -fuzztime=30s ./internal/service
 	$(GO) test -run='^$$' -fuzz=FuzzTxResponseDecode -fuzztime=30s ./internal/service
+	$(GO) test -run='^$$' -fuzz=FuzzTxnSeq -fuzztime=30s ./internal/cc
 
 clean:
 	$(GO) clean ./...

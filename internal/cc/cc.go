@@ -8,8 +8,8 @@ package cc
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
-	"strings"
 
 	"weihl83/internal/histories"
 	"weihl83/internal/spec"
@@ -128,7 +128,8 @@ type TxnInfo struct {
 	// two-phase commit (set by the runtime before prepare when resources
 	// report their site). A participant persists the list with its
 	// yes-vote so an in-doubt recovery knows which peers to poll during
-	// cooperative termination.
+	// cooperative termination. The slice is frozen once Commit has built
+	// it: participants share it by reference and nobody writes to it.
 	Participants []string
 }
 
@@ -141,17 +142,26 @@ func TxnID(seq int64) histories.ActivityID {
 	return histories.ActivityID(strconv.AppendInt(append(buf[:0], 't'), seq, 10))
 }
 
-// TxnSeq is TxnID's inverse: the birth sequence number inside id, false for
-// identifiers TxnID never produces (replica deliveries, test fixtures). A
-// runtime reopened on a durable log uses it to number its transactions past
-// every identifier the log already holds.
+// TxnSeq is TxnID's exact inverse on positive sequence numbers: the birth
+// sequence number inside id, false for identifiers TxnID never produces
+// for one (replica deliveries, migrations, test fixtures, and spellings
+// such as "t05", "t+5", "t0" or a number past math.MaxInt64). When it
+// reports true, TxnID(seq) == id. A runtime reopened on a durable log uses
+// it to number its transactions past every identifier the log already
+// holds, and a site's decided table to index numbered transactions.
 func TxnSeq(id histories.ActivityID) (int64, bool) {
-	digits, ok := strings.CutPrefix(string(id), "t")
-	if !ok {
+	if len(id) < 2 || len(id) > 20 || id[0] != 't' || id[1] == '0' {
 		return 0, false
 	}
-	seq, err := strconv.ParseInt(digits, 10, 64)
-	return seq, err == nil && seq > 0
+	var seq int64
+	for i := 1; i < len(id); i++ {
+		d := id[i] - '0'
+		if d > 9 || seq > (math.MaxInt64-int64(d))/10 {
+			return 0, false
+		}
+		seq = seq*10 + int64(d)
+	}
+	return seq, true
 }
 
 // Resource is an object managed by an online protocol. Invoke may block

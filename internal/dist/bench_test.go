@@ -123,8 +123,9 @@ func background(fn func() error) (stop func() int64) {
 // migration loop moves each account in turn to the next ring member.
 // Busy accounts refuse the export drain and the move fails retryably; the
 // next lap retries it. rpc/commit (dist.rpc.calls per transfer, the
-// migration loop's traffic included) and B/commit (bytes allocated per
-// transfer) report the protocol's cost beside its throughput.
+// migration loop's traffic included), B/commit and allocs/commit (bytes
+// and allocations per transfer) report the protocol's cost beside its
+// throughput.
 func BenchmarkClusterTransfer(b *testing.B) {
 	for _, nSites := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("sites=%d", nSites), func(b *testing.B) {
@@ -172,6 +173,7 @@ func BenchmarkClusterTransfer(b *testing.B) {
 			b.ReportMetric(float64(moves)/b.Elapsed().Seconds(), "moves/s")
 			b.ReportMetric(float64(rpcs.Load()-rpc0)/float64(b.N), "rpc/commit")
 			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N), "B/commit")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N), "allocs/commit")
 		})
 	}
 }

@@ -490,13 +490,18 @@ type ClusterResource struct {
 
 	mu   sync.Mutex
 	pins map[histories.ActivityID]*clusterPin
+	free freeList[clusterPin] // pins of finished transactions, reset for reuse
 }
 
 // clusterPin is one transaction's pinned route and its leg there — the
 // same route and leg a RemoteResource runs, so both proxies share one
 // invoke, prepare, commit and abort path. calls mirrors the transaction's
 // completed calls here, so the replicator can ship them to the object's
-// followers at commit and judge their commutative class at prepare.
+// followers at commit and judge their commutative class at prepare. A pin
+// is recycled once its transaction's Commit or Abort has sent its last
+// message (only the transaction's goroutine touches it, like a leg); the
+// reset drops calls rather than reusing its array, which the replicator
+// keeps.
 type clusterPin struct {
 	route
 	leg
@@ -535,7 +540,8 @@ func (r *ClusterResource) pinFor(txn histories.ActivityID) (*clusterPin, error) 
 	if !ok {
 		return nil, fmt.Errorf("dist: cluster does not track object %s", r.obj)
 	}
-	p := &clusterPin{route: route{net: r.c.net, origin: r.origin, site: home, obj: r.obj, rv: rv}}
+	p := r.free.take()
+	p.route = route{net: r.c.net, origin: r.origin, site: home, obj: r.obj, rv: rv}
 	r.pins[txn] = p
 	return p, nil
 }
@@ -547,6 +553,14 @@ func (r *ClusterResource) takePin(txn histories.ActivityID) *clusterPin {
 	p := r.pins[txn]
 	delete(r.pins, txn)
 	return p
+}
+
+// recycle resets a pin taken by takePin, once its last message is sent,
+// and keeps it for a later transaction.
+func (r *ClusterResource) recycle(p *clusterPin) {
+	r.mu.Lock()
+	r.free.put(p)
+	r.mu.Unlock()
 }
 
 // Invoke implements cc.Resource.
@@ -595,6 +609,7 @@ func (r *ClusterResource) Commit(txn *cc.TxnInfo, _ histories.Timestamp) {
 	}
 	if p := r.takePin(txn.ID); p != nil {
 		p.commit(&p.leg, txn)
+		r.recycle(p)
 	}
 }
 
@@ -605,5 +620,6 @@ func (r *ClusterResource) Abort(txn *cc.TxnInfo) {
 	}
 	if p := r.takePin(txn.ID); p != nil {
 		p.abort(&p.leg, txn)
+		r.recycle(p)
 	}
 }

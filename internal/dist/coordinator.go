@@ -52,7 +52,7 @@ type Coordinator struct {
 	mu           sync.Mutex
 	up           bool
 	disk         recovery.Backend // stable: survives crashes
-	decided      map[histories.ActivityID]bool
+	decided      *decidedTable
 	inflight     map[histories.ActivityID]bool // volatile: Begin'd, not yet decided
 	crashes      int64
 	cpEvery      int // checkpoint after this many decisions; 0 disables
@@ -73,7 +73,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		inj:      cfg.Injector,
 		up:       true,
 		disk:     cfg.Disk,
-		decided:  make(map[histories.ActivityID]bool),
+		decided:  newDecidedTable(),
 		inflight: make(map[histories.ActivityID]bool),
 	}
 	c.disk.SetInjector(cfg.Injector)
@@ -162,7 +162,7 @@ func (c *Coordinator) Decide(txn histories.ActivityID, commit bool) error {
 		// A failed abort append is tolerated: no record means presumed
 		// abort, which is the decision being logged.
 	}
-	c.decided[txn] = commit
+	c.decided.set(txn, commit)
 	delete(c.inflight, txn)
 	if commit {
 		obsCoordCommits.Inc()
@@ -212,7 +212,7 @@ func (c *Coordinator) abortDurablyLocked(txn histories.ActivityID) {
 	c.disk.SetInjector(nil)
 	_ = c.disk.Append(recovery.Record{Kind: recovery.RecordAbort, Txn: txn})
 	c.disk.SetInjector(c.inj)
-	c.decided[txn] = false
+	c.decided.set(txn, false)
 	delete(c.inflight, txn)
 }
 
@@ -247,7 +247,7 @@ func (c *Coordinator) Recover() error {
 	if c.up {
 		return fmt.Errorf("dist: coordinator %s is already up", c.id)
 	}
-	c.decided = recovery.FoldLog(c.disk.Records()).Decided()
+	c.decided = decidedFrom(recovery.FoldLog(c.disk.Records()).Decided())
 	c.inflight = make(map[histories.ActivityID]bool)
 	c.up = true
 	obsCoordRecoveries.Inc()
@@ -285,5 +285,5 @@ func (c *Coordinator) queryOutcome(txn histories.ActivityID) Outcome {
 	if c.inflight[txn] {
 		return OutcomeInDoubt
 	}
-	return cachedOutcome(c.decided, txn)
+	return c.decided.outcome(txn)
 }

@@ -122,7 +122,7 @@ func TestDecideSameThroughHandlerAndResolver(t *testing.T) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		return fmt.Sprintf("appended=%v hosted=%v homedAt=%d state=%s decided=%v records=%d migrating=%d",
-			kinds, s.hosted["acct0"], s.homedAt["acct0"], key, cachedOutcome(s.decided, txn.ID),
+			kinds, s.hosted["acct0"], s.homedAt["acct0"], key, s.decided.outcome(txn.ID),
 			len(s.txns), len(s.migrating))
 	}
 	want := map[string]string{

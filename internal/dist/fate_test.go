@@ -104,7 +104,7 @@ func TestEveryAskerGivesTheFoldsFate(t *testing.T) {
 				want = OutcomeAborted
 			}
 			c.siteA.mu.Lock()
-			got := cachedOutcome(c.siteA.decided, x)
+			got := c.siteA.decided.outcome(x)
 			c.siteA.mu.Unlock()
 			if got != want {
 				t.Errorf("site decided cache after Recover = %s, want %s", got, want)

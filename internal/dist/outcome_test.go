@@ -219,7 +219,7 @@ func TestFailedCommitRecordHoldsTheExport(t *testing.T) {
 	}
 	a.mu.Lock()
 	prepared := a.txns[info.ID].voted()
-	_, decided := a.decided[info.ID]
+	_, decided := a.decided.get(info.ID)
 	a.mu.Unlock()
 	if !prepared || decided {
 		t.Fatalf("after a failed commit record: prepared=%v decided=%v, want true/false", prepared, decided)

@@ -289,7 +289,10 @@ func hasKind(steps []lifeStep, kind string) bool {
 // TestWarmTwoSiteTransferAllocs pins what one warm two-site transfer
 // allocates end to end through the elastic harness: two invokes, two
 // prepares and two commits over the network, the pool's logged decision,
-// and the site records the transfer creates and its decision deletes.
+// and the site records the transfer creates and its decision deletes. The
+// logs copy the records into chunks they own, the site records and the
+// cluster pins are recycled, and the outcomes go into paged bitsets, so
+// none of those allocates per transfer any more (19 before, 9 after).
 func TestWarmTwoSiteTransferAllocs(t *testing.T) {
 	e := newElasticWith(t, elasticConfig{sites: []SiteID{"A", "B"}, homes: []SiteID{"A", "B"}})
 	e.deposit(t, "acct0", 1_000_000)
@@ -307,7 +310,7 @@ func TestWarmTwoSiteTransferAllocs(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		transfer() // warm: epochs pinned, tables grown
 	}
-	const ceiling = 26
+	const ceiling = 10
 	if got := testing.AllocsPerRun(500, transfer); got > ceiling {
 		t.Errorf("warm two-site transfer allocates %.0f times, want <= %d", got, ceiling)
 	}

@@ -144,7 +144,7 @@ func (s *Site) handleReplicaSeed(d delivery, req replSeedReq) (struct{}, error) 
 		s.mu.Unlock()
 		return struct{}{}, err
 	}
-	if s.decided[rid] {
+	if commit, _ := s.decided.get(rid); commit {
 		s.mu.Unlock()
 		obsReplRedundant.Inc()
 		return struct{}{}, nil
@@ -205,7 +205,7 @@ func (s *Site) handleReplicaApply(d delivery, req replApplyReq) (struct{}, error
 		s.mu.Unlock()
 		return struct{}{}, err
 	}
-	if s.decided[rid] {
+	if commit, _ := s.decided.get(rid); commit {
 		s.mu.Unlock()
 		obsReplRedundant.Inc()
 		return struct{}{}, nil

@@ -142,7 +142,8 @@ type Site struct {
 	objects    map[histories.ObjectID]*locking.Object // volatile
 	detector   *locking.Detector                      // volatile
 	txns       map[histories.ActivityID]*siteTxn      // volatile: one record per live transaction
-	decided    map[histories.ActivityID]bool          // volatile outcomes, authoritative while up (rebuilt from log)
+	freeTxns   freeList[siteTxn]                      // records decided and reset, for reuse
+	decided    *decidedTable                          // volatile outcomes, authoritative while up (rebuilt from log)
 	crashes    int64                                  // total crashes, for diagnostics
 
 	// Migration state. hosted is the volatile hosting view (rebuilt from
@@ -188,6 +189,8 @@ type half struct {
 // invokes. The first invoke, export, import or vote creates the record;
 // the transaction's decision deletes it (decidedLocked), leaving only the
 // decided entry, so the reply cache is bounded by the live transactions.
+// A deleted record is reset and reused by a later transaction, so code
+// reads a record only under s.mu, looking it up again after each release.
 // A peer's refusal is the one decision that keeps the record: the refused
 // transaction may still hold locks here, and the sweeper releases them
 // from it (AbortAbandoned).
@@ -199,9 +202,9 @@ type siteTxn struct {
 
 	// Set by the yes-votes. Until the first, the site may abort the
 	// transaction on its own authority; after it, only the outcome may.
-	halves       []half  // the votes still undecided, one per object
-	halfInline   [1]half // halves' first backing array
-	participants []string
+	halves       []half   // the votes still undecided, one per object
+	halfInline   [1]half  // halves' first backing array
+	participants []string // cc.TxnInfo.Participants, shared: frozen at Commit
 	preparedAt   time.Time
 	attempts     int       // failed termination-protocol attempts
 	nextTry      time.Time // capped-backoff gate for the next attempt
@@ -276,7 +279,7 @@ func NewSite(cfg SiteConfig) (*Site, error) {
 		objects:     make(map[histories.ObjectID]*locking.Object),
 		detector:    locking.NewDetector(),
 		txns:        make(map[histories.ActivityID]*siteTxn),
-		decided:     make(map[histories.ActivityID]bool),
+		decided:     newDecidedTable(),
 		hosted:      make(map[histories.ObjectID]bool),
 		homedAt:     make(map[histories.ObjectID]uint64),
 		migrating:   make(map[histories.ObjectID]histories.ActivityID),
@@ -409,7 +412,7 @@ func (s *Site) enter(d delivery, txn histories.ActivityID, check func(t *siteTxn
 	if err := s.admitLocked(d.expect); err != nil {
 		return err
 	}
-	if _, done := s.decided[txn]; done {
+	if _, done := s.decided.get(txn); done {
 		return fmt.Errorf("%w: %s at %s", ErrRefused, txn, s.id)
 	}
 	return check(s.txns[txn])
@@ -427,12 +430,12 @@ func (s *Site) registerLocked(t *siteTxn, txn histories.ActivityID, obj historie
 	return t
 }
 
-// recordLocked returns txn's record, creating it. Under s.mu, on a running
-// site.
+// recordLocked returns txn's record, creating it — from a recycled record
+// when one is free. Under s.mu, on a running site.
 func (s *Site) recordLocked(txn histories.ActivityID) *siteTxn {
 	t := s.txns[txn]
 	if t == nil {
-		t = &siteTxn{}
+		t = s.freeTxns.take()
 		t.objects, t.halves, t.replies = t.inline[:0], t.halfInline[:0], t.replyInline[:0]
 		s.txns[txn] = t
 	}
@@ -440,11 +443,50 @@ func (s *Site) recordLocked(txn histories.ActivityID) *siteTxn {
 }
 
 // decidedLocked caches txn's outcome and deletes its record, replies and
-// all. Every path that installs an outcome at a running site ends here,
-// under s.mu.
+// all, resetting it for reuse by a later transaction. Every path that
+// installs an outcome at a running site ends here, under s.mu. Recycling
+// is safe because no code keeps a *siteTxn across a release of s.mu: every
+// access looks the record up again under the lock, so none reaches a
+// record after its transaction's decision.
 func (s *Site) decidedLocked(txn histories.ActivityID, commit bool) {
-	s.decided[txn] = commit
-	delete(s.txns, txn)
+	s.decided.set(txn, commit)
+	if t := s.txns[txn]; t != nil {
+		delete(s.txns, txn)
+		s.freeTxns.put(t)
+	}
+}
+
+// freeListCap bounds a free list: records are recycled at a decision and
+// taken again at a transaction's first message, so a few cover the churn
+// (the bound an object's entry table keeps too, ccrt.Table).
+const freeListCap = 4
+
+// freeList keeps up to freeListCap reset records of type T for reuse.
+type freeList[T any] struct {
+	free [freeListCap]*T
+	n    int
+}
+
+// take returns a zero record: a recycled one, or a new one.
+func (f *freeList[T]) take() *T {
+	if f.n == 0 {
+		return new(T)
+	}
+	f.n--
+	p := f.free[f.n]
+	f.free[f.n] = nil
+	return p
+}
+
+// put resets p to the zero record and keeps it for reuse while there is
+// room. The caller must know that nothing else still holds p.
+func (f *freeList[T]) put(p *T) {
+	var zero T
+	*p = zero
+	if f.n < freeListCap {
+		f.free[f.n] = p
+		f.n++
+	}
 }
 
 // Checkpoint snapshots the site's committed states into its write-ahead
@@ -577,7 +619,7 @@ func (s *Site) rebuildLocked(fold *recovery.Fold) error {
 	s.detector = locking.NewDetector()
 	s.objects = make(map[histories.ObjectID]*locking.Object, len(s.types))
 	s.txns = make(map[histories.ActivityID]*siteTxn)
-	s.decided = fold.Decided()
+	s.decided = decidedFrom(fold.Decided())
 	s.hosted = hosted
 	// The placement version each hosted object migrated in at. Compaction
 	// may have dropped the migrate-in record; the version then reverts to
@@ -767,7 +809,7 @@ func (s *Site) handleInvoke(d delivery, obj histories.ObjectID, txn *cc.TxnInfo,
 func (s *Site) leave(d delivery, txn histories.ActivityID, v value.Value, err error) (decided bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, decided = s.decided[txn]; !decided {
+	if _, decided = s.decided.get(txn); !decided {
 		if t := s.txns[txn]; t != nil {
 			t.replies = append(t.replies, invokeReply{id: d.id, v: v, err: err})
 		}
@@ -844,7 +886,7 @@ func (s *Site) vote(txn *cc.TxnInfo, epoch uint64, rec recovery.Record, crash fa
 	s.voteMu.Lock()
 	defer s.voteMu.Unlock()
 	s.mu.Lock()
-	_, decided := s.decided[txn.ID]
+	_, decided := s.decided.get(txn.ID)
 	moved := !s.up.Load() || s.epoch != epoch
 	again := s.txns[txn.ID].at(rec.Object) >= 0
 	s.mu.Unlock()
@@ -863,7 +905,7 @@ func (s *Site) vote(txn *cc.TxnInfo, epoch uint64, rec recovery.Record, crash fa
 	if s.txns != nil {
 		t := s.recordLocked(txn.ID)
 		if !t.voted() {
-			t.participants = append([]string(nil), txn.Participants...)
+			t.participants = txn.Participants // frozen since Txn.Commit built it
 			t.preparedAt = time.Now()
 		}
 		t.touch(rec.Object)
@@ -931,7 +973,7 @@ func (s *Site) decide(expect uint64, txn histories.ActivityID, obj histories.Obj
 		return err
 	}
 	t := s.txns[txn]
-	prior, logged := s.decided[txn]
+	prior, logged := s.decided.get(txn)
 	if logged && (prior != commit || t == nil) {
 		s.mu.Unlock()
 		if prior != commit {

@@ -35,21 +35,6 @@ const (
 	OutcomeInDoubt   = recovery.FateInDoubt
 )
 
-// cachedOutcome answers from a volatile decision cache (true committed,
-// false aborted): Unknown when the cache has no entry — or is nil, wiped by
-// a crash.
-func cachedOutcome(decided map[histories.ActivityID]bool, txn histories.ActivityID) Outcome {
-	commit, ok := decided[txn]
-	switch {
-	case !ok:
-		return OutcomeUnknown
-	case commit:
-		return OutcomeCommitted
-	default:
-		return OutcomeAborted
-	}
-}
-
 // outcomeNode is a network-addressable answerer of outcome queries: sites
 // and the coordinator.
 type outcomeNode interface {
@@ -83,7 +68,7 @@ func (s *Site) refuse(txn histories.ActivityID) Outcome {
 	}
 	s.mu.Lock()
 	if s.decided != nil {
-		s.decided[txn] = false
+		s.decided.set(txn, false)
 	}
 	s.mu.Unlock()
 	return OutcomeUnknown
@@ -103,7 +88,7 @@ func (s *Site) outcomeOf(txn histories.ActivityID) Outcome {
 	if !s.up.Load() {
 		return OutcomeInDoubt
 	}
-	if out := cachedOutcome(s.decided, txn); out != OutcomeUnknown {
+	if out := s.decided.outcome(txn); out != OutcomeUnknown {
 		return out
 	}
 	if s.txns[txn].voted() {
@@ -194,7 +179,7 @@ func (s *Site) ResolveInDoubt(grace time.Duration) int {
 		if !t.voted() || now.Sub(t.preparedAt) < grace || now.Before(t.nextTry) {
 			continue
 		}
-		cands = append(cands, candidate{txn: txn, participants: append([]string(nil), t.participants...)})
+		cands = append(cands, candidate{txn: txn, participants: t.participants}) // frozen: shared, never written
 	}
 	s.mu.Unlock()
 	sort.Slice(cands, func(i, j int) bool { return cands[i].txn < cands[j].txn })

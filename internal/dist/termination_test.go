@@ -25,12 +25,12 @@ var _ tx.Coordinator = (*Coordinator)(nil)
 // in-doubt transactions through cooperative termination.
 type DecisionLog struct {
 	mu       sync.Mutex
-	outcomes map[histories.ActivityID]bool
+	outcomes *decidedTable
 }
 
 // NewDecisionLog returns an empty decision log.
 func NewDecisionLog() *DecisionLog {
-	return &DecisionLog{outcomes: make(map[histories.ActivityID]bool)}
+	return &DecisionLog{outcomes: newDecidedTable()}
 }
 
 // Begin satisfies tx.Coordinator; the in-memory log needs no begin record.
@@ -39,7 +39,7 @@ func (d *DecisionLog) Begin(histories.ActivityID) {}
 // Decide records the outcome. It never fails.
 func (d *DecisionLog) Decide(txn histories.ActivityID, commit bool) error {
 	d.mu.Lock()
-	d.outcomes[txn] = commit
+	d.outcomes.set(txn, commit)
 	d.mu.Unlock()
 	return nil
 }
@@ -54,7 +54,8 @@ func (d *DecisionLog) RecordAbort(txn histories.ActivityID) { _ = d.Decide(txn, 
 func (d *DecisionLog) Committed(txn histories.ActivityID) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.outcomes[txn]
+	commit, _ := d.outcomes.get(txn)
+	return commit
 }
 
 // Outcome distinguishes decided-committed, decided-aborted, and
@@ -62,7 +63,7 @@ func (d *DecisionLog) Committed(txn histories.ActivityID) bool {
 func (d *DecisionLog) Outcome(txn histories.ActivityID) Outcome {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return cachedOutcome(d.outcomes, txn)
+	return d.outcomes.outcome(txn)
 }
 
 // seedAcct0 deposits 50 into acct0.

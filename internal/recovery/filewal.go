@@ -436,13 +436,14 @@ func (w *FileWAL) WriteBatch(groups [][]Record) (wait func() []error) {
 	buf := w.batch[:0]
 	var durable []Record
 	for i, group := range groups {
-		for _, r := range group {
+		for j := range group {
 			var err error
-			if buf, err = w.frameLocked(buf, r); err != nil {
+			if buf, err = w.frameLocked(buf, &group[j]); err != nil {
 				errs[i] = err
 				break
 			}
-			durable = append(durable, r.clone())
+			durable = append(durable, Record{})
+			w.copyRecord(&durable[len(durable)-1], &group[j])
 		}
 	}
 	w.batch = buf[:0]
@@ -464,8 +465,8 @@ func (w *FileWAL) WriteBatch(groups [][]Record) (wait func() []error) {
 
 // frameLocked appends r's frame to buf, applying the torn-write fault
 // point. On failure buf comes back at its old length.
-func (w *FileWAL) frameLocked(buf []byte, r Record) ([]byte, error) {
-	out, err := appendRecordFrame(buf, r, w.specs)
+func (w *FileWAL) frameLocked(buf []byte, r *Record) ([]byte, error) {
+	out, err := appendRecordFrame(buf, *r, w.specs)
 	if err != nil {
 		return buf, fmt.Errorf("%w: %v", ErrWriteFailed, err)
 	}

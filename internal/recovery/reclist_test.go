@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"weihl83/internal/adts"
@@ -223,4 +224,74 @@ func TestChunkedLogMatchesFlatOnFileWAL(t *testing.T) {
 	}
 	w = openTestWAL(t, dir, specs)
 	matchesFlat(t, "file WAL reopened after checkpoint", w, ref)
+}
+
+// TestWarmDiskAppendAllocs: the log keeps a record's calls and participant
+// names in chunks it owns, so appending an intentions record to a warm Disk
+// allocates only when a chunk fills — amortised, well under once per
+// record. A log that deep-copied each record allocated twice per record.
+func TestWarmDiskAppendAllocs(t *testing.T) {
+	d := &Disk{}
+	rec := Record{Kind: RecordIntentions, Txn: "t1", Object: "a", Participants: []string{"A", "B"},
+		Calls: []spec.Call{call(adts.OpDeposit, value.Int(1), value.Unit())}}
+	for i := 0; i < maxChunk; i++ {
+		if err := d.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const n = 16 * maxChunk
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		if err := d.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.Mallocs-before.Mallocs) / n; per >= 0.1 {
+		t.Errorf("a warm intentions append allocates %.3f times, want < 0.1", per)
+	}
+}
+
+// TestKeptCallsAreCapped: the calls and participants the log keeps are
+// capped at their length inside its chunks, so a reader that appends to
+// one record's slices reallocates and never overwrites the next record's,
+// on either backend's path into the log.
+func TestKeptCallsAreCapped(t *testing.T) {
+	check := func(name string, l *memLog) {
+		t.Helper()
+		l.mu.Lock()
+		recs := l.records.flat()
+		l.mu.Unlock()
+		if len(recs) != 2 {
+			t.Fatalf("%s: %d records, want 2", name, len(recs))
+		}
+		_ = append(recs[0].Calls, call(adts.OpWithdraw, value.Int(99), value.Unit()))
+		_ = append(recs[0].Participants, "Z")
+		if got := recs[1].Calls[0].Inv.Arg; got != value.Int(2) {
+			t.Errorf("%s: an append to the first record's calls overwrote the second's: %v", name, got)
+		}
+		if got := recs[1].Participants[0]; got != "C" {
+			t.Errorf("%s: an append to the first record's participants overwrote the second's: %q", name, got)
+		}
+	}
+	g := []Record{
+		{Kind: RecordIntentions, Txn: "t1", Object: "a", Participants: []string{"A"},
+			Calls: []spec.Call{call(adts.OpDeposit, value.Int(1), value.Unit())}},
+		{Kind: RecordIntentions, Txn: "t2", Object: "b", Participants: []string{"C"},
+			Calls: []spec.Call{call(adts.OpDeposit, value.Int(2), value.Unit())}},
+	}
+	d := &Disk{}
+	for _, r := range g {
+		if err := d.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("disk", &d.memLog)
+	w := openTestWAL(t, t.TempDir(), reclistSpecs())
+	defer w.Close()
+	if errs := w.AppendBatch([][]Record{g}); errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	check("file WAL mirror", &w.memLog)
 }

@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 
 	"weihl83/internal/cc"
@@ -27,7 +28,7 @@ var (
 
 // recordBytes estimates a record's serialized size: a fixed header plus
 // per-call, per-state and per-decision overheads.
-func recordBytes(r Record) int64 {
+func recordBytes(r *Record) int64 {
 	return 64 + 48*int64(len(r.Calls)) + 96*int64(len(r.States)) + 24*int64(len(r.Decided)) + 16*int64(len(r.Hosted)) + 16*int64(len(r.ReplicaTS))
 }
 
@@ -129,31 +130,15 @@ func (r Record) clone() Record {
 	if r.Participants != nil {
 		cp.Participants = append([]string(nil), r.Participants...)
 	}
-	if r.States != nil {
-		cp.States = make(map[histories.ObjectID]spec.State, len(r.States))
-		for id, st := range r.States {
-			cp.States[id] = st // spec.State is immutable
-		}
-	}
-	if r.Decided != nil {
-		cp.Decided = make(map[histories.ActivityID]bool, len(r.Decided))
-		for txn, v := range r.Decided {
-			cp.Decided[txn] = v
-		}
-	}
-	if r.Hosted != nil {
-		cp.Hosted = make(map[histories.ObjectID]bool, len(r.Hosted))
-		for id, v := range r.Hosted {
-			cp.Hosted[id] = v
-		}
-	}
-	if r.ReplicaTS != nil {
-		cp.ReplicaTS = make(map[histories.ObjectID]histories.Timestamp, len(r.ReplicaTS))
-		for id, ts := range r.ReplicaTS {
-			cp.ReplicaTS[id] = ts
-		}
-	}
+	cp.cloneMaps()
 	return cp
+}
+
+// cloneMaps replaces the record's checkpoint and migration maps with
+// copies (spec.State values are immutable and shared).
+func (r *Record) cloneMaps() {
+	r.States, r.Decided = maps.Clone(r.States), maps.Clone(r.Decided) // nil stays nil
+	r.Hosted, r.ReplicaTS = maps.Clone(r.Hosted), maps.Clone(r.ReplicaTS)
 }
 
 // ErrWriteFailed reports a failed stable-storage append. It wraps
@@ -165,18 +150,64 @@ var ErrWriteFailed = fmt.Errorf("recovery: stable-storage write failed: %w", cc.
 // sequence, its readers, and checkpoint compaction. What a backend adds is
 // how records get appended (Disk: injected torn and failed appends;
 // FileWAL: framing, segments, fsync) and how a compacted log is installed.
+//
+// The log owns what it keeps. A record handed to it is copied once, by
+// copyRecord: its calls and participant names go into chunks the log
+// allocates (calls, names), so an append costs no allocation of its own,
+// and the caller may reuse or mutate what it handed over.
 type memLog struct {
 	mu      sync.Mutex
 	records recordList
+	calls   []spec.Call // the chunk the next record's calls are copied into
+	names   []string    // the chunk the next record's participants are copied into
 	inj     *fault.Injector
 }
 
-// Chunk sizes of a recordList, in records: the first chunk holds
-// minChunk, each later one twice its predecessor, up to maxChunk.
+// Chunk sizes of a recordList and of a log's call and name chunks, in
+// elements: the first chunk holds minChunk, each later one twice its
+// predecessor, up to maxChunk (a record with more calls than that gets a
+// chunk of its own size).
 const (
 	minChunk = 16
 	maxChunk = 1024
 )
+
+// copyRecord sets *dst to a copy of *src that shares nothing with it: the
+// calls and participants are copied into the log's chunks and any maps are
+// cloned. Under l.mu.
+func (l *memLog) copyRecord(dst, src *Record) {
+	*dst = *src
+	dst.Calls = chunkCopy(&l.calls, src.Calls)
+	dst.Participants = chunkCopy(&l.names, src.Participants)
+	dst.cloneMaps()
+}
+
+// keep appends a copy of *r to the log (see copyRecord) and returns the
+// kept record. Under l.mu.
+func (l *memLog) keep(r *Record) *Record {
+	k := l.records.grow()
+	l.copyRecord(k, r)
+	return k
+}
+
+// chunkCopy copies src onto the end of the chunk *chunk, starting a fresh
+// chunk when src does not fit, and returns the copy (nil for an empty
+// src). The copy's capacity is its length, so a reader that appends to it
+// reallocates instead of overwriting the next record's elements.
+func chunkCopy[T any](chunk *[]T, src []T) []T {
+	if len(src) == 0 {
+		return nil
+	}
+	c := *chunk
+	if cap(c)-len(c) < len(src) {
+		size := min(max(2*cap(c), minChunk), maxChunk)
+		c = make([]T, 0, max(size, len(src)))
+	}
+	start := len(c)
+	c = append(c, src...)
+	*chunk = c
+	return c[start:len(c):len(c)]
+}
 
 // recordList is an append-only record sequence kept in chunks. An append
 // never moves a record already in the list, so a long log does not copy
@@ -188,21 +219,28 @@ type recordList struct {
 	n      int
 }
 
-// append adds records at the end of the list.
-func (l *recordList) append(recs ...Record) {
-	for _, r := range recs {
-		last := len(l.chunks) - 1
-		if last < 0 || len(l.chunks[last]) == cap(l.chunks[last]) {
-			size := minChunk
-			if last >= 0 {
-				size = min(2*cap(l.chunks[last]), maxChunk)
-			}
-			l.chunks = append(l.chunks, make([]Record, 0, size))
-			last++
+// grow adds one zero record at the end of the list and returns it.
+func (l *recordList) grow() *Record {
+	last := len(l.chunks) - 1
+	if last < 0 || len(l.chunks[last]) == cap(l.chunks[last]) {
+		size := minChunk
+		if last >= 0 {
+			size = min(2*cap(l.chunks[last]), maxChunk)
 		}
-		l.chunks[last] = append(l.chunks[last], r)
+		l.chunks = append(l.chunks, make([]Record, 0, size))
+		last++
 	}
-	l.n += len(recs)
+	c := l.chunks[last]
+	l.chunks[last] = c[:len(c)+1]
+	l.n++
+	return &l.chunks[last][len(c)]
+}
+
+// append adds records at the end of the list, sharing their contents.
+func (l *recordList) append(recs ...Record) {
+	for i := range recs {
+		*l.grow() = recs[i]
+	}
 }
 
 // flat returns the records as one slice, sharing their contents.
@@ -217,8 +255,8 @@ func (l *recordList) flat() []Record {
 // bytes is the estimated serialized size of every record in the list.
 func (l *recordList) bytes() (n int64) {
 	for _, c := range l.chunks {
-		for _, r := range c {
-			n += recordBytes(r)
+		for i := range c {
+			n += recordBytes(&c[i])
 		}
 	}
 	return n
@@ -267,8 +305,16 @@ func (l *memLog) checkpointLocked(specs map[histories.ObjectID]spec.SerialSpec, 
 	if err != nil {
 		return 0, err
 	}
-	l.records = recordList{}
-	l.records.append(compacted...)
+	// The survivors are re-copied into fresh chunks, so no old chunk stays
+	// pinned by the few records that outlive it. Their maps were built by
+	// the compaction and are the log's own already.
+	l.records, l.calls, l.names = recordList{}, nil, nil
+	for i := range compacted {
+		k := l.records.grow()
+		*k = compacted[i]
+		k.Calls = chunkCopy(&l.calls, k.Calls)
+		k.Participants = chunkCopy(&l.names, k.Participants)
+	}
 	if reclaimed < 0 {
 		reclaimed = 0
 	}
@@ -293,18 +339,16 @@ type Disk struct {
 func (d *Disk) Append(r Record) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.appendLocked(r)
+	return d.appendLocked(&r)
 }
 
 // appendLocked is Append under d.mu: one record, with the torn/failed
-// fault points applied.
-func (d *Disk) appendLocked(r Record) error {
-	cp := r.clone()
-	if len(cp.Calls) > 0 && d.inj.Fires(fault.DiskAppendTorn) {
-		torn := cp
-		torn.Calls = cp.Calls[:len(cp.Calls)/2]
-		torn.Torn = true
-		d.records.append(torn)
+// fault points applied. It keeps a copy and never modifies *r.
+func (d *Disk) appendLocked(r *Record) error {
+	if len(r.Calls) > 0 && d.inj.Fires(fault.DiskAppendTorn) {
+		torn := d.keep(r)
+		n := len(torn.Calls) / 2
+		torn.Calls, torn.Torn = torn.Calls[:n:n], true
 		obsWALTorn.Inc()
 		return fmt.Errorf("%w: torn append of %s record for %s", ErrWriteFailed, "intentions", r.Txn)
 	}
@@ -312,9 +356,9 @@ func (d *Disk) appendLocked(r Record) error {
 		obsWALFailed.Inc()
 		return fmt.Errorf("%w: append for %s", ErrWriteFailed, r.Txn)
 	}
-	d.records.append(cp)
+	kept := d.keep(r)
 	obsWALAppends.Inc()
-	obsWALBytes.Add(recordBytes(cp))
+	obsWALBytes.Add(recordBytes(kept))
 	return nil
 }
 
@@ -341,8 +385,8 @@ func (d *Disk) WriteBatch(groups [][]Record) (wait func() []error) {
 	errs := make([]error, len(groups))
 	obsWALBatchSize.Observe(int64(len(groups)))
 	for i, group := range groups {
-		for _, r := range group {
-			if err := d.appendLocked(r); err != nil {
+		for j := range group {
+			if err := d.appendLocked(&group[j]); err != nil {
 				errs[i] = err
 				break
 			}
@@ -386,10 +430,10 @@ func (d *Disk) installLocked(compacted []Record) (reclaimed, written int64, err 
 		return 0, 0, fmt.Errorf("%w: torn checkpoint", ErrWriteFailed)
 	}
 	reclaimed = d.records.bytes()
-	for _, r := range compacted {
-		reclaimed -= recordBytes(r)
+	for i := range compacted {
+		reclaimed -= recordBytes(&compacted[i])
 	}
-	return reclaimed, recordBytes(compacted[0]), nil
+	return reclaimed, recordBytes(&compacted[0]), nil
 }
 
 // Restart rebuilds the committed state of every object from the log alone:
