@@ -79,7 +79,9 @@ order-stress:
 # victim, or a detector left non-empty after every transaction finished.
 # The hybridcc line runs the read-only wait tests and the concurrent audit
 # oracle: a reader waits only for prepared updates whose prepare floor is
-# below its timestamp. The locking line also runs the tests that pin when
+# below its timestamp. It also runs the reclamation tests: a commit drops
+# versions below the snapshot floor, which a reader publishes before it
+# draws its timestamp. The locking line also runs the tests that pin when
 # a locking object may reuse a released transaction entry: never while an
 # aborted waiter still holds it (the dist line covers a site's sweep), and
 # always otherwise, so a warm transaction allocates no more than its spec
@@ -88,7 +90,7 @@ order-stress:
 detector-stress:
 	$(GO) test -race -count=20 -run '^(TestDetector.*|TestDeadlockDetectionAcrossObjects|TestTimeoutWithoutDetector|TestAbortedWaiterStillSeesHolder|TestSweptWaiterNeverSharesAnEntry|TestRecycledEntryAllocatesOnlySteps)$$' ./internal/locking
 	$(GO) test -race -count=20 -run '^(TestRunRetriesDeadlocks|TestUncontendedTxnsNeverResident)$$' ./internal/tx
-	$(GO) test -race -count=20 -run '^(TestReadOnlyWaitsForPreparedUpdate|TestReaderBelowFloorSkipsPreparedUpdate|TestReaderWaitsOnlyForFloorsBelow|TestZeroFloorBlocksReaders|TestConcurrentAuditsConserve)$$' ./internal/hybridcc
+	$(GO) test -race -count=20 -run '^(TestReadOnlyWaitsForPreparedUpdate|TestReaderBelowFloorSkipsPreparedUpdate|TestReaderWaitsOnlyForFloorsBelow|TestZeroFloorBlocksReaders|TestConcurrentAuditsConserve|TestLongLivedReaderKeepsItsSnapshot|TestReclamationRace)$$' ./internal/hybridcc
 	$(GO) test -race -count=20 -run '^TestSweptWaiterLeavesDetectorEmpty$$' ./internal/dist
 	$(GO) test -race -count=20 -run '^TestFacadeDeadlockCascadeLeavesDetectorEmpty$$' .
 

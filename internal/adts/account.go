@@ -73,6 +73,37 @@ func (s AccountState) Step(in spec.Invocation) []spec.Outcome {
 	}
 }
 
+var _ spec.Deterministic = AccountState(0)
+
+// StepOne implements spec.Deterministic: Step's one outcome, with no slice,
+// and a read (or a refused withdrawal) keeps self as its next state.
+func (s AccountState) StepOne(self spec.State, in spec.Invocation) (spec.Outcome, bool) {
+	switch in.Op {
+	case OpDeposit:
+		n, okArg := in.Arg.AsInt()
+		if !okArg || n < 0 {
+			return spec.Outcome{}, false
+		}
+		return spec.Outcome{Result: ok, Next: s + AccountState(n)}, true
+	case OpWithdraw:
+		n, okArg := in.Arg.AsInt()
+		if !okArg || n < 0 {
+			return spec.Outcome{}, false
+		}
+		if int64(n) > int64(s) {
+			return spec.Outcome{Result: InsufficientFunds, Next: self}, true
+		}
+		return spec.Outcome{Result: ok, Next: s - AccountState(n)}, true
+	case OpBalance:
+		if !in.Arg.IsNil() {
+			return spec.Outcome{}, false
+		}
+		return spec.Outcome{Result: value.Int(int64(s)), Next: self}, true
+	default:
+		return spec.Outcome{}, false
+	}
+}
+
 // AccountConflicts is the conflict relation the paper ascribes to the
 // locking protocols in §5.1: two deposits commute; two withdrawals do not
 // (if the balance covers either but not both, the results depend on order);

@@ -167,3 +167,54 @@ func TestAccountTypeBundle(t *testing.T) {
 		t.Error("IsWrite misclassifies")
 	}
 }
+
+// TestAccountStepOneMatchesStep is the differential test of the
+// allocation-free path spec.Apply takes: for deposits, withdrawals and
+// balance reads over a range of balances and arguments — bad argument
+// kinds, negative amounts, insufficient funds and unknown operations
+// included — StepOne refuses exactly what Step refuses and otherwise
+// returns Step's one outcome; spec.Apply returns the same. Reads and
+// refused withdrawals keep the caller's boxed state, so through spec.Apply
+// they allocate nothing.
+func TestAccountStepOneMatchesStep(t *testing.T) {
+	args := []value.Value{
+		value.Nil(), value.Unit(), value.Str("5"), value.Bool(true),
+		value.Int(-1), value.Int(0), value.Int(1), value.Int(7), value.Int(100), value.Int(1 << 40),
+	}
+	ops := []string{OpDeposit, OpWithdraw, OpBalance, "transfer", ""}
+	for _, bal := range []AccountState{0, 1, 7, 99, 100, 101, 1 << 41} {
+		self := spec.State(bal)
+		for _, op := range ops {
+			for _, arg := range args {
+				in := inv(op, arg)
+				outs := bal.Step(in)
+				got, ok := bal.StepOne(self, in)
+				if ok != (len(outs) == 1) || len(outs) > 1 {
+					t.Fatalf("balance %d, %s: StepOne ok=%v, Step gave %d outcomes", bal, in, ok, len(outs))
+				}
+				if !ok {
+					continue
+				}
+				if got.Result != outs[0].Result || got.Next != outs[0].Next {
+					t.Errorf("balance %d, %s: StepOne = (%v, %v), Step = (%v, %v)", bal, in, got.Result, got.Next, outs[0].Result, outs[0].Next)
+				}
+				viaApply, err := spec.Apply(self, in)
+				if err != nil || viaApply != got {
+					t.Errorf("balance %d, %s: spec.Apply = %v, %v; want StepOne's %v", bal, in, viaApply, err, got)
+				}
+			}
+		}
+	}
+	// A state too large for the runtime's preboxed small integers: boxing
+	// it again would allocate.
+	big := spec.State(AccountState(1 << 41))
+	for _, in := range []spec.Invocation{inv(OpBalance, value.Nil()), inv(OpWithdraw, value.Int(1<<42))} {
+		if n := testing.AllocsPerRun(100, func() {
+			if _, err := spec.Apply(big, in); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s through spec.Apply allocates %.1f times, want 0", in, n)
+		}
+	}
+}

@@ -124,6 +124,13 @@ type TxnInfo struct {
 	// activity whose timestamp is at or below the floor can never see the
 	// update. Zero when no floor was drawn.
 	PrepareFloor histories.Timestamp
+	// SnapshotFloor, for a hybrid-atomicity update, is at or below the
+	// timestamp of every read-only activity that is live or may still begin
+	// (the runtime's snapshot floor, loaded once its commit timestamp is
+	// drawn), and at or below the commit timestamp. An object committing
+	// the update may drop every version older than the newest one below it:
+	// no reader will ask below it. Zero keeps every version.
+	SnapshotFloor histories.Timestamp
 	// Participants names the sites taking part in the transaction's
 	// two-phase commit (set by the runtime before prepare when resources
 	// report their site). A participant persists the list with its

@@ -292,7 +292,9 @@ func hasKind(steps []lifeStep, kind string) bool {
 // and the site records the transfer creates and its decision deletes. The
 // logs copy the records into chunks they own, the site records and the
 // cluster pins are recycled, and the outcomes go into paged bitsets, so
-// none of those allocates per transfer any more (19 before, 9 after).
+// none of those allocates per transfer any more (19 before, 9 after). The
+// participant list is sized once to the joined objects instead of grown
+// by append (9 before, 8 after).
 func TestWarmTwoSiteTransferAllocs(t *testing.T) {
 	e := newElasticWith(t, elasticConfig{sites: []SiteID{"A", "B"}, homes: []SiteID{"A", "B"}})
 	e.deposit(t, "acct0", 1_000_000)
@@ -310,7 +312,7 @@ func TestWarmTwoSiteTransferAllocs(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		transfer() // warm: epochs pinned, tables grown
 	}
-	const ceiling = 10
+	const ceiling = 8
 	if got := testing.AllocsPerRun(500, transfer); got > ceiling {
 		t.Errorf("warm two-site transfer allocates %.0f times, want <= %d", got, ceiling)
 	}

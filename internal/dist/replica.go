@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -95,13 +96,14 @@ const defaultDrainTimeout = 250 * time.Millisecond
 // is distinct from the client transaction's own id, so the delivery's WAL
 // records at a site that is both a 2PC participant and a follower (possible
 // after migrations) never collide with the transaction's prepare half.
+// Recovery folds these ids out of the log, so their text is fixed.
 func replRID(txn histories.ActivityID, obj histories.ObjectID) histories.ActivityID {
-	return histories.ActivityID(fmt.Sprintf("repl!%s!%s", txn, obj))
+	return histories.ActivityID("repl!" + string(txn) + "!" + string(obj))
 }
 
 // replSeedRID is the id a baseline seed logs under.
 func replSeedRID(obj histories.ObjectID, ts histories.Timestamp) histories.ActivityID {
-	return histories.ActivityID(fmt.Sprintf("repl-seed!%s!%d", obj, ts))
+	return histories.ActivityID("repl-seed!" + string(obj) + "!" + strconv.FormatInt(int64(ts), 10))
 }
 
 // --- follower-side state and handlers ------------------------------------

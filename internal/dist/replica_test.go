@@ -3,6 +3,9 @@ package dist
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -557,4 +560,36 @@ func TestReplicaApplyRacingRecovery(t *testing.T) {
 		t.Errorf("dist.repl.apply.errors rose by %d", got)
 	}
 	e.assertConverged(t, "acct0")
+}
+
+// TestReplicaIDsText pins the follower-side activity ids byte for byte:
+// recovery folds them out of logs that earlier builds wrote. It checks
+// fixed cases and, over generated ids and timestamps, the format strings
+// the ids were first built with.
+func TestReplicaIDsText(t *testing.T) {
+	for _, c := range []struct{ got, want histories.ActivityID }{
+		{replRID("t42", "acct0"), "repl!t42!acct0"},
+		{replRID("", ""), "repl!!"},
+		{replRID("M3:acct0", "a!b"), "repl!M3:acct0!a!b"},
+		{replSeedRID("acct0", 7), "repl-seed!acct0!7"},
+		{replSeedRID("acct1", 0), "repl-seed!acct1!0"},
+		{replSeedRID("x", -5), "repl-seed!x!-5"},
+		{replSeedRID("x", math.MaxInt64), "repl-seed!x!9223372036854775807"},
+	} {
+		if c.got != c.want {
+			t.Errorf("id %q, want %q", c.got, c.want)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		txn := histories.ActivityID(fmt.Sprintf("t%d", rng.Int63()))
+		obj := histories.ObjectID(fmt.Sprintf("obj%d", rng.Intn(100)))
+		ts := histories.Timestamp(rng.Int63() - rng.Int63())
+		if got, want := replRID(txn, obj), histories.ActivityID(fmt.Sprintf("repl!%s!%s", txn, obj)); got != want {
+			t.Fatalf("replRID = %q, want %q", got, want)
+		}
+		if got, want := replSeedRID(obj, ts), histories.ActivityID(fmt.Sprintf("repl-seed!%s!%d", obj, ts)); got != want {
+			t.Fatalf("replSeedRID = %q, want %q", got, want)
+		}
+	}
 }

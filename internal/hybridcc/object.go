@@ -8,13 +8,16 @@
 // locks, without ever aborting, and without delaying any update. A query
 // waits only for a prepared update whose prepare floor (cc.TxnInfo) is
 // below its timestamp: any other prepared update commits above the reader
-// and is outside its snapshot.
+// and is outside its snapshot. An update's commit drops the versions no
+// reader can ask for any more: every one older than the newest below the
+// runtime's snapshot floor (cc.TxnInfo.SnapshotFloor).
 package hybridcc
 
 import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"weihl83/internal/adts"
@@ -35,12 +38,11 @@ import (
 // passed over prepared updates because every one's floor was at or above
 // its timestamp counts under hybrid.waits_skipped.
 var (
-	obsQueries  = obs.Default.Counter("hybrid.queries")
-	obsROWaits  = obs.Default.Counter("cc.hybrid.conflicts")
-	obsSkipped  = obs.Default.Counter("hybrid.waits_skipped")
-	obsWaitLat  = obs.Default.Histogram("hybrid.wait_ns")
-	obsVersions = obs.Default.Histogram("hybrid.versions")
-	obsTrace    = obs.Default.Tracer()
+	obsQueries = obs.Default.Counter("hybrid.queries")
+	obsROWaits = obs.Default.Counter("cc.hybrid.conflicts")
+	obsSkipped = obs.Default.Counter("hybrid.waits_skipped")
+	obsWaitLat = obs.Default.Histogram("hybrid.wait_ns")
+	obsTrace   = obs.Default.Tracer()
 )
 
 // Config configures a hybrid object.
@@ -70,15 +72,28 @@ type Object struct {
 	mu       sync.Mutex
 	waiters  ccrt.WaitSet // read-only queries blocked behind prepared updates
 	versions ccrt.VersionLog
-	prepared map[histories.ActivityID]histories.Timestamp // prepare floors
-	seenRO   map[histories.ActivityID]bool
-	broken   error
+	// floor is the highest snapshot floor a commit reclaimed below: a
+	// reader below it would be answered from dropped versions.
+	floor histories.Timestamp
+	// prepared holds the updates between prepare and commit here with
+	// their prepare floors: a few at a time, so a slice.
+	prepared []preparedUpdate
+	// seenRO holds the read-only transactions whose initiation was
+	// recorded here; only kept while a sink records.
+	seenRO map[histories.ActivityID]bool
+	broken error
 
-	queries int64
+	queries atomic.Int64 // successful queries; counted outside o.mu
 	roWaits int64
 }
 
 var _ cc.Resource = (*Object)(nil)
+
+// preparedUpdate is a prepared update and its prepare floor.
+type preparedUpdate struct {
+	id    histories.ActivityID
+	floor histories.Timestamp
+}
 
 // New validates cfg and returns a hybrid object.
 func New(cfg Config) (*Object, error) {
@@ -96,12 +111,11 @@ func New(cfg Config) (*Object, error) {
 		return nil, fmt.Errorf("hybridcc: %w", err)
 	}
 	return &Object{
-		id:       cfg.ID,
-		ty:       cfg.Type,
-		sink:     cfg.Sink,
-		inner:    inner,
-		prepared: make(map[histories.ActivityID]histories.Timestamp),
-		seenRO:   make(map[histories.ActivityID]bool),
+		id:     cfg.ID,
+		ty:     cfg.Type,
+		sink:   cfg.Sink,
+		inner:  inner,
+		seenRO: make(map[histories.ActivityID]bool),
 	}, nil
 }
 
@@ -134,13 +148,7 @@ func (o *Object) Err() error {
 func (o *Object) Stats() (queries, roWaits int64) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	return o.queries, o.roWaits
-}
-
-// changed wakes every blocked read-only query: the prepared set shrank, so
-// any of them may now proceed. Callers must hold o.mu.
-func (o *Object) changed() {
-	o.waiters.WakeAll()
+	return o.queries.Load(), o.roWaits
 }
 
 // Invoke implements cc.Resource.
@@ -166,12 +174,36 @@ func (o *Object) query(txn *cc.TxnInfo, inv spec.Invocation) (value.Value, error
 		return value.Nil(), fmt.Errorf("hybridcc: %s invokes %s: %w", txn.ID, inv.Op, cc.ErrReadOnly)
 	}
 	o.mu.Lock()
-	defer o.mu.Unlock()
-	if !o.seenRO[txn.ID] {
-		o.seenRO[txn.ID] = true
-		o.sink.Emit(histories.Initiate(o.id, txn.ID, txn.TS))
+	st, err := o.snapshot(txn, inv)
+	if err != nil || o.sink == nil {
+		// States are immutable: with no event to record in order, the read
+		// is computed outside the critical section.
+		o.mu.Unlock()
+		if err != nil {
+			return value.Nil(), err
+		}
+		return o.apply(txn, st, inv)
 	}
-	o.sink.Emit(histories.Invoke(o.id, txn.ID, inv.Op, inv.Arg))
+	defer o.mu.Unlock()
+	v, err := o.apply(txn, st, inv)
+	if err == nil {
+		o.sink(histories.Return(o.id, txn.ID, v))
+	}
+	return v, err
+}
+
+// snapshot records the query's initiation and invocation, waits out the
+// prepared updates that may commit below the reader, and returns the state
+// below its timestamp. Callers must hold o.mu; it is released while
+// waiting.
+func (o *Object) snapshot(txn *cc.TxnInfo, inv spec.Invocation) (spec.State, error) {
+	if o.sink != nil {
+		if !o.seenRO[txn.ID] {
+			o.seenRO[txn.ID] = true
+			o.sink(histories.Initiate(o.id, txn.ID, txn.TS))
+		}
+		o.sink(histories.Invoke(o.id, txn.ID, inv.Op, inv.Arg))
+	}
 	var waitCh chan struct{}
 	for o.preparedBelow(txn.TS) {
 		o.roWaits++
@@ -201,14 +233,25 @@ func (o *Object) query(txn *cc.TxnInfo, inv spec.Invocation) (value.Value, error
 	if len(o.prepared) > 0 {
 		obsSkipped.Inc()
 	}
-	st := o.stateBelow(txn.TS)
+	if txn.TS < o.floor {
+		err := fmt.Errorf("hybridcc: %s reads at %d below the reclaimed floor %d at %s", txn.ID, txn.TS, o.floor, o.id)
+		o.corrupt(err)
+		return nil, err
+	}
+	if st := o.versions.StateBelow(txn.TS, nil); st != nil {
+		return st, nil
+	}
+	return o.ty.Spec.Init(), nil
+}
+
+// apply runs a query's invocation on its snapshot state.
+func (o *Object) apply(txn *cc.TxnInfo, st spec.State, inv spec.Invocation) (value.Value, error) {
 	out, err := spec.Apply(st, inv)
 	if err != nil {
 		return value.Nil(), fmt.Errorf("hybridcc: %s at %s: %w: %v", txn.ID, o.id, cc.ErrInvalidOp, err)
 	}
-	o.queries++
+	o.queries.Add(1)
 	obsQueries.Inc()
-	o.sink.Emit(histories.Return(o.id, txn.ID, out.Result))
 	return out.Result, nil
 }
 
@@ -216,18 +259,12 @@ func (o *Object) query(txn *cc.TxnInfo, inv spec.Invocation) (value.Value, error
 // that update may commit below ts, so a reader at ts must wait for it.
 // Callers must hold o.mu.
 func (o *Object) preparedBelow(ts histories.Timestamp) bool {
-	for _, floor := range o.prepared {
-		if floor < ts {
+	for _, p := range o.prepared {
+		if p.floor < ts {
 			return true
 		}
 	}
 	return false
-}
-
-// stateBelow returns the state containing exactly the committed updates
-// with timestamps below ts. Callers must hold o.mu.
-func (o *Object) stateBelow(ts histories.Timestamp) spec.State {
-	return o.versions.StateBelow(ts, o.ty.Spec.Init())
 }
 
 // Prepare implements cc.Resource.
@@ -239,63 +276,95 @@ func (o *Object) Prepare(txn *cc.TxnInfo) error {
 		return err
 	}
 	o.mu.Lock()
-	o.prepared[txn.ID] = txn.PrepareFloor
+	o.prepared = append(o.prepared, preparedUpdate{id: txn.ID, floor: txn.PrepareFloor})
 	o.mu.Unlock()
 	return nil
+}
+
+// unprepare removes txn from the prepared updates and wakes the blocked
+// queries: any of them may now proceed. Callers must hold o.mu.
+func (o *Object) unprepare(txn histories.ActivityID) {
+	for i, p := range o.prepared {
+		if p.id == txn {
+			last := len(o.prepared) - 1
+			o.prepared[i] = o.prepared[last]
+			o.prepared[last] = preparedUpdate{}
+			o.prepared = o.prepared[:last]
+			break
+		}
+	}
+	o.waiters.WakeAll()
 }
 
 // Commit implements cc.Resource. For updates, ts must be the commit
 // timestamp issued by the shared clock; the caller (the transaction
 // runtime) serialises commits so that versions arrive in ascending
-// timestamp order.
+// timestamp order. A nonzero txn.SnapshotFloor drops every version older
+// than the newest one below it.
 func (o *Object) Commit(txn *cc.TxnInfo, ts histories.Timestamp) {
 	if txn.ReadOnly {
+		if o.sink == nil {
+			return
+		}
 		o.mu.Lock()
 		defer o.mu.Unlock()
 		if !o.seenRO[txn.ID] {
 			return
 		}
 		delete(o.seenRO, txn.ID)
-		o.sink.Emit(histories.Commit(o.id, txn.ID))
+		o.sink(histories.Commit(o.id, txn.ID))
 		return
 	}
-	// Commits reach the object in timestamp order, so the version head
-	// equals the inner object's base before each one, and the state the
-	// inner commit installs is the new version: the calls are not replayed
-	// a second time.
-	o.mu.Lock()
-	defer o.mu.Unlock()
+	// Commits reach the object in timestamp order (the runtime installs
+	// them one at a time), so the version head equals the inner object's
+	// base before each one, and the state the inner commit installs is the
+	// new version: the calls are not replayed a second time. Queries read
+	// only the version log and the prepared updates, so the inner commit
+	// runs outside o.mu; the update stays prepared, and blocks the queries
+	// it may commit below, until its version is in the log.
 	invoked := o.inner.CallCount(txn) > 0
 	o.inner.Commit(txn, ts)
+	var base spec.State
+	var err error
 	if invoked {
-		if err := o.inner.Err(); err != nil {
-			o.corrupt(fmt.Errorf("hybridcc: commit at %s: %w", o.id, err))
-		} else if err := o.versions.Append(ts, o.inner.Base()); err != nil {
-			o.corrupt(fmt.Errorf("hybridcc: at %s: %w", o.id, err))
-		} else {
-			obsVersions.Observe(int64(o.versions.Len()))
+		if err = o.inner.Err(); err == nil {
+			base = o.inner.Base()
 		}
 	}
-	delete(o.prepared, txn.ID)
-	o.changed()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if invoked {
+		if err != nil {
+			o.corrupt(fmt.Errorf("hybridcc: commit at %s: %w", o.id, err))
+		} else if err := o.versions.Append(ts, base); err != nil {
+			o.corrupt(fmt.Errorf("hybridcc: at %s: %w", o.id, err))
+		}
+	}
+	if f := txn.SnapshotFloor; f > o.floor {
+		o.versions.Reclaim(f)
+		o.floor = f
+	}
+	o.unprepare(txn.ID)
 }
 
 // Abort implements cc.Resource.
 func (o *Object) Abort(txn *cc.TxnInfo) {
 	if txn.ReadOnly {
+		if o.sink == nil {
+			return
+		}
 		o.mu.Lock()
 		defer o.mu.Unlock()
 		if !o.seenRO[txn.ID] {
 			return
 		}
 		delete(o.seenRO, txn.ID)
-		o.sink.Emit(histories.Abort(o.id, txn.ID))
+		o.sink(histories.Abort(o.id, txn.ID))
 		return
 	}
 	o.inner.Abort(txn)
 	o.mu.Lock()
-	delete(o.prepared, txn.ID)
-	o.changed()
+	o.unprepare(txn.ID)
 	o.mu.Unlock()
 }
 

@@ -87,17 +87,30 @@ type StateCodec interface {
 	DecodeState([]byte) (State, error)
 }
 
+// Deterministic is an optional extension of State for types whose every
+// invocation has at most one outcome. StepOne returns Step's only outcome
+// without building a slice, and false where Step returns none. self is the
+// receiver as the caller holds it, boxed: an invocation that leaves the
+// state unchanged returns self as Next instead of boxing the receiver
+// again.
+type Deterministic interface {
+	StepOne(self State, inv Invocation) (Outcome, bool)
+}
+
 // Apply runs inv deterministically from st by selecting the specification's
 // first outcome. Protocol implementations use Apply as the canonical
 // executable behaviour of the type; checkers use Step directly so that all
 // nondeterministic outcomes are admitted. It returns an error if inv is not
-// permitted in st.
+// permitted in st. A Deterministic state is stepped through StepOne.
 func Apply(st State, inv Invocation) (Outcome, error) {
-	outs := st.Step(inv)
-	if len(outs) == 0 {
-		return Outcome{}, fmt.Errorf("spec: invocation %s not permitted in state %s", inv, st.Key())
+	if d, ok := st.(Deterministic); ok {
+		if out, ok := d.StepOne(st, inv); ok {
+			return out, nil
+		}
+	} else if outs := st.Step(inv); len(outs) > 0 {
+		return outs[0], nil
 	}
-	return outs[0], nil
+	return Outcome{}, fmt.Errorf("spec: invocation %s not permitted in state %s", inv, st.Key())
 }
 
 // Replay applies a sequence of invocations deterministically from the

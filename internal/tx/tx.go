@@ -11,7 +11,9 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -101,10 +103,18 @@ func (p Property) String() string {
 // strictly increasing in the order Next is called (clock.Source): a hybrid
 // object's version log must grow in timestamp order, and a reader passes a
 // prepared update only because the update's commit timestamp, drawn after
-// its prepare floor, is above the floor. Static atomicity accepts any
-// unique source, skewed ones included (clock.Skewed).
+// its prepare floor, is above the floor. Hybrid atomicity also needs the
+// source to report its newest timestamp (clockReader): a read-only
+// transaction registers the value above it before drawing its own. Static
+// atomicity accepts any unique source, skewed ones included (clock.Skewed).
 type TimestampSource interface {
 	Next() histories.Timestamp
+}
+
+// clockReader is implemented by timestamp sources that can report their
+// newest issued timestamp without drawing one (clock.Source).
+type clockReader interface {
+	Now() histories.Timestamp
 }
 
 // Doomer is the deadlock detector's view of transaction deaths
@@ -200,7 +210,8 @@ type Config struct {
 	// Property selects the timestamp regime. Required.
 	Property Property
 	// Clock issues timestamps; required for Static and Hybrid. Under
-	// Hybrid it must be strictly increasing (see TimestampSource).
+	// Hybrid it must be strictly increasing and report its newest
+	// timestamp (see TimestampSource).
 	Clock TimestampSource
 	// Detector, when set, is told when each transaction finishes.
 	Detector Doomer
@@ -239,17 +250,30 @@ type Manager struct {
 	cfg Config
 	seq atomic.Int64
 
-	// The registry. Register inserts into resources under regMu, O(1).
-	// Invoke reads published, an immutable copy of resources, without
-	// locking; a resource registered since the copy was taken is found in
-	// resources under regMu instead, and after as many such misses as there
-	// are resources the reader that draws the last one republishes — so a
+	// The registry. Register inserts into resources under regMu, O(1),
+	// giving each resource the next dense registry index. Invoke reads
+	// published, an immutable copy of resources, without locking; a
+	// resource registered since the copy was taken is found in resources
+	// under regMu instead, and after as many such misses as there are
+	// resources the reader that draws the last one republishes — so a
 	// set-up of n Registers costs O(n), not a copy per insert, and the copy
 	// is paid for by the misses that preceded it.
-	published atomic.Pointer[map[histories.ObjectID]cc.Resource]
+	published atomic.Pointer[map[histories.ObjectID]registered]
 	regMu     sync.Mutex
-	resources map[histories.ObjectID]cc.Resource
+	resources map[histories.ObjectID]registered
 	misses    int // lookups published could not answer, since it was taken
+
+	// The snapshot registry (Hybrid only): the values live read-only
+	// transactions registered before drawing their timestamps (see
+	// beginSnapshot), ascending, under snapMu; snapFloor publishes the
+	// oldest, or noSnapshot while none is live, and a committing update
+	// loads it into cc.TxnInfo.SnapshotFloor.
+	snapMu    sync.Mutex
+	snapLive  []histories.Timestamp
+	snapFloor atomic.Int64
+
+	// joinSets recycles the join sets of transactions past two objects.
+	joinSets sync.Pool
 
 	// recorder holds the sharded event history when recording is enabled;
 	// sink is the one stable cc.EventSink handed to every resource.
@@ -278,6 +302,16 @@ type Manager struct {
 	chainSeq atomic.Int64
 }
 
+// registered is a registry entry: the resource and its dense registry
+// index, which a transaction deduplicates its joins by.
+type registered struct {
+	r   cc.Resource
+	idx int32
+}
+
+// noSnapshot is the snapshot floor while no read-only transaction is live.
+const noSnapshot = math.MaxInt64
+
 // ErrManagerConfig reports an invalid configuration.
 var ErrManagerConfig = errors.New("tx: invalid manager configuration")
 
@@ -291,12 +325,17 @@ func NewManager(cfg Config) (*Manager, error) {
 	if cfg.Property != Dynamic && cfg.Clock == nil {
 		return nil, fmt.Errorf("%w: %s atomicity needs a Clock", ErrManagerConfig, cfg.Property)
 	}
+	if _, ok := cfg.Clock.(clockReader); cfg.Property == Hybrid && !ok {
+		return nil, fmt.Errorf("%w: hybrid atomicity needs a Clock that reports its newest timestamp", ErrManagerConfig)
+	}
 	if cfg.MaxRetries <= 0 {
 		cfg.MaxRetries = 100
 	}
 	(&cfg.Backoff).fill()
-	m := &Manager{cfg: cfg, resources: make(map[histories.ObjectID]cc.Resource)}
-	m.published.Store(&map[histories.ObjectID]cc.Resource{})
+	m := &Manager{cfg: cfg, resources: make(map[histories.ObjectID]registered)}
+	m.published.Store(&map[histories.ObjectID]registered{})
+	m.snapFloor.Store(noSnapshot)
+	m.joinSets.New = func() any { return new(joinSet) }
 	if cfg.Record {
 		m.recorder = ccrt.NewRecorder()
 		m.sink = m.recorder.Emit
@@ -325,27 +364,63 @@ func (m *Manager) Register(r cc.Resource) error {
 	if _, dup := m.resources[r.ObjectID()]; dup {
 		return fmt.Errorf("%w: duplicate resource %s", ErrManagerConfig, r.ObjectID())
 	}
-	m.resources[r.ObjectID()] = r
+	m.resources[r.ObjectID()] = registered{r: r, idx: int32(len(m.resources))}
 	return nil
 }
 
 // resource looks up a registered resource.
-func (m *Manager) resource(obj histories.ObjectID) (cc.Resource, bool) {
-	if r, ok := (*m.published.Load())[obj]; ok {
-		return r, true
+func (m *Manager) resource(obj histories.ObjectID) (registered, bool) {
+	if reg, ok := (*m.published.Load())[obj]; ok {
+		return reg, true
 	}
 	m.regMu.Lock()
 	defer m.regMu.Unlock()
-	r, ok := m.resources[obj]
+	reg, ok := m.resources[obj]
 	if !ok {
-		return nil, false
+		return registered{}, false
 	}
 	if m.misses++; m.misses >= len(m.resources) {
 		next := maps.Clone(m.resources)
 		m.published.Store(&next)
 		m.misses = 0
 	}
-	return r, true
+	return reg, true
+}
+
+// beginSnapshot registers a hybrid read-only transaction and draws its
+// timestamp. Under snapMu it registers the clock's newest timestamp plus
+// one, publishes the floor, and only then draws: the registered value is
+// at or below the timestamp drawn, and an update that draws its commit
+// timestamp after this reader's loads a floor at or below the reader's, so
+// it keeps the version the reader reads. An update that loaded the floor
+// before the registration drew its commit timestamp before the reader's,
+// so below it, and kept that version as the newest below its own floor.
+// Registrations under snapMu each draw, so registered values ascend.
+func (m *Manager) beginSnapshot() histories.Timestamp {
+	m.snapMu.Lock()
+	defer m.snapMu.Unlock()
+	m.snapLive = append(m.snapLive, m.cfg.Clock.(clockReader).Now()+1)
+	m.snapFloor.Store(int64(m.snapLive[0]))
+	return m.cfg.Clock.Next()
+}
+
+// endSnapshot unregisters a finished read-only transaction with timestamp
+// ts and republishes the floor. Its registered value is the largest one at
+// or below ts: its own is at or below ts, and the next registration read
+// the clock after ts was drawn, so it is above ts.
+func (m *Manager) endSnapshot(ts histories.Timestamp) {
+	m.snapMu.Lock()
+	defer m.snapMu.Unlock()
+	i, found := slices.BinarySearch(m.snapLive, ts)
+	if !found {
+		i--
+	}
+	m.snapLive = slices.Delete(m.snapLive, i, i+1)
+	floor := int64(noSnapshot)
+	if len(m.snapLive) > 0 {
+		floor = int64(m.snapLive[0])
+	}
+	m.snapFloor.Store(floor)
 }
 
 // History returns a copy of the recorded history, merged from the
@@ -379,8 +454,12 @@ type Txn struct {
 	info   cc.TxnInfo
 	joined []cc.Resource
 	// joinedBuf backs joined for the common transaction that touches at
-	// most two objects (a transfer), so joining allocates nothing.
+	// most two objects (a transfer), so joining allocates nothing;
+	// joinedIdx holds their registry indexes. Past two objects, joined and
+	// the indexes move to a join set from the manager's pool.
 	joinedBuf [2]cc.Resource
+	joinedIdx [2]int32
+	joins     *joinSet
 	status    Status
 	started   int64 // nanotime at Begin
 	// readRes caches the read router's verdict per object for this
@@ -415,7 +494,10 @@ func (m *Manager) Begin() *Txn { return m.begin(false) }
 // cc.TxnInfo.ReadOnly, so every object refuses its mutating operations with
 // cc.ErrReadOnly, and its commit waits for no log force. Under hybrid
 // atomicity it also draws its snapshot timestamp now; with a ReadRouter its
-// reads may be served by replicas.
+// reads may be served by replicas. A hybrid read-only transaction holds the
+// snapshot floor at its timestamp until it commits or aborts: hybrid
+// objects keep every version from the floor on, so one that is abandoned
+// without either makes them keep every later version.
 func (m *Manager) BeginReadOnly() *Txn { return m.begin(true) }
 
 func (m *Manager) begin(readOnly bool) *Txn {
@@ -437,7 +519,7 @@ func (m *Manager) begin(readOnly bool) *Txn {
 		t.info.TS = m.cfg.Clock.Next()
 	case Hybrid:
 		if readOnly {
-			t.info.TS = m.cfg.Clock.Next()
+			t.info.TS = m.beginSnapshot()
 		}
 	}
 	if obsTrace.Enabled() {
@@ -472,10 +554,11 @@ func (t *Txn) Invoke(obj histories.ObjectID, op string, arg value.Value) (value.
 	if t.status != StatusActive {
 		return value.Nil(), ErrTxnDone
 	}
-	r, ok := t.m.resource(obj)
+	reg, ok := t.m.resource(obj)
 	if !ok {
 		return value.Nil(), fmt.Errorf("%w: %s", ErrNoResource, obj)
 	}
+	r := reg.r
 	if t.info.ReadOnly && t.m.cfg.ReadRouter != nil {
 		if routed, cached := t.readRes[obj]; cached {
 			if routed != nil {
@@ -492,7 +575,7 @@ func (t *Txn) Invoke(obj histories.ObjectID, op string, arg value.Value) (value.
 			}
 		}
 	}
-	t.join(r)
+	t.join(r, reg.idx)
 	if obsTrace.Enabled() {
 		obsTrace.Record(obs.TraceEvent{Kind: obs.KindInvoke, Txn: string(t.info.ID), Obj: string(obj), Note: op})
 		t0 := time.Now()
@@ -515,13 +598,91 @@ func (t *Txn) allSnapshotReads() bool {
 	return len(t.joined) > 0
 }
 
-func (t *Txn) join(r cc.Resource) {
-	for _, j := range t.joined {
-		if j == r {
+// join adds r, registered at index idx, to the joined resources unless
+// the transaction has joined it already.
+func (t *Txn) join(r cc.Resource, idx int32) {
+	if t.joins == nil {
+		for _, j := range t.joinedIdx[:len(t.joined)] {
+			if j == idx {
+				return
+			}
+		}
+		if n := len(t.joined); n < len(t.joinedBuf) {
+			t.joinedIdx[n] = idx
+			t.joined = append(t.joined, r)
 			return
 		}
+		t.joins = t.m.joinSets.Get().(*joinSet)
+		for _, j := range t.joinedIdx {
+			t.joins.add(j)
+		}
+		t.joined = append(t.joins.joined, t.joined...)
 	}
-	t.joined = append(t.joined, r)
+	if t.joins.add(idx) {
+		t.joined = append(t.joined, r)
+	}
+}
+
+// releaseJoins returns a finished transaction's join set to the pool.
+// Nothing reads joined once the transaction has finished.
+func (t *Txn) releaseJoins() {
+	s := t.joins
+	if s == nil {
+		return
+	}
+	clear(t.joined)
+	s.joined = t.joined[:0]
+	clear(s.slots)
+	s.n = 0
+	t.m.joinSets.Put(s)
+	t.joins, t.joined = nil, nil
+}
+
+// joinSet holds a transaction's joins past its first two objects: the
+// joined resources and a set of their registry indexes, by open addressing
+// with linear probing over a power-of-two table of index+1 values (0 marks
+// a free slot), kept at most half full. The table doubles as it fills, so
+// its size follows the transaction's own object count, not the registry's,
+// and an add costs O(1) amortized. Sets are recycled, cleared, through the
+// manager's pool, so a warm audit allocates nothing for its joins.
+type joinSet struct {
+	joined []cc.Resource
+	slots  []int32
+	n      int
+}
+
+// add inserts idx and reports whether it was absent.
+func (s *joinSet) add(idx int32) bool {
+	if 2*(s.n+1) > len(s.slots) {
+		old := s.slots
+		s.slots = make([]int32, max(8, 2*len(old)))
+		for _, v := range old {
+			if v != 0 {
+				s.insert(v)
+			}
+		}
+	}
+	if !s.insert(idx + 1) {
+		return false
+	}
+	s.n++
+	return true
+}
+
+// insert places v (an index plus one) in its probe sequence and reports
+// whether it was absent.
+func (s *joinSet) insert(v int32) bool {
+	mask := len(s.slots) - 1
+	// Fibonacci hashing spreads strided index patterns over the table.
+	for i := int(uint64(v)*0x9E3779B97F4A7C15>>32) & mask; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case 0:
+			s.slots[i] = v
+			return true
+		case v:
+			return false
+		}
+	}
 }
 
 // Commit drives two-phase commit over the joined resources. On a prepare
@@ -540,6 +701,7 @@ func (t *Txn) Commit() error {
 		return ErrTxnDone
 	}
 	if t.m.cfg.Coordinator != nil && len(t.joined) > 0 && !t.allSnapshotReads() {
+		t.info.Participants = make([]string, 0, len(t.joined))
 		for _, r := range t.joined {
 			if sr, ok := r.(txnSiteReporter); ok {
 				t.info.Participants = append(t.info.Participants, sr.ParticipantSiteFor(t.info.ID))
@@ -679,6 +841,10 @@ func (t *Txn) Commit() error {
 	if hasTicket {
 		t.m.installSeq.Wait(ticket)
 	}
+	if hybridUpdate {
+		// One load, after the commit timestamp is drawn (see beginSnapshot).
+		t.info.SnapshotFloor = min(histories.Timestamp(t.m.snapFloor.Load()), cts)
+	}
 	installStart := prepEnd
 	if timed && (t.m.wal != nil || t.began2pc || hasTicket) {
 		installStart = nanotime()
@@ -739,6 +905,10 @@ func (t *Txn) Abort() {
 
 func (t *Txn) finish(s Status) {
 	t.status = s
+	if t.info.ReadOnly && t.m.cfg.Property == Hybrid {
+		t.m.endSnapshot(t.info.TS)
+	}
+	t.releaseJoins()
 	if t.m.cfg.Detector != nil {
 		t.m.cfg.Detector.Forget(t.info.ID)
 	}

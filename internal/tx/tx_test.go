@@ -192,6 +192,9 @@ func TestManagerConfigValidation(t *testing.T) {
 	if _, err := tx.NewManager(tx.Config{Property: tx.Static}); !errors.Is(err, tx.ErrManagerConfig) {
 		t.Errorf("static without clock = %v", err)
 	}
+	if _, err := tx.NewManager(tx.Config{Property: tx.Hybrid, Clock: clock.NewSkewed(0, 1)}); !errors.Is(err, tx.ErrManagerConfig) {
+		t.Errorf("hybrid on a clock that cannot report its newest timestamp = %v", err)
+	}
 	m, err := tx.NewManager(tx.Config{Property: tx.Dynamic})
 	if err != nil {
 		t.Fatal(err)

@@ -365,7 +365,10 @@ func (s *System) Begin() *Txn { return s.manager.Begin() }
 // BeginReadOnly starts a read-only transaction under any property: its
 // mutating operations are refused with the non-retryable "readonly"
 // cause, and with a WAL its commit writes its records without waiting for
-// them to be forced. Under hybrid atomicity it reads a snapshot.
+// them to be forced. Under hybrid atomicity it reads a snapshot, and
+// until it commits or aborts every hybrid object keeps the versions that
+// snapshot may read: one that is abandoned without either makes the
+// objects keep every version committed after it.
 func (s *System) BeginReadOnly() *Txn { return s.manager.BeginReadOnly() }
 
 // Run executes fn in a transaction with automatic retry on deadlock or
