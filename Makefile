@@ -62,8 +62,13 @@ examples:
 # pin a site's transaction records: every decision deletes its record,
 # a message repeated after the decision leaves nothing behind, a recycled
 # record or cluster pin carries nothing of its last transaction, beside the
-# vote/refusal race and reconfiguration under transfers. About 40 seconds
-# in all.
+# vote/refusal race and reconfiguration under transfers. The replica line
+# reruns, under the race detector, the tests that pin a follower's
+# timestamp deduplication: recovery from either crash window, a crash and
+# recovery racing the install, a duplicated or retransmitted delivery
+# applied once, one log record per delivery, a stamp between floor and
+# head refused, and no follow without a logged seed. About 50 seconds in
+# all.
 order-stress:
 	$(GO) test -count=20 -run 'TestCrashConsistency' ./internal/tx
 	$(GO) test -count=20 -run 'TestFacadeDurableQueueRecoversInInstallOrder' .
@@ -71,6 +76,7 @@ order-stress:
 	$(GO) test -race -count=20 -run '^(TestMigrationCrashWindowSweep|TestAbandonedUnpreparedTxnSwept|TestUnanimousPeerRefusalPresumesAbort|TestDownCoordinatorAnswersInDoubt|TestRunningSitesNeverReadTheirLog|TestFailedCommitRecordHoldsTheExport|TestVoteAndRefusalNeverBothSucceed)$$' ./internal/dist
 	$(GO) test -race -count=20 -run '^(TestEpochHandshakeOncePerCrash|TestReconfigureUnderTransfers|TestHandshakeClosesFirstContactWindow|TestHandshakeRegressionLock|TestHandshakeNoExpectZeroUnderFaults|TestStaleRouteRefusedAfterRestart)$$' ./internal/dist
 	$(GO) test -race -count=20 -run '^(TestDecidedTransactionsLeaveNoSiteRecord|TestRetransmitAfterDecision|TestRecycledSiteRecordStartsClean|TestRecycledPinNeverAliasesShippedCalls|TestVoteAndRefusalNeverBothSucceed|TestReconfigureUnderTransfers)$$' ./internal/dist
+	$(GO) test -race -count=20 -run '^(TestFollowerCrashRecoveryConverges|TestFollowerCrashAfterRecord|TestReplicaApplyRacingRecovery|TestReplicaDeliveryIsOneRecord|TestReplicaCheckpointHoldsNoDelivery|TestReplicaDuplicateDeliveryAppliesOnce|TestReplicaDeliveryBetweenFloorAndHeadRefused|TestFollowerWithoutDurableSeedServesNothing)$$' ./internal/dist
 
 # detector-stress reruns the deadlock-detector tests under the race
 # detector: only transactions that wait enter the detector, and Doomed,

@@ -146,13 +146,6 @@ func (c *Cluster) HomeOf(obj histories.ObjectID) (SiteID, bool) {
 	return site, ok
 }
 
-// TargetOf returns the site the ring proposes for an object.
-func (c *Cluster) TargetOf(obj histories.ObjectID) (SiteID, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ring.Owner(obj)
-}
-
 // Objects returns every tracked object, sorted.
 func (c *Cluster) Objects() []histories.ObjectID {
 	c.mu.Lock()
@@ -397,7 +390,7 @@ func (c *Cluster) recomputeReplicaSet(rep *replicator, obj histories.ObjectID, l
 			continue
 		}
 		rep.pendingByObj[obj]++
-		rep.queueFor(f).push(replItem{kind: replSeed, obj: obj, ts: seedTS, state: base, typ: typ})
+		rep.queueFor(f).push(replItem{req: replicaReq{Obj: obj, TS: seedTS, Typ: typ, State: base}})
 	}
 	rep.mu.Unlock()
 	for _, f := range removed {

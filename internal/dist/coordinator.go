@@ -49,14 +49,12 @@ type Coordinator struct {
 	net *Network
 	inj *fault.Injector
 
-	mu           sync.Mutex
-	up           bool
-	disk         recovery.Backend // stable: survives crashes
-	decided      *decidedTable
-	inflight     map[histories.ActivityID]bool // volatile: Begin'd, not yet decided
-	crashes      int64
-	cpEvery      int // checkpoint after this many decisions; 0 disables
-	sinceCompact int // decisions since the last checkpoint
+	mu       sync.Mutex
+	up       bool
+	disk     recovery.Backend // stable: survives crashes
+	decided  *decidedTable
+	inflight map[histories.ActivityID]bool // volatile: Begin'd, not yet decided
+	crashes  int64
 }
 
 // NewCoordinator creates a coordinator and attaches it to the network.
@@ -169,40 +167,11 @@ func (c *Coordinator) Decide(txn histories.ActivityID, commit bool) error {
 	} else {
 		obsCoordAborts.Inc()
 	}
-	c.maybeCheckpointLocked()
 	if c.inj.Fires(fault.CoordCrashAfterLog) {
 		c.crashLocked()
 		return fmt.Errorf("dist: coordinator %s crashed after logging the decision for %s: %w", c.id, txn, cc.ErrCoordinatorDown)
 	}
 	return nil
-}
-
-// SetCheckpointEvery arms decision-count-triggered compaction: after every
-// n durable decisions the coordinator checkpoints its own log, bounding
-// decision-log growth the way site WALs are already bounded. Zero or
-// negative disables.
-func (c *Coordinator) SetCheckpointEvery(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	c.cpEvery = n
-}
-
-// maybeCheckpointLocked runs the armed auto-checkpoint. A failed (torn)
-// checkpoint is tolerated — the full log remains the source of truth and
-// the next trigger tries again.
-func (c *Coordinator) maybeCheckpointLocked() {
-	if c.cpEvery <= 0 {
-		return
-	}
-	c.sinceCompact++
-	if c.sinceCompact < c.cpEvery {
-		return
-	}
-	c.sinceCompact = 0
-	_, _ = c.disk.Checkpoint(nil)
 }
 
 // abortDurablyLocked forces an abort record for txn, detaching the fault

@@ -23,8 +23,8 @@ type decidedPage struct {
 // would, but a numbered transaction — an id cc.TxnID made, the only ids a
 // transaction runtime gives out — costs two bits in a page indexed by its
 // sequence number rather than a string-keyed map entry. Every other id
-// (replica deliveries repl!…, migrations M<n>:obj, test fixtures) lives in
-// a plain map beside the pages. The table only grows: a bound on it is
+// (migrations M<n>:obj, test fixtures) lives in a plain map beside the
+// pages; replica deliveries are no transactions and never enter the table. The table only grows: a bound on it is
 // ROADMAP item 5's. Not safe for concurrent use; its owner's mutex guards
 // it. A nil table — a crashed node's — knows nothing.
 type decidedTable struct {

@@ -13,8 +13,8 @@ import (
 // decidedProbeIDs are the ids the decided-table tests drive: numbered
 // transactions at the edges of a page and of the number range, spellings
 // TxnID never produces that a string table must still keep apart from
-// them, and the other id families a site decides (replica deliveries,
-// migrations, test fixtures).
+// them, and the other id families a site decides (migrations, test
+// fixtures, and the replica delivery ids that logs of earlier builds carry).
 func decidedProbeIDs() []histories.ActivityID {
 	var ids []histories.ActivityID
 	for _, seq := range []int64{1, 2, 63, 64, 65, 4095, 4096, 4097, 8191, 8192, 1 << 40, math.MaxInt64 - 1, math.MaxInt64} {

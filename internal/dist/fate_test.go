@@ -48,9 +48,11 @@ func TestEveryAskerGivesTheFoldsFate(t *testing.T) {
 		{"abort alone", []recovery.Record{deposit, abort}, OutcomeAborted, "0"},
 		{"torn commit record", []recovery.Record{deposit, tornCommit}, OutcomeInDoubt, "0"},
 		{"torn commit record after abort", []recovery.Record{deposit, abort, tornCommit}, OutcomeAborted, "0"},
-		{"uncommitted replica delivery", []recovery.Record{
+		// A replica record is no transaction's, even one naming x: it is
+		// redone, and x stays unknown.
+		{"replica delivery", []recovery.Record{
 			{Kind: recovery.RecordIntentions, Txn: x, Object: "acct0", Migrate: recovery.ReplicaIn, TS: 3, Calls: deposit.Calls},
-		}, OutcomeUnknown, "0"},
+		}, OutcomeUnknown, "7"},
 		{"migrate half", []recovery.Record{
 			{Kind: recovery.RecordIntentions, Txn: x, Object: "acct0", Migrate: recovery.MigrateOut, RingV: 2, Participants: []string{"A", "B"}},
 		}, OutcomeInDoubt, "0"},

@@ -83,12 +83,3 @@ func (p *Pool) Checkpoint() (int64, error) {
 	}
 	return total, firstErr
 }
-
-// SetCheckpointEvery arms decision-count-triggered log compaction on every
-// member: after every n durable decisions a member checkpoints its own
-// log. Zero or negative disables.
-func (p *Pool) SetCheckpointEvery(n int) {
-	for _, c := range p.members {
-		c.SetCheckpointEvery(n)
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -32,10 +31,10 @@ import (
 //   - Every committed client transaction on a replicated object ships its
 //     logged calls asynchronously to all followers — per-replica WAL
 //     append, no locks, no 2PC, unbounded worker retry over the bounded
-//     at-most-once message layer, idempotent replica-side apply keyed by a
-//     derived delivery id (`repl!<txn>!<obj>`) through the decided table
-//     and WAL dedup: a delivery needs no cached reply and makes no
-//     transaction record. Operations in a
+//     at-most-once message layer, idempotent replica-side apply keyed by
+//     the delivery's commit stamp, which totally orders it at its object:
+//     a delivery is one self-contained log record, needs no cached reply
+//     and makes no transaction record. Operations in a
 //     proven-commutative class (conflict.Static.CommutativeClass) need
 //     nothing more: any delivery interleaving converges.
 //
@@ -92,20 +91,6 @@ const replicaVersionCap = 256
 // down or unreachable) refuses retryably instead of blocking 2PC forever.
 const defaultDrainTimeout = 250 * time.Millisecond
 
-// replRID derives the follower-side activity id a delivery logs under. It
-// is distinct from the client transaction's own id, so the delivery's WAL
-// records at a site that is both a 2PC participant and a follower (possible
-// after migrations) never collide with the transaction's prepare half.
-// Recovery folds these ids out of the log, so their text is fixed.
-func replRID(txn histories.ActivityID, obj histories.ObjectID) histories.ActivityID {
-	return histories.ActivityID("repl!" + string(txn) + "!" + string(obj))
-}
-
-// replSeedRID is the id a baseline seed logs under.
-func replSeedRID(obj histories.ObjectID, ts histories.Timestamp) histories.ActivityID {
-	return histories.ActivityID("repl-seed!" + string(obj) + "!" + strconv.FormatInt(int64(ts), 10))
-}
-
 // --- follower-side state and handlers ------------------------------------
 
 // baselineLog starts a follower's version log at one baseline version, so
@@ -118,166 +103,122 @@ func baselineLog(ts histories.Timestamp, st spec.State) *ccrt.VersionLog {
 	return l
 }
 
-// replSeedReq carries a baseline seed to a new follower.
-type replSeedReq struct {
+// replicaReq carries one replica delivery to a follower: a seed (State
+// set) adopts the leader's committed baseline and the object's schema, any
+// other delivery carries one committed transaction's calls on the object.
+// TS is the replicator's stamp, and at a follower it is the delivery's whole
+// identity: stamps are drawn under one mutex and each follower's queue is
+// FIFO, so a follower sees them strictly ascending.
+type replicaReq struct {
 	Obj   histories.ObjectID
-	Typ   adts.Type
-	State spec.State
 	TS    histories.Timestamp
+	Typ   adts.Type   // seed
+	State spec.State  // seed
+	Calls []spec.Call // delivery
 }
 
-// replApplyReq carries one committed transaction's calls on one object.
-type replApplyReq struct {
-	Obj   histories.ObjectID
-	Txn   histories.ActivityID // the client transaction
-	Calls []spec.Call
-	TS    histories.Timestamp
-}
-
-// handleReplicaSeed adopts a baseline copy: the object's schema enters the
-// site's stable catalog, the site durably records the follow (a ReplicaIn
-// intentions record carrying the state, paired with its own commit record)
-// and the in-memory version log starts at the seed timestamp. Idempotent
-// under the seed's rid and floored against replays of older seeds.
-func (s *Site) handleReplicaSeed(d delivery, req replSeedReq) (struct{}, error) {
-	rid := replSeedRID(req.Obj, req.TS)
+// handleReplica applies a seed or delivery at a follower: the delivery is
+// made durable as one ReplicaIn record and then installed in the version
+// log. A seed's schema enters the stable catalog before its record (redo
+// and checkpoints replay through it), but the site follows the object only
+// once the seed is installed, so every follow has a seed in the log to
+// rebuild from. A crash before the install fails the delivery; the
+// redelivery finds it redone, or logs a seed again.
+//
+// A stamp at or below the log's floor, or equal to its head, was applied
+// already and is acknowledged as redundant: only the head can repeat — a
+// duplicate or a retransmission inside one exchange — or, after recovery
+// rebuilt the log at the watermark, something below the floor. A stamp
+// strictly between floor and head is a protocol bug and is refused.
+// fault.ReplApplyCrash opens two windows in a delivery: before its record
+// (the redelivery logs it) and after it, before the install (recovery
+// redoes it and the redelivery is redundant).
+func (s *Site) handleReplica(d delivery, req replicaReq) (struct{}, error) {
+	seed := req.State != nil
 	s.mu.Lock()
 	if err := s.admitLocked(d.expect); err != nil {
 		s.mu.Unlock()
 		return struct{}{}, err
-	}
-	if commit, _ := s.decided.get(rid); commit {
-		s.mu.Unlock()
-		obsReplRedundant.Inc()
-		return struct{}{}, nil
-	}
-	if l := s.replicas[req.Obj]; l != nil && req.TS <= l.Floor() {
-		s.mu.Unlock()
-		obsReplRedundant.Inc()
-		return struct{}{}, nil
-	}
-	if _, known := s.types[req.Obj]; !known {
-		s.types[req.Obj] = req.Typ
-	}
-	// A default guard rides along so the catalog entry is complete if this
-	// site is later promoted to host the object (migration, recovery).
-	if s.guards[req.Obj] == nil {
-		s.guards[req.Obj] = func(t adts.Type) locking.Guard { return conflict.ForType(t) }
-	}
-	s.follows[req.Obj] = true
-	s.mu.Unlock()
-	if err := s.disk.Append(recovery.Record{
-		Kind:    recovery.RecordIntentions,
-		Txn:     rid,
-		Object:  req.Obj,
-		Migrate: recovery.ReplicaIn,
-		States:  map[histories.ObjectID]spec.State{req.Obj: req.State},
-		TS:      req.TS,
-	}); err != nil {
-		return struct{}{}, fmt.Errorf("dist: seed %s at %s: %w", req.Obj, s.id, errors.Join(err, cc.ErrUnavailable))
-	}
-	if err := s.disk.Append(recovery.Record{Kind: recovery.RecordCommit, Txn: rid}); err != nil {
-		return struct{}{}, fmt.Errorf("dist: seed %s at %s: %w", req.Obj, s.id, errors.Join(err, cc.ErrUnavailable))
-	}
-	s.mu.Lock()
-	if s.decided != nil {
-		s.decidedLocked(rid, true)
-	}
-	if s.replicas != nil {
-		s.replicas[req.Obj] = baselineLog(req.TS, req.State)
-	}
-	s.mu.Unlock()
-	obsReplSeeds.Inc()
-	return struct{}{}, nil
-}
-
-// handleReplicaApply applies one committed transaction's calls at a
-// follower: the delivery is made durable first (a ReplicaIn intentions
-// record with the calls, paired with its own commit record — the follower's
-// per-replica WAL append) and then folded into the version log. Idempotence
-// is keyed by the derived rid: a redelivery after a crash finds the commit
-// record replayed into the decided cache and acks without re-applying.
-// fault.ReplApplyCrash opens two crash windows: before anything is logged
-// (redelivery re-logs) and between the two appends (the uncommitted record
-// is ignored by replay and superseded by the redelivery's copy).
-func (s *Site) handleReplicaApply(d delivery, req replApplyReq) (struct{}, error) {
-	rid := replRID(req.Txn, req.Obj)
-	s.mu.Lock()
-	if err := s.admitLocked(d.expect); err != nil {
-		s.mu.Unlock()
-		return struct{}{}, err
-	}
-	if commit, _ := s.decided.get(rid); commit {
-		s.mu.Unlock()
-		obsReplRedundant.Inc()
-		return struct{}{}, nil
 	}
 	l := s.replicas[req.Obj]
-	if l == nil || !s.follows[req.Obj] {
+	if !seed && l == nil {
 		s.mu.Unlock()
 		return struct{}{}, fmt.Errorf("%w: %s at %s", ErrNotReplica, req.Obj, s.id)
 	}
-	if req.TS <= l.Floor() {
-		s.mu.Unlock()
-		obsReplRedundant.Inc()
-		return struct{}{}, nil
+	if l != nil {
+		switch floor, head := l.Floor(), l.HeadTS(); {
+		case req.TS <= floor || req.TS == head:
+			s.mu.Unlock()
+			obsReplRedundant.Inc()
+			return struct{}{}, nil
+		case req.TS < head:
+			s.mu.Unlock()
+			obsReplApplyErrors.Inc()
+			return struct{}{}, fmt.Errorf("dist: out-of-order delivery of %s at %s: ts %d after %d", req.Obj, s.id, req.TS, head)
+		}
 	}
-	if head := l.HeadTS(); req.TS <= head {
-		// Deliveries reach a follower in stamp order (stamped and enqueued
-		// under one mutex, FIFO per queue); a lower-or-equal stamp here can
-		// only be a protocol bug, and applying it would corrupt snapshots.
-		s.mu.Unlock()
-		obsReplApplyErrors.Inc()
-		return struct{}{}, fmt.Errorf("dist: out-of-order delivery of %s at %s: ts %d after %d", req.Obj, s.id, req.TS, head)
+	st := req.State
+	if seed {
+		if _, known := s.types[req.Obj]; !known {
+			s.types[req.Obj] = req.Typ
+		}
+		// A default guard rides along so the catalog entry is complete if
+		// this site is later promoted to host the object (migration,
+		// recovery).
+		if s.guards[req.Obj] == nil {
+			s.guards[req.Obj] = func(t adts.Type) locking.Guard { return conflict.ForType(t) }
+		}
+	} else {
+		st = l.Head(nil)
 	}
-	st := l.Head(nil)
 	s.mu.Unlock()
-	if s.inj.Fires(fault.ReplApplyCrash) {
-		s.Crash()
-		return struct{}{}, fmt.Errorf("%w: %s (crashed before logging delivery)", ErrSiteDown, s.id)
-	}
-	if err := s.disk.Append(recovery.Record{
-		Kind:    recovery.RecordIntentions,
-		Txn:     rid,
-		Object:  req.Obj,
-		Migrate: recovery.ReplicaIn,
-		Calls:   req.Calls,
-		TS:      req.TS,
-	}); err != nil {
-		return struct{}{}, fmt.Errorf("dist: delivery %s at %s: %w", rid, s.id, errors.Join(err, cc.ErrUnavailable))
-	}
-	if s.inj.Fires(fault.ReplApplyCrash) {
-		s.Crash()
-		return struct{}{}, fmt.Errorf("%w: %s (crashed between delivery log and commit)", ErrSiteDown, s.id)
-	}
-	if err := s.disk.Append(recovery.Record{Kind: recovery.RecordCommit, Txn: rid}); err != nil {
-		return struct{}{}, fmt.Errorf("dist: delivery %s at %s: %w", rid, s.id, errors.Join(err, cc.ErrUnavailable))
-	}
 	for _, c := range req.Calls {
 		out, err := spec.Apply(st, c.Inv)
 		if err != nil {
 			// The calls committed at the leader, so the spec permitted them
 			// on the leader's state; a refusal here means the copies have
-			// diverged. The delivery is already durable — replay applies it
-			// through the same spec — so surface the divergence loudly.
+			// diverged, and the delivery is refused before it is logged.
 			obsReplApplyErrors.Inc()
-			return struct{}{}, fmt.Errorf("dist: delivery %s at %s diverged: %v", rid, s.id, err)
+			return struct{}{}, fmt.Errorf("dist: delivery of %s at %s (ts %d) diverged: %v", req.Obj, s.id, req.TS, err)
 		}
 		st = out.Next
 	}
-	s.mu.Lock()
-	if s.decided != nil {
-		s.decidedLocked(rid, true)
+	if !seed && s.inj.Fires(fault.ReplApplyCrash) {
+		s.Crash()
+		return struct{}{}, fmt.Errorf("%w: %s (crashed before logging delivery)", ErrSiteDown, s.id)
 	}
-	// A crash and recovery between the appends and here rebuilt the log
-	// from the WAL, which already holds this delivery: the log then ends at
-	// req.TS and the version is not appended twice.
-	if l := s.replicas[req.Obj]; l != nil && req.TS > l.HeadTS() {
+	rec := recovery.Record{Kind: recovery.RecordIntentions, Object: req.Obj, Migrate: recovery.ReplicaIn, Calls: req.Calls, TS: req.TS}
+	if seed {
+		rec.States = map[histories.ObjectID]spec.State{req.Obj: req.State}
+	}
+	if err := s.disk.Append(rec); err != nil {
+		return struct{}{}, fmt.Errorf("dist: delivery of %s at %s (ts %d): %w", req.Obj, s.id, req.TS, errors.Join(err, cc.ErrUnavailable))
+	}
+	if !seed && s.inj.Fires(fault.ReplApplyCrash) {
+		s.Crash()
+		return struct{}{}, fmt.Errorf("%w: %s (crashed after logging delivery)", ErrSiteDown, s.id)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.replicas == nil {
+		return struct{}{}, fmt.Errorf("%w: %s (crashed before installing delivery)", ErrSiteDown, s.id)
+	}
+	// A crash and recovery since the append rebuilt the log from the WAL,
+	// which already holds this delivery: the log then ends at req.TS and
+	// the version is not appended twice.
+	switch l := s.replicas[req.Obj]; {
+	case seed:
+		s.follows[req.Obj] = true
+		s.replicas[req.Obj] = baselineLog(req.TS, st)
+	case l != nil && req.TS > l.HeadTS():
 		_ = l.Append(req.TS, st) // above the head: accepted
 		l.Trim(replicaVersionCap)
 	}
-	s.mu.Unlock()
-	obsReplDeliveries.Inc()
+	if seed {
+		obsReplSeeds.Inc()
+	} else {
+		obsReplDeliveries.Inc()
+	}
 	return struct{}{}, nil
 }
 
@@ -292,7 +233,7 @@ func (s *Site) handleReplicaRead(obj histories.ObjectID, inv spec.Invocation, ts
 		return value.Nil(), fmt.Errorf("%w: %s", ErrSiteDown, s.id)
 	}
 	l := s.replicas[obj]
-	if l == nil || !s.follows[obj] {
+	if l == nil {
 		s.mu.Unlock()
 		obsReplReadRefusals.Inc()
 		return value.Nil(), fmt.Errorf("%w: %s at %s", ErrNotReplica, obj, s.id)
@@ -413,23 +354,11 @@ type replicator struct {
 	wg sync.WaitGroup
 }
 
-// replItemKind discriminates delivery-queue entries.
-type replItemKind int
-
-const (
-	replSeed replItemKind = iota
-	replDeliver
-)
-
-// replItem is one queued delivery leg.
+// replItem is one queued delivery leg and the client transaction it
+// completes ("" for a seed).
 type replItem struct {
-	kind  replItemKind
-	obj   histories.ObjectID
-	txn   histories.ActivityID // client transaction (replDeliver)
-	calls []spec.Call
-	ts    histories.Timestamp
-	state spec.State // baseline (replSeed)
-	typ   adts.Type  // schema (replSeed)
+	txn histories.ActivityID
+	req replicaReq
 }
 
 // replQueue is one follower's FIFO delivery queue, drained by a worker
@@ -497,7 +426,7 @@ func (q *replQueue) run() {
 // follower's epoch from the network's epoch table (no expect=0 messages);
 // a crash orphans it, the refusal clears it from the table, and the next
 // send handshakes afresh and redelivers — safe, since a delivery is
-// idempotent by its request id.
+// idempotent by its stamp.
 func (q *replQueue) process(it replItem) {
 	inj := q.rep.c.inj
 	backoff := 100 * time.Microsecond
@@ -528,16 +457,7 @@ func (q *replQueue) process(it replItem) {
 			sleepAndGrow()
 			continue
 		}
-		switch it.kind {
-		case replSeed:
-			_, err = call(q.rep.c.net, q.rep.origin, q.site, epoch,
-				replSeedReq{Obj: it.obj, Typ: it.typ, State: it.state, TS: it.ts},
-				(*Site).handleReplicaSeed)
-		case replDeliver:
-			_, err = call(q.rep.c.net, q.rep.origin, q.site, epoch,
-				replApplyReq{Obj: it.obj, Txn: it.txn, Calls: it.calls, TS: it.ts},
-				(*Site).handleReplicaApply)
-		}
+		_, err = call(q.rep.c.net, q.rep.origin, q.site, epoch, it.req, (*Site).handleReplica)
 		if err == nil {
 			return
 		}
@@ -560,15 +480,13 @@ func (q *replQueue) process(it replItem) {
 // drain waiting on its object.
 func (rep *replicator) completed(it replItem) {
 	rep.mu.Lock()
-	if rep.pendingByObj[it.obj] > 0 {
-		rep.pendingByObj[it.obj]--
+	if rep.pendingByObj[it.req.Obj] > 0 {
+		rep.pendingByObj[it.req.Obj]--
 	}
-	if it.kind == replDeliver {
-		if tx := rep.txns[it.txn]; tx != nil {
-			tx.outstanding--
-			if tx.outstanding <= 0 {
-				delete(rep.txns, it.txn)
-			}
+	if tx := rep.txns[it.txn]; tx != nil {
+		tx.outstanding--
+		if tx.outstanding <= 0 {
+			delete(rep.txns, it.txn)
 		}
 	}
 	rep.mu.Unlock()
@@ -656,7 +574,7 @@ func (rep *replicator) ship(txn histories.ActivityID) {
 		for _, f := range route.followers {
 			rep.pendingByObj[obj]++
 			tx.outstanding++
-			rep.queueFor(f).push(replItem{kind: replDeliver, obj: obj, txn: txn, calls: calls, ts: tx.ts})
+			rep.queueFor(f).push(replItem{txn: txn, req: replicaReq{Obj: obj, TS: tx.ts, Calls: calls}})
 		}
 	}
 	if tx.outstanding == 0 {
@@ -877,7 +795,7 @@ func (c *Cluster) EnableReplication(factor int) error {
 		}
 		for _, f := range p.followers {
 			rep.pendingByObj[p.obj]++
-			rep.queueFor(f).push(replItem{kind: replSeed, obj: p.obj, ts: seedTS, state: base, typ: typ})
+			rep.queueFor(f).push(replItem{req: replicaReq{Obj: p.obj, TS: seedTS, Typ: typ, State: base}})
 		}
 		rep.mu.Unlock()
 	}

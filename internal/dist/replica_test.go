@@ -3,9 +3,7 @@ package dist
 import (
 	"context"
 	"errors"
-	"fmt"
-	"math"
-	"math/rand"
+	"math/bits"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -255,41 +253,45 @@ func TestFollowerCrashRecoveryConverges(t *testing.T) {
 	e.assertConverged(t, "acct0")
 }
 
-// TestFollowerCrashBetweenLogAndCommit: the second ReplApplyCrash window —
-// after the delivery's intentions record, before its commit record — leaves
-// an uncommitted ReplicaIn record in the WAL. Replay must ignore it, the
-// redelivery re-logs the same rid, and the follower applies the calls
-// exactly once.
-func TestFollowerCrashBetweenLogAndCommit(t *testing.T) {
-	// Second hit of the point, not the first: schedule [false, true].
+// TestFollowerCrashAfterRecord: the second ReplApplyCrash window — after
+// the delivery's record, before its install — leaves the delivery durable
+// at a crashed follower. Recovery redoes it, the redelivery is redundant,
+// and the follower applies the calls exactly once.
+func TestFollowerCrashAfterRecord(t *testing.T) {
+	// Second hit of the point, not the first: schedule [false, true]. At
+	// factor two the one follower draws both hits of one delivery.
 	seed := seedForSchedule(t, fault.ReplApplyCrash, 0.5, []bool{false, true})
 	inj := fault.New(seed)
-	e := newReplicated(t, 3, inj)
+	e := newReplicated(t, 2, inj)
 	e.deposit(t, "acct0", 40)
 	if err := e.cluster.ReplicationIdle(5 * time.Second); err != nil {
 		t.Fatalf("replication drain: %v", err)
 	}
+	f := e.sites[e.cluster.ReplicaSet("acct0")[1]]
+	logged := f.Disk().Len()
 	inj.Enable(fault.ReplApplyCrash, fault.Rule{Prob: 0.5, Limit: 1})
+	redundant := obsReplRedundant.Load()
 	e.deposit(t, "acct0", 5)
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		crashed := false
-		for _, s := range e.sites {
-			if !s.Up() {
-				crashed = true
-			}
-		}
-		if crashed || time.Now().After(deadline) {
-			if !crashed {
-				t.Fatal("no follower crashed under ReplApplyCrash window two")
-			}
-			break
+	for f.Up() {
+		if time.Now().After(deadline) {
+			t.Fatal("the follower did not crash under ReplApplyCrash window two")
 		}
 		time.Sleep(time.Millisecond)
+	}
+	recs := f.Disk().Records()
+	if len(recs) != logged+1 || recs[logged].Migrate != recovery.ReplicaIn || len(recs[logged].Calls) != 1 {
+		t.Fatalf("crashed follower's log grew from %d to %d records, want the delivery's one record", logged, len(recs))
 	}
 	e.recoverAll(t)
 	if err := e.cluster.ReplicationIdle(5 * time.Second); err != nil {
 		t.Fatalf("replication drain after recovery: %v", err)
+	}
+	if got := f.Disk().Len(); got != logged+1 {
+		t.Errorf("follower's log holds %d records after the redelivery, want %d", got, logged+1)
+	}
+	if got := obsReplRedundant.Load() - redundant; got < 1 {
+		t.Errorf("the redelivery was not acknowledged as redundant (%d redundant)", got)
 	}
 	if got := e.balance(t, "acct0"); got != 45 {
 		t.Fatalf("balance = %d, want 45", got)
@@ -489,9 +491,9 @@ func TestReplicaCompactionMovesFloor(t *testing.T) {
 }
 
 // recoverAfterDelivery is a site's stable storage that, once armed, crashes
-// and recovers the site right after a replica delivery's commit record
-// lands: the window between the delivery becoming durable and its version
-// reaching the in-memory log.
+// and recovers the site right after a replica delivery's record lands: the
+// window between the delivery becoming durable and its version reaching the
+// in-memory log.
 type recoverAfterDelivery struct {
 	recovery.Backend
 	site  *Site
@@ -501,7 +503,7 @@ type recoverAfterDelivery struct {
 
 func (d *recoverAfterDelivery) Append(r recovery.Record) error {
 	err := d.Backend.Append(r)
-	if err == nil && r.Kind == recovery.RecordCommit && strings.HasPrefix(string(r.Txn), "repl!") && d.armed.CompareAndSwap(true, false) {
+	if err == nil && r.Migrate == recovery.ReplicaIn && len(r.Calls) > 0 && d.armed.CompareAndSwap(true, false) {
 		d.site.Crash()
 		d.err = d.site.Recover()
 	}
@@ -562,34 +564,321 @@ func TestReplicaApplyRacingRecovery(t *testing.T) {
 	e.assertConverged(t, "acct0")
 }
 
-// TestReplicaIDsText pins the follower-side activity ids byte for byte:
-// recovery folds them out of logs that earlier builds wrote. It checks
-// fixed cases and, over generated ids and timestamps, the format strings
-// the ids were first built with.
-func TestReplicaIDsText(t *testing.T) {
-	for _, c := range []struct{ got, want histories.ActivityID }{
-		{replRID("t42", "acct0"), "repl!t42!acct0"},
-		{replRID("", ""), "repl!!"},
-		{replRID("M3:acct0", "a!b"), "repl!M3:acct0!a!b"},
-		{replSeedRID("acct0", 7), "repl-seed!acct0!7"},
-		{replSeedRID("acct1", 0), "repl-seed!acct1!0"},
-		{replSeedRID("x", -5), "repl-seed!x!-5"},
-		{replSeedRID("x", math.MaxInt64), "repl-seed!x!9223372036854775807"},
-	} {
-		if c.got != c.want {
-			t.Errorf("id %q, want %q", c.got, c.want)
+// decidedEntries counts the outcomes a site's decided table holds.
+func decidedEntries(s *Site) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.decided.other)
+	for _, p := range s.decided.pages {
+		for _, w := range p.known {
+			n += bits.OnesCount64(w)
 		}
 	}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 1000; i++ {
-		txn := histories.ActivityID(fmt.Sprintf("t%d", rng.Int63()))
-		obj := histories.ObjectID(fmt.Sprintf("obj%d", rng.Intn(100)))
-		ts := histories.Timestamp(rng.Int63() - rng.Int63())
-		if got, want := replRID(txn, obj), histories.ActivityID(fmt.Sprintf("repl!%s!%s", txn, obj)); got != want {
-			t.Fatalf("replRID = %q, want %q", got, want)
-		}
-		if got, want := replSeedRID(obj, ts), histories.ActivityID(fmt.Sprintf("repl-seed!%s!%d", obj, ts)); got != want {
-			t.Fatalf("replSeedRID = %q, want %q", got, want)
+	return n
+}
+
+// followerDeliveries returns how many replica records each follower of the
+// objects should log for n[obj] applies of each.
+func (e *elastic) followerDeliveries(n map[histories.ObjectID]int) map[SiteID]int {
+	want := make(map[SiteID]int)
+	for obj, k := range n {
+		for _, f := range e.cluster.ReplicaSet(obj)[1:] {
+			want[f] += k
 		}
 	}
+	return want
+}
+
+// TestReplicaDeliveryIsOneRecord: a follower logs exactly one record per
+// applied seed or delivery — a ReplicaIn record — and its decided table
+// gains no entry: a delivery is no transaction.
+func TestReplicaDeliveryIsOneRecord(t *testing.T) {
+	e := newElastic(t, 0, nil)
+	logged := make(map[SiteID]int)
+	for id, s := range e.sites {
+		logged[id] = s.Disk().Len()
+	}
+	e.replicate(t, 3)
+	grown := func(want map[SiteID]int) {
+		t.Helper()
+		for id, k := range want {
+			recs := e.sites[id].Disk().Records()
+			if len(recs) != logged[id]+k {
+				t.Fatalf("follower %s logged %d records, want %d", id, len(recs)-logged[id], k)
+			}
+			for _, r := range recs[logged[id]:] {
+				if r.Migrate != recovery.ReplicaIn {
+					t.Fatalf("follower %s logged %+v, want replica records only", id, r)
+				}
+			}
+			logged[id] = len(recs)
+		}
+	}
+	grown(e.followerDeliveries(map[histories.ObjectID]int{"acct0": 1, "acct1": 1}))
+	decided := make(map[SiteID]int)
+	for id, s := range e.sites {
+		decided[id] = decidedEntries(s)
+	}
+	for i := 0; i < 3; i++ {
+		e.deposit(t, "acct0", 1)
+	}
+	e.deposit(t, "acct1", 1)
+	e.deposit(t, "acct1", 1)
+	if err := e.cluster.ReplicationIdle(5 * time.Second); err != nil {
+		t.Fatalf("replication drain: %v", err)
+	}
+	want := e.followerDeliveries(map[histories.ObjectID]int{"acct0": 3, "acct1": 2})
+	grown(want)
+	for id := range want {
+		if got := decidedEntries(e.sites[id]); got != decided[id] {
+			t.Errorf("follower %s's decided table grew from %d to %d entries", id, decided[id], got)
+		}
+	}
+	e.assertConverged(t, "acct0")
+	e.assertConverged(t, "acct1")
+}
+
+// TestReplicaCheckpointHoldsNoDelivery: a follower's checkpoint folds every
+// replica record into its snapshot and watermark: the compacted log holds
+// no ReplicaIn record, the checkpoint's Decided set no delivery, and a
+// recovery from it rebuilds the copy at the same head.
+func TestReplicaCheckpointHoldsNoDelivery(t *testing.T) {
+	e := newReplicated(t, 3, nil)
+	for i := 0; i < 3; i++ {
+		e.deposit(t, "acct0", 2)
+	}
+	if err := e.cluster.ReplicationIdle(5 * time.Second); err != nil {
+		t.Fatalf("replication drain: %v", err)
+	}
+	f := e.sites[e.cluster.ReplicaSet("acct0")[1]]
+	key, head, err := f.ReplicaStateKey("acct0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	recs := f.Disk().Records()
+	if len(recs) == 0 || recs[0].Kind != recovery.RecordCheckpoint {
+		t.Fatalf("compacted log %+v does not start with a checkpoint", recs)
+	}
+	if len(recs[0].Decided) != 0 {
+		t.Errorf("checkpoint Decided = %v, want no entry", recs[0].Decided)
+	}
+	if got := recs[0].ReplicaTS["acct0"]; got != head {
+		t.Errorf("checkpoint watermark of acct0 = %d, want the head %d", got, head)
+	}
+	for _, r := range recs {
+		if r.Migrate == recovery.ReplicaIn {
+			t.Errorf("compacted log kept replica record %+v", r)
+		}
+	}
+	f.Crash()
+	if err := f.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if gotKey, gotHead, err := f.ReplicaStateKey("acct0"); err != nil || gotKey != key || gotHead != head {
+		t.Errorf("recovered copy = %s at %d (%v), want %s at %d", gotKey, gotHead, err, key, head)
+	}
+	e.deposit(t, "acct0", 1)
+	if err := e.cluster.ReplicationIdle(5 * time.Second); err != nil {
+		t.Fatalf("replication drain: %v", err)
+	}
+	e.assertConverged(t, "acct0")
+}
+
+// TestReplicaDuplicateDeliveryAppliesOnce: a delivery handled twice — its
+// request duplicated in flight, or retransmitted after its reply was lost —
+// is logged and applied once; the repeat finds its stamp at the head and is
+// acknowledged as redundant.
+func TestReplicaDuplicateDeliveryAppliesOnce(t *testing.T) {
+	t.Run("request duplicated", func(t *testing.T) {
+		inj := fault.New(1)
+		e := newReplicated(t, 3, inj)
+		logged := make(map[SiteID]int)
+		for id, s := range e.sites {
+			logged[id] = s.Disk().Len()
+		}
+		redundant := obsReplRedundant.Load()
+		inj.Enable(fault.NetRequestDup, fault.Rule{Prob: 1})
+		for i := 0; i < 4; i++ {
+			e.deposit(t, "acct0", 3)
+		}
+		if err := e.cluster.ReplicationIdle(5 * time.Second); err != nil {
+			t.Fatalf("replication drain: %v", err)
+		}
+		want := e.followerDeliveries(map[histories.ObjectID]int{"acct0": 4})
+		total := 0
+		for id, k := range want {
+			if got := e.sites[id].Disk().Len() - logged[id]; got != k {
+				t.Errorf("follower %s logged %d records for %d deliveries", id, got, k)
+			}
+			total += k
+		}
+		if got := obsReplRedundant.Load() - redundant; got < int64(total) {
+			t.Errorf("%d duplicates acknowledged as redundant, want at least %d", got, total)
+		}
+		if got := e.balance(t, "acct0"); got != 12 {
+			t.Fatalf("balance = %d, want 12", got)
+		}
+		e.assertConverged(t, "acct0")
+	})
+	t.Run("reply dropped", func(t *testing.T) {
+		inj := fault.New(1)
+		e := newReplicated(t, 3, inj)
+		fid := e.cluster.ReplicaSet("acct0")[1]
+		f := e.sites[fid]
+		key, head, err := f.ReplicaStateKey("acct0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		epoch, err := e.net.epochFor("", fid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		logged, redundant := f.Disk().Len(), obsReplRedundant.Load()
+		inj.Enable(fault.NetReplyDrop, fault.Rule{Prob: 1, Limit: 1})
+		req := replicaReq{Obj: "acct0", TS: head + 1, Calls: []spec.Call{{Inv: spec.Invocation{Op: adts.OpDeposit, Arg: value.Int(6)}, Result: value.Unit()}}}
+		_, attempt, err := callAt(e.net, "", fid, epoch, req, (*Site).handleReplica)
+		if err != nil || attempt != 1 {
+			t.Fatalf("delivery answered on transmission %d (%v), want the retransmission", attempt, err)
+		}
+		if got := f.Disk().Len() - logged; got != 1 {
+			t.Errorf("follower logged %d records for one delivery", got)
+		}
+		if got := obsReplRedundant.Load() - redundant; got != 1 {
+			t.Errorf("%d retransmissions acknowledged as redundant, want 1", got)
+		}
+		gotKey, gotHead, err := f.ReplicaStateKey("acct0")
+		if err != nil || gotHead != head+1 || gotKey == key {
+			t.Fatalf("copy after the delivery = %s at %d (%v), was %s at %d", gotKey, gotHead, err, key, head)
+		}
+		v, err := e.net.QueryReplicaRead("", fid, "acct0", spec.Invocation{Op: adts.OpBalance, Arg: value.Nil()}, head+1)
+		if err != nil || v.MustInt() != 6 {
+			t.Errorf("read at the new head = %v (%v), want 6", v, err)
+		}
+	})
+}
+
+// TestReplicaDeliveryBetweenFloorAndHeadRefused: a stamp strictly between a
+// follower's floor and head that no kept version carries cannot be a repeat
+// — only the head repeats, or after recovery something below the floor —
+// so it is refused as out of order and counted as an apply error, while a
+// stamp at the head or the floor is acknowledged as redundant. None of the
+// three touches the log or the copy.
+func TestReplicaDeliveryBetweenFloorAndHeadRefused(t *testing.T) {
+	e := newReplicated(t, 3, nil)
+	e.deposit(t, "acct0", 1)
+	e.deposit(t, "acct1", 1)
+	e.deposit(t, "acct0", 1)
+	if err := e.cluster.ReplicationIdle(5 * time.Second); err != nil {
+		t.Fatalf("replication drain: %v", err)
+	}
+	f := e.sites[e.cluster.ReplicaSet("acct0")[1]]
+	f.mu.Lock()
+	floor, head := f.replicas["acct0"].Floor(), f.replicas["acct0"].HeadTS()
+	f.mu.Unlock()
+	// Stamps are drawn across objects, so the acct1 deposit's stamp lies
+	// between the two acct0 deliveries and no acct0 version carries it.
+	between := head - 1
+	if !(floor < between) {
+		t.Fatalf("floor %d, head %d: no stamp strictly between", floor, head)
+	}
+	key, _, err := f.ReplicaStateKey("acct0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	logged := f.Disk().Len()
+	deliver := func(ts histories.Timestamp) error {
+		_, err := f.handleReplica(delivery{}, replicaReq{Obj: "acct0", TS: ts,
+			Calls: []spec.Call{{Inv: spec.Invocation{Op: adts.OpDeposit, Arg: value.Int(9)}, Result: value.Unit()}}})
+		return err
+	}
+	errs, redundant := obsReplApplyErrors.Load(), obsReplRedundant.Load()
+	if err := deliver(between); err == nil || !strings.Contains(err.Error(), "out-of-order") {
+		t.Errorf("delivery at %d between floor %d and head %d: err = %v, want out-of-order", between, floor, head, err)
+	}
+	if got := obsReplApplyErrors.Load() - errs; got != 1 {
+		t.Errorf("dist.repl.apply.errors rose by %d, want 1", got)
+	}
+	for _, ts := range []histories.Timestamp{head, floor} {
+		if err := deliver(ts); err != nil {
+			t.Errorf("delivery at %d: %v, want acknowledged as redundant", ts, err)
+		}
+	}
+	if got := obsReplRedundant.Load() - redundant; got != 2 {
+		t.Errorf("%d deliveries acknowledged as redundant, want 2", got)
+	}
+	if got := f.Disk().Len(); got != logged {
+		t.Errorf("follower's log grew from %d to %d records", logged, got)
+	}
+	if gotKey, gotHead, err := f.ReplicaStateKey("acct0"); err != nil || gotKey != key || gotHead != head {
+		t.Errorf("copy = %s at %d (%v), want it untouched at %s, %d", gotKey, gotHead, err, key, head)
+	}
+}
+
+// refuseSeeds is a site's stable storage that, while armed, refuses every
+// replica seed; the first refusal also crashes the site.
+type refuseSeeds struct {
+	recovery.Backend
+	site    *Site
+	armed   atomic.Bool
+	crashed atomic.Bool
+}
+
+func (d *refuseSeeds) Append(r recovery.Record) error {
+	if r.Migrate == recovery.ReplicaIn && r.States != nil && d.armed.Load() {
+		if d.crashed.CompareAndSwap(false, true) {
+			d.site.Crash()
+		}
+		return recovery.ErrWriteFailed
+	}
+	return d.Backend.Append(r)
+}
+
+// TestFollowerWithoutDurableSeedServesNothing: a site whose seed never
+// reached its log does not follow the object, across a crash too — it
+// refuses snapshot reads rather than answer from a copy it never had —
+// and follows once the retried seed lands.
+func TestFollowerWithoutDurableSeedServesNothing(t *testing.T) {
+	disks := map[SiteID]recovery.Backend{}
+	wrappers := map[SiteID]*refuseSeeds{}
+	for _, id := range []SiteID{"A", "B", "C"} {
+		w := &refuseSeeds{Backend: &recovery.Disk{}}
+		disks[id], wrappers[id] = w, w
+	}
+	e := newElasticWith(t, elasticConfig{sites: []SiteID{"A", "B", "C"}, homes: []SiteID{"A", "A"}, disks: disks})
+	for id, w := range wrappers {
+		w.site = e.sites[id]
+	}
+	e.deposit(t, "acct0", 70)
+	fid := replicaFollowers(e.cluster.ring, "acct0", 3, "A")[0]
+	w := wrappers[fid]
+	w.armed.Store(true)
+	if err := e.cluster.EnableReplication(3); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(e.cluster.Close)
+	deadline := time.Now().Add(5 * time.Second)
+	for !w.crashed.Load() {
+		if time.Now().After(deadline) {
+			t.Fatal("no seed reached the armed follower")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := e.sites[fid].Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if e.sites[fid].Follows("acct0") {
+		t.Error("the follower follows acct0 with no seed in its log")
+	}
+	_, err := e.net.QueryReplicaRead("", fid, "acct0", spec.Invocation{Op: adts.OpBalance, Arg: value.Nil()}, e.cluster.replicator().stableTS())
+	if !errors.Is(err, ErrNotReplica) {
+		t.Errorf("read at a follower without a seed: err = %v, want ErrNotReplica", err)
+	}
+	w.armed.Store(false)
+	if err := e.cluster.ReplicationIdle(5 * time.Second); err != nil {
+		t.Fatalf("seed drain: %v", err)
+	}
+	e.assertConverged(t, "acct0")
 }

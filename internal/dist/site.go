@@ -646,19 +646,16 @@ func (s *Site) rebuildLocked(fold *recovery.Fold) error {
 		}
 		s.objects[id] = o
 	}
-	// Rebuild follower copies: the redo folded every committed ReplicaIn
-	// record (seed baseline + deliveries) into states, and the watermark is
-	// the newest committed delivery timestamp, so the version log collapses
-	// to a single version at the watermark — snapshot reads below it refuse
-	// with ErrReplicaLag until fresher deliveries rebuild history. An object
-	// whose seed never committed (crash between the seed's two appends) has
-	// no replayed state; the delivery worker reseeds it.
+	// Rebuild follower copies: the redo folded every ReplicaIn record (seed
+	// baseline + deliveries) into states, and the watermark is the newest
+	// delivery's stamp, so the version log collapses to a single version at
+	// the watermark — snapshot reads below it refuse with ErrReplicaLag
+	// until fresher deliveries rebuild history. A site follows an object
+	// only once its seed is logged, so every follow has a state here.
 	s.replicas = make(map[histories.ObjectID]*ccrt.VersionLog)
 	marks := fold.Watermarks()
 	for id := range s.follows {
-		if st, ok := states[id]; ok {
-			s.replicas[id] = baselineLog(marks[id], st)
-		}
+		s.replicas[id] = baselineLog(marks[id], states[id])
 	}
 	return nil
 }

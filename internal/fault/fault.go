@@ -158,15 +158,16 @@ const (
 	// ReplDeliverDrop: an asynchronous replica delivery attempt is lost
 	// before its RPC leaves the origin — the queue worker's bounded-retry
 	// loop redelivers it, and the follower's idempotent apply (keyed by
-	// the delivery's activity id) absorbs any duplicate. Hit by the
-	// replication queue worker per attempt.
+	// the delivery's stamp) absorbs any duplicate. Hit by the replication
+	// queue worker per attempt.
 	ReplDeliverDrop Point = "repl.deliver.drop"
-	// ReplApplyCrash: the follower site crashes inside the replica apply
-	// handler — either after forcing the delivery's intentions but before
-	// its commit record (the delivery vanishes at restart and redelivery
-	// re-logs it), or after the commit record (restart replays it and
-	// redelivery deduplicates). Hit by dist.Site's replica apply handler
-	// in both windows.
+	// ReplApplyCrash: the follower site crashes inside the replica
+	// handler's delivery path — either before the delivery's record is
+	// logged (nothing is durable; the redelivery logs and applies it), or
+	// after the record, before the in-memory install (restart redoes the
+	// record, and the redelivery finds its stamp at the watermark and is
+	// redundant). Hit by dist.Site's replica handler in both windows, for
+	// every delivery but a seed.
 	ReplApplyCrash Point = "repl.apply.crash"
 	// ReplPartition: the network partitions a replica group — followers
 	// are cut off from the origin's delivery queues for a window, then

@@ -2,6 +2,7 @@ package recovery
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"weihl83/internal/cc"
@@ -71,31 +72,22 @@ type TxnFate struct {
 //     abort record on either side of it (duplicate and late outcome records
 //     from a handler racing the in-doubt resolver are benign);
 //   - otherwise an abort record makes it aborted;
-//   - otherwise logged intentions make it in doubt — except a replica
-//     delivery's (ReplicaIn), which is no 2PC half: uncommitted, it is a
-//     crash between the delivery's two appends and is simply redelivered;
+//   - otherwise logged intentions make it in doubt;
 //   - otherwise the log has never heard of it.
+//
+// A replica record (ReplicaIn) is no transaction's: it is durable on its
+// own and identified by its stamp, so it gets no row at all.
 type Fold struct {
 	recs  []Record
 	table map[histories.ActivityID]*TxnFate
 	order []*TxnFate // first-seen order
-	// seen holds every (txn, object) pair with logged intentions; dup marks
-	// the records repeating one — a redelivered replica delivery — which
-	// redo must apply only once.
-	seen map[txnObject]bool
-	dup  map[int]bool
-	// replicaTS merges the watermarks checkpoints carried forward;
-	// replicaIn and migrateIn index the records whose contribution depends
-	// on a fate that may still change (see Add).
+	// replicaTS is the replica watermark: per object, the highest stamp of
+	// a ReplicaIn record or a checkpoint's ReplicaTS.
 	replicaTS map[histories.ObjectID]histories.Timestamp
-	replicaIn []int
+	// migrateIn indexes the records whose contribution depends on a fate
+	// that may still change (see Add).
 	migrateIn []int
 	maxSeq    int64
-}
-
-type txnObject struct {
-	txn histories.ActivityID
-	obj histories.ObjectID
 }
 
 // FoldLog folds a record sequence. The fold keeps recs (it never writes to
@@ -104,8 +96,6 @@ func FoldLog(recs []Record) *Fold {
 	f := &Fold{
 		recs:  recs[:len(recs):len(recs)],
 		table: make(map[histories.ActivityID]*TxnFate),
-		seen:  make(map[txnObject]bool),
-		dup:   make(map[int]bool),
 	}
 	for i := range recs {
 		f.observe(i)
@@ -140,23 +130,15 @@ func (f *Fold) observe(i int) {
 	}
 	switch r.Kind {
 	case RecordIntentions:
-		t := f.row(r.Txn)
 		switch r.Migrate {
 		case ReplicaIn:
-			f.replicaIn = append(f.replicaIn, i)
+			f.mark(r.Object, r.TS)
+			return
 		case MigrateIn:
 			f.migrateIn = append(f.migrateIn, i)
 		}
-		k := txnObject{r.Txn, r.Object}
-		if f.seen[k] {
-			f.dup[i] = true
-			return
-		}
-		f.seen[k] = true
+		t := f.row(r.Txn)
 		t.Objects = append(t.Objects, r.Object)
-		if r.Migrate == ReplicaIn {
-			return
-		}
 		if t.Fate == FateUnknown {
 			t.Fate = FateInDoubt
 		}
@@ -182,13 +164,18 @@ func (f *Fold) observe(i int) {
 			f.row(txn).Fate = FateCommitted
 		}
 		for id, ts := range r.ReplicaTS {
-			if f.replicaTS == nil {
-				f.replicaTS = make(map[histories.ObjectID]histories.Timestamp)
-			}
-			if ts > f.replicaTS[id] {
-				f.replicaTS[id] = ts
-			}
+			f.mark(id, ts)
 		}
+	}
+}
+
+// mark raises obj's replica watermark to ts.
+func (f *Fold) mark(obj histories.ObjectID, ts histories.Timestamp) {
+	if f.replicaTS == nil {
+		f.replicaTS = make(map[histories.ObjectID]histories.Timestamp)
+	}
+	if ts > f.replicaTS[obj] {
+		f.replicaTS[obj] = ts
 	}
 }
 
@@ -231,23 +218,13 @@ func (f *Fold) InDoubt() []*TxnFate {
 func (f *Fold) MaxSeq() int64 { return f.maxSeq }
 
 // Watermarks returns the per-object replica delivery floor: the highest
-// timestamp among committed ReplicaIn records, merged with the watermarks
-// checkpoints carried forward. A follower recovering from this log must
-// refuse snapshot reads below the floor — every delivery at or below it is
-// already folded into the replayed state, so a lower-timestamped read would
+// stamp among the ReplicaIn records, merged with the watermarks checkpoints
+// carried forward. A follower recovering from this log must refuse snapshot
+// reads below the floor — every delivery at or below it is already folded
+// into the replayed state, so a lower-timestamped read would
 // anachronistically observe later effects.
 func (f *Fold) Watermarks() map[histories.ObjectID]histories.Timestamp {
-	marks := make(map[histories.ObjectID]histories.Timestamp, len(f.replicaTS))
-	for id, ts := range f.replicaTS {
-		marks[id] = ts
-	}
-	for _, i := range f.replicaIn {
-		r := &f.recs[i]
-		if f.Fate(r.Txn) == FateCommitted && r.TS > marks[r.Object] {
-			marks[r.Object] = r.TS
-		}
-	}
-	return marks
+	return maps.Clone(f.replicaTS)
 }
 
 // HomedAt returns, per object, the placement version its latest committed
@@ -268,10 +245,11 @@ func (f *Fold) HomedAt() map[histories.ObjectID]uint64 {
 // in intentions order — the redo pass of intentions-list recovery.
 // Transactions the fold does not call committed contribute nothing, which
 // is exactly the recoverability half of atomicity: they appear never to
-// have run. A checkpoint record resets the replay to its snapshot, so a
-// compacted log replays as checkpoint + suffix. initialHosted names the
-// objects the owner was seeded with (before any migration); nil means every
-// object in specs.
+// have run. A replica record applies once, above the highest stamp already
+// applied at its object. A checkpoint record resets the replay to its
+// snapshot, so a compacted log replays as checkpoint + suffix.
+// initialHosted names the objects the owner was seeded with (before any
+// migration); nil means every object in specs.
 //
 // Replaying at the intentions' log position is sound exactly when, per
 // object, log order equals install order: the state a live transaction
@@ -306,6 +284,7 @@ func (f *Fold) Redo(specs map[histories.ObjectID]spec.SerialSpec, initialHosted 
 	for id, h := range initialHosted {
 		hosted[id] = h
 	}
+	applied := make(map[histories.ObjectID]histories.Timestamp) // per object, the highest replica stamp redone
 	for i := range f.recs {
 		r := &f.recs[i]
 		if r.Torn {
@@ -313,11 +292,27 @@ func (f *Fold) Redo(specs map[histories.ObjectID]spec.SerialSpec, initialHosted 
 		}
 		switch r.Kind {
 		case RecordIntentions:
-			if f.Fate(r.Txn) != FateCommitted || f.dup[i] {
+			switch {
+			case r.Migrate == ReplicaIn:
+				// Replica-group record at a follower. A seed adopts the
+				// shipped baseline; a delivery falls through to ordinary
+				// call replay onto it. Hosting is untouched either way —
+				// the follower's copy is a read replica, not a home. A
+				// stamp already applied is skipped: logs written before
+				// deliveries became single records can repeat a delivery
+				// (one whose commit record a crash cut off, then its
+				// redelivery) or keep one a later reseed superseded.
+				if r.TS <= applied[r.Object] {
+					continue
+				}
+				applied[r.Object] = r.TS
+				if st, ok := r.States[r.Object]; ok {
+					states[r.Object] = st
+					continue
+				}
+			case f.Fate(r.Txn) != FateCommitted:
 				continue
-			}
-			switch r.Migrate {
-			case MigrateIn:
+			case r.Migrate == MigrateIn:
 				// The committed migration made the copied baseline this
 				// site's committed state for the object and took hosting.
 				// Client intentions on the object at this site are always
@@ -328,21 +323,12 @@ func (f *Fold) Redo(specs map[histories.ObjectID]spec.SerialSpec, initialHosted 
 				}
 				hosted[r.Object] = true
 				continue
-			case MigrateOut:
+			case r.Migrate == MigrateOut:
 				// The object left this site: its committed state lives at
 				// the new home now.
 				delete(states, r.Object)
 				hosted[r.Object] = false
 				continue
-			case ReplicaIn:
-				// Replica-group record at a follower. A seed adopts the
-				// shipped baseline; a delivery falls through to ordinary
-				// call replay onto it. Hosting is untouched either way —
-				// the follower's copy is a read replica, not a home.
-				if st, ok := r.States[r.Object]; ok {
-					states[r.Object] = st
-					continue
-				}
 			}
 			base, ok := states[r.Object]
 			if !ok {
@@ -362,7 +348,11 @@ func (f *Fold) Redo(specs map[histories.ObjectID]spec.SerialSpec, initialHosted 
 			// states (objects created after the checkpoint keep their
 			// initial state). Any transaction undecided at checkpoint time
 			// had its intentions re-appended after the checkpoint record by
-			// compaction, so they still replay onto the snapshot.
+			// compaction, so they still replay onto the snapshot; replica
+			// records at or below its watermark are already in it.
+			for id, ts := range r.ReplicaTS {
+				applied[id] = max(applied[id], ts)
+			}
 			for id, st := range r.States {
 				// An object absent from the caller's set but hosted per the
 				// snapshot migrated in: the snapshot is its baseline.
@@ -389,10 +379,10 @@ func (f *Fold) Redo(specs map[histories.ObjectID]spec.SerialSpec, initialHosted 
 // committed-state snapshot Redo rebuilds, the committed set (compaction
 // drops the commit records, so outcome queries answer from Decided; aborted
 // transactions are forgettable under presumed abort), the hosting snapshot
-// when withHosted, and the replica watermark (compaction drops the
-// committed deliveries the snapshot folds in) — followed by the intentions
-// of every transaction still without an outcome, which replay onto the
-// snapshot once decided. Both backends install exactly this sequence.
+// when withHosted, and the replica watermark (compaction drops the replica
+// records the snapshot folds in) — followed by the intentions of every
+// transaction still without an outcome, which replay onto the snapshot once
+// decided. Both backends install exactly this sequence.
 func (f *Fold) compact(specs map[histories.ObjectID]spec.SerialSpec, initialHosted map[histories.ObjectID]bool, withHosted bool) ([]Record, error) {
 	states, hosted, err := f.Redo(specs, initialHosted)
 	if err != nil {
@@ -412,7 +402,7 @@ func (f *Fold) compact(specs map[histories.ObjectID]spec.SerialSpec, initialHost
 	}
 	compacted := []Record{cp}
 	for _, r := range f.recs {
-		if r.Torn || r.Kind != RecordIntentions {
+		if r.Torn || r.Kind != RecordIntentions || r.Migrate == ReplicaIn {
 			continue
 		}
 		if fate := f.Fate(r.Txn); fate != FateCommitted && fate != FateAborted {

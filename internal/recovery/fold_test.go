@@ -24,7 +24,9 @@ func depositIntent(txn histories.ActivityID, obj histories.ObjectID, amt int64) 
 // TestFoldRows pins what the fold reports beside the fates: in-doubt rows
 // in first-seen order with their objects, participants and migration
 // halves; the decided map; replica watermarks; migrate-in placement
-// versions; the highest transaction number.
+// versions; the highest transaction number. Replica records are no
+// transaction's: they make no row, and every one that is not torn raises
+// its object's watermark.
 func TestFoldRows(t *testing.T) {
 	base := stateWithBalance(t, 5)
 	recs := []Record{
@@ -34,9 +36,9 @@ func TestFoldRows(t *testing.T) {
 		{Kind: RecordIntentions, Txn: "m1", Object: "b", Migrate: MigrateIn, RingV: 3,
 			States: map[histories.ObjectID]spec.State{"b": base}, Participants: []string{"B", "C"}},
 		{Kind: RecordIntentions, Txn: "t12", Object: "b", Participants: []string{"B", "A"}},
-		{Kind: RecordIntentions, Txn: "repl!1", Object: "r", Migrate: ReplicaIn, TS: 6},
-		{Kind: RecordCommit, Txn: "repl!1"},
-		{Kind: RecordIntentions, Txn: "repl!2", Object: "r", Migrate: ReplicaIn, TS: 8}, // uncommitted
+		{Kind: RecordIntentions, Object: "r", Migrate: ReplicaIn, TS: 6},
+		{Kind: RecordIntentions, Object: "r", Migrate: ReplicaIn, TS: 8},
+		{Kind: RecordIntentions, Object: "r", Migrate: ReplicaIn, TS: 10, Torn: true},
 		{Kind: RecordIntentions, Txn: "m0", Object: "c", Migrate: MigrateIn, RingV: 2},
 		{Kind: RecordCommit, Txn: "m0"},
 		{Kind: RecordAbort, Txn: "t30"},
@@ -55,18 +57,18 @@ func TestFoldRows(t *testing.T) {
 	if got := doubts[1]; got.Migrate["b"] != MigrateIn || !reflect.DeepEqual(got.Participants, []string{"B", "C"}) {
 		t.Errorf("m1 row = %+v", got)
 	}
-	wantDecided := map[histories.ActivityID]bool{"t7": true, "repl!1": true, "m0": true, "t30": false}
+	wantDecided := map[histories.ActivityID]bool{"t7": true, "m0": true, "t30": false}
 	if got := f.Decided(); !reflect.DeepEqual(got, wantDecided) {
 		t.Errorf("Decided = %v, want %v", got, wantDecided)
 	}
-	wantMarks := map[histories.ObjectID]histories.Timestamp{"r": 6, "q": 9}
+	wantMarks := map[histories.ObjectID]histories.Timestamp{"r": 8, "q": 9}
 	if got := f.Watermarks(); !reflect.DeepEqual(got, wantMarks) {
 		t.Errorf("Watermarks = %v, want %v", got, wantMarks)
 	}
 	d := &Disk{}
 	d.records.append(recs...)
-	if got := ReplicaWatermarks(d); !reflect.DeepEqual(got, wantMarks) {
-		t.Errorf("ReplicaWatermarks = %v, want the fold's %v", got, wantMarks)
+	if got := FoldLog(d.Records()).Watermarks(); !reflect.DeepEqual(got, wantMarks) {
+		t.Errorf("watermarks of the disk's records = %v, want the fold's %v", got, wantMarks)
 	}
 	if got := f.HomedAt(); !reflect.DeepEqual(got, map[histories.ObjectID]uint64{"c": 2}) {
 		t.Errorf("HomedAt = %v, want c:2 only (m1 is undecided)", got)
@@ -256,5 +258,68 @@ func TestDiskAndFileWALAgree(t *testing.T) {
 		}
 		agree("after reopen")
 		file.Close()
+	}
+}
+
+// TestReplicaRecordsOfEarlierLogs: logs written while a replica delivery
+// was a record paired with a commit record under a derived id
+// (repl!<txn>!<obj>, repl-seed!<obj>!<ts>) still redo to the follower state
+// and watermark their own fold gave — pinned here from that fold — whichever
+// way the pairs landed. A record whose commit record a crash cut off was
+// followed by its redelivery, which redo now recognises by its stamp, or
+// was superseded by a reseed, whose stamp the checkpoint that kept the
+// record carries. Compacting such a log keeps both and leaves no replica
+// record behind.
+func TestReplicaRecordsOfEarlierLogs(t *testing.T) {
+	const seedID, reseedID, deliveryID = "repl-seed!r!1", "repl-seed!r!10", "repl!t2!r"
+	specs := map[histories.ObjectID]spec.SerialSpec{"r": adts.AccountSpec{}}
+	five := stateWithBalance(t, 5)
+	seed := Record{Kind: RecordIntentions, Txn: seedID, Object: "r", Migrate: ReplicaIn, TS: 1,
+		States: map[histories.ObjectID]spec.State{"r": five}}
+	delivery := Record{Kind: RecordIntentions, Txn: deliveryID, Object: "r", Migrate: ReplicaIn, TS: 2,
+		Calls: []spec.Call{call(adts.OpDeposit, value.Int(3), value.Unit())}}
+	// compacted is what the earlier compaction made of [seed, commit,
+	// delivery]: the seed folded into the snapshot, its id into Decided, and
+	// the uncommitted delivery re-appended as undecided. reseeded is the
+	// same after a reseed of 20 at stamp 10 (the follower left the replica
+	// set, which dropped the delivery, and rejoined).
+	compacted := Record{Kind: RecordCheckpoint, States: map[histories.ObjectID]spec.State{"r": five},
+		Decided: map[histories.ActivityID]bool{seedID: true}, ReplicaTS: map[histories.ObjectID]histories.Timestamp{"r": 1}}
+	reseeded := Record{Kind: RecordCheckpoint, States: map[histories.ObjectID]spec.State{"r": stateWithBalance(t, 20)},
+		Decided: map[histories.ActivityID]bool{seedID: true, reseedID: true}, ReplicaTS: map[histories.ObjectID]histories.Timestamp{"r": 10}}
+	for _, c := range []struct {
+		name  string
+		log   []Record
+		state string
+		mark  histories.Timestamp
+	}{
+		{"record and commit pairs", []Record{seed, OutcomeRecord(seedID, true), delivery, OutcomeRecord(deliveryID, true)}, "8", 2},
+		{"uncommitted delivery then its redelivery", []Record{seed, OutcomeRecord(seedID, true), delivery, delivery, OutcomeRecord(deliveryID, true)}, "8", 2},
+		{"uncommitted seed then its reseed", []Record{seed, seed, OutcomeRecord(seedID, true), delivery, OutcomeRecord(deliveryID, true)}, "8", 2},
+		{"uncommitted delivery kept by compaction", []Record{compacted, delivery, delivery, OutcomeRecord(deliveryID, true)}, "8", 2},
+		{"uncommitted delivery a reseed superseded", []Record{reseeded, delivery}, "20", 10},
+	} {
+		d := &Disk{}
+		d.records.append(c.log...)
+		for _, stage := range []string{"as written", "after a checkpoint"} {
+			states, err := Restart(d, specs)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", c.name, stage, err)
+			}
+			if got := states["r"].Key(); got != c.state {
+				t.Errorf("%s, %s: follower state %s, want %s", c.name, stage, got, c.state)
+			}
+			if got := FoldLog(d.Records()).Watermarks()["r"]; got != c.mark {
+				t.Errorf("%s, %s: watermark %d, want %d", c.name, stage, got, c.mark)
+			}
+			if _, err := d.Checkpoint(specs); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range d.Records() {
+				if r.Migrate == ReplicaIn {
+					t.Errorf("%s: the checkpoint kept replica record %+v", c.name, r)
+				}
+			}
+		}
 	}
 }

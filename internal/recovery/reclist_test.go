@@ -25,8 +25,8 @@ func reclistSpecs() map[histories.ObjectID]spec.SerialSpec {
 }
 
 // reclistGroup is the i-th record group the chunked-log tests append: a
-// committed two-account transfer, with every seventh group a committed
-// replica delivery and every eleventh an undecided intentions record left
+// committed two-account transfer, with every seventh group a replica
+// delivery and every eleventh an undecided intentions record left
 // in doubt, so a checkpoint keeps some intentions and a watermark.
 func reclistGroup(i int) []Record {
 	txn := histories.ActivityID(fmt.Sprintf("t%d", i))
@@ -38,11 +38,8 @@ func reclistGroup(i int) []Record {
 		OutcomeRecord(txn, true),
 	}
 	if i%7 == 0 {
-		rtxn := histories.ActivityID(fmt.Sprintf("repl!%d", i))
-		g = append(g,
-			Record{Kind: RecordIntentions, Txn: rtxn, Object: "r", Migrate: ReplicaIn, TS: histories.Timestamp(i + 1),
-				Calls: []spec.Call{call(adts.OpDeposit, value.Int(1), value.Unit())}},
-			OutcomeRecord(rtxn, true))
+		g = append(g, Record{Kind: RecordIntentions, Object: "r", Migrate: ReplicaIn, TS: histories.Timestamp(i + 1),
+			Calls: []spec.Call{call(adts.OpDeposit, value.Int(1), value.Unit())}})
 	}
 	if i%11 == 0 {
 		g = append(g, Record{Kind: RecordIntentions, Txn: histories.ActivityID(fmt.Sprintf("d%d", i)), Object: "a",
@@ -77,7 +74,7 @@ func sameLog(t *testing.T, what string, got, want []Record) {
 }
 
 // matchesFlat checks every reader of b against the flat reference log:
-// Records, Len, Restart and ReplicaWatermarks.
+// Records, Len, Restart and the replica watermarks.
 func matchesFlat(t *testing.T, what string, b Backend, ref []Record) {
 	t.Helper()
 	sameLog(t, what, b.Records(), ref)
@@ -98,8 +95,8 @@ func matchesFlat(t *testing.T, what string, b Backend, ref []Record) {
 			t.Fatalf("%s: Restart state of %s = %s, want %s", what, id, got[id].Key(), want[id].Key())
 		}
 	}
-	if got, want := ReplicaWatermarks(b), FoldLog(ref).Watermarks(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: ReplicaWatermarks = %v, want %v", what, got, want)
+	if got, want := FoldLog(b.Records()).Watermarks(), FoldLog(ref).Watermarks(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: watermarks = %v, want %v", what, got, want)
 	}
 }
 
@@ -124,7 +121,7 @@ func checkpointMatchesFlat(t *testing.T, what string, b Backend, ref []Record) [
 // an append never moves, and nothing a reader can see tells it from the
 // flat slice it replaced. Over more than three chunks' worth of records,
 // with torn and failed appends and torn checkpoints firing in between, the
-// in-memory Disk's Records, Len, Restart, ReplicaWatermarks and a
+// in-memory Disk's Records, Len, Restart, replica watermarks and a
 // CheckpointHosted equal what the flat reference log gives.
 func TestChunkedLogMatchesFlat(t *testing.T) {
 	d := &Disk{}

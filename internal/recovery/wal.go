@@ -67,12 +67,11 @@ const (
 	// copy, a delivery (Calls set) replays the shipped calls onto it.
 	// Unlike MigrateIn, ReplicaIn never touches hosting — the leader stays
 	// the object's single home and the follower only serves snapshot
-	// reads. Each ReplicaIn intentions record is paired with its own
-	// commit record (the follower's local WAL protocol), so an
-	// uncommitted delivery vanishes at restart and bounded-retry
-	// redelivery re-logs it; restart's in-doubt resolution must skip
-	// these records — they are not transaction halves and have no
-	// coordinator to consult.
+	// reads. A ReplicaIn record is self-contained: it is durable once
+	// appended (a torn one does not exist), belongs to no transaction and
+	// has no outcome record. Its TS — the replicator's stamp, from one on,
+	// ascending per object — is its identity: redo applies each stamp
+	// once, and the highest stamp is the follower's watermark.
 	ReplicaIn
 )
 
@@ -115,8 +114,8 @@ type Record struct {
 	// checkpoints taken without hosting awareness.
 	Hosted map[histories.ObjectID]bool
 	// ReplicaTS is a checkpoint's replica watermark (RecordCheckpoint):
-	// per object, the highest delivery timestamp among the committed
-	// ReplicaIn records the checkpoint's States snapshot folds in.
+	// per object, the highest stamp among the ReplicaIn records the
+	// checkpoint's States snapshot folds in.
 	// Compaction drops those records, so a recovering follower derives
 	// its snapshot-read floor from here — reads below the floor would
 	// silently include later effects already merged into the baseline.
@@ -453,10 +452,4 @@ func Restart(d Backend, specs map[histories.ObjectID]spec.SerialSpec) (map[histo
 // way its States snapshot re-bases state replay.
 func RestartHosted(d Backend, specs map[histories.ObjectID]spec.SerialSpec, initialHosted map[histories.ObjectID]bool) (map[histories.ObjectID]spec.State, map[histories.ObjectID]bool, error) {
 	return FoldLog(d.Records()).Redo(specs, initialHosted)
-}
-
-// ReplicaWatermarks returns the log's per-object replica delivery floor
-// (see Fold.Watermarks).
-func ReplicaWatermarks(d Backend) map[histories.ObjectID]histories.Timestamp {
-	return FoldLog(d.Records()).Watermarks()
 }
