@@ -67,8 +67,10 @@ examples:
 # timestamp deduplication: recovery from either crash window, a crash and
 # recovery racing the install, a duplicated or retransmitted delivery
 # applied once, one log record per delivery, a stamp between floor and
-# head refused, and no follow without a logged seed. About 50 seconds in
-# all.
+# head refused, and no follow without a logged seed. It also runs the
+# replica-set tests of a migration: followers recomputed around the new
+# leader, and a follower that was down when the migration dropped it
+# following nothing after its recovery. About 50 seconds in all.
 order-stress:
 	$(GO) test -count=20 -run 'TestCrashConsistency' ./internal/tx
 	$(GO) test -count=20 -run 'TestFacadeDurableQueueRecoversInInstallOrder' .
@@ -76,7 +78,7 @@ order-stress:
 	$(GO) test -race -count=20 -run '^(TestMigrationCrashWindowSweep|TestAbandonedUnpreparedTxnSwept|TestUnanimousPeerRefusalPresumesAbort|TestDownCoordinatorAnswersInDoubt|TestRunningSitesNeverReadTheirLog|TestFailedCommitRecordHoldsTheExport|TestVoteAndRefusalNeverBothSucceed)$$' ./internal/dist
 	$(GO) test -race -count=20 -run '^(TestEpochHandshakeOncePerCrash|TestReconfigureUnderTransfers|TestHandshakeClosesFirstContactWindow|TestHandshakeRegressionLock|TestHandshakeNoExpectZeroUnderFaults|TestStaleRouteRefusedAfterRestart)$$' ./internal/dist
 	$(GO) test -race -count=20 -run '^(TestDecidedTransactionsLeaveNoSiteRecord|TestRetransmitAfterDecision|TestRecycledSiteRecordStartsClean|TestRecycledPinNeverAliasesShippedCalls|TestVoteAndRefusalNeverBothSucceed|TestReconfigureUnderTransfers)$$' ./internal/dist
-	$(GO) test -race -count=20 -run '^(TestFollowerCrashRecoveryConverges|TestFollowerCrashAfterRecord|TestReplicaApplyRacingRecovery|TestReplicaDeliveryIsOneRecord|TestReplicaCheckpointHoldsNoDelivery|TestReplicaDuplicateDeliveryAppliesOnce|TestReplicaDeliveryBetweenFloorAndHeadRefused|TestFollowerWithoutDurableSeedServesNothing)$$' ./internal/dist
+	$(GO) test -race -count=20 -run '^(TestFollowerCrashRecoveryConverges|TestFollowerCrashAfterRecord|TestReplicaApplyRacingRecovery|TestReplicaDeliveryIsOneRecord|TestReplicaCheckpointHoldsNoDelivery|TestReplicaDuplicateDeliveryAppliesOnce|TestReplicaDeliveryBetweenFloorAndHeadRefused|TestFollowerWithoutDurableSeedServesNothing|TestMigrationMovesReplicaSet|TestDownFollowerDroppedByMigrationStaysUnfollowed)$$' ./internal/dist
 
 # detector-stress reruns the deadlock-detector tests under the race
 # detector: only transactions that wait enter the detector, and Doomed,

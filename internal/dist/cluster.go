@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -366,32 +367,20 @@ func (c *Cluster) recomputeReplicaSet(rep *replicator, obj histories.ObjectID, l
 		rep.routes[obj] = route
 	}
 	old := route.followers
-	route.leader = leader
 	route.followers = followers
 	route.v = ringv
-	keep := make(map[SiteID]bool, len(followers))
+	var added, removed []SiteID
 	for _, f := range followers {
-		keep[f] = true
+		if !slices.Contains(old, f) {
+			added = append(added, f)
+		}
 	}
-	var removed []SiteID
 	for _, f := range old {
-		if !keep[f] {
+		if !slices.Contains(followers, f) {
 			removed = append(removed, f)
 		}
 	}
-	was := make(map[SiteID]bool, len(old))
-	for _, f := range old {
-		was[f] = true
-	}
-	rep.clock++
-	seedTS := rep.clock
-	for _, f := range followers {
-		if was[f] {
-			continue
-		}
-		rep.pendingByObj[obj]++
-		rep.queueFor(f).push(replItem{req: replicaReq{Obj: obj, TS: seedTS, Typ: typ, State: base}})
-	}
+	rep.seedLocked(route, obj, added, base)
 	rep.mu.Unlock()
 	for _, f := range removed {
 		if s, err := c.net.Site(f); err == nil {

@@ -313,7 +313,7 @@ func TestStaleRouteRefusedNotReExecuted(t *testing.T) {
 	e := newElastic(t, 0, nil)
 	e.deposit(t, "acct0", 40)
 	// A client routed to A under the pre-migration placement view.
-	stale := NewRemoteResourceRouted(e.net, "", "A", "acct0", e.cluster.PlaceVersion())
+	stale := newRemoteResourceRouted(e.net, "", "A", "acct0", e.cluster.PlaceVersion())
 	if err := e.cluster.Migrate(context.Background(), "acct0", "B"); err != nil {
 		t.Fatalf("migrate: %v", err)
 	}
@@ -355,7 +355,7 @@ func TestStaleRouteRefusedAfterRestart(t *testing.T) {
 	e.sites["B"].Crash()
 	e.recoverAll(t)
 	txn := &cc.TxnInfo{ID: "stale-after-restart", Participants: []string{"B"}}
-	stale := NewRemoteResourceRouted(e.net, "", "B", "acct0", staleRV)
+	stale := newRemoteResourceRouted(e.net, "", "B", "acct0", staleRV)
 	if _, err := stale.Invoke(txn, spec.Invocation{Op: adts.OpDeposit, Arg: value.Int(7)}); !errors.Is(err, cc.ErrMoved) {
 		t.Fatalf("pre-migration route to restarted new home: err = %v, want ErrMoved", err)
 	}

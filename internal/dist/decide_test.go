@@ -119,11 +119,12 @@ func TestDecideSameThroughHandlerAndResolver(t *testing.T) {
 		if err != nil {
 			key = "none"
 		}
+		hosted, homedAt := s.hostsObject("acct0")
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		return fmt.Sprintf("appended=%v hosted=%v homedAt=%d state=%s decided=%v records=%d migrating=%d",
-			kinds, s.hosted["acct0"], s.homedAt["acct0"], key, s.decided.outcome(txn.ID),
-			len(s.txns), len(s.migrating))
+			kinds, hosted, homedAt, key, s.decided.outcome(txn.ID),
+			len(s.txns), frozenLocked(s))
 	}
 	want := map[string]string{
 		"client/commit":      "appended=[commit] hosted=true homedAt=0 state=8 decided=committed",

@@ -8,6 +8,7 @@ import (
 	"weihl83/internal/adts"
 	"weihl83/internal/cc"
 	"weihl83/internal/histories"
+	"weihl83/internal/locking"
 	"weihl83/internal/recovery"
 	"weihl83/internal/spec"
 	"weihl83/internal/tx"
@@ -23,6 +24,17 @@ func siteRecords(s *Site) (records, replies int) {
 		replies += len(t.replies)
 	}
 	return len(s.txns), replies
+}
+
+// frozenLocked counts the objects a migration holds frozen at s. Under
+// s.mu.
+func frozenLocked(s *Site) (n int) {
+	for _, r := range s.objects {
+		if r.migrating != "" {
+			n++
+		}
+	}
+	return n
 }
 
 // TestDecidedTransactionsLeaveNoSiteRecord: a site keeps a record only for
@@ -249,8 +261,11 @@ func TestRetransmitAfterDecision(t *testing.T) {
 				}
 				for id, s := range sites {
 					s.mu.Lock()
-					records, frozen := len(s.txns), len(s.migrating)
-					o := s.objects["acct0"]
+					records, frozen := len(s.txns), frozenLocked(s)
+					var o *locking.Object
+					if r := s.objects["acct0"]; r != nil {
+						o = r.object
+					}
 					s.mu.Unlock()
 					if records != 0 || frozen != 0 {
 						t.Errorf("site %s keeps %d records and %d freezes", id, records, frozen)

@@ -80,14 +80,14 @@ func NewRemoteResource(net *Network, site SiteID, obj histories.ObjectID) *Remot
 // originate at origin, so an open partition separating origin from site
 // refuses them.
 func NewRemoteResourceAt(net *Network, origin, site SiteID, obj histories.ObjectID) *RemoteResource {
-	return NewRemoteResourceRouted(net, origin, site, obj, 0)
+	return newRemoteResourceRouted(net, origin, site, obj, 0)
 }
 
-// NewRemoteResourceRouted is NewRemoteResourceAt for placement-routed
+// newRemoteResourceRouted is NewRemoteResourceAt for placement-routed
 // proxies: every invoke and prepare carries rv, the placement version the
 // route was computed from, so a site whose hosting of the object postdates
 // that version refuses the stale route with ErrMoved.
-func NewRemoteResourceRouted(net *Network, origin, site SiteID, obj histories.ObjectID, rv uint64) *RemoteResource {
+func newRemoteResourceRouted(net *Network, origin, site SiteID, obj histories.ObjectID, rv uint64) *RemoteResource {
 	return &RemoteResource{
 		route: route{net: net, origin: origin, site: site, obj: obj, rv: rv},
 		legs:  make(map[histories.ActivityID]*leg),
@@ -97,10 +97,11 @@ func NewRemoteResourceRouted(net *Network, origin, site SiteID, obj histories.Ob
 // ObjectID implements cc.Resource.
 func (r *RemoteResource) ObjectID() histories.ObjectID { return r.obj }
 
-// ParticipantSite names the site hosting this resource; the runtime
-// collects these into cc.TxnInfo.Participants before prepare, so every
-// yes-vote is logged with the peer set the termination protocol polls.
-func (r *RemoteResource) ParticipantSite() string { return string(r.site) }
+// ParticipantSiteFor names the site hosting this resource, the same for
+// every transaction; the runtime collects these into
+// cc.TxnInfo.Participants before prepare, so every yes-vote is logged with
+// the peer set the termination protocol polls.
+func (r *RemoteResource) ParticipantSiteFor(histories.ActivityID) string { return string(r.site) }
 
 // legOf returns txn's leg, creating it on first contact.
 func (r *RemoteResource) legOf(txn histories.ActivityID) *leg {

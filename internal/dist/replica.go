@@ -13,7 +13,6 @@ import (
 	"weihl83/internal/conflict"
 	"weihl83/internal/fault"
 	"weihl83/internal/histories"
-	"weihl83/internal/locking"
 	"weihl83/internal/obs"
 	"weihl83/internal/recovery"
 	"weihl83/internal/spec"
@@ -140,7 +139,7 @@ func (s *Site) handleReplica(d delivery, req replicaReq) (struct{}, error) {
 		s.mu.Unlock()
 		return struct{}{}, err
 	}
-	l := s.replicas[req.Obj]
+	l := s.replicaLocked(req.Obj)
 	if !seed && l == nil {
 		s.mu.Unlock()
 		return struct{}{}, fmt.Errorf("%w: %s at %s", ErrNotReplica, req.Obj, s.id)
@@ -159,15 +158,9 @@ func (s *Site) handleReplica(d delivery, req replicaReq) (struct{}, error) {
 	}
 	st := req.State
 	if seed {
-		if _, known := s.types[req.Obj]; !known {
-			s.types[req.Obj] = req.Typ
-		}
-		// A default guard rides along so the catalog entry is complete if
-		// this site is later promoted to host the object (migration,
-		// recovery).
-		if s.guards[req.Obj] == nil {
-			s.guards[req.Obj] = func(t adts.Type) locking.Guard { return conflict.ForType(t) }
-		}
+		// The default guard makes the catalog entry complete if this site
+		// is later promoted to host the object (migration, recovery).
+		s.catalogLocked(req.Obj, req.Typ, nil)
 	} else {
 		st = l.Head(nil)
 	}
@@ -200,19 +193,19 @@ func (s *Site) handleReplica(d delivery, req replicaReq) (struct{}, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.replicas == nil {
+	if !s.up.Load() {
 		return struct{}{}, fmt.Errorf("%w: %s (crashed before installing delivery)", ErrSiteDown, s.id)
 	}
 	// A crash and recovery since the append rebuilt the log from the WAL,
 	// which already holds this delivery: the log then ends at req.TS and
-	// the version is not appended twice.
-	switch l := s.replicas[req.Obj]; {
+	// the version is not appended twice. The record is there: the catalog
+	// survives crashes.
+	switch r := s.objects[req.Obj]; {
 	case seed:
-		s.follows[req.Obj] = true
-		s.replicas[req.Obj] = baselineLog(req.TS, st)
-	case l != nil && req.TS > l.HeadTS():
-		_ = l.Append(req.TS, st) // above the head: accepted
-		l.Trim(replicaVersionCap)
+		r.follows, r.replica = true, baselineLog(req.TS, st)
+	case r.replica != nil && req.TS > r.replica.HeadTS():
+		_ = r.replica.Append(req.TS, st) // above the head: accepted
+		r.replica.Trim(replicaVersionCap)
 	}
 	if seed {
 		obsReplSeeds.Inc()
@@ -232,7 +225,7 @@ func (s *Site) handleReplicaRead(obj histories.ObjectID, inv spec.Invocation, ts
 		s.mu.Unlock()
 		return value.Nil(), fmt.Errorf("%w: %s", ErrSiteDown, s.id)
 	}
-	l := s.replicas[obj]
+	l := s.replicaLocked(obj)
 	if l == nil {
 		s.mu.Unlock()
 		obsReplReadRefusals.Inc()
@@ -260,11 +253,19 @@ func (s *Site) handleReplicaRead(obj histories.ObjectID, inv spec.Invocation, ts
 // the next recovery does not resurrect the copy.
 func (s *Site) unfollow(obj histories.ObjectID) {
 	s.mu.Lock()
-	delete(s.follows, obj)
-	if s.replicas != nil {
-		delete(s.replicas, obj)
+	if r := s.objects[obj]; r != nil {
+		r.follows, r.replica = false, nil
 	}
 	s.mu.Unlock()
+}
+
+// replicaLocked returns the follower's version log of obj, nil when the
+// site does not follow it or is down. Under s.mu.
+func (s *Site) replicaLocked(obj histories.ObjectID) *ccrt.VersionLog {
+	if r := s.objects[obj]; r != nil {
+		return r.replica
+	}
+	return nil
 }
 
 // ReplicaStateKey returns the follower's newest version state key and
@@ -275,7 +276,7 @@ func (s *Site) ReplicaStateKey(obj histories.ObjectID) (string, histories.Timest
 	if !s.up.Load() {
 		return "", 0, fmt.Errorf("%w: %s", ErrSiteDown, s.id)
 	}
-	l := s.replicas[obj]
+	l := s.replicaLocked(obj)
 	if l == nil {
 		return "", 0, fmt.Errorf("%w: %s at %s", ErrNotReplica, obj, s.id)
 	}
@@ -287,7 +288,8 @@ func (s *Site) ReplicaStateKey(obj histories.ObjectID) (string, histories.Timest
 func (s *Site) Follows(obj histories.ObjectID) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.follows[obj]
+	r := s.objects[obj]
+	return r != nil && r.follows
 }
 
 // QueryReplicaRead asks a follower for a snapshot read of obj at ts on
@@ -314,13 +316,14 @@ func (n *Network) QueryReplicaRead(from, to SiteID, obj histories.ObjectID, inv 
 
 // --- the cluster-owned replicator ----------------------------------------
 
-// replicaRoute is one object's versioned replica set.
+// replicaRoute is one replicated object: its versioned follower set (the
+// leader is the cluster's placement) and its deliveries in flight.
 type replicaRoute struct {
-	leader    SiteID
 	followers []SiteID
 	v         uint64 // bumped whenever the set changes (migrations)
 	static    *conflict.Static
 	typ       adts.Type
+	pending   int // enqueued deliveries and seeds not yet completed: what the sync barrier drains
 }
 
 // replTxn tracks a client transaction's replicated write set between its
@@ -331,25 +334,24 @@ type replTxn struct {
 	outstanding int // enqueued deliveries not yet applied
 }
 
-// replicator is the cluster's replication control plane: routes, the stamp
-// clock, per-follower delivery queues, the in-flight transaction set the
-// stable timestamp is derived from, and the per-object pending counts the
-// sync barrier drains.
+// replicator is the cluster's replication control plane: routes (with
+// the pending counts the sync barrier drains), the stamp clock,
+// per-follower delivery queues, and the in-flight transaction set the
+// stable timestamp is derived from.
 type replicator struct {
 	c            *Cluster
 	factor       int
 	origin       SiteID // "" — an external control plane a partition never severs
 	drainTimeout time.Duration
 
-	mu           sync.Mutex
-	clock        histories.Timestamp
-	routes       map[histories.ObjectID]*replicaRoute
-	txns         map[histories.ActivityID]*replTxn
-	queues       map[SiteID]*replQueue
-	pendingByObj map[histories.ObjectID]int
-	readPins     map[histories.ActivityID]histories.Timestamp
-	readRR       int
-	closed       bool
+	mu       sync.Mutex
+	clock    histories.Timestamp
+	routes   map[histories.ObjectID]*replicaRoute
+	txns     map[histories.ActivityID]*replTxn
+	queues   map[SiteID]*replQueue
+	readPins map[histories.ActivityID]histories.Timestamp
+	readRR   int
+	closed   bool
 
 	wg sync.WaitGroup
 }
@@ -480,8 +482,8 @@ func (q *replQueue) process(it replItem) {
 // drain waiting on its object.
 func (rep *replicator) completed(it replItem) {
 	rep.mu.Lock()
-	if rep.pendingByObj[it.req.Obj] > 0 {
-		rep.pendingByObj[it.req.Obj]--
+	if r := rep.routes[it.req.Obj]; r.pending > 0 {
+		r.pending--
 	}
 	if tx := rep.txns[it.txn]; tx != nil {
 		tx.outstanding--
@@ -490,6 +492,16 @@ func (rep *replicator) completed(it replItem) {
 		}
 	}
 	rep.mu.Unlock()
+}
+
+// seedLocked draws one stamp and queues a seed of obj's committed baseline
+// under it to each of followers. Under rep.mu.
+func (rep *replicator) seedLocked(r *replicaRoute, obj histories.ObjectID, followers []SiteID, base spec.State) {
+	rep.clock++
+	for _, f := range followers {
+		r.pending++
+		rep.queueFor(f).push(replItem{req: replicaReq{Obj: obj, TS: rep.clock, Typ: r.typ, State: base}})
+	}
 }
 
 // queueFor returns (creating if needed) the follower's delivery queue.
@@ -572,7 +584,7 @@ func (rep *replicator) ship(txn histories.ActivityID) {
 			continue
 		}
 		for _, f := range route.followers {
-			rep.pendingByObj[obj]++
+			route.pending++
 			tx.outstanding++
 			rep.queueFor(f).push(replItem{txn: txn, req: replicaReq{Obj: obj, TS: tx.ts, Calls: calls}})
 		}
@@ -621,7 +633,7 @@ func (rep *replicator) drainObject(obj histories.ObjectID) error {
 	deadline := time.Now().Add(rep.drainTimeout)
 	for {
 		rep.mu.Lock()
-		pending := rep.pendingByObj[obj]
+		pending := rep.routes[obj].pending // prepare found the route; routes are never deleted
 		rep.mu.Unlock()
 		if pending == 0 {
 			return nil
@@ -642,8 +654,8 @@ func (rep *replicator) drainAll(timeout time.Duration) error {
 	for {
 		rep.mu.Lock()
 		pending := 0
-		for _, n := range rep.pendingByObj {
-			pending += n
+		for _, r := range rep.routes {
+			pending += r.pending
 		}
 		inflight := len(rep.txns)
 		rep.mu.Unlock()
@@ -747,7 +759,6 @@ func (c *Cluster) EnableReplication(factor int) error {
 		routes:       make(map[histories.ObjectID]*replicaRoute),
 		txns:         make(map[histories.ActivityID]*replTxn),
 		queues:       make(map[SiteID]*replQueue),
-		pendingByObj: make(map[histories.ObjectID]int),
 		readPins:     make(map[histories.ActivityID]histories.Timestamp),
 	}
 	objs := make([]histories.ObjectID, 0, len(c.placement))
@@ -775,28 +786,15 @@ func (c *Cluster) EnableReplication(factor int) error {
 		if err != nil {
 			return err
 		}
-		ls.mu.Lock()
-		typ, known := ls.types[p.obj]
-		o := ls.objects[p.obj]
-		ls.mu.Unlock()
-		if !known || o == nil {
-			return fmt.Errorf("dist: enable replication: %s not hosted at its leader %s", p.obj, p.leader)
+		o, typ, err := ls.object(p.obj)
+		if err != nil {
+			return fmt.Errorf("dist: enable replication: %s at its leader %s: %w", p.obj, p.leader, err)
 		}
 		base := o.Base()
+		r := &replicaRoute{followers: p.followers, v: placeV, static: conflict.StaticForType(typ), typ: typ}
 		rep.mu.Lock()
-		rep.clock++
-		seedTS := rep.clock
-		rep.routes[p.obj] = &replicaRoute{
-			leader:    p.leader,
-			followers: p.followers,
-			v:         placeV,
-			static:    conflict.StaticForType(typ),
-			typ:       typ,
-		}
-		for _, f := range p.followers {
-			rep.pendingByObj[p.obj]++
-			rep.queueFor(f).push(replItem{req: replicaReq{Obj: p.obj, TS: seedTS, Typ: typ, State: base}})
-		}
+		rep.routes[p.obj] = r
+		rep.seedLocked(r, p.obj, p.followers, base)
 		rep.mu.Unlock()
 	}
 	return nil

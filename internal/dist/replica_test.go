@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/bits"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -350,6 +351,56 @@ func TestMigrationMovesReplicaSet(t *testing.T) {
 	}
 }
 
+// TestDownFollowerDroppedByMigrationStaysUnfollowed: a follower that is
+// down when a migration drops it from the object's replica set loses its
+// follow in the catalog a crash keeps. Recovery then rebuilds no copy of
+// the object there, so the site does not follow it and a replica read at
+// it is refused with ErrNotReplica, while the new set converges.
+func TestDownFollowerDroppedByMigrationStaysUnfollowed(t *testing.T) {
+	e := newElasticWith(t, elasticConfig{sites: []SiteID{"A", "B", "C", "D"}, homes: []SiteID{"A", "A"}})
+	e.replicate(t, 3)
+	e.deposit(t, "acct0", 40)
+	if err := e.cluster.ReplicationIdle(5 * time.Second); err != nil {
+		t.Fatalf("replication drain: %v", err)
+	}
+	// A destination whose replica set leaves out a current follower other
+	// than itself.
+	var dest, dropped SiteID
+	old := e.cluster.ReplicaSet("acct0")
+	for _, d := range []SiteID{"B", "C", "D"} {
+		next := replicaFollowers(e.cluster.ring, "acct0", 3, d)
+		for _, f := range old[1:] {
+			if f != d && !slices.Contains(next, f) {
+				dest, dropped = d, f
+			}
+		}
+	}
+	if dest == "" {
+		t.Fatalf("no migration of acct0 drops a follower of %v", old)
+	}
+	e.sites[dropped].Crash()
+	if err := e.cluster.Migrate(context.Background(), "acct0", dest); err != nil {
+		t.Fatalf("migrate to %s: %v", dest, err)
+	}
+	if set := e.cluster.ReplicaSet("acct0"); slices.Contains(set, dropped) {
+		t.Fatalf("replica set %v after the migration still holds %s", set, dropped)
+	}
+	if err := e.sites[dropped].Recover(); err != nil {
+		t.Fatalf("recover %s: %v", dropped, err)
+	}
+	if e.sites[dropped].Follows("acct0") {
+		t.Errorf("%s follows acct0 again after recovery", dropped)
+	}
+	inv := spec.Invocation{Op: adts.OpBalance, Arg: value.Nil()}
+	if _, err := e.net.QueryReplicaRead("", dropped, "acct0", inv, 1<<40); !errors.Is(err, ErrNotReplica) {
+		t.Errorf("replica read at dropped follower %s: err = %v, want ErrNotReplica", dropped, err)
+	}
+	if err := e.cluster.ReplicationIdle(5 * time.Second); err != nil {
+		t.Fatalf("replication drain after migration: %v", err)
+	}
+	e.assertConverged(t, "acct0")
+}
+
 // TestReplicationPartitionWindow mirrors the chaos harness's partition
 // driver: gated on fault.ReplPartition, one follower is split from every
 // other site and both coordinators for a window. The replicator's delivery
@@ -464,7 +515,7 @@ func TestReplicaCompactionMovesFloor(t *testing.T) {
 	}
 	follower := e.sites[e.cluster.ReplicaSet("acct0")[1]]
 	follower.mu.Lock()
-	n, floor := follower.replicas["acct0"].Len(), follower.replicas["acct0"].Floor()
+	n, floor := follower.replicaLocked("acct0").Len(), follower.replicaLocked("acct0").Floor()
 	follower.mu.Unlock()
 	// The seed plus 256 deliveries overflow the cap once: 128 versions go,
 	// and the 44 later deliveries land on the kept 129.
@@ -776,7 +827,7 @@ func TestReplicaDeliveryBetweenFloorAndHeadRefused(t *testing.T) {
 	}
 	f := e.sites[e.cluster.ReplicaSet("acct0")[1]]
 	f.mu.Lock()
-	floor, head := f.replicas["acct0"].Floor(), f.replicas["acct0"].HeadTS()
+	floor, head := f.replicaLocked("acct0").Floor(), f.replicaLocked("acct0").HeadTS()
 	f.mu.Unlock()
 	// Stamps are drawn across objects, so the acct1 deposit's stamp lies
 	// between the two acct0 deliveries and no acct0 version carries it.

@@ -132,36 +132,45 @@ type Site struct {
 	// recoverMu serialises whole recovery passes.
 	recoverMu sync.Mutex
 
-	mu         sync.Mutex
-	up         atomic.Bool // written under mu; exchange's up-check reads it without
-	epoch      uint64
-	disk       recovery.Backend // stable: survives crashes
-	types      map[histories.ObjectID]adts.Type
-	guards     map[histories.ObjectID]func(adts.Type) locking.Guard
-	seedHosted map[histories.ObjectID]bool            // stable: objects seeded here (pre-migration)
-	objects    map[histories.ObjectID]*locking.Object // volatile
-	detector   *locking.Detector                      // volatile
-	txns       map[histories.ActivityID]*siteTxn      // volatile: one record per live transaction
-	freeTxns   freeList[siteTxn]                      // records decided and reset, for reuse
-	decided    *decidedTable                          // volatile outcomes, authoritative while up (rebuilt from log)
-	crashes    int64                                  // total crashes, for diagnostics
+	mu       sync.Mutex
+	up       atomic.Bool // written under mu; exchange's up-check reads it without
+	epoch    uint64
+	disk     recovery.Backend                   // stable: survives crashes
+	objects  map[histories.ObjectID]*siteObject // every object the site knows, hosted or not
+	detector *locking.Detector                  // volatile
+	txns     map[histories.ActivityID]*siteTxn  // volatile: one record per live transaction
+	freeTxns freeList[siteTxn]                  // records decided and reset, for reuse
+	decided  *decidedTable                      // volatile outcomes, authoritative while up (rebuilt from log)
+	crashes  int64                              // total crashes, for diagnostics
+}
 
-	// Migration state. hosted is the volatile hosting view (rebuilt from
-	// the log at recovery: seedHosted plus committed migrations); homedAt
-	// records the placement version at which an object migrated in, so a
-	// request carrying an older placement view is refused as moved;
-	// migrating freezes an object under an in-flight migration
-	// transaction. A migration's copied-in state waits in its record.
-	hosted    map[histories.ObjectID]bool
-	homedAt   map[histories.ObjectID]uint64
-	migrating map[histories.ObjectID]histories.ActivityID
+// siteObject is the site's record of one object it knows: one it hosts,
+// hosted once, took in by a migration or follows. The catalog half survives
+// a crash: the object's log records replay through its schema, so
+// checkpoints and redo read it. The volatile half (liveObject) is what a
+// crash wipes and recovery rebuilds from the log.
+type siteObject struct {
+	typ     adts.Type
+	guard   func(adts.Type) locking.Guard // rebuilds the conflict rule at every (re)build
+	seeded  bool                          // added here by AddObject: hosted before any migration
+	follows bool                          // a follower of the object's replica group, its seed installed
+	liveObject
+}
 
-	// Replica-group state. follows is the stable follow catalog (like
-	// types/guards it survives crashes: a recovering follower rebuilds its
-	// copies from the WAL for exactly these objects); replicas holds the
-	// volatile timestamped version logs (see replica.go).
-	follows  map[histories.ObjectID]bool
-	replicas map[histories.ObjectID]*ccrt.VersionLog
+// liveObject is the volatile half of a siteObject.
+type liveObject struct {
+	// object is the lock table and committed state. Hosting is exactly
+	// object != nil: the site is home to the object.
+	object *locking.Object
+	// homedAt is the placement version the object migrated in at, so a
+	// request carrying an older placement view is refused as moved.
+	homedAt uint64
+	// migrating is the in-flight migration transaction that froze the
+	// object ("": none). A migration's copied-in state waits in its record.
+	migrating histories.ActivityID
+	// replica is the follower's timestamped copy, while it follows (see
+	// replica.go).
+	replica *ccrt.VersionLog
 }
 
 // stagedImport is the copied object state a migration's import handler
@@ -169,7 +178,6 @@ type Site struct {
 type stagedImport struct {
 	obj   histories.ObjectID
 	state spec.State
-	typ   adts.Type
 }
 
 // half is one yes-vote: the part of a transaction this site prepared at one
@@ -273,18 +281,10 @@ func NewSite(cfg SiteConfig) (*Site, error) {
 		inj:         cfg.Injector,
 		epoch:       1,
 		disk:        cfg.Disk,
-		types:       make(map[histories.ObjectID]adts.Type),
-		guards:      make(map[histories.ObjectID]func(adts.Type) locking.Guard),
-		seedHosted:  make(map[histories.ObjectID]bool),
-		objects:     make(map[histories.ObjectID]*locking.Object),
+		objects:     make(map[histories.ObjectID]*siteObject),
 		detector:    locking.NewDetector(),
 		txns:        make(map[histories.ActivityID]*siteTxn),
 		decided:     newDecidedTable(),
-		hosted:      make(map[histories.ObjectID]bool),
-		homedAt:     make(map[histories.ObjectID]uint64),
-		migrating:   make(map[histories.ObjectID]histories.ActivityID),
-		follows:     make(map[histories.ObjectID]bool),
-		replicas:    make(map[histories.ObjectID]*ccrt.VersionLog),
 	}
 	s.up.Store(true)
 	s.disk.SetInjector(cfg.Injector)
@@ -322,31 +322,42 @@ func (s *Site) AddObject(id histories.ObjectID, t adts.Type, guard func(adts.Typ
 	if !s.up.Load() {
 		return fmt.Errorf("%w: %s", ErrSiteDown, s.id)
 	}
-	if _, dup := s.types[id]; dup {
+	if _, dup := s.objects[id]; dup {
 		return fmt.Errorf("dist: duplicate object %s at %s", id, s.id)
 	}
-	if guard == nil {
-		guard = func(t adts.Type) locking.Guard {
-			return conflict.ForType(t)
-		}
-	}
-	o, err := s.buildObject(id, t, guard, nil)
+	r := s.catalogLocked(id, t, guard)
+	o, err := s.buildObject(id, r, nil)
 	if err != nil {
+		delete(s.objects, id)
 		return err
 	}
-	s.types[id] = t
-	s.guards[id] = guard
-	s.seedHosted[id] = true
-	s.hosted[id] = true
-	s.objects[id] = o
+	r.seeded, r.object = true, o
 	return nil
 }
 
-func (s *Site) buildObject(id histories.ObjectID, t adts.Type, guard func(adts.Type) locking.Guard, initial spec.State) (*locking.Object, error) {
+// catalogLocked returns id's record, first cataloguing the object with type
+// t and guard factory guard (nil: the full conflict cascade for the type)
+// if the site has never known it. A known object keeps its schema. Under
+// s.mu.
+func (s *Site) catalogLocked(id histories.ObjectID, t adts.Type, guard func(adts.Type) locking.Guard) *siteObject {
+	r := s.objects[id]
+	if r == nil {
+		if guard == nil {
+			guard = func(t adts.Type) locking.Guard { return conflict.ForType(t) }
+		}
+		r = &siteObject{typ: t, guard: guard}
+		s.objects[id] = r
+	}
+	return r
+}
+
+// buildObject builds the lock table of a catalogued object from its
+// committed state (nil: the type's initial state).
+func (s *Site) buildObject(id histories.ObjectID, r *siteObject, initial spec.State) (*locking.Object, error) {
 	return locking.New(locking.Config{
 		ID:          id,
-		Type:        t,
-		Guard:       guard(t),
+		Type:        r.typ,
+		Guard:       r.guard(r.typ),
 		Detector:    s.detector,
 		WaitTimeout: s.waitTimeout,
 		Sink:        s.sink,
@@ -363,14 +374,12 @@ func (s *Site) Crash() {
 	defer s.mu.Unlock()
 	s.up.Store(false)
 	s.epoch++
-	s.objects = nil
+	for _, r := range s.objects {
+		r.liveObject = liveObject{} // the catalog half survives
+	}
 	s.detector = nil
 	s.txns = nil
 	s.decided = nil
-	s.hosted = nil
-	s.homedAt = nil
-	s.migrating = nil
-	s.replicas = nil // follows survives: it is catalog, not state
 	s.crashes++
 	obsSiteCrashes.Inc()
 	if obsSiteTrace.Enabled() {
@@ -498,22 +507,23 @@ func (s *Site) Checkpoint() (int64, error) {
 		s.mu.Unlock()
 		return 0, fmt.Errorf("%w: %s", ErrSiteDown, s.id)
 	}
-	specs := s.specsLocked()
-	seed := make(map[histories.ObjectID]bool, len(s.seedHosted))
-	for id, h := range s.seedHosted {
-		seed[id] = h
-	}
+	specs, seeded := s.specsLocked()
 	s.mu.Unlock()
-	return s.disk.CheckpointHosted(specs, seed)
+	return s.disk.CheckpointHosted(specs, seeded)
 }
 
-// specsLocked returns the serial spec of every object in the site's catalog.
-func (s *Site) specsLocked() map[histories.ObjectID]spec.SerialSpec {
-	specs := make(map[histories.ObjectID]spec.SerialSpec, len(s.types))
-	for id, t := range s.types {
-		specs[id] = t.Spec
+// specsLocked returns the serial spec of every object in the site's
+// catalog, and the objects seeded here (hosted before any migration).
+func (s *Site) specsLocked() (map[histories.ObjectID]spec.SerialSpec, map[histories.ObjectID]bool) {
+	specs := make(map[histories.ObjectID]spec.SerialSpec, len(s.objects))
+	seeded := make(map[histories.ObjectID]bool)
+	for id, r := range s.objects {
+		specs[id] = r.typ.Spec
+		if r.seeded {
+			seeded[id] = true
+		}
 	}
-	return specs
+	return specs, seeded
 }
 
 // Recover brings the site back in three phases, all reading one fold of the
@@ -612,102 +622,86 @@ func (s *Site) Recover() error {
 // rebuildLocked rebuilds every volatile structure of the site from the fold
 // of its log, under s.mu.
 func (s *Site) rebuildLocked(fold *recovery.Fold) error {
-	states, hosted, err := fold.Redo(s.specsLocked(), s.seedHosted)
+	states, hosted, err := fold.Redo(s.specsLocked())
 	if err != nil {
 		return err
 	}
 	s.detector = locking.NewDetector()
-	s.objects = make(map[histories.ObjectID]*locking.Object, len(s.types))
 	s.txns = make(map[histories.ActivityID]*siteTxn)
 	s.decided = decidedFrom(fold.Decided())
-	s.hosted = hosted
 	// The placement version each hosted object migrated in at. Compaction
 	// may have dropped the migrate-in record; the version then reverts to
 	// zero, which only widens the accepted placement range — safe, because
 	// hosting itself (the check that refuses the wrong home) is
 	// checkpoint-durable.
-	s.homedAt = fold.HomedAt()
-	for id := range s.homedAt {
-		if !hosted[id] {
-			delete(s.homedAt, id)
+	homedAt := fold.HomedAt()
+	marks := fold.Watermarks()
+	for id, r := range s.objects {
+		r.liveObject = liveObject{}
+		// Follower copies: the redo folded every ReplicaIn record (seed
+		// baseline + deliveries) into states, and the watermark is the
+		// newest delivery's stamp, so the version log collapses to a single
+		// version at the watermark — snapshot reads below it refuse with
+		// ErrReplicaLag until fresher deliveries rebuild history. A site
+		// follows an object only once its seed is logged, so every follow
+		// has a state here.
+		if r.follows {
+			r.replica = baselineLog(marks[id], states[id])
 		}
-	}
-	s.migrating = make(map[histories.ObjectID]histories.ActivityID)
-	for id, t := range s.types {
 		if !hosted[id] {
 			// The object's schema stays in the catalog (its pre-migration
 			// log records still replay through it) but the object lives at
 			// its new home now.
 			continue
 		}
-		o, err := s.buildObject(id, t, s.guards[id], states[id])
+		o, err := s.buildObject(id, r, states[id])
 		if err != nil {
 			return fmt.Errorf("object %s: %w", id, err)
 		}
-		s.objects[id] = o
-	}
-	// Rebuild follower copies: the redo folded every ReplicaIn record (seed
-	// baseline + deliveries) into states, and the watermark is the newest
-	// delivery's stamp, so the version log collapses to a single version at
-	// the watermark — snapshot reads below it refuse with ErrReplicaLag
-	// until fresher deliveries rebuild history. A site follows an object
-	// only once its seed is logged, so every follow has a state here.
-	s.replicas = make(map[histories.ObjectID]*ccrt.VersionLog)
-	marks := fold.Watermarks()
-	for id := range s.follows {
-		s.replicas[id] = baselineLog(marks[id], states[id])
+		r.object, r.homedAt = o, homedAt[id]
 	}
 	return nil
 }
 
-// object looks up a hosted object on a running site.
-func (s *Site) object(id histories.ObjectID) (*locking.Object, error) {
+// object looks up a hosted object, and its type, on a running site.
+func (s *Site) object(id histories.ObjectID) (*locking.Object, adts.Type, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.up.Load() {
-		return nil, fmt.Errorf("%w: %s", ErrSiteDown, s.id)
+		return nil, adts.Type{}, fmt.Errorf("%w: %s", ErrSiteDown, s.id)
 	}
-	o, ok := s.objects[id]
-	if !ok {
-		return nil, fmt.Errorf("dist: no object %s at %s", id, s.id)
+	r := s.objects[id]
+	if r == nil || r.object == nil {
+		return nil, adts.Type{}, fmt.Errorf("dist: no object %s at %s", id, s.id)
 	}
-	return o, nil
+	return r.object, r.typ, nil
 }
 
-// routedLocked looks up an object for a placement-routed message, under
-// s.mu: the site must currently be home to the object, and the request's
-// placement version rv (zero: unversioned) must not predate the migration
-// that brought the object here — either way the sender's placement view is
-// stale and the request is refused with ErrMoved rather than executed at
-// the wrong home.
-func (s *Site) routedLocked(id histories.ObjectID, rv uint64) (*locking.Object, error) {
-	if !s.hosted[id] {
-		if _, known := s.types[id]; known {
-			return nil, fmt.Errorf("%w: %s at %s", ErrMoved, id, s.id)
-		}
+// routedLocked looks up an object for a placement-routed message of txn,
+// under s.mu. The site must currently be home to the object, and the
+// request's placement version rv (zero: unversioned) must not predate the
+// migration that brought the object here — either way the sender's
+// placement view is stale and the request is refused with ErrMoved rather
+// than executed at the wrong home. And no other transaction's in-flight
+// migration may have frozen the object (ErrMigrating): an invoke checks
+// the freeze in the section that registers the invoker, and the
+// migration's drain scan and freeze share one section too, so either the
+// invoker registers first and the drain sees it (the migration is told
+// busy), or the freeze lands first and the invoker sees it — never both
+// proceeding.
+func (s *Site) routedLocked(id histories.ObjectID, rv uint64, txn histories.ActivityID) (*siteObject, error) {
+	switch r := s.objects[id]; {
+	case r == nil:
 		return nil, fmt.Errorf("dist: no object %s at %s", id, s.id)
+	case r.object == nil:
+		return nil, fmt.Errorf("%w: %s at %s", ErrMoved, id, s.id)
+	case rv != 0 && rv < r.homedAt:
+		return nil, fmt.Errorf("%w: %s at %s homed at placement %d, request carries %d", ErrMoved, id, s.id, r.homedAt, rv)
+	case r.migrating != "" && r.migrating != txn:
+		return nil, fmt.Errorf("%w: %s at %s (frozen by %s)", ErrMigrating, id, s.id, r.migrating)
+	default:
+		return r, nil
 	}
-	if rv != 0 && rv < s.homedAt[id] {
-		return nil, fmt.Errorf("%w: %s at %s homed at placement %d, request carries %d", ErrMoved, id, s.id, s.homedAt[id], rv)
-	}
-	o, ok := s.objects[id]
-	if !ok {
-		return nil, fmt.Errorf("dist: no object %s at %s", id, s.id)
-	}
-	return o, nil
-}
-
-// frozenLocked refuses an operation on an object frozen by another
-// transaction's in-flight migration, under s.mu. An invoke checks it in the
-// section that registers the invoker, and the migration's drain scan and
-// freeze share one section too: either the invoker registers first and
-// the drain sees it (the migration is told busy), or the freeze lands
-// first and the invoker sees it — never both proceeding.
-func (s *Site) frozenLocked(obj histories.ObjectID, txn histories.ActivityID) error {
-	if owner, frozen := s.migrating[obj]; frozen && owner != txn {
-		return fmt.Errorf("%w: %s at %s (frozen by %s)", ErrMigrating, obj, s.id, owner)
-	}
-	return nil
 }
 
 // hostsObject reports whether the site currently hosts obj and the
@@ -716,10 +710,10 @@ func (s *Site) frozenLocked(obj histories.ObjectID, txn histories.ActivityID) er
 func (s *Site) hostsObject(obj histories.ObjectID) (bool, uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.up.Load() || !s.hosted[obj] {
-		return false, 0
+	if r := s.objects[obj]; s.up.Load() && r != nil && r.object != nil {
+		return true, r.homedAt
 	}
-	return true, s.homedAt[obj]
+	return false, 0
 }
 
 // HostedObjects returns the objects this running site is currently home
@@ -729,8 +723,8 @@ func (s *Site) HostedObjects() []histories.ObjectID {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var out []histories.ObjectID
-	for id, h := range s.hosted {
-		if h {
+	for id, r := range s.objects {
+		if r.object != nil {
 			out = append(out, id)
 		}
 	}
@@ -759,17 +753,16 @@ func (s *Site) handleInvoke(d delivery, obj histories.ObjectID, txn *cc.TxnInfo,
 		r      invokeReply
 		cached bool
 	)
-	err := s.enter(d, txn.ID, func(t *siteTxn) (err error) {
+	err := s.enter(d, txn.ID, func(t *siteTxn) error {
 		if r, cached = t.reply(d.id); cached {
 			obsCacheHits.Inc() // a repeat of an invoke already answered
 			return nil
 		}
-		if o, err = s.routedLocked(obj, rv); err != nil {
+		rec, err := s.routedLocked(obj, rv, txn.ID)
+		if err != nil {
 			return err
 		}
-		if err = s.frozenLocked(obj, txn.ID); err != nil {
-			return err
-		}
+		o = rec.object
 		s.registerLocked(t, txn.ID, obj)
 		return nil
 	})
@@ -832,12 +825,14 @@ func (s *Site) forgetTxn(txn histories.ActivityID) {
 func (s *Site) handlePrepare(d delivery, obj histories.ObjectID, txn *cc.TxnInfo, expect int, rv uint64) error {
 	var o *locking.Object
 	var epoch uint64
-	if err := s.enter(d, txn.ID, func(*siteTxn) (err error) {
+	if err := s.enter(d, txn.ID, func(*siteTxn) error {
 		epoch = s.epoch
-		if o, err = s.routedLocked(obj, rv); err != nil {
+		r, err := s.routedLocked(obj, rv, txn.ID)
+		if err != nil {
 			return err
 		}
-		return s.frozenLocked(obj, txn.ID)
+		o = r.object
+		return nil
 	}); err != nil {
 		return err
 	}
@@ -899,7 +894,7 @@ func (s *Site) vote(txn *cc.TxnInfo, epoch uint64, rec recovery.Record, crash fa
 		return fmt.Errorf("dist: vote of %s on %s at %s: %w", txn.ID, rec.Object, s.id, err)
 	}
 	s.mu.Lock()
-	if s.txns != nil {
+	if s.up.Load() { // down: a crash since the append took the tables, and recovery finds the vote in doubt
 		t := s.recordLocked(txn.ID)
 		if !t.voted() {
 			t.participants = txn.Participants // frozen since Txn.Commit built it
@@ -1013,8 +1008,8 @@ func (s *Site) decide(expect uint64, txn histories.ActivityID, obj histories.Obj
 	var obuf [2]*locking.Object
 	objects := obuf[:0]
 	for _, pk := range picks {
-		if o := s.objects[pk.obj]; o != nil && pk.dir == recovery.MigrateNone {
-			objects = append(objects, o)
+		if r := s.objects[pk.obj]; r != nil && r.object != nil && pk.dir == recovery.MigrateNone {
+			objects = append(objects, r.object)
 		}
 	}
 	s.mu.Unlock()
@@ -1048,7 +1043,7 @@ func (s *Site) decide(expect uint64, txn histories.ActivityID, obj histories.Obj
 		}
 	}
 	s.mu.Lock()
-	if s.txns == nil || s.epoch != epoch {
+	if s.epoch != epoch {
 		// Crashed concurrently: the tables are gone, or a recovery rebuilt
 		// them from a log that tells this outcome or resolved it anew.
 		s.mu.Unlock()
@@ -1110,11 +1105,9 @@ type migExport struct {
 func (s *Site) handleMigrateExport(d delivery, obj histories.ObjectID, txn *cc.TxnInfo) (migExport, error) {
 	var o *locking.Object
 	var exp migExport
-	if err := s.enter(d, txn.ID, func(own *siteTxn) (err error) {
-		if o, err = s.routedLocked(obj, 0); err != nil {
-			return err
-		}
-		if err = s.frozenLocked(obj, txn.ID); err != nil {
+	if err := s.enter(d, txn.ID, func(own *siteTxn) error {
+		r, err := s.routedLocked(obj, 0, txn.ID)
+		if err != nil {
 			return err
 		}
 		for id, t := range s.txns {
@@ -1126,8 +1119,8 @@ func (s *Site) handleMigrateExport(d delivery, obj histories.ObjectID, txn *cc.T
 				return fmt.Errorf("%w: %s at %s busy (%s transaction %s)", ErrMigrating, obj, s.id, what, id)
 			}
 		}
-		s.migrating[obj] = txn.ID
-		exp.Type, exp.Guard = s.types[obj], s.guards[obj]
+		r.migrating, o = txn.ID, r.object
+		exp.Type, exp.Guard = r.typ, r.guard
 		s.registerLocked(own, txn.ID, obj)
 		return nil
 	}); err != nil {
@@ -1141,27 +1134,17 @@ func (s *Site) handleMigrateExport(d delivery, obj histories.ObjectID, txn *cc.T
 // in the migration's record. The staging is volatile: a crash before
 // prepare wipes it and the migration's prepare then votes no
 // (ErrStaleTxn). The object's schema (type + guard factory) is adopted into
-// the site's stable catalog so a post-commit recovery can rebuild the
-// object. A repeat while the migration lives stages the same copy again.
+// the site's stable catalog, unless the site knows the object already (it
+// hosted it once, or follows it), so a post-commit recovery can rebuild
+// the object. A repeat while the migration lives stages the same copy
+// again.
 func (s *Site) handleMigrateImport(d delivery, obj histories.ObjectID, txn *cc.TxnInfo, exp migExport) error {
 	return s.enter(d, txn.ID, func(t *siteTxn) error {
-		if s.hosted[obj] {
+		if r := s.objects[obj]; r != nil && r.object != nil {
 			return fmt.Errorf("dist: import of %s at %s: already hosted here: %w", obj, s.id, cc.ErrUnavailable)
 		}
-		if _, known := s.types[obj]; !known {
-			s.types[obj] = exp.Type
-		}
-		// The type may be known without a guard factory — a replica seed
-		// adopts the schema but carries no guard — so the guard is filled
-		// independently.
-		if s.guards[obj] == nil {
-			guard := exp.Guard
-			if guard == nil {
-				guard = func(t adts.Type) locking.Guard { return conflict.ForType(t) }
-			}
-			s.guards[obj] = guard
-		}
-		s.registerLocked(t, txn.ID, obj).staged = &stagedImport{obj: obj, state: exp.State, typ: exp.Type}
+		s.catalogLocked(obj, exp.Type, exp.Guard)
+		s.registerLocked(t, txn.ID, obj).staged = &stagedImport{obj: obj, state: exp.State}
 		return nil
 	})
 }
@@ -1176,7 +1159,8 @@ func (s *Site) handleMigratePrepare(d delivery, obj histories.ObjectID, txn *cc.
 	var frozen bool
 	var in *stagedImport
 	if err := s.enter(d, txn.ID, func(t *siteTxn) error {
-		epoch, frozen = s.epoch, s.migrating[obj] == txn.ID
+		r := s.objects[obj]
+		epoch, frozen = s.epoch, r != nil && r.migrating == txn.ID
 		if t != nil && t.staged != nil && t.staged.obj == obj {
 			in = t.staged
 		}
@@ -1220,26 +1204,29 @@ func (s *Site) handleMigrateAbort(d delivery, obj histories.ObjectID, txn *cc.Tx
 // client half (and for a commit that finds no vote: recovery already
 // redid the hosting change from the log) nothing applies.
 func (s *Site) installHostingLocked(txn histories.ActivityID, h half, commit bool) {
-	obj := h.obj
+	r := s.objects[h.obj]
+	if r == nil {
+		return // an abort naming an object this site never knew
+	}
 	if commit {
 		switch h.dir {
 		case recovery.MigrateOut:
-			delete(s.objects, obj)
-			s.hosted[obj] = false
-			delete(s.homedAt, obj)
+			r.object, r.homedAt = nil, 0
 		case recovery.MigrateIn:
-			if s.hosted[obj] {
+			if r.object != nil {
 				break // a racing decide already adopted it
 			}
-			if o, err := s.buildObject(obj, h.staged.typ, s.guards[obj], h.staged.state); err == nil {
-				s.objects[obj] = o
-			}
-			s.hosted[obj] = true
-			s.homedAt[obj] = h.ringv
+			// The build cannot fail, so its error is not handled:
+			// locking.New checks only the id, the type's spec, the guard
+			// and the detector (this running site's), and the catalogued
+			// type and guard factory already built the object at its
+			// source.
+			r.object, _ = s.buildObject(h.obj, r, h.staged.state)
+			r.homedAt = h.ringv
 		}
 	}
-	if owner, ok := s.migrating[obj]; ok && owner == txn {
-		delete(s.migrating, obj)
+	if r.migrating == txn {
+		r.migrating = ""
 	}
 }
 
@@ -1290,7 +1277,7 @@ func (s *Site) AbortAbandoned(idle time.Duration) int {
 // CommittedStateKey returns the committed state key of a hosted object
 // (for tests).
 func (s *Site) CommittedStateKey(id histories.ObjectID) (string, error) {
-	o, err := s.object(id)
+	o, _, err := s.object(id)
 	if err != nil {
 		return "", err
 	}

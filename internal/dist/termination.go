@@ -67,7 +67,7 @@ func (s *Site) refuse(txn histories.ActivityID) Outcome {
 		return OutcomeInDoubt
 	}
 	s.mu.Lock()
-	if s.decided != nil {
+	if s.up.Load() {
 		s.decided.set(txn, false)
 	}
 	s.mu.Unlock()

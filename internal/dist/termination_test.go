@@ -465,7 +465,7 @@ func TestAbandonedUnpreparedTxnSwept(t *testing.T) {
 func TestSweptWaiterLeavesDetectorEmpty(t *testing.T) {
 	c := newCluster(t, 0)
 	seedAcct0(t, c)
-	o, err := c.siteA.object("acct0")
+	o, _, err := c.siteA.object("acct0")
 	if err != nil {
 		t.Fatal(err)
 	}

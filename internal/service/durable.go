@@ -163,7 +163,6 @@ func (tn *tenant) openDurable(dataDir string) error {
 		MaxRetries:  tn.opts.MaxRetries,
 		Backoff:     tn.opts.Backoff,
 		WAL:         wal,
-		ReadRouter:  tn.opts.ReadRouter,
 	})
 	if err != nil {
 		wal.Close()

@@ -33,10 +33,6 @@ type TenantOptions struct {
 	WaitTimeout time.Duration
 	// Backoff paces server-side retries.
 	Backoff weihl83.Backoff
-	// ReadRouter, when set, reroutes the tenant's read-only transactions to
-	// replica snapshot readers (a cluster-backed deployment plugs
-	// dist.Cluster.ReadRouter in here). Not settable over the wire.
-	ReadRouter weihl83.ReadRouter
 }
 
 // tenant is one namespace: a private System, its object set, an in-flight
@@ -189,7 +185,6 @@ func newTenant(name string, opts TenantOptions, dataDir string) (*tenant, error)
 		WaitTimeout: opts.WaitTimeout,
 		MaxRetries:  opts.MaxRetries,
 		Backoff:     opts.Backoff,
-		ReadRouter:  opts.ReadRouter,
 	})
 	if err != nil {
 		return nil, err

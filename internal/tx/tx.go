@@ -132,20 +132,14 @@ type callsReporter interface {
 }
 
 // siteReporter is implemented by resources that live at a named site
-// (dist.RemoteResource). The runtime gathers the sites of a transaction's
-// joined resources into TxnInfo.Participants before prepare, so each
-// participant's logged yes-vote names the peers that cooperative
-// termination may poll.
+// (dist.RemoteResource, dist.ClusterResource). The runtime gathers the
+// sites of a transaction's joined resources into TxnInfo.Participants
+// before prepare, so each participant's logged yes-vote names the peers
+// that cooperative termination may poll. The site is asked per
+// transaction: a placement-routed cluster proxy pins the object's home at
+// the transaction's first contact, and a later transaction may find the
+// object migrated elsewhere.
 type siteReporter interface {
-	ParticipantSite() string
-}
-
-// txnSiteReporter is implemented by resources whose hosting site can
-// differ per transaction — a placement-routed cluster proxy pins the
-// object's home at the transaction's first contact, and a later
-// transaction may find the object migrated elsewhere. It takes precedence
-// over siteReporter.
-type txnSiteReporter interface {
 	ParticipantSiteFor(txn histories.ActivityID) string
 }
 
@@ -703,10 +697,8 @@ func (t *Txn) Commit() error {
 	if t.m.cfg.Coordinator != nil && len(t.joined) > 0 && !t.allSnapshotReads() {
 		t.info.Participants = make([]string, 0, len(t.joined))
 		for _, r := range t.joined {
-			if sr, ok := r.(txnSiteReporter); ok {
+			if sr, ok := r.(siteReporter); ok {
 				t.info.Participants = append(t.info.Participants, sr.ParticipantSiteFor(t.info.ID))
-			} else if sr, ok := r.(siteReporter); ok {
-				t.info.Participants = append(t.info.Participants, sr.ParticipantSite())
 			}
 		}
 		t.m.cfg.Coordinator.Begin(t.info.ID)

@@ -92,12 +92,6 @@ type (
 	// Backoff configures Run's retry pacing: capped exponential backoff
 	// with equal jitter (the zero value selects the defaults).
 	Backoff = tx.Backoff
-	// ReadRouter maps an object to an alternate resource for read-only
-	// transactions — a replica snapshot reader that serves audits at any
-	// follower of the object's replica group — or nil to keep the default
-	// resource. dist.Cluster.ReadRouter builds one for a replicated
-	// cluster; plug it into Options.ReadRouter.
-	ReadRouter = tx.ReadRouter
 	// Pacer paces one externally-driven retry chain with a Backoff policy:
 	// callers that run their own retry loop (network clients retrying on
 	// server-side shed, harnesses that count attempts) get the same capped
@@ -203,10 +197,6 @@ type Options struct {
 	// Backoff paces Run's retries (zero value = capped exponential backoff
 	// with equal jitter at the defaults).
 	Backoff Backoff
-	// ReadRouter, when set, reroutes read-only transactions' invocations to
-	// the resource it returns (replica snapshot reads). Update transactions
-	// never consult it.
-	ReadRouter ReadRouter
 }
 
 // System is a collection of atomic objects plus a transaction manager.
@@ -240,7 +230,6 @@ func NewSystem(opts Options) (*System, error) {
 		MaxRetries: opts.MaxRetries,
 		WAL:        opts.WAL,
 		Backoff:    opts.Backoff,
-		ReadRouter: opts.ReadRouter,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("weihl83: %w", err)
