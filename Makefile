@@ -70,7 +70,11 @@ examples:
 # head refused, and no follow without a logged seed. It also runs the
 # replica-set tests of a migration: followers recomputed around the new
 # leader, and a follower that was down when the migration dropped it
-# following nothing after its recovery. About 50 seconds in all.
+# following nothing after its recovery. And it runs the stable-stamp test:
+# with an earlier transaction's deliveries held back at a down follower
+# and a later one's landed, the stable timestamp stays one below the
+# earlier stamp until the held deliveries land (the in-flight list pops
+# only its finished prefix). About 50 seconds in all.
 order-stress:
 	$(GO) test -count=20 -run 'TestCrashConsistency' ./internal/tx
 	$(GO) test -count=20 -run 'TestFacadeDurableQueueRecoversInInstallOrder' .
@@ -78,7 +82,7 @@ order-stress:
 	$(GO) test -race -count=20 -run '^(TestMigrationCrashWindowSweep|TestAbandonedUnpreparedTxnSwept|TestUnanimousPeerRefusalPresumesAbort|TestDownCoordinatorAnswersInDoubt|TestRunningSitesNeverReadTheirLog|TestFailedCommitRecordHoldsTheExport|TestVoteAndRefusalNeverBothSucceed)$$' ./internal/dist
 	$(GO) test -race -count=20 -run '^(TestEpochHandshakeOncePerCrash|TestReconfigureUnderTransfers|TestHandshakeClosesFirstContactWindow|TestHandshakeRegressionLock|TestHandshakeNoExpectZeroUnderFaults|TestStaleRouteRefusedAfterRestart)$$' ./internal/dist
 	$(GO) test -race -count=20 -run '^(TestDecidedTransactionsLeaveNoSiteRecord|TestRetransmitAfterDecision|TestRecycledSiteRecordStartsClean|TestRecycledPinNeverAliasesShippedCalls|TestVoteAndRefusalNeverBothSucceed|TestReconfigureUnderTransfers)$$' ./internal/dist
-	$(GO) test -race -count=20 -run '^(TestFollowerCrashRecoveryConverges|TestFollowerCrashAfterRecord|TestReplicaApplyRacingRecovery|TestReplicaDeliveryIsOneRecord|TestReplicaCheckpointHoldsNoDelivery|TestReplicaDuplicateDeliveryAppliesOnce|TestReplicaDeliveryBetweenFloorAndHeadRefused|TestFollowerWithoutDurableSeedServesNothing|TestMigrationMovesReplicaSet|TestDownFollowerDroppedByMigrationStaysUnfollowed)$$' ./internal/dist
+	$(GO) test -race -count=20 -run '^(TestFollowerCrashRecoveryConverges|TestFollowerCrashAfterRecord|TestReplicaApplyRacingRecovery|TestReplicaDeliveryIsOneRecord|TestReplicaCheckpointHoldsNoDelivery|TestReplicaDuplicateDeliveryAppliesOnce|TestReplicaDeliveryBetweenFloorAndHeadRefused|TestFollowerWithoutDurableSeedServesNothing|TestMigrationMovesReplicaSet|TestDownFollowerDroppedByMigrationStaysUnfollowed|TestStableStampWaitsForOldestInFlight)$$' ./internal/dist
 
 # detector-stress reruns the deadlock-detector tests under the race
 # detector: only transactions that wait enter the detector, and Doomed,

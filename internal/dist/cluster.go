@@ -12,7 +12,6 @@ import (
 
 	"weihl83/internal/adts"
 	"weihl83/internal/cc"
-	"weihl83/internal/conflict"
 	"weihl83/internal/fault"
 	"weihl83/internal/histories"
 	"weihl83/internal/obs"
@@ -363,12 +362,11 @@ func (c *Cluster) recomputeReplicaSet(rep *replicator, obj histories.ObjectID, l
 	rep.mu.Lock()
 	route := rep.routes[obj]
 	if route == nil {
-		route = &replicaRoute{static: conflict.StaticForType(typ), typ: typ}
+		route = rep.newRoute(obj, typ)
 		rep.routes[obj] = route
 	}
 	old := route.followers
-	route.followers = followers
-	route.v = ringv
+	route.followers, route.v = followers, ringv // a fresh slice: readers may hold the old one
 	var added, removed []SiteID
 	for _, f := range followers {
 		if !slices.Contains(old, f) {
@@ -380,7 +378,7 @@ func (c *Cluster) recomputeReplicaSet(rep *replicator, obj histories.ObjectID, l
 			removed = append(removed, f)
 		}
 	}
-	rep.seedLocked(route, obj, added, base)
+	rep.seedLocked(route, added, base)
 	rep.mu.Unlock()
 	for _, f := range removed {
 		if s, err := c.net.Site(f); err == nil {

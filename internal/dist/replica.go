@@ -317,27 +317,44 @@ func (n *Network) QueryReplicaRead(from, to SiteID, obj histories.ObjectID, inv 
 // --- the cluster-owned replicator ----------------------------------------
 
 // replicaRoute is one replicated object: its versioned follower set (the
-// leader is the cluster's placement) and its deliveries in flight.
+// leader is the cluster's placement), its deliveries in flight, and the
+// one read proxy the read router hands out for it.
 type replicaRoute struct {
-	followers []SiteID
-	v         uint64 // bumped whenever the set changes (migrations)
+	obj       histories.ObjectID
+	followers []SiteID // replaced, never mutated: readers share it unlocked once read
+	v         uint64   // bumped whenever the set changes (migrations)
 	static    *conflict.Static
 	typ       adts.Type
 	pending   int // enqueued deliveries and seeds not yet completed: what the sync barrier drains
+	reader    replicaReadResource
+}
+
+// newRoute builds obj's route, with no followers yet, and its read proxy.
+func (rep *replicator) newRoute(obj histories.ObjectID, typ adts.Type) *replicaRoute {
+	r := &replicaRoute{obj: obj, static: conflict.StaticForType(typ), typ: typ}
+	r.reader = replicaReadResource{rep: rep, route: r}
+	return r
 }
 
 // replTxn tracks a client transaction's replicated write set between its
 // prepare (legs registered) and the completion of its last delivery.
 type replTxn struct {
 	ts          histories.Timestamp // 0 until stamped at commit
-	legs        map[histories.ObjectID][]spec.Call
-	outstanding int // enqueued deliveries not yet applied
+	legs        []replLeg           // in prepare order
+	outstanding int                 // enqueued deliveries not yet applied
+}
+
+// replLeg is a transaction's calls on one replicated object.
+type replLeg struct {
+	route *replicaRoute
+	calls []spec.Call
 }
 
 // replicator is the cluster's replication control plane: routes (with
 // the pending counts the sync barrier drains), the stamp clock,
-// per-follower delivery queues, and the in-flight transaction set the
-// stable timestamp is derived from.
+// per-follower delivery queues, the prepared transactions not yet stamped,
+// and the stamped ones still in flight, in stamp order — the head of that
+// list is what the stable timestamp is derived from.
 type replicator struct {
 	c            *Cluster
 	factor       int
@@ -347,7 +364,8 @@ type replicator struct {
 	mu       sync.Mutex
 	clock    histories.Timestamp
 	routes   map[histories.ObjectID]*replicaRoute
-	txns     map[histories.ActivityID]*replTxn
+	txns     map[histories.ActivityID]*replTxn // prepared, not yet shipped
+	inflight []*replTxn                        // shipped, ascending stamps; the head is unfinished
 	queues   map[SiteID]*replQueue
 	readPins map[histories.ActivityID]histories.Timestamp
 	readRR   int
@@ -357,9 +375,9 @@ type replicator struct {
 }
 
 // replItem is one queued delivery leg and the client transaction it
-// completes ("" for a seed).
+// completes (nil for a seed).
 type replItem struct {
-	txn histories.ActivityID
+	tx  *replTxn
 	req replicaReq
 }
 
@@ -478,29 +496,32 @@ func (q *replQueue) process(it replItem) {
 	}
 }
 
-// completed strikes a finished item from the pending books and wakes any
-// drain waiting on its object.
+// completed strikes a finished item from the pending books, which wakes
+// any drain waiting on its object, and pops the finished prefix of the
+// in-flight list: a transaction leaves it only once every transaction
+// stamped before it has, so the head stays the oldest one unfinished.
 func (rep *replicator) completed(it replItem) {
 	rep.mu.Lock()
 	if r := rep.routes[it.req.Obj]; r.pending > 0 {
 		r.pending--
 	}
-	if tx := rep.txns[it.txn]; tx != nil {
-		tx.outstanding--
-		if tx.outstanding <= 0 {
-			delete(rep.txns, it.txn)
+	if it.tx != nil {
+		it.tx.outstanding--
+		for len(rep.inflight) > 0 && rep.inflight[0].outstanding == 0 {
+			rep.inflight[0] = nil
+			rep.inflight = rep.inflight[1:]
 		}
 	}
 	rep.mu.Unlock()
 }
 
-// seedLocked draws one stamp and queues a seed of obj's committed baseline
-// under it to each of followers. Under rep.mu.
-func (rep *replicator) seedLocked(r *replicaRoute, obj histories.ObjectID, followers []SiteID, base spec.State) {
+// seedLocked draws one stamp and queues a seed of r's object's committed
+// baseline under it to each of followers. Under rep.mu.
+func (rep *replicator) seedLocked(r *replicaRoute, followers []SiteID, base spec.State) {
 	rep.clock++
 	for _, f := range followers {
 		r.pending++
-		rep.queueFor(f).push(replItem{req: replicaReq{Obj: obj, TS: rep.clock, Typ: r.typ, State: base}})
+		rep.queueFor(f).push(replItem{req: replicaReq{Obj: r.obj, TS: rep.clock, Typ: r.typ, State: base}})
 	}
 }
 
@@ -517,23 +538,12 @@ func (rep *replicator) queueFor(site SiteID) *replQueue {
 	return q
 }
 
-// tracks reports whether obj has a replica route with at least one
-// follower.
-func (rep *replicator) tracks(obj histories.ObjectID) (adts.Type, bool) {
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	r := rep.routes[obj]
-	if r == nil || len(r.followers) == 0 {
-		return adts.Type{}, false
-	}
-	return r.typ, true
-}
-
 // prepare registers a transaction's leg on obj and applies the sync
 // barrier: calls that do not form a proven-commutative class must wait for
 // the object's in-flight deliveries to drain before the leader's 2PC
 // prepare proceeds, so the eventual commit stamp exceeds every delivery it
-// conflicts with.
+// conflicts with. The runtime prepares each joined object once, so each
+// leg is registered once.
 func (rep *replicator) prepare(txn histories.ActivityID, obj histories.ObjectID, calls []spec.Call) error {
 	rep.mu.Lock()
 	route := rep.routes[obj]
@@ -543,10 +553,10 @@ func (rep *replicator) prepare(txn histories.ActivityID, obj histories.ObjectID,
 	}
 	tx := rep.txns[txn]
 	if tx == nil {
-		tx = &replTxn{legs: make(map[histories.ObjectID][]spec.Call)}
+		tx = &replTxn{}
 		rep.txns[txn] = tx
 	}
-	tx.legs[obj] = calls
+	tx.legs = append(tx.legs, replLeg{route: route, calls: calls})
 	invs := make([]spec.Invocation, len(calls))
 	for i, c := range calls {
 		invs[i] = c.Inv
@@ -559,38 +569,34 @@ func (rep *replicator) prepare(txn histories.ActivityID, obj histories.ObjectID,
 	return rep.drainObject(obj)
 }
 
-// ship stamps a decided transaction and enqueues every registered leg to
-// every follower, all under one mutex hold: the stamp order is the enqueue
-// order on every queue, which FIFO delivery turns into the apply order at
-// every follower. Idempotent — only the first leg's commit ships.
+// ship stamps a decided transaction, moves it from the prepared table to
+// the tail of the in-flight list, and enqueues every registered leg to
+// every follower, all under one mutex hold: the stamp order is the list
+// order and the enqueue order on every queue, which FIFO delivery turns
+// into the apply order at every follower. Idempotent — only the first
+// leg's commit finds the transaction prepared.
 func (rep *replicator) ship(txn histories.ActivityID) {
 	rep.mu.Lock()
 	defer rep.mu.Unlock()
 	tx := rep.txns[txn]
-	if tx == nil || tx.ts != 0 {
+	if tx == nil {
 		return
 	}
+	delete(rep.txns, txn)
 	rep.clock++
 	tx.ts = rep.clock
-	objs := make([]histories.ObjectID, 0, len(tx.legs))
-	for obj := range tx.legs {
-		objs = append(objs, obj)
-	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
-	for _, obj := range objs {
-		calls := tx.legs[obj]
-		route := rep.routes[obj]
-		if route == nil || len(calls) == 0 {
+	for _, l := range tx.legs {
+		if len(l.calls) == 0 {
 			continue
 		}
-		for _, f := range route.followers {
-			route.pending++
+		for _, f := range l.route.followers {
+			l.route.pending++
 			tx.outstanding++
-			rep.queueFor(f).push(replItem{txn: txn, req: replicaReq{Obj: obj, TS: tx.ts, Calls: calls}})
+			rep.queueFor(f).push(replItem{tx: tx, req: replicaReq{Obj: l.route.obj, TS: tx.ts, Calls: l.calls}})
 		}
 	}
-	if tx.outstanding == 0 {
-		delete(rep.txns, txn)
+	if tx.outstanding > 0 {
+		rep.inflight = append(rep.inflight, tx)
 	}
 }
 
@@ -599,30 +605,19 @@ func (rep *replicator) ship(txn histories.ActivityID) {
 // pin.
 func (rep *replicator) forget(txn histories.ActivityID) {
 	rep.mu.Lock()
-	if tx := rep.txns[txn]; tx != nil && tx.ts == 0 {
-		delete(rep.txns, txn)
-	}
+	delete(rep.txns, txn)
 	delete(rep.readPins, txn)
 	rep.mu.Unlock()
 }
 
-// stableTS returns the newest snapshot timestamp at which every committed
-// transaction is fully applied at every follower: one below the smallest
-// stamp still in flight, or the clock when nothing is.
-func (rep *replicator) stableTS() histories.Timestamp {
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	return rep.stableTSLocked()
-}
-
+// stableTSLocked returns the newest snapshot timestamp at which every
+// committed transaction is fully applied at every follower: one below the
+// oldest stamp still in flight, or the clock when nothing is. Under rep.mu.
 func (rep *replicator) stableTSLocked() histories.Timestamp {
-	stable := rep.clock
-	for _, tx := range rep.txns {
-		if tx.ts != 0 && tx.ts-1 < stable {
-			stable = tx.ts - 1
-		}
+	if len(rep.inflight) > 0 {
+		return rep.inflight[0].ts - 1
 	}
-	return stable
+	return rep.clock
 }
 
 // drainObject waits until obj has no in-flight deliveries, refusing
@@ -657,7 +652,7 @@ func (rep *replicator) drainAll(timeout time.Duration) error {
 		for _, r := range rep.routes {
 			pending += r.pending
 		}
-		inflight := len(rep.txns)
+		inflight := len(rep.txns) + len(rep.inflight)
 		rep.mu.Unlock()
 		if pending == 0 && inflight == 0 {
 			return nil
@@ -669,51 +664,10 @@ func (rep *replicator) drainAll(timeout time.Duration) error {
 	}
 }
 
-// pinRead returns the transaction's pinned snapshot timestamp, pinning the
-// stable timestamp at first read.
-func (rep *replicator) pinRead(txn histories.ActivityID) histories.Timestamp {
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	if ts, ok := rep.readPins[txn]; ok {
-		return ts
-	}
-	ts := rep.stableTSLocked()
-	rep.readPins[txn] = ts
-	return ts
-}
-
 func (rep *replicator) releaseRead(txn histories.ActivityID) {
 	rep.mu.Lock()
 	delete(rep.readPins, txn)
 	rep.mu.Unlock()
-}
-
-// routeSnapshot returns the object's follower list and route version.
-func (rep *replicator) routeSnapshot(obj histories.ObjectID) ([]SiteID, uint64) {
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	r := rep.routes[obj]
-	if r == nil {
-		return nil, 0
-	}
-	return append([]SiteID(nil), r.followers...), r.v
-}
-
-func (rep *replicator) routeVersion(obj histories.ObjectID) uint64 {
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	if r := rep.routes[obj]; r != nil {
-		return r.v
-	}
-	return 0
-}
-
-// nextRR returns a rotation offset for read fan-out.
-func (rep *replicator) nextRR() int {
-	rep.mu.Lock()
-	defer rep.mu.Unlock()
-	rep.readRR++
-	return rep.readRR
 }
 
 // close stops every delivery queue and waits the workers out.
@@ -791,10 +745,11 @@ func (c *Cluster) EnableReplication(factor int) error {
 			return fmt.Errorf("dist: enable replication: %s at its leader %s: %w", p.obj, p.leader, err)
 		}
 		base := o.Base()
-		r := &replicaRoute{followers: p.followers, v: placeV, static: conflict.StaticForType(typ), typ: typ}
 		rep.mu.Lock()
+		r := rep.newRoute(p.obj, typ)
+		r.followers, r.v = p.followers, placeV
 		rep.routes[p.obj] = r
-		rep.seedLocked(r, p.obj, p.followers, base)
+		rep.seedLocked(r, p.followers, base)
 		rep.mu.Unlock()
 	}
 	return nil
@@ -844,7 +799,12 @@ func (c *Cluster) ReplicaSet(obj histories.ObjectID) []SiteID {
 	if rep == nil {
 		return []SiteID{home}
 	}
-	followers, _ := rep.routeSnapshot(obj)
+	var followers []SiteID
+	rep.mu.Lock()
+	if r := rep.routes[obj]; r != nil {
+		followers = r.followers
+	}
+	rep.mu.Unlock()
 	return append([]SiteID{home}, followers...)
 }
 
@@ -869,69 +829,83 @@ func (c *Cluster) Close() {
 }
 
 // ReadRouter returns the read-any router for read-only activities: a
-// function mapping an object to a snapshot-read resource against its
-// follower set, or nil for unreplicated objects. The router itself is nil
-// when replication is off, so the transaction layer falls back to the
-// locked leader path — which is exactly the factor-1 baseline.
+// function mapping an object to its route's snapshot-read resource, or nil
+// for unreplicated objects. The router itself is nil when replication is
+// off, so the transaction layer falls back to the locked leader path —
+// which is exactly the factor-1 baseline.
 func (c *Cluster) ReadRouter() func(histories.ObjectID) cc.Resource {
 	rep := c.replicator()
 	if rep == nil {
 		return nil
 	}
 	return func(obj histories.ObjectID) cc.Resource {
-		typ, ok := rep.tracks(obj)
-		if !ok {
-			return nil
+		rep.mu.Lock()
+		defer rep.mu.Unlock()
+		if r := rep.routes[obj]; r != nil && len(r.followers) > 0 {
+			return &r.reader
 		}
-		return &replicaReadResource{rep: rep, obj: obj, isWrite: typ.IsWrite}
+		return nil
 	}
 }
 
-// replicaReadResource is the read-any proxy: every invocation executes at
-// some follower against the transaction's pinned snapshot timestamp. It
-// never locks, never prepares, never appears in 2PC — the snapshot
-// timestamp is the whole serialisation argument (hybrid atomicity's
-// timestamp order).
+// replicaReadResource is the read-any proxy of one route, shared by every
+// read-only transaction: every invocation executes at some follower against
+// the transaction's pinned snapshot timestamp, kept in the replicator's pin
+// table. It never locks, never prepares, never appears in 2PC — the
+// snapshot timestamp is the whole serialisation argument (hybrid
+// atomicity's timestamp order).
 type replicaReadResource struct {
-	rep     *replicator
-	obj     histories.ObjectID
-	isWrite func(op string) bool
+	rep   *replicator
+	route *replicaRoute
 }
 
 var _ cc.Resource = (*replicaReadResource)(nil)
 
 // ObjectID implements cc.Resource.
-func (r *replicaReadResource) ObjectID() histories.ObjectID { return r.obj }
+func (r *replicaReadResource) ObjectID() histories.ObjectID { return r.route.obj }
 
-// Invoke implements cc.Resource: pin the snapshot, rotate over the
-// followers, and validate the route version afterwards so a read that
-// raced a replica-set change (migration) refuses instead of returning a
-// value from a site that just left the set. A mutating operation is
-// refused with cc.ErrReadOnly: a snapshot has nowhere to put its effect.
+// Invoke implements cc.Resource: one section of rep.mu pins the snapshot
+// (at the transaction's first read) and takes the followers, the route
+// version and a rotation offset; a second validates the route version after
+// the read, so a read that raced a replica-set change (migration) refuses
+// instead of returning a value from a site that just left the set. A
+// mutating operation is refused with cc.ErrReadOnly: a snapshot has nowhere
+// to put its effect.
 func (r *replicaReadResource) Invoke(txn *cc.TxnInfo, inv spec.Invocation) (value.Value, error) {
-	if r.isWrite != nil && r.isWrite(inv.Op) {
-		return value.Nil(), fmt.Errorf("dist: %s invokes %s at replicas of %s: %w", txn.ID, inv.Op, r.obj, cc.ErrReadOnly)
+	if isWrite := r.route.typ.IsWrite; isWrite != nil && isWrite(inv.Op) {
+		return value.Nil(), fmt.Errorf("dist: %s invokes %s at replicas of %s: %w", txn.ID, inv.Op, r.route.obj, cc.ErrReadOnly)
 	}
-	ts := r.rep.pinRead(txn.ID)
-	followers, v := r.rep.routeSnapshot(r.obj)
+	rep := r.rep
+	rep.mu.Lock()
+	ts, pinned := rep.readPins[txn.ID]
+	if !pinned {
+		ts = rep.stableTSLocked()
+		rep.readPins[txn.ID] = ts
+	}
+	followers, v := r.route.followers, r.route.v
+	rep.readRR++
+	start := rep.readRR
+	rep.mu.Unlock()
 	if len(followers) == 0 {
-		return value.Nil(), fmt.Errorf("%w: %s has no followers", ErrNotReplica, r.obj)
+		return value.Nil(), fmt.Errorf("%w: %s has no followers", ErrNotReplica, r.route.obj)
 	}
-	start := r.rep.nextRR()
 	var lastErr error
 	for i := range followers {
 		f := followers[(start+i)%len(followers)]
-		val, err := r.rep.c.net.QueryReplicaRead(r.rep.origin, f, r.obj, inv, ts)
+		val, err := rep.c.net.QueryReplicaRead(rep.origin, f, r.route.obj, inv, ts)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		if r.rep.routeVersion(r.obj) != v {
-			return value.Nil(), fmt.Errorf("dist: replica set of %s changed during read: %w", r.obj, cc.ErrUnavailable)
+		rep.mu.Lock()
+		moved := r.route.v != v
+		rep.mu.Unlock()
+		if moved {
+			return value.Nil(), fmt.Errorf("dist: replica set of %s changed during read: %w", r.route.obj, cc.ErrUnavailable)
 		}
 		return val, nil
 	}
-	return value.Nil(), fmt.Errorf("dist: replica read of %s failed at every follower: %w", r.obj, errors.Join(lastErr, cc.ErrUnavailable))
+	return value.Nil(), fmt.Errorf("dist: replica read of %s failed at every follower: %w", r.route.obj, errors.Join(lastErr, cc.ErrUnavailable))
 }
 
 // SnapshotRead marks the resource for the transaction runtime: reads here

@@ -923,7 +923,7 @@ func TestFollowerWithoutDurableSeedServesNothing(t *testing.T) {
 	if e.sites[fid].Follows("acct0") {
 		t.Error("the follower follows acct0 with no seed in its log")
 	}
-	_, err := e.net.QueryReplicaRead("", fid, "acct0", spec.Invocation{Op: adts.OpBalance, Arg: value.Nil()}, e.cluster.replicator().stableTS())
+	_, err := e.net.QueryReplicaRead("", fid, "acct0", spec.Invocation{Op: adts.OpBalance, Arg: value.Nil()}, stableStamp(e.cluster.replicator()))
 	if !errors.Is(err, ErrNotReplica) {
 		t.Errorf("read at a follower without a seed: err = %v, want ErrNotReplica", err)
 	}
@@ -932,4 +932,113 @@ func TestFollowerWithoutDurableSeedServesNothing(t *testing.T) {
 		t.Fatalf("seed drain: %v", err)
 	}
 	e.assertConverged(t, "acct0")
+}
+
+// stableStamp reads the replicator's stable timestamp — what a replica
+// read pins at its first invocation.
+func stableStamp(rep *replicator) histories.Timestamp {
+	rep.mu.Lock()
+	defer rep.mu.Unlock()
+	return rep.stableTSLocked()
+}
+
+// TestWarmReplicaReadAllocs pins the allocations of a warm two-object
+// read-only audit routed to follower snapshots: the read router hands out
+// each route's one reader, and a read copies no follower list.
+func TestWarmReplicaReadAllocs(t *testing.T) {
+	e := newElasticWith(t, elasticConfig{sites: []SiteID{"A", "B", "C"}, homes: []SiteID{"A", "B"}})
+	e.replicate(t, 3)
+	auditMgr := e.newManager(t, tx.Config{Property: tx.Dynamic, ReadRouter: e.cluster.ReadRouter()})
+	audit := func() {
+		if err := auditMgr.RunReadOnly(func(txn *tx.Txn) error {
+			for _, obj := range []histories.ObjectID{"acct0", "acct1"} {
+				if _, err := txn.Invoke(obj, adts.OpBalance, value.Nil()); err != nil {
+					return err
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		audit() // warm: epochs pinned, pin table grown
+	}
+	const ceiling = 4 // 4 measured; 8 before routes owned their reader
+	if got := testing.AllocsPerRun(500, audit); got > ceiling {
+		t.Errorf("warm two-object replica audit allocates %.0f times, want <= %d", got, ceiling)
+	}
+}
+
+// TestStableStampWaitsForOldestInFlight: the stable timestamp is one below
+// the oldest stamp still being delivered, not below the oldest stamp of
+// whatever happened to finish last. Two deposits on objects with different
+// followers: the first one's follower is down, so its delivery is held
+// back, while the second, stamped later, lands at its follower. The stable
+// stamp stays below the first deposit — an audit pinned there reads the
+// second object without the second deposit, though its follower has it —
+// until the held delivery lands, and is the clock after that.
+func TestStableStampWaitsForOldestInFlight(t *testing.T) {
+	e := newElasticWith(t, elasticConfig{sites: []SiteID{"A", "B", "C", "D"}, homes: []SiteID{"B", "C"}})
+	e.replicate(t, 2)
+	f0, f1 := e.cluster.ReplicaSet("acct0")[1], e.cluster.ReplicaSet("acct1")[1]
+	if f0 != "A" || f1 != "B" {
+		t.Fatalf("followers of acct0, acct1 = %s, %s; the test wants A and B", f0, f1)
+	}
+	rep := e.cluster.replicator()
+	clock := func() histories.Timestamp {
+		rep.mu.Lock()
+		defer rep.mu.Unlock()
+		return rep.clock
+	}
+	e.deposit(t, "acct1", 5)
+	if err := e.cluster.ReplicationIdle(5 * time.Second); err != nil {
+		t.Fatalf("replication drain: %v", err)
+	}
+	e.sites[f0].Crash()
+	e.deposit(t, "acct0", 10)
+	first := clock()
+	e.deposit(t, "acct1", 20)
+	second := clock()
+	if second <= first {
+		t.Fatalf("stamps %d then %d, want ascending", first, second)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		_, head, err := e.sites[f1].ReplicaStateKey("acct1")
+		rep.mu.Lock()
+		pending := rep.routes["acct1"].pending
+		rep.mu.Unlock()
+		if err == nil && head == second && pending == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the later deposit did not land at %s (head %d, %d pending, %v)", f1, head, pending, err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := stableStamp(rep); got != first-1 {
+		t.Fatalf("stable stamp = %d with deposit %d held back and %d applied, want %d", got, first, second, first-1)
+	}
+	reader := e.cluster.ReadRouter()("acct1")
+	audit := &cc.TxnInfo{ID: "audit-held", ReadOnly: true}
+	v, err := reader.Invoke(audit, spec.Invocation{Op: adts.OpBalance, Arg: value.Nil()})
+	if err != nil {
+		t.Fatalf("replica read of acct1: %v", err)
+	}
+	reader.Commit(audit, 0)
+	if v.MustInt() != 5 {
+		t.Errorf("audit pinned below the held deposit reads acct1 = %d, want 5 (without the later deposit)", v.MustInt())
+	}
+	if err := e.sites[f0].Recover(); err != nil {
+		t.Fatalf("recover %s: %v", f0, err)
+	}
+	if err := e.cluster.ReplicationIdle(5 * time.Second); err != nil {
+		t.Fatalf("replication drain after recovery: %v", err)
+	}
+	if got := stableStamp(rep); got != second || got != clock() {
+		t.Errorf("stable stamp = %d once every delivery landed, want the clock %d", got, second)
+	}
+	e.assertConverged(t, "acct0")
+	e.assertConverged(t, "acct1")
 }

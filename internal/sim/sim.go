@@ -111,8 +111,6 @@ type Config struct {
 	// WaitTimeout, when positive, replaces deadlock detection with
 	// timeout-based waits (ablation A2).
 	WaitTimeout time.Duration
-	// MaxRetries bounds automatic retries (default from tx).
-	MaxRetries int
 	// SemiQueue substitutes the nondeterministic semiqueue for the FIFO
 	// queue in queue workloads (experiment A4).
 	SemiQueue bool
@@ -175,13 +173,12 @@ func NewSystem(cfg Config, wantAccounts int, wantQueue bool) (*System, error) {
 	s.Detector = det
 
 	m, err := tx.NewManager(tx.Config{
-		Property:   prop,
-		Clock:      src,
-		Detector:   doomer,
-		Record:     cfg.Record,
-		MaxRetries: cfg.MaxRetries,
-		WAL:        cfg.WAL,
-		Backoff:    cfg.Backoff,
+		Property: prop,
+		Clock:    src,
+		Detector: doomer,
+		Record:   cfg.Record,
+		WAL:      cfg.WAL,
+		Backoff:  cfg.Backoff,
 	})
 	if err != nil {
 		return nil, err

@@ -935,22 +935,22 @@ func (m *Manager) RunReadOnlyCtx(ctx context.Context, fn func(t *Txn) error) err
 	return m.run(ctx, fn, true)
 }
 
-// Pacer paces one externally-driven retry chain with a backoff policy, for
-// callers that run their own retry loop (instrumented harnesses that count
-// attempts, network clients that retry on server-side shed) instead of Run.
-// Each Pacer owns a per-chain jitter generator, exactly like a Run retry
-// chain; it is not safe for concurrent use.
+// Pacer paces one retry chain with a backoff policy: Run's own retries,
+// and callers that run their own retry loop (instrumented harnesses that
+// count attempts, network clients that retry on server-side shed). Each
+// Pacer owns its chain's jitter generator, created at its first Pause; it
+// is not safe for concurrent use.
 type Pacer struct {
-	b        Backoff
-	mkJitter func() *rand.Rand
-	jitter   *rand.Rand
+	b      Backoff
+	chains *atomic.Int64 // numbers the chains that share b's seed
+	jitter *rand.Rand
 }
 
 // NewPacer returns a pacer for one retry chain under the manager's backoff
 // policy, sharing the manager's chain numbering (so manager-run chains and
 // externally-paced chains spread across distinct jitter streams).
 func (m *Manager) NewPacer() *Pacer {
-	return &Pacer{b: m.cfg.Backoff, mkJitter: m.newChainJitter}
+	return &Pacer{b: m.cfg.Backoff, chains: &m.chainSeq}
 }
 
 // pacerChainSeq numbers the retry chains of standalone pacers, so pacers
@@ -964,35 +964,42 @@ var pacerChainSeq atomic.Int64
 // machinery Run uses against protocol aborts.
 func NewPacer(b Backoff) *Pacer {
 	(&b).fill()
-	return &Pacer{b: b, mkJitter: func() *rand.Rand {
-		chain := pacerChainSeq.Add(1)
-		return rand.New(rand.NewSource(b.Seed + (chain-1)*-0x61c8864680b583eb))
-	}}
+	return &Pacer{b: b, chains: &pacerChainSeq}
 }
 
 // Pause waits the backoff delay before retry number retry (0-based),
 // honouring ctx. Without pacing, concurrent retriers that lost a conflict
 // re-collide immediately; under contention that feedback loop dominates
 // throughput long before the protocol does.
+//
+// The chain's jitter generator is seeded deterministically from
+// Backoff.Seed and the chain's sequence number, so concurrent retriers
+// never serialize on one shared generator. The first chain uses
+// Backoff.Seed itself; later chains mix in the chain number (golden-ratio
+// increment, the splitmix64 constant) so they spread instead of marching
+// in lockstep.
 func (p *Pacer) Pause(ctx context.Context, retry int) error {
 	if p.jitter == nil {
-		p.jitter = p.mkJitter()
+		chain := p.chains.Add(1)
+		p.jitter = rand.New(rand.NewSource(p.b.Seed + (chain-1)*-0x61c8864680b583eb))
 	}
-	return pause(ctx, p.b, p.jitter, retry)
-}
-
-// newChainJitter returns the jitter generator for one retry chain, seeded
-// deterministically from the configured Backoff.Seed and the chain's
-// sequence number. Each chain owning its generator removes the old shared
-// jitterMu+rand.Rand, which serialized every concurrently-retrying worker
-// on one mutex exactly when the system was most contended. The first chain
-// uses Backoff.Seed itself, so single-chain delay sequences are unchanged;
-// later chains mix in the chain number (golden-ratio increment, the
-// splitmix64 constant) so they spread instead of marching in lockstep.
-func (m *Manager) newChainJitter() *rand.Rand {
-	chain := m.chainSeq.Add(1)
-	seed := m.cfg.Backoff.Seed + (chain-1)*-0x61c8864680b583eb
-	return rand.New(rand.NewSource(seed))
+	d := retryDelay(p.b, p.jitter, retry)
+	obsBackoffs.Inc()
+	obsBackoffLat.Observe(int64(d))
+	if obsTrace.Enabled() {
+		obsTrace.Record(obs.TraceEvent{Kind: obs.KindBackoff, Dur: d})
+	}
+	if p.b.Sleep != nil {
+		return p.b.Sleep(ctx, d)
+	}
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-timer.C:
+		return nil
+	}
 }
 
 // retryDelay picks the delay before retry number retry (0-based): equal
@@ -1010,36 +1017,15 @@ func retryDelay(b Backoff, jitter *rand.Rand, retry int) time.Duration {
 	return half + time.Duration(jitter.Int63n(int64(half)+1))
 }
 
-// pause waits the retry delay, honouring ctx.
-func pause(ctx context.Context, b Backoff, jitter *rand.Rand, retry int) error {
-	d := retryDelay(b, jitter, retry)
-	obsBackoffs.Inc()
-	obsBackoffLat.Observe(int64(d))
-	if obsTrace.Enabled() {
-		obsTrace.Record(obs.TraceEvent{Kind: obs.KindBackoff, Dur: d})
-	}
-	if b.Sleep != nil {
-		return b.Sleep(ctx, d)
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-timer.C:
-		return nil
-	}
-}
-
 func (m *Manager) run(ctx context.Context, fn func(t *Txn) error, readOnly bool) error {
 	var lastErr error
-	var jitter *rand.Rand // per-chain, created on first retry
+	var pacer *Pacer // created on the first retry
 	for attempt := 0; attempt < m.cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
-			if jitter == nil {
-				jitter = m.newChainJitter()
+			if pacer == nil {
+				pacer = m.NewPacer()
 			}
-			if err := pause(ctx, m.cfg.Backoff, jitter, attempt-1); err != nil {
+			if err := pacer.Pause(ctx, attempt-1); err != nil {
 				return fmt.Errorf("tx: %w (after %d attempts, last: %v)", err, attempt, lastErr)
 			}
 		}
